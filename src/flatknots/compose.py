@@ -157,6 +157,8 @@ def verify_superadditivity(
     Basepoint pairs are enumerated exhaustively when there are at most
     256 of them, otherwise a seeded uniform sample of sample_size pairs
     is used."""
+    if sample_size < 1:
+        raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     c1 = crossing_number(d1, limits)
     c2 = crossing_number(d2, limits)
     inputs_minimal = is_minimal(d1, limits) and is_minimal(d2, limits)

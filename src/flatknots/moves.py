@@ -77,10 +77,21 @@ class Move:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Move":
-        kind = rec["kind"]
-        if kind not in KIND_DELTA:
+        if not isinstance(rec, dict):
+            raise ValueError(f"a move record must be an object, not {type(rec).__name__}")
+        missing = [k for k in ("kind", "variant", "positions") if k not in rec]
+        if missing:
+            raise ValueError(f"move record lacks {', '.join(missing)}")
+        kind, variant, positions = rec["kind"], rec["variant"], rec["positions"]
+        if not isinstance(kind, str) or kind not in KIND_DELTA:
             raise ValueError(f"unknown move kind {kind!r}")
-        return cls(kind, rec["variant"], tuple(int(p) for p in rec["positions"]))
+        if not isinstance(variant, (str, int)) or isinstance(variant, bool):
+            raise ValueError(f"move variant must be a string or an integer, not {variant!r}")
+        if not isinstance(positions, list) or not all(
+            isinstance(p, int) and not isinstance(p, bool) for p in positions
+        ):
+            raise ValueError(f"move positions must be a list of integers, not {positions!r}")
+        return cls(kind, variant, tuple(positions))
 
     def __str__(self) -> str:
         pos = ",".join(str(p) for p in self.positions)
@@ -335,25 +346,45 @@ def _fr3_structural(blocks) -> bool:
 
 def enumerate_fr3(d: GaussDiagram) -> list[Move]:
     """All FR3 sites: three disjoint adjacent blocks, each holding two of
-    the three arrows, arrow pairs covered once, pattern in the catalog."""
+    the three arrows, arrow pairs covered once, pattern in the catalog.
+
+    Adjacent blocks holding two distinct arrows are indexed by their
+    sorted arrow pair; a site joins the blocks of (a,b), (a,c) and (b,c).
+    Every arrow lies in at most four blocks, so the work grows with the
+    number of candidate sites rather than with C(2n, 3)."""
     size = d.size
     if d.n < 3:
         return []
     word = d.word
+    by_pair: dict[tuple[int, int], list[int]] = {}
+    partners: dict[int, set[int]] = {}
+    for s in range(size):
+        x, y = abs(word[s]), abs(word[(s + 1) % size])
+        if x == y:
+            continue
+        if x > y:
+            x, y = y, x
+        by_pair.setdefault((x, y), []).append(s)
+        partners.setdefault(x, set()).add(y)
     index = _fr3_before_index()
     moves = []
-    for starts in itertools.combinations(range(size), 3):
-        positions = []
-        for s in starts:
-            positions.extend((s, (s + 1) % size))
-        if len(set(positions)) != 6:
-            continue
-        blocks = _fr3_blocks_at(word, size, starts)
-        if not _fr3_structural(blocks):
-            continue
-        entry = index.get(canonical_pattern(blocks))
-        if entry is not None:
-            moves.append(Move(FR3, entry.id, tuple(positions)))
+    for (a, b), ab_starts in by_pair.items():
+        for c in partners[a]:
+            if c <= b or (b, c) not in by_pair:
+                continue
+            for s1 in ab_starts:
+                for s2 in by_pair[(a, c)]:
+                    for s3 in by_pair[(b, c)]:
+                        starts = sorted((s1, s2, s3))
+                        positions = []
+                        for s in starts:
+                            positions.extend((s, (s + 1) % size))
+                        if len(set(positions)) != 6:
+                            continue
+                        blocks = _fr3_blocks_at(word, size, starts)
+                        entry = index.get(canonical_pattern(blocks))
+                        if entry is not None:
+                            moves.append(Move(FR3, entry.id, tuple(positions)))
     moves.sort(key=Move.sort_key)
     return moves
 
@@ -411,6 +442,8 @@ def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
             raise SiteMismatch(f"unknown fr2 variant {m.variant!r}")
         if len(m.positions) != 4 or len(set(m.positions)) != 4:
             raise SiteMismatch("fr2-remove takes four distinct positions")
+        if not all(0 <= p < size for p in m.positions):
+            raise SiteMismatch(f"positions out of range for {size} endpoints")
         a0, a1, b0, b1 = m.positions
         if size < 4 or a1 != (a0 + 1) % size or b1 != (b0 + 1) % size:
             raise SiteMismatch("blocks are not cyclically consecutive")
@@ -433,6 +466,8 @@ def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
     if kind == FR3:
         if len(m.positions) != 6 or len(set(m.positions)) != 6:
             raise SiteMismatch("fr3 takes six distinct positions")
+        if not all(0 <= p < size for p in m.positions):
+            raise SiteMismatch(f"positions out of range for {size} endpoints")
         starts = m.positions[0::2]
         for s, p1 in zip(starts, m.positions[1::2]):
             if p1 != (s + 1) % size:

@@ -74,8 +74,15 @@ class MoveTrace:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "MoveTrace":
+        if not isinstance(obj, dict):
+            raise TraceMismatch(f"a trace must be a JSON object, not {type(obj).__name__}")
         if obj.get("format") != "flatknots-trace v1":
             raise TraceMismatch(f"unsupported trace format {obj.get('format')!r}")
+        for key in ("start", "end"):
+            if not isinstance(obj.get(key), str):
+                raise TraceMismatch(f"trace {key!r} must be a code string")
+        if not isinstance(obj.get("steps"), list):
+            raise TraceMismatch("trace 'steps' must be a list")
         steps = tuple(mv.Move.from_record(r) for r in obj["steps"])
         return cls(obj["start"], steps, obj["end"])
 
@@ -117,17 +124,21 @@ def _scan_orbit(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
     """
     pred: dict = {start: None}
     layer = [start]
+    expanded = 0
     while layer:
         nxt = []
         for w in sorted(layer, key=canonical_sort_key):
             rep = GaussDiagram(w)
+            expanded += 1
             for m in mv.enumerate_fr3(rep):
                 nw = canonical_word(mv.apply(rep, m).word)
                 if nw in pred:
                     continue
                 if len(pred) >= max_nodes:
                     raise OrbitBudgetExceeded(
-                        f"FR3 orbit exceeds the {max_nodes}-node budget"
+                        f"FR3 orbit of {serialize(GaussDiagram(start))} exceeds the "
+                        f"{max_nodes}-node budget (nodes explored: {len(pred)}, "
+                        f"expanded: {expanded})"
                     )
                 pred[nw] = (w, m)
                 nxt.append(nw)

@@ -1,6 +1,7 @@
 """Shared builders and independent oracles for the test suite."""
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,14 @@ from flatknots import (
     enumerate_fr3,
 )
 from flatknots.diagram import canonical_word
+from flatknots.moves import (
+    FR3,
+    Move,
+    _fr3_before_index,
+    _fr3_blocks_at,
+    _fr3_structural,
+    canonical_pattern,
+)
 
 
 def random_diagram(rng: random.Random, n: int) -> GaussDiagram:
@@ -30,6 +39,32 @@ def random_diagram(rng: random.Random, n: int) -> GaussDiagram:
         else:
             word[p], word[q] = -label, label
     return GaussDiagram(tuple(word))
+
+
+def fr3_oracle(d: GaussDiagram) -> list[Move]:
+    """Reference FR3 enumerator: scan every C(2n, 3) triple of block
+    starts and keep the disjoint ones whose blocks cover three arrows
+    pairwise with a pattern in the catalog."""
+    size = d.size
+    if d.n < 3:
+        return []
+    word = d.word
+    index = _fr3_before_index()
+    moves = []
+    for starts in itertools.combinations(range(size), 3):
+        positions = []
+        for s in starts:
+            positions.extend((s, (s + 1) % size))
+        if len(set(positions)) != 6:
+            continue
+        blocks = _fr3_blocks_at(word, size, starts)
+        if not _fr3_structural(blocks):
+            continue
+        entry = index.get(canonical_pattern(blocks))
+        if entry is not None:
+            moves.append(Move(FR3, entry.id, tuple(positions)))
+    moves.sort(key=Move.sort_key)
+    return moves
 
 
 def all_legal_moves(d: GaussDiagram, max_arrows: int | None = None):

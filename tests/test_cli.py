@@ -154,6 +154,50 @@ def test_replay_rejects_tampered_trace(tmp_path):
     assert code == 1
 
 
+def _replay_malformed(tmp_path, capsys, obj):
+    """Replay a hand-written trace file; return (exit code, stdout, stderr)."""
+    trace_file = tmp_path / "bad.json"
+    trace_file.write_text(json.dumps(obj))
+    capsys.readouterr()
+    code, out = run_cli(["replay", "+1 -1", str(trace_file)])
+    return code, out, capsys.readouterr().err
+
+
+def _assert_input_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_replay_top_level_list_exit_2(tmp_path, capsys):
+    _assert_input_error(*_replay_malformed(tmp_path, capsys, []))
+
+
+def test_replay_missing_steps_exit_2(tmp_path, capsys):
+    obj = {"format": "flatknots-trace v1", "start": "0", "end": "0"}
+    _assert_input_error(*_replay_malformed(tmp_path, capsys, obj))
+
+
+def test_replay_step_without_variant_exit_2(tmp_path, capsys):
+    obj = {
+        "format": "flatknots-trace v1",
+        "start": "0",
+        "steps": [{"kind": "fr1-remove", "positions": [0, 1]}],
+        "end": "0",
+    }
+    _assert_input_error(*_replay_malformed(tmp_path, capsys, obj))
+
+
+def test_verify_superadd_rejects_sample_size_below_one(capsys):
+    # 18 x 18 = 324 basepoint pairs would take the sampling path
+    code9 = " ".join(f"+{k} -{k}" for k in range(1, 10))
+    for size in ("0", "-1"):
+        capsys.readouterr()
+        code, out = run_cli(["verify-superadd", "--sample-size", size, code9, code9])
+        _assert_input_error(code, out, capsys.readouterr().err)
+
+
 def test_equiv_certificate_trace(tmp_path):
     trace_file = tmp_path / "cert.json"
     code, _ = run_cli(["equiv", "--trace", str(trace_file), "+1 -1 +2 -2", "0"])

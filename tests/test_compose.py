@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from flatknots import (
     BasedDiagram,
     GaussDiagram,
@@ -205,6 +207,14 @@ def test_superadditivity_sampling_is_seeded():
     assert r1 == r2
     r3 = verify_superadditivity(d1, d2, seed=4, sample_size=20)
     assert r3.ok
+
+
+def test_superadditivity_rejects_sample_size_below_one():
+    # 18 x 18 = 324 basepoint pairs: a sample of none would check nothing
+    d = parse(" ".join(f"+{k} -{k}" for k in range(1, 10)))
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="sample_size must be >= 1"):
+            verify_superadditivity(d, d, sample_size=size)
 
 
 def test_permutant_minimality_of_minimal_pairs_quick():

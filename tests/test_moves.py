@@ -9,6 +9,7 @@ from flatknots import (
     apply,
     build_fr3_catalog,
     canonical_form,
+    classify,
     crossing_number,
     enumerate_decreasing,
     enumerate_fr1_decreasing,
@@ -17,12 +18,14 @@ from flatknots import (
     enumerate_fr2_increasing,
     enumerate_fr3,
     enumerate_diagrams,
+    fr3_orbit,
     inverse,
     parse,
+    serialize,
 )
 from flatknots.diagram import HEAD, TAIL, canonical_word
 from flatknots.moves import canonical_pattern
-from conftest import all_legal_moves, random_diagram
+from conftest import all_legal_moves, fr3_oracle, random_diagram
 
 # ---------------------------------------------------------------------------
 # FR1
@@ -248,6 +251,44 @@ def test_fr3_preserves_crossing_count_and_arrows():
         seen += 1
 
 
+def _fr3_sites_checked(diagrams) -> int:
+    """Compare the pair-indexed enumerator with the cubic-scan oracle on
+    every diagram; return the number of sites compared."""
+    total = 0
+    for d in diagrams:
+        got = enumerate_fr3(d)
+        assert got == fr3_oracle(d), serialize(d)
+        total += len(got)
+    return total
+
+
+def test_fr3_index_matches_oracle_small_n_all_rotations():
+    # rotations move blocks onto the wrap from the last endpoint to the first
+    canonical = [d for n in range(6) for d in enumerate_diagrams(n)]
+    assert len(canonical) == 3274
+    assert _fr3_sites_checked(canonical) == 1034
+    rotated = [
+        GaussDiagram(d.word[r:] + d.word[:r]) for d in canonical for r in range(1, d.size)
+    ]
+    assert _fr3_sites_checked(rotated) >= 9000
+
+
+def test_fr3_index_matches_oracle_random_large_n():
+    rng = random.Random(31)
+    diagrams = [random_diagram(rng, 6 + i % 11) for i in range(330)]
+    assert _fr3_sites_checked(diagrams) >= 50
+
+
+def test_fr3_index_matches_oracle_on_classified_orbits():
+    members = []
+    for rec in classify(5):
+        codes, _ = fr3_orbit(parse(rec.code))
+        assert len(codes) == rec.orbit_size
+        members.extend(parse(c) for c in codes)
+    assert len(members) >= 400
+    assert _fr3_sites_checked(members) >= 100
+
+
 # ---------------------------------------------------------------------------
 # apply / inverse across all kinds
 # ---------------------------------------------------------------------------
@@ -265,6 +306,15 @@ def test_apply_site_mismatch():
         apply(d, Move("fr3", 0, (0, 1, 2, 3, 4, 5)))
     with pytest.raises(SiteMismatch):
         apply(d, Move("fr2-insert", "Xth", (0, 0)))
+
+
+def test_apply_rejects_positions_past_the_end():
+    # each block's second position wraps to a valid index, so only a
+    # range check keeps the first one from indexing past the word
+    with pytest.raises(SiteMismatch):
+        apply(parse("+1 +2 -1 -2"), Move("fr2-remove", "Nth", (7, 0, 1, 2)))
+    with pytest.raises(SiteMismatch):
+        apply(parse("+1 +2 -1 -3 -2 +3"), Move("fr3", 0, (11, 0, 1, 2, 3, 4)))
 
 
 def test_crossing_delta_accounting():

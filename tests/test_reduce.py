@@ -199,8 +199,12 @@ def test_u_fast_path_never_blocks_true():
 def test_orbit_budget_exceeded_signals():
     # this five-arrow connected sum has an FR3 orbit with more than one node
     d = parse("+1 +2 -1 -2 +3 +4 -3 +5 -4 -5")
-    with pytest.raises(OrbitBudgetExceeded):
+    start = canonical_form(d)
+    with pytest.raises(OrbitBudgetExceeded) as info:
         fr3_orbit(d, OrbitLimits(max_nodes=1))
+    # the message names where the search started and how far it got
+    assert f"FR3 orbit of {start} " in str(info.value)
+    assert "(nodes explored: 1, expanded: 1)" in str(info.value)
     codes, _ = fr3_orbit(d)
     assert len(codes) == 2
 
