@@ -25,6 +25,7 @@ from .compose import connected_sum
 from .invariants import u_polynomial
 from .moves import SiteMismatch
 from .reduce import (
+    DEFAULT_LIMITS,
     MoveTrace,
     OrbitBudgetExceeded,
     OrbitLimits,
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_GLOBAL_DEFAULTS = {"format": "text", "max_orbit": 1_000_000, "seed": 0}
+_GLOBAL_DEFAULTS = {"format": "text", "max_orbit": DEFAULT_LIMITS.max_nodes, "seed": 0}
 
 
 def main(argv=None) -> int:

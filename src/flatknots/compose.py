@@ -51,11 +51,6 @@ def connected_sum(b1: BasedDiagram, b2: BasedDiagram) -> GaussDiagram:
     return GaussDiagram(w1 + shifted)
 
 
-def closure(b: BasedDiagram) -> GaussDiagram:
-    """Forget the basepoint of a long diagram."""
-    return b.diagram
-
-
 @dataclass(frozen=True)
 class PermutantSet:
     """All connected sums of two diagrams over every basepoint pair,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import GaussDiagram, canonical_word
+from .diagram import GaussDiagram
 
 
 class UnknownArrow(ValueError):
@@ -75,23 +75,3 @@ def u_polynomial(d: GaussDiagram) -> UPolynomial:
             exp = abs(idx)
             coeffs[exp] = coeffs.get(exp, 0) + (1 if idx > 0 else -1)
     return UPolynomial.from_dict(coeffs)
-
-
-def _interlacement_count(d: GaussDiagram, arrow: int) -> int:
-    word, size = d.word, d.size
-    tail, head = d.arrow_endpoints(arrow)
-    arc_len = (tail - head - 1) % size
-    inside: dict[int, int] = {}
-    for i in range(arc_len):
-        a = abs(word[(head + 1 + i) % size])
-        inside[a] = inside.get(a, 0) + 1
-    return sum(1 for a, c in inside.items() if a != arrow and c == 1)
-
-
-def orbit_key(d: GaussDiagram) -> tuple:
-    """Hash key constant on rotations, used to shard orbit-search tables.
-    Distinct diagrams may share keys; never a substitute for equality."""
-    canon = GaussDiagram(canonical_word(d.word))
-    indices = sorted(arrow_index(canon, a) for a in range(1, canon.n + 1))
-    profile = sorted(_interlacement_count(canon, a) for a in range(1, canon.n + 1))
-    return (canon.n, tuple(indices), tuple(profile))

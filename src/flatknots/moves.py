@@ -431,6 +431,8 @@ def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
     if kind == FR1_INSERT:
         if m.variant not in ("th", "ht"):
             raise SiteMismatch(f"unknown fr1 variant {m.variant!r}")
+        if len(m.positions) != 1:
+            raise SiteMismatch("fr1-insert takes one gap")
         (g,) = m.positions
         _check_gap(g, size)
         fresh = d.n + 1
@@ -456,6 +458,8 @@ def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
     if kind == FR2_INSERT:
         if m.variant not in FR2_VARIANTS:
             raise SiteMismatch(f"unknown fr2 variant {m.variant!r}")
+        if len(m.positions) != 2:
+            raise SiteMismatch("fr2-insert takes two gaps")
         ga, gb = m.positions
         _check_gap(ga, size)
         _check_gap(gb, size)

@@ -108,10 +108,11 @@ def replay_trace(trace: MoveTrace) -> GaussDiagram:
 # FR3 orbit search
 # ---------------------------------------------------------------------------
 
-# caches keyed by (word, max_nodes); results are pure values, so racing
-# writers are harmless
-_orbit_sets: dict = {}
-_reduce_values: dict = {}
+# The one memo: (canonical word, max_nodes) -> (canonical word of the
+# minimal diagram it reduces to, FR3 orbit of that minimal word).  Keying
+# by the budget means an entry found under one --max-orbit never answers
+# a call under another.  Values are pure, so racing writers are harmless.
+_memo: dict = {}
 
 
 def _scan_orbit(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
@@ -151,15 +152,11 @@ def _scan_orbit(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
 
 
 def _full_orbit(word: tuple[int, ...], max_nodes: int) -> frozenset:
+    """FR3 orbit of the minimal diagram a canonical word reduces to."""
     key = (word, max_nodes)
-    got = _orbit_sets.get(key)
-    if got is not None:
-        return got
-    pred, _, _ = _scan_orbit(word, max_nodes, find_decreasing=False)
-    orbit = frozenset(pred)
-    for w in orbit:
-        _orbit_sets[(w, max_nodes)] = orbit
-    return orbit
+    if key not in _memo:
+        _reduce_word(word, max_nodes)
+    return _memo[key][1]
 
 
 def _path_from_pred(pred: dict, target: tuple[int, ...]) -> list[mv.Move]:
@@ -201,34 +198,48 @@ def fr3_orbit(d: GaussDiagram, limits: OrbitLimits | None = None):
 # monotone reduction
 # ---------------------------------------------------------------------------
 
-def _reduce_word(word: tuple[int, ...], max_nodes: int) -> tuple[tuple[int, ...], int]:
-    """Canonical word of a reached minimal diagram, and its crossing count."""
-    cache = _reduce_values
+def _reduce_word(
+    word: tuple[int, ...], max_nodes: int, steps: list | None = None
+) -> tuple[tuple[int, ...], int]:
+    """Canonical word of a reached minimal diagram, and its crossing count.
+
+    The one reduction loop.  With a steps list it appends every move it
+    takes, each applying to the canonical representative of its pre-move
+    diagram, and reads no memo entry, so the recorded path never depends
+    on earlier calls; the memo is written either way.
+    """
     cur = canonical_word(word)
     trail = []
     while True:
-        hit = cache.get((cur, max_nodes))
-        if hit is not None:
-            result = hit
-            break
+        if steps is None:
+            value = _memo.get((cur, max_nodes))
+            if value is not None:
+                break
         trail.append(cur)
         rep = GaussDiagram(cur)
         dec = mv.enumerate_decreasing(rep)
         if dec:
-            cur = canonical_word(mv.apply(rep, dec[0]).word)
-            continue
-        pred, node, m = _scan_orbit(cur, max_nodes, find_decreasing=True)
-        if node is None:
-            orbit = frozenset(pred)
-            for w in orbit:
-                _orbit_sets[(w, max_nodes)] = orbit
-                cache[(w, max_nodes)] = (w, len(w) // 2)
-            result = (cur, len(cur) // 2)
-            break
-        cur = canonical_word(mv.apply(GaussDiagram(node), m).word)
+            m = dec[0]
+        else:
+            pred, node, m = _scan_orbit(cur, max_nodes, find_decreasing=True)
+            if node is None:
+                orbit = frozenset(pred)
+                for w in orbit:
+                    _memo[(w, max_nodes)] = (w, orbit)
+                value = _memo[(cur, max_nodes)]
+                break
+            if steps is not None:
+                steps.extend(_path_from_pred(pred, node))
+            rep = GaussDiagram(node)
+        if steps is not None:
+            steps.append(m)
+        cur = canonical_word(mv.apply(rep, m).word)
+    # trail entries share the reached minimal word's value, so a call
+    # stores no tuple of its own
     for w in trail:
-        cache[(w, max_nodes)] = result
-    return result
+        _memo[(w, max_nodes)] = value
+    min_word = value[0]
+    return min_word, len(min_word) // 2
 
 
 def monotone_reduce(
@@ -236,30 +247,10 @@ def monotone_reduce(
 ) -> tuple[GaussDiagram, MoveTrace]:
     """Reduce to a minimal crossing diagram using only FR3 and decreasing
     FR1/FR2 moves; the trace replays start-to-end over canonical forms."""
-    max_nodes = (limits or DEFAULT_LIMITS).max_nodes
-    start = canonical_word(d.word)
     steps: list[mv.Move] = []
-    cur = start
-    while True:
-        rep = GaussDiagram(cur)
-        dec = mv.enumerate_decreasing(rep)
-        if dec:
-            steps.append(dec[0])
-            cur = canonical_word(mv.apply(rep, dec[0]).word)
-            continue
-        pred, node, m = _scan_orbit(cur, max_nodes, find_decreasing=True)
-        if node is None:
-            orbit = frozenset(pred)
-            for w in orbit:
-                _orbit_sets[(w, max_nodes)] = orbit
-                _reduce_values[(w, max_nodes)] = (w, len(w) // 2)
-            break
-        steps.extend(_path_from_pred(pred, node))
-        steps.append(m)
-        cur = canonical_word(mv.apply(GaussDiagram(node), m).word)
-    minimal = GaussDiagram(cur)
-    trace = MoveTrace(serialize(GaussDiagram(start)), tuple(steps), serialize(minimal))
-    return minimal, trace
+    min_word, _ = _reduce_word(d.word, (limits or DEFAULT_LIMITS).max_nodes, steps)
+    minimal = GaussDiagram(min_word)
+    return minimal, MoveTrace(canonical_form(d), tuple(steps), serialize(minimal))
 
 
 def crossing_number(d: GaussDiagram, limits: OrbitLimits | None = None) -> int:
@@ -314,8 +305,10 @@ def equivalent(
     (bool, MoveTrace | None); the certificate runs d1 -> minimal(d1) ->
     minimal(d2) -> d2."""
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
-    m1, cr1 = _reduce_word(d1.word, max_nodes)
-    m2, cr2 = _reduce_word(d2.word, max_nodes)
+    steps1 = [] if with_certificate else None
+    steps2 = [] if with_certificate else None
+    m1, cr1 = _reduce_word(d1.word, max_nodes, steps1)
+    m2, cr2 = _reduce_word(d2.word, max_nodes, steps2)
     verdict = False
     if cr1 == cr2 and u_polynomial(d1) == u_polynomial(d2):
         verdict = m2 in _full_orbit(m1, max_nodes)
@@ -323,14 +316,8 @@ def equivalent(
         return verdict
     if not verdict:
         return False, None
-    _, trace1 = monotone_reduce(d1, limits)
-    _, trace2 = monotone_reduce(d2, limits)
     pred, _, _ = _scan_orbit(m1, max_nodes, find_decreasing=False)
     bridge = _path_from_pred(pred, m2)
-    back = _reversed_steps(canonical_word(d2.word), trace2.steps)
-    cert = MoveTrace(
-        trace1.start,
-        tuple(trace1.steps) + tuple(bridge) + tuple(back),
-        canonical_form(d2),
-    )
+    back = _reversed_steps(canonical_word(d2.word), steps2)
+    cert = MoveTrace(canonical_form(d1), tuple(steps1 + bridge + back), canonical_form(d2))
     return True, cert

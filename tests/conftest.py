@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 
 from flatknots import (
     GaussDiagram,
+    MoveTrace,
     apply,
+    canonical_form,
     enumerate_decreasing,
     enumerate_diagrams,
     enumerate_fr1_increasing,
     enumerate_fr2_increasing,
     enumerate_fr3,
 )
-from flatknots.diagram import canonical_word
+from flatknots.diagram import canonical_word, serialize
 from flatknots.moves import (
     FR3,
     Move,
@@ -25,6 +27,7 @@ from flatknots.moves import (
     _fr3_structural,
     canonical_pattern,
 )
+from flatknots.reduce import DEFAULT_LIMITS, _path_from_pred, _reversed_steps, _scan_orbit
 
 
 def random_diagram(rng: random.Random, n: int) -> GaussDiagram:
@@ -65,6 +68,47 @@ def fr3_oracle(d: GaussDiagram) -> list[Move]:
             moves.append(Move(FR3, entry.id, tuple(positions)))
     moves.sort(key=Move.sort_key)
     return moves
+
+
+def reduce_oracle(d: GaussDiagram) -> tuple[GaussDiagram, MoveTrace]:
+    """Reference reducer under the default budget: the trace-recording
+    loop that ran beside the memoized one before the two were merged.  It
+    reads and writes no memo."""
+    max_nodes = DEFAULT_LIMITS.max_nodes
+    start = canonical_word(d.word)
+    steps: list[Move] = []
+    cur = start
+    while True:
+        rep = GaussDiagram(cur)
+        dec = enumerate_decreasing(rep)
+        if dec:
+            steps.append(dec[0])
+            cur = canonical_word(apply(rep, dec[0]).word)
+            continue
+        pred, node, m = _scan_orbit(cur, max_nodes, find_decreasing=True)
+        if node is None:
+            break
+        steps.extend(_path_from_pred(pred, node))
+        steps.append(m)
+        cur = canonical_word(apply(GaussDiagram(node), m).word)
+    minimal = GaussDiagram(cur)
+    trace = MoveTrace(serialize(GaussDiagram(start)), tuple(steps), serialize(minimal))
+    return minimal, trace
+
+
+def certificate_oracle(d1: GaussDiagram, d2: GaussDiagram) -> MoveTrace:
+    """Equivalence certificate d1 -> minimal(d1) -> minimal(d2) -> d2
+    assembled from two reduce_oracle traces, for equivalent inputs."""
+    m1, trace1 = reduce_oracle(d1)
+    m2, trace2 = reduce_oracle(d2)
+    pred, _, _ = _scan_orbit(m1.word, DEFAULT_LIMITS.max_nodes, find_decreasing=False)
+    bridge = _path_from_pred(pred, m2.word)
+    back = _reversed_steps(canonical_word(d2.word), trace2.steps)
+    return MoveTrace(
+        trace1.start,
+        tuple(trace1.steps) + tuple(bridge) + tuple(back),
+        canonical_form(d2),
+    )
 
 
 def all_legal_moves(d: GaussDiagram, max_arrows: int | None = None):

@@ -1,0 +1,61 @@
+"""The public names and the hooks the benchmark's tracer relies on.
+
+`perfbench/tracer.py` wraps functions by name and indexes span names in
+`layer_stats`; a refactor that renames or drops one of them would make
+`perfbench/run.py --trace 1` fail or silently charge work to the wrong
+layer.  The names are read from the tracer itself, not copied here.
+"""
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import flatknots
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def _indexed_span_names() -> set[str]:
+    """String arguments of every `.index(...)` call in Tracer.layer_stats."""
+    tree = ast.parse(TRACER.read_text())
+    (fn,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "layer_stats"
+    ]
+    return {
+        call.args[0].value
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "index"
+        and call.args
+        and isinstance(call.args[0], ast.Constant)
+    }
+
+
+def test_every_public_name_resolves():
+    assert len(flatknots.__all__) == len(set(flatknots.__all__))
+    for name in flatknots.__all__:
+        assert getattr(flatknots, name, None) is not None, name
+
+
+def test_benchmark_tracer_hooks_exist():
+    tracer = _load_tracer()
+    for short, names in tracer.PRIVATE.items():
+        mod = importlib.import_module(f"flatknots.{short}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"flatknots.{short}.{name}"
+    wrapped = {name for name, _ in tracer._targets()}
+    indexed = _indexed_span_names()
+    assert indexed, "no span names found in Tracer.layer_stats"
+    needed = indexed | set(tracer.SITE_COUNTERS) | {"moves.apply"}
+    needed |= {f"{short}.{name}" for short, names in tracer.PRIVATE.items() for name in names}
+    assert needed <= wrapped, sorted(needed - wrapped)

@@ -189,6 +189,17 @@ def test_replay_step_without_variant_exit_2(tmp_path, capsys):
     _assert_input_error(*_replay_malformed(tmp_path, capsys, obj))
 
 
+def test_replay_insert_with_wrong_position_count_exit_1(tmp_path, capsys):
+    # a well-formed step that does not fit its diagram is a negative
+    # result, not an input error
+    for kind, variant, positions in (("fr1-insert", "th", [0, 1]), ("fr2-insert", "Nth", [0])):
+        step = {"kind": kind, "variant": variant, "positions": positions}
+        obj = {"format": "flatknots-trace v1", "start": "+1 -1", "steps": [step], "end": "0"}
+        code, out, err = _replay_malformed(tmp_path, capsys, obj)
+        assert (code, out) == (1, "")
+        assert err.startswith("replay failed: ") and "Traceback" not in err
+
+
 def test_verify_superadd_rejects_sample_size_below_one(capsys):
     # 18 x 18 = 324 basepoint pairs would take the sampling path
     code9 = " ".join(f"+{k} -{k}" for k in range(1, 10))

@@ -8,7 +8,6 @@ from flatknots import (
     GaussDiagram,
     apply,
     canonical_form,
-    closure,
     connected_sum,
     crossing_number,
     enumerate_decreasing,
@@ -66,13 +65,6 @@ def test_sum_exposes_splice_split():
         g2 = rng.randrange(d2.size)
         s = connected_sum(BasedDiagram(d1, g1), BasedDiagram(d2, g2))
         assert (0, d1.size) in {(sp.gap_a, sp.gap_b) for sp in find_splits(s)}
-
-
-def test_closure_forgets_basepoint():
-    d = parse("+1 +2 -1 -2")
-    codes = {canonical_form(closure(BasedDiagram(d, g))) for g in range(d.size)}
-    assert codes == {canonical_form(d)}
-    assert closure(BasedDiagram(GaussDiagram(()), 0)).n == 0
 
 
 def test_permutants_of_empty():

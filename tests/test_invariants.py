@@ -10,9 +10,7 @@ from flatknots import (
     arrow_index,
     enumerate_diagrams,
     enumerate_fr3,
-    orbit_key,
     parse,
-    rebase,
     u_polynomial,
 )
 from conftest import all_legal_moves, random_diagram
@@ -98,17 +96,3 @@ def test_index_sum_invariant_under_fr3():
         after = sum(arrow_index(e, a) for a in range(1, e.n + 1))
         assert before == after
         checked += 1
-
-
-def test_orbit_key_rotation_invariant():
-    d = parse("+1 +2 -1 -3 -2 +3")
-    keys = {orbit_key(rebase(d, g)) for g in range(d.size)}
-    assert len(keys) == 1
-    assert orbit_key(d) == orbit_key(parse(str(d)))
-
-
-def test_orbit_key_is_a_hash_not_an_identity():
-    # distinct canonical classes sharing one key
-    d1, d2 = parse("+1 -1 +2 -2"), parse("+1 -2 +2 -1")
-    assert d1.word != d2.word
-    assert orbit_key(d1) == orbit_key(d2)

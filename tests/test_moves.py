@@ -317,6 +317,20 @@ def test_apply_rejects_positions_past_the_end():
         apply(parse("+1 +2 -1 -3 -2 +3"), Move("fr3", 0, (11, 0, 1, 2, 3, 4)))
 
 
+@pytest.mark.parametrize(
+    "move",
+    [
+        Move("fr1-insert", "th", ()),
+        Move("fr1-insert", "th", (0, 1)),
+        Move("fr2-insert", "Nth", (0,)),
+        Move("fr2-insert", "Nth", (0, 1, 2)),
+    ],
+)
+def test_apply_rejects_insert_with_wrong_position_count(move):
+    with pytest.raises(SiteMismatch):
+        apply(parse("+1 +2 -1 -2"), move)
+
+
 def test_crossing_delta_accounting():
     rng = random.Random(10)
     for _ in range(400):

@@ -13,6 +13,7 @@ from flatknots import (
     canonical_form,
     crossing_number,
     enumerate_diagrams,
+    enumerate_increasing,
     equivalent,
     fr3_orbit,
     is_minimal,
@@ -23,9 +24,18 @@ from flatknots import (
     serialize,
     u_polynomial,
 )
+from flatknots import reduce
+from flatknots.cli import main
 from flatknots.diagram import canonical_word
 from flatknots.moves import KIND_DELTA
-from conftest import all_legal_moves, full_move_graph_classes, random_diagram
+from flatknots.reduce import DEFAULT_LIMITS
+from conftest import (
+    all_legal_moves,
+    certificate_oracle,
+    full_move_graph_classes,
+    random_diagram,
+    reduce_oracle,
+)
 
 # found by exhaustive tabulation at three arrows; irreducible, u = -2t+t^2
 WITNESS_3 = "+1 +2 -1 -3 -2 +3"
@@ -223,3 +233,104 @@ def test_minimal_class_code_is_class_invariant():
             moves = all_legal_moves(e)
             e = apply(e, rng.choice(moves))
         assert minimal_class_code(d) == minimal_class_code(e)
+
+
+# ---------------------------------------------------------------------------
+# the memoized loop against the reference loop
+# ---------------------------------------------------------------------------
+
+MAX_NODES = DEFAULT_LIMITS.max_nodes
+
+
+def _check_reduce_against_oracle(diagrams, monkeypatch):
+    """Same minimal word and trace bytes as reduce_oracle, the same
+    _reduce_word answer on a cold memo, on the diagram's own entry, and
+    on a memo warmed by every diagram before it, and the right orbit from
+    _full_orbit on a cold memo."""
+    wants = []
+    for d in diagrams:
+        minimal, trace = reduce_oracle(d)
+        want = (minimal.word, minimal.n)
+        wants.append((want, trace.to_json()))
+        monkeypatch.setattr(reduce, "_memo", {})
+        got, got_trace = monotone_reduce(d)
+        assert (got, got_trace.to_json()) == (minimal, trace.to_json()), serialize(d)
+        # recording a trace still writes the memo
+        assert reduce._memo[(canonical_word(d.word), MAX_NODES)][0] == minimal.word
+        monkeypatch.setattr(reduce, "_memo", {})
+        assert reduce._reduce_word(d.word, MAX_NODES) == want, serialize(d)
+        assert reduce._reduce_word(d.word, MAX_NODES) == want, serialize(d)
+        monkeypatch.setattr(reduce, "_memo", {})
+        orbit = {parse(c).word for c in fr3_orbit(minimal)[0]}
+        assert reduce._full_orbit(minimal.word, MAX_NODES) == orbit, serialize(d)
+    monkeypatch.setattr(reduce, "_memo", {})
+    for d, (want, trace_json) in zip(diagrams, wants):
+        assert reduce._reduce_word(d.word, MAX_NODES) == want, serialize(d)
+        assert monotone_reduce(d)[1].to_json() == trace_json, serialize(d)
+
+
+def _check_certificates_against_oracle(pairs):
+    for d1, d2 in pairs:
+        same, cert = equivalent(d1, d2, with_certificate=True)
+        assert same, (serialize(d1), serialize(d2))
+        assert cert.to_json() == certificate_oracle(d1, d2).to_json()
+
+
+def test_reduce_matches_oracle_small_n_exhaustive(monkeypatch):
+    diagrams = [d for n in range(6) for d in enumerate_diagrams(n)]
+    assert len(diagrams) == 3274
+    _check_reduce_against_oracle(diagrams, monkeypatch)
+    # certificates between consecutive members of each class
+    classes: dict[str, list] = {}
+    for d in diagrams:
+        minimal, _ = reduce_oracle(d)
+        classes.setdefault(fr3_orbit(minimal)[0][0], []).append(d)
+    assert len(classes) == 1 + 0 + 0 + 2 + 26 + 400
+    pairs = [p for members in classes.values() for p in zip(members, members[1:])]
+    _check_certificates_against_oracle(pairs)
+
+
+def test_reduce_matches_oracle_random_larger_n(monkeypatch):
+    rng = random.Random(4)
+    diagrams = [random_diagram(rng, n) for n in range(6, 13) for _ in range(16)]
+    _check_reduce_against_oracle(diagrams, monkeypatch)
+    pairs = []
+    for d in diagrams:
+        e = d
+        for _ in range(2):
+            e = apply(e, rng.choice(enumerate_increasing(e)))
+        pairs.append((d, e))
+    _check_certificates_against_oracle(pairs)
+
+
+def test_budget_errors_do_not_depend_on_the_memo(monkeypatch, capsys):
+    # a minimal diagram with a two-node FR3 orbit, and the same with a kink
+    codes = ["+1 +2 -1 -2 +3 +4 -3 +5 -4 -5", "+6 -6 +1 +2 -1 -2 +3 +4 -3 +5 -4 -5"]
+    tight = OrbitLimits(max_nodes=1)
+
+    def budget_errors():
+        errors = []
+        for code in codes:
+            d = parse(code)
+            for call in (
+                lambda: crossing_number(d, tight),
+                lambda: equivalent(d, d, tight, with_certificate=True),
+            ):
+                with pytest.raises(OrbitBudgetExceeded) as info:
+                    call()
+                errors.append(str(info.value))
+            capsys.readouterr()
+            assert main(["--max-orbit", "1", "reduce", code]) == 2
+            errors.append(capsys.readouterr().err)
+        return errors
+
+    monkeypatch.setattr(reduce, "_memo", {})
+    cold = budget_errors()
+    assert all("exceeds the 1-node budget" in e for e in cold)
+    monkeypatch.setattr(reduce, "_memo", {})
+    for code in codes:
+        d = parse(code)
+        assert crossing_number(d) == 5
+        assert equivalent(d, d, with_certificate=True)[0]
+        assert main(["reduce", code]) == 0
+    assert budget_errors() == cold
