@@ -12,7 +12,6 @@ diagram has the single gap 0.
 """
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 
@@ -152,19 +151,22 @@ def parse_based(text: str) -> BasedDiagram:
     return BasedDiagram(diagram, base)
 
 
-def serialize(d: GaussDiagram, canonical: bool = False) -> str:
+def serialize(d: GaussDiagram) -> str:
     """Render a diagram as a Gauss code; the empty diagram is "0"."""
-    word = canonical_word(d.word) if canonical else d.word
-    if not word:
+    if not d.word:
         return "0"
-    return " ".join(f"+{t}" if t > 0 else f"-{-t}" for t in word)
+    return " ".join(f"+{t}" if t > 0 else f"-{-t}" for t in d.word)
 
 
-@functools.lru_cache(maxsize=1 << 17)
 def _canonical(word: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Canonical rotation of a word: relabel each rotation by first
     appearance, encode tail < head, and keep the lexicographic minimum.
-    Returns (canonical word, smallest rotation offset achieving it)."""
+    Returns (canonical word, smallest rotation offset achieving it).
+
+    A first tail encodes below a first head, so only rotations starting at
+    a tail are tried.  Each is dropped at its first endpoint that encodes
+    above the best so far, and only a strictly smaller rotation replaces
+    the best, so ties keep the smallest offset."""
     length = len(word)
     if length == 0:
         return (), 0
@@ -172,31 +174,29 @@ def _canonical(word: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     best = None
     best_r = 0
     for r in range(length):
+        if word[r] < 0:
+            continue
         relab: dict[int, int] = {}
         enc = []
+        smaller = best is None
         for i in range(length):
             t = doubled[r + i]
-            a = t if t > 0 else -t
-            lab = relab.get(a)
-            if lab is None:
-                lab = len(relab) + 1
-                relab[a] = lab
-            enc.append(2 * lab if t > 0 else 2 * lab + 1)
-        enc_t = tuple(enc)
-        if best is None or enc_t < best:
-            best = enc_t
-            best_r = r
+            e = 2 * relab.setdefault(abs(t), len(relab) + 1) + (t < 0)
+            if not smaller:
+                if e > best[i]:
+                    break
+                smaller = e < best[i]
+            enc.append(e)
+        else:
+            if smaller:
+                best = enc
+                best_r = r
     canon = tuple(e // 2 if e % 2 == 0 else -(e // 2) for e in best)
     return canon, best_r
 
 
 def canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:
     return _canonical(tuple(word))[0]
-
-
-def canonical_rotation(word: tuple[int, ...]) -> int:
-    """Smallest rotation offset r with relabel(rotate(word, r)) canonical."""
-    return _canonical(tuple(word))[1]
 
 
 def canonical_form(d: GaussDiagram) -> str:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from . import moves as mv
 from .diagram import (
     GaussDiagram,
+    _canonical,
     canonical_form,
-    canonical_rotation,
     canonical_sort_key,
     canonical_word,
     parse,
@@ -278,16 +278,14 @@ def _reversed_steps(start_word: tuple[int, ...], steps) -> list[mv.Move]:
     records = []
     cur = start_word
     for m in steps:
-        rep = GaussDiagram(cur)
-        post = mv.apply(rep, m)
-        records.append((len(cur), m, post.word))
-        cur = canonical_word(post.word)
+        post = mv.apply(GaussDiagram(cur), m)
+        pre_size = len(cur)
+        cur, r = _canonical(post.word)
+        records.append((pre_size, m, r, len(cur)))
     out = []
-    for pre_size, m, post_literal in reversed(records):
+    for pre_size, m, r, length in reversed(records):
         inv = mv.inverse(m, pre_size)
-        length = len(post_literal)
         if length:
-            r = canonical_rotation(post_literal)
             inv = mv.Move(
                 inv.kind, inv.variant, tuple((p - r) % length for p in inv.positions)
             )
@@ -318,6 +316,6 @@ def equivalent(
         return False, None
     pred, _, _ = _scan_orbit(m1, max_nodes, find_decreasing=False)
     bridge = _path_from_pred(pred, m2)
-    back = _reversed_steps(canonical_word(d2.word), steps2)
-    cert = MoveTrace(canonical_form(d1), tuple(steps1 + bridge + back), canonical_form(d2))
-    return True, cert
+    c2 = canonical_word(d2.word)
+    steps = steps1 + bridge + _reversed_steps(c2, steps2)
+    return True, MoveTrace(canonical_form(d1), tuple(steps), serialize(GaussDiagram(c2)))

@@ -44,6 +44,35 @@ def random_diagram(rng: random.Random, n: int) -> GaussDiagram:
     return GaussDiagram(tuple(word))
 
 
+def canonical_oracle(word: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Reference canonicalizer: relabel every rotation by first appearance,
+    encode tail < head, and keep the lexicographic minimum.  Returns
+    (canonical word, smallest rotation offset achieving it)."""
+    length = len(word)
+    if length == 0:
+        return (), 0
+    doubled = word + word
+    best = None
+    best_r = 0
+    for r in range(length):
+        relab: dict[int, int] = {}
+        enc = []
+        for i in range(length):
+            t = doubled[r + i]
+            a = t if t > 0 else -t
+            lab = relab.get(a)
+            if lab is None:
+                lab = len(relab) + 1
+                relab[a] = lab
+            enc.append(2 * lab if t > 0 else 2 * lab + 1)
+        enc_t = tuple(enc)
+        if best is None or enc_t < best:
+            best = enc_t
+            best_r = r
+    canon = tuple(e // 2 if e % 2 == 0 else -(e // 2) for e in best)
+    return canon, best_r
+
+
 def fr3_oracle(d: GaussDiagram) -> list[Move]:
     """Reference FR3 enumerator: scan every C(2n, 3) triple of block
     starts and keep the disjoint ones whose blocks cover three arrows

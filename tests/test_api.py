@@ -1,4 +1,5 @@
-"""The public names and the hooks the benchmark's tracer relies on.
+"""The public names, the one-cache policy, and the hooks the benchmark's
+tracer relies on.
 
 `perfbench/tracer.py` wraps functions by name and indexes span names in
 `layer_stats`; a refactor that renames or drops one of them would make
@@ -8,6 +9,8 @@ layer.  The names are read from the tracer itself, not copied here.
 import ast
 import importlib
 import importlib.util
+import inspect
+import pkgutil
 from pathlib import Path
 
 import flatknots
@@ -59,3 +62,19 @@ def test_benchmark_tracer_hooks_exist():
     needed = indexed | set(tracer.SITE_COUNTERS) | {"moves.apply"}
     needed |= {f"{short}.{name}" for short, names in tracer.PRIVATE.items() for name in names}
     assert needed <= wrapped, sorted(needed - wrapped)
+
+
+def test_only_the_fr3_singletons_are_cached():
+    """`reduce._memo` is the library's one cache; the only memoized
+    functions are the two single-entry FR3 catalog builders."""
+    modules = [flatknots] + [
+        importlib.import_module(f"flatknots.{info.name}")
+        for info in pkgutil.iter_modules(flatknots.__path__)
+    ]
+    cached = set()
+    for mod in modules:
+        for obj in vars(mod).values():
+            for fn in vars(obj).values() if inspect.isclass(obj) else [obj]:
+                if hasattr(fn, "cache_info"):
+                    cached.add(f"{fn.__module__}.{fn.__qualname__}")
+    assert cached == {"flatknots.moves.build_fr3_catalog", "flatknots.moves._fr3_before_index"}

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,13 +11,15 @@ from flatknots import (
     MalformedToken,
     NonContiguousLabels,
     canonical_form,
+    enumerate_diagrams,
     find_splits,
     parse,
     parse_based,
     rebase,
     serialize,
 )
-from conftest import brute_force_splits, diagram_strategy, random_diagram
+from flatknots.diagram import _canonical
+from conftest import brute_force_splits, canonical_oracle, diagram_strategy, random_diagram
 
 
 def test_parse_smallest_code():
@@ -57,10 +60,6 @@ def test_serialize_empty_is_zero_token():
 
 def test_serialize_single_arrow():
     assert serialize(GaussDiagram((1, -1))) == "+1 -1"
-
-
-def test_serialize_canonical_relabels_and_rotates():
-    assert serialize(parse("+2 -2 +1 -1"), canonical=True) == "+1 -1 +2 -2"
 
 
 def test_canonical_rotation_invariance():
@@ -138,7 +137,7 @@ def test_find_splits_matches_brute_force():
 @given(diagram_strategy(max_n=5))
 def test_parse_serialize_round_trip(d):
     assert parse(serialize(d)) == d
-    assert canonical_form(parse(serialize(d, canonical=True))) == canonical_form(d)
+    assert canonical_form(parse(canonical_form(d))) == canonical_form(d)
 
 
 @settings(max_examples=200, deadline=None)
@@ -147,3 +146,72 @@ def test_canonical_form_rebase_invariant(d):
     code = canonical_form(d)
     for g in range(max(d.size, 1)):
         assert canonical_form(rebase(d, g)) == code
+
+
+def _relabel(word, perm):
+    """Apply the arrow relabeling k -> perm[k - 1]."""
+    return tuple(perm[t - 1] if t > 0 else -perm[-t - 1] for t in word)
+
+
+def _rotations(word):
+    return [word[r:] + word[:r] for r in range(max(len(word), 1))]
+
+
+def _assert_matches_oracle(word):
+    assert _canonical(word) == canonical_oracle(word), word
+
+
+def test_canonical_matches_oracle_small_n_every_rotation_and_relabeling():
+    rng = random.Random(5)
+    count = 0
+    for n in range(6):
+        # every relabeling up to n = 4; at n = 5 (120 of them) the
+        # reversed labels and one seeded shuffle per diagram
+        if n <= 4:
+            perms = list(itertools.permutations(range(1, n + 1)))
+        for d in enumerate_diagrams(n):
+            if n == 5:
+                shuffled = list(range(1, 6))
+                rng.shuffle(shuffled)
+                perms = [tuple(range(1, 6)), (5, 4, 3, 2, 1), tuple(shuffled)]
+            for perm in perms:
+                for word in _rotations(_relabel(d.word, perm)):
+                    _assert_matches_oracle(word)
+                    count += 1
+    assert count == 133_523
+
+
+def test_canonical_matches_oracle_random_words():
+    rng = random.Random(11)
+    for n in range(1, 21):
+        for _ in range(30):
+            _assert_matches_oracle(random_diagram(rng, n).word)
+
+
+def test_canonical_matches_oracle_on_periodic_words():
+    # k relabeled copies of one block, so at least k rotations tie for the
+    # minimum; then copies whose arrows cross into the next block,
+    # +1 -k +2 -1 ... +k -(k-1)
+    rng = random.Random(17)
+    blocks = [d.word for n in range(1, 4) for d in enumerate_diagrams(n)]
+    blocks += [random_diagram(rng, n).word for n in range(1, 6) for _ in range(5)]
+    words = []
+    for block in blocks:
+        m = len(block) // 2
+        for k in (2, 3):
+            copies = (t + j * m if t > 0 else t - j * m for j in range(k) for t in block)
+            words.append((k, tuple(copies)))
+    for k in (2, 3, 4, 5):
+        words.append((k, tuple(x for j in range(k) for x in (j + 1, -((j - 1) % k + 1)))))
+    for k, word in words:
+        rotations = _rotations(word)
+        for rotated in rotations:
+            _assert_matches_oracle(rotated)
+        # rotations that are themselves a minimal start
+        assert sum(_canonical(rotated)[1] == 0 for rotated in rotations) >= k, word
+
+
+def test_canonical_matches_oracle_on_edge_words():
+    for word in [(), (1, -1), (-1, 1)]:
+        _assert_matches_oracle(word)
+    assert _canonical((-1, 1)) == ((1, -1), 1)
