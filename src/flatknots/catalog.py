@@ -11,21 +11,16 @@ and the file header says so.
 from __future__ import annotations
 
 import os
-import re
 import tempfile
 from dataclasses import dataclass
 from typing import Iterator
 
-from .compose import is_composite
-from .diagram import GaussDiagram, canonical_sort_key, canonical_word, parse, serialize
+from .compose import _minimal_verdict
+from .diagram import GaussDiagram, canonical_sort_key, canonical_word, serialize
 from .invariants import u_polynomial
 from .reduce import OrbitLimits, _full_orbit, _reduce_word, DEFAULT_LIMITS
 
 HEADER_PREFIX = "flatcat v1"
-
-
-class FormatVersionMismatch(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -75,7 +70,8 @@ def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
 
 def classify(n: int, limits: OrbitLimits | None = None) -> list[CatalogRecord]:
     """Reduce every n-arrow diagram, keep the irreducible ones, and emit
-    one record per FR3 orbit."""
+    one record per FR3 orbit.  Each orbit member is minimal, so its
+    representative's verdict needs no second reduction."""
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
     classes: dict[tuple[int, ...], frozenset] = {}
     for d in enumerate_diagrams(n):
@@ -87,7 +83,7 @@ def classify(n: int, limits: OrbitLimits | None = None) -> list[CatalogRecord]:
     records = []
     for class_id, key in enumerate(sorted(classes, key=canonical_sort_key), start=1):
         rep = GaussDiagram(key)
-        verdict = is_composite(rep, limits).verdict[0].upper()
+        verdict = _minimal_verdict(rep).verdict[0].upper()
         records.append(
             CatalogRecord(
                 class_id,
@@ -101,18 +97,6 @@ def classify(n: int, limits: OrbitLimits | None = None) -> list[CatalogRecord]:
     return records
 
 
-_RECORD_RE = re.compile(
-    r"^class=(\d+) code=(.+?) cr=(\d+) u=(\S+) verdict=([TPC]) orbit=(\d+)$"
-)
-
-
-@dataclass(frozen=True)
-class Catalog:
-    n: int
-    quotient: str
-    records: tuple[CatalogRecord, ...]
-
-
 def record_line(r: CatalogRecord) -> str:
     return (
         f"class={r.class_id} code={r.code} cr={r.cr} "
@@ -121,45 +105,19 @@ def record_line(r: CatalogRecord) -> str:
 
 
 def write_catalog(records, path: str, n: int) -> None:
-    """Atomic write: temp file in the same directory, then rename."""
+    """Atomic write: temp file in the same directory, then rename.  An
+    OSError names the given path, never the temp file."""
     lines = [f"{HEADER_PREFIX} n={n} quotient=oriented"]
     lines.extend(record_line(r) for r in records)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".flatcat-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".flatcat-")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
-
-
-def read_catalog(path: str) -> Catalog:
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines:
-        raise FormatVersionMismatch("empty catalog file")
-    header = lines[0]
-    m = re.match(rf"^{re.escape(HEADER_PREFIX)} n=(\d+) quotient=(\S+)$", header)
-    if not m:
-        raise FormatVersionMismatch(f"bad catalog header {header!r}")
-    n, quotient = int(m.group(1)), m.group(2)
-    records = []
-    for line in lines[1:]:
-        rm = _RECORD_RE.match(line)
-        if not rm:
-            raise FormatVersionMismatch(f"bad catalog record {line!r}")
-        parse(rm.group(2))  # validate the code
-        records.append(
-            CatalogRecord(
-                int(rm.group(1)),
-                rm.group(2),
-                int(rm.group(3)),
-                rm.group(4),
-                rm.group(5),
-                int(rm.group(6)),
-            )
-        )
-    return Catalog(n, quotient, tuple(records))

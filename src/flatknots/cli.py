@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .catalog import FormatVersionMismatch, classify, record_line, write_catalog
+from .catalog import classify, record_line, write_catalog
 from .compose import is_composite, permutant_set, verify_superadditivity
 from .diagram import (
     BasedDiagram,
@@ -351,7 +351,6 @@ def main(argv=None) -> int:
         SiteMismatch,
         TraceMismatch,
         OrbitBudgetExceeded,
-        FormatVersionMismatch,
         ValueError,
         OSError,
         json.JSONDecodeError,

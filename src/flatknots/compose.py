@@ -81,36 +81,25 @@ class CompositenessVerdict:
     verdict: str
     minimal: GaussDiagram
     witness: Split | None
-    justification: str
 
 
 def is_composite(d: GaussDiagram, limits: OrbitLimits | None = None) -> CompositenessVerdict:
     """Classify as trivial, prime, or composite by reducing and looking
     for a nontrivial split of the minimal diagram."""
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
-    min_word, cr = _reduce_word(d.word, max_nodes)
-    minimal = GaussDiagram(min_word)
-    if cr == 0:
-        return CompositenessVerdict(
-            VERDICT_TRIVIAL, minimal, None, "reduces to the empty diagram"
-        )
+    min_word, _ = _reduce_word(canonical_word(d.word), max_nodes)
+    return _minimal_verdict(GaussDiagram(min_word))
+
+
+def _minimal_verdict(minimal: GaussDiagram) -> CompositenessVerdict:
+    """Verdict read off a minimal diagram: a nontrivial split there
+    certifies a composite, and composites always show one."""
+    if minimal.n == 0:
+        return CompositenessVerdict(VERDICT_TRIVIAL, minimal, None)
     splits = find_splits(minimal)
     if splits:
-        w = splits[0]
-        return CompositenessVerdict(
-            VERDICT_COMPOSITE,
-            minimal,
-            w,
-            f"minimal diagram splits into sides of {w.side_sizes[0]} and "
-            f"{w.side_sizes[1]} arrows; equivalence to either side would "
-            "contradict minimality",
-        )
-    return CompositenessVerdict(
-        VERDICT_PRIME,
-        minimal,
-        None,
-        "no split on a minimal diagram; composite knots always split there",
-    )
+        return CompositenessVerdict(VERDICT_COMPOSITE, minimal, splits[0])
+    return CompositenessVerdict(VERDICT_PRIME, minimal, None)
 
 
 @dataclass(frozen=True)

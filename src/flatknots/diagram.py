@@ -46,6 +46,8 @@ def _validate_word(word: tuple[int, ...]) -> None:
     tails = set()
     heads = set()
     for t in word:
+        if type(t) is not int:
+            raise MalformedToken(f"endpoint {t!r} is not an int")
         if t > 0:
             if t in tails:
                 raise LabelCountMismatch(f"tail of arrow {t} appears twice")
@@ -135,20 +137,6 @@ def parse(text: str) -> GaussDiagram:
             raise MalformedToken(f"bad token {tok!r}: labels start at 1")
         word.append(k if tok[0] == "+" else -k)
     return GaussDiagram(tuple(word))
-
-
-def parse_based(text: str) -> BasedDiagram:
-    """Parse a based Gauss code; a trailing ``base=<g>`` marks the basepoint gap."""
-    tokens = text.split()
-    base = 0
-    if tokens and tokens[-1].startswith("base="):
-        try:
-            base = int(tokens[-1][5:])
-        except ValueError:
-            raise MalformedToken(f"bad basepoint {tokens[-1]!r}") from None
-        tokens = tokens[:-1]
-    diagram = parse(" ".join(tokens))
-    return BasedDiagram(diagram, base)
 
 
 def serialize(d: GaussDiagram) -> str:

@@ -131,6 +131,7 @@ def enumerate_fr1_decreasing(d: GaussDiagram) -> list[Move]:
 
 
 def enumerate_fr1_increasing(d: GaussDiagram) -> list[Move]:
+    """One kink insertion per gap and direction."""
     gaps = max(d.size, 1)
     return [Move(FR1_INSERT, v, (g,)) for g in range(gaps) for v in ("th", "ht")]
 
@@ -185,6 +186,7 @@ def enumerate_fr2_decreasing(d: GaussDiagram) -> list[Move]:
 
 
 def enumerate_fr2_increasing(d: GaussDiagram) -> list[Move]:
+    """One bigon insertion per gap pair ga <= gb and variant."""
     gaps = max(d.size, 1)
     return [
         Move(FR2_INSERT, v, (ga, gb))
@@ -221,6 +223,7 @@ def enumerate_decreasing(d: GaussDiagram) -> list[Move]:
 
 
 def enumerate_increasing(d: GaussDiagram) -> list[Move]:
+    """Increasing FR1 and FR2 sites in deterministic tie-break order."""
     out = enumerate_fr1_increasing(d) + enumerate_fr2_increasing(d)
     out.sort(key=Move.sort_key)
     return out

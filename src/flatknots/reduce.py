@@ -20,7 +20,6 @@ from . import moves as mv
 from .diagram import (
     GaussDiagram,
     _canonical,
-    canonical_form,
     canonical_sort_key,
     canonical_word,
     parse,
@@ -170,28 +169,14 @@ def _path_from_pred(pred: dict, target: tuple[int, ...]) -> list[mv.Move]:
     return chain
 
 
-def fr3_orbit(d: GaussDiagram, limits: OrbitLimits | None = None):
-    """BFS closure of d under FR3 moves.
-
-    Returns (codes, pred): the sorted tuple of canonical codes in the
-    orbit and a predecessor map code -> (previous code, move) with None
-    at the start code.
-    """
+def fr3_orbit(d: GaussDiagram, limits: OrbitLimits | None = None) -> tuple[str, ...]:
+    """BFS closure of d under FR3 moves: the sorted tuple of canonical
+    codes in the orbit."""
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
-    start = canonical_word(d.word)
-    pred, _, _ = _scan_orbit(start, max_nodes, find_decreasing=False)
-    codes = tuple(
+    pred, _, _ = _scan_orbit(canonical_word(d.word), max_nodes, find_decreasing=False)
+    return tuple(
         serialize(GaussDiagram(w)) for w in sorted(pred, key=canonical_sort_key)
     )
-    pred_codes = {}
-    for w, entry in pred.items():
-        code = serialize(GaussDiagram(w))
-        if entry is None:
-            pred_codes[code] = None
-        else:
-            prev, m = entry
-            pred_codes[code] = (serialize(GaussDiagram(prev)), m)
-    return codes, pred_codes
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +188,14 @@ def _reduce_word(
 ) -> tuple[tuple[int, ...], int]:
     """Canonical word of a reached minimal diagram, and its crossing count.
 
-    The one reduction loop.  With a steps list it appends every move it
-    takes, each applying to the canonical representative of its pre-move
-    diagram, and reads no memo entry, so the recorded path never depends
-    on earlier calls; the memo is written either way.
+    The one reduction loop.  ``word`` must already be canonical: each
+    public entry point canonicalizes its input once and passes the result
+    here.  With a steps list it appends every move it takes, each applying
+    to the canonical representative of its pre-move diagram, and reads no
+    memo entry, so the recorded path never depends on earlier calls; the
+    memo is written either way.
     """
-    cur = canonical_word(word)
+    cur = word
     trail = []
     while True:
         if steps is None:
@@ -247,27 +234,23 @@ def monotone_reduce(
 ) -> tuple[GaussDiagram, MoveTrace]:
     """Reduce to a minimal crossing diagram using only FR3 and decreasing
     FR1/FR2 moves; the trace replays start-to-end over canonical forms."""
+    start = canonical_word(d.word)
     steps: list[mv.Move] = []
-    min_word, _ = _reduce_word(d.word, (limits or DEFAULT_LIMITS).max_nodes, steps)
+    min_word, _ = _reduce_word(start, (limits or DEFAULT_LIMITS).max_nodes, steps)
     minimal = GaussDiagram(min_word)
-    return minimal, MoveTrace(canonical_form(d), tuple(steps), serialize(minimal))
+    return minimal, MoveTrace(serialize(GaussDiagram(start)), tuple(steps), serialize(minimal))
 
 
 def crossing_number(d: GaussDiagram, limits: OrbitLimits | None = None) -> int:
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
-    return _reduce_word(d.word, max_nodes)[1]
-
-
-def is_minimal(d: GaussDiagram, limits: OrbitLimits | None = None) -> bool:
-    """True iff no member of the FR3 orbit admits a decreasing site."""
-    return crossing_number(d, limits) == d.n
+    return _reduce_word(canonical_word(d.word), max_nodes)[1]
 
 
 def minimal_class_code(d: GaussDiagram, limits: OrbitLimits | None = None) -> str:
     """Complete flat-knot invariant: the least canonical code over the FR3
     orbit of a reached minimal diagram."""
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
-    min_word, _ = _reduce_word(d.word, max_nodes)
+    min_word, _ = _reduce_word(canonical_word(d.word), max_nodes)
     orbit = _full_orbit(min_word, max_nodes)
     return serialize(GaussDiagram(min(orbit, key=canonical_sort_key)))
 
@@ -303,10 +286,11 @@ def equivalent(
     (bool, MoveTrace | None); the certificate runs d1 -> minimal(d1) ->
     minimal(d2) -> d2."""
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
+    c1, c2 = canonical_word(d1.word), canonical_word(d2.word)
     steps1 = [] if with_certificate else None
     steps2 = [] if with_certificate else None
-    m1, cr1 = _reduce_word(d1.word, max_nodes, steps1)
-    m2, cr2 = _reduce_word(d2.word, max_nodes, steps2)
+    m1, cr1 = _reduce_word(c1, max_nodes, steps1)
+    m2, cr2 = _reduce_word(c2, max_nodes, steps2)
     verdict = False
     if cr1 == cr2 and u_polynomial(d1) == u_polynomial(d2):
         verdict = m2 in _full_orbit(m1, max_nodes)
@@ -316,6 +300,5 @@ def equivalent(
         return False, None
     pred, _, _ = _scan_orbit(m1, max_nodes, find_decreasing=False)
     bridge = _path_from_pred(pred, m2)
-    c2 = canonical_word(d2.word)
     steps = steps1 + bridge + _reversed_steps(c2, steps2)
-    return True, MoveTrace(canonical_form(d1), tuple(steps), serialize(GaussDiagram(c2)))
+    return True, MoveTrace(serialize(GaussDiagram(c1)), tuple(steps), serialize(GaussDiagram(c2)))

@@ -1,6 +1,7 @@
 """Shared builders and independent oracles for the test suite."""
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
@@ -18,6 +19,7 @@ from flatknots import (
     enumerate_fr2_increasing,
     enumerate_fr3,
 )
+from flatknots import diagram
 from flatknots.diagram import canonical_word, serialize
 from flatknots.moves import (
     FR3,
@@ -219,3 +221,22 @@ def full_move_graph_classes(ceiling: int):
 @pytest.fixture(scope="session")
 def oracle_classes_ceiling_5():
     return full_move_graph_classes(5)
+
+
+@pytest.fixture
+def canonical_calls(monkeypatch):
+    """Counter of `diagram._canonical` calls, keyed by the id of the word
+    passed.  Identity, not equality: a new word that happens to be spelled
+    like an input is a different diagram.  Every word passed is kept
+    alive, so no later word reuses its id."""
+    calls: collections.Counter = collections.Counter()
+    passed = []
+    canonical = diagram._canonical
+
+    def spy(word):
+        passed.append(word)
+        calls[id(word)] += 1
+        return canonical(word)
+
+    monkeypatch.setattr(diagram, "_canonical", spy)
+    return calls

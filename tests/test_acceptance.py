@@ -23,7 +23,6 @@ from flatknots import (
     equivalent,
     find_splits,
     fr3_orbit,
-    is_minimal,
     parse,
     permutant_set,
     serialize,
@@ -125,7 +124,7 @@ def _minimal_diagrams(n):
         return [GaussDiagram(())]
     out = []
     for rec in classify(n):
-        codes, _ = fr3_orbit(parse(rec.code))
+        codes = fr3_orbit(parse(rec.code))
         out.extend(parse(c) for c in codes)
     return out
 
@@ -137,7 +136,7 @@ def test_criterion_5_permutant_minimality():
     for d1, d2 in itertools.product(minimal3, repeat=2):
         for code in permutant_set(d1, d2).members:
             member = parse(code)
-            if not is_minimal(member) or crossing_number(member) != 6:
+            if crossing_number(member) != member.n or crossing_number(member) != 6:
                 failures.append(code)
     # an empty summand: permutants are rotations of the other side
     for n in (0, 3, 4, 5, 6):
@@ -148,7 +147,7 @@ def test_criterion_5_permutant_minimality():
         for d in others:
             for code in permutant_set(GaussDiagram(()), d).members:
                 member = parse(code)
-                if not is_minimal(member) or crossing_number(member) != d.n:
+                if crossing_number(member) != member.n or crossing_number(member) != d.n:
                     failures.append(code)
     ok = not failures
     _report(5, "permutants of minimal diagrams stay minimal", ok, f"violations={len(failures)}")
@@ -188,7 +187,7 @@ def test_criterion_7_compositeness_stability():
         for rec in classify(n):
             if rec.verdict != "C":
                 continue
-            codes, _ = fr3_orbit(parse(rec.code))
+            codes = fr3_orbit(parse(rec.code))
             for code in codes:
                 if not find_splits(parse(code)):
                     violations.append(code)

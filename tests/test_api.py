@@ -11,11 +11,13 @@ import importlib
 import importlib.util
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import flatknots
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -48,6 +50,14 @@ def test_every_public_name_resolves():
     assert len(flatknots.__all__) == len(set(flatknots.__all__))
     for name in flatknots.__all__:
         assert getattr(flatknots, name, None) is not None, name
+
+
+def test_readme_documents_every_public_name():
+    """The backticked names in the README's Public API section are
+    exactly the exported ones, so no export goes undocumented."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"`([^`]+)`", section)) == set(flatknots.__all__)
 
 
 def test_benchmark_tracer_hooks_exist():

@@ -3,18 +3,17 @@ import itertools
 import pytest
 
 from flatknots import (
-    FormatVersionMismatch,
     classify,
+    crossing_number,
     enumerate_diagrams,
     equivalent,
     fr3_orbit,
-    is_minimal,
     parse,
-    read_catalog,
     serialize,
     u_polynomial,
     write_catalog,
 )
+from flatknots import catalog
 from flatknots.diagram import canonical_word
 
 # regression constants, frozen after brute-force dedup
@@ -23,6 +22,11 @@ CLASS_COUNTS = {0: 1, 1: 0, 2: 0, 3: 2}
 CLASSES_3 = (
     ("+1 +2 -1 -3 -2 +3", "-2t^1+t^2"),
     ("+1 +2 +3 -1 -3 -2", "2t^1-t^2"),
+)
+CATALOG_3 = (
+    "flatcat v1 n=3 quotient=oriented\n"
+    "class=1 code=+1 +2 -1 -3 -2 +3 cr=3 u=-2t^1+t^2 verdict=P orbit=1\n"
+    "class=2 code=+1 +2 +3 -1 -3 -2 cr=3 u=2t^1-t^2 verdict=P orbit=1\n"
 )
 
 
@@ -67,7 +71,7 @@ def test_classify_three_frozen():
     assert [(r.code, r.u_text) for r in records] == list(CLASSES_3)
     assert all(r.verdict == "P" for r in records)
     assert all(r.orbit_size == 1 for r in records)
-    assert all(is_minimal(parse(r.code)) for r in records)
+    assert all(crossing_number(parse(r.code)) == parse(r.code).n for r in records)
 
 
 def test_class_soundness_exhaustive_at_three():
@@ -76,14 +80,14 @@ def test_class_soundness_exhaustive_at_three():
     for d1, d2 in itertools.combinations(reps, 2):
         assert not equivalent(d1, d2)
     for rec in records:
-        codes, _ = fr3_orbit(parse(rec.code))
+        codes = fr3_orbit(parse(rec.code))
         for code in codes:
             assert equivalent(parse(code), parse(rec.code))
 
 
 def test_u_constant_on_each_class_at_four():
     for rec in classify(4):
-        codes, _ = fr3_orbit(parse(rec.code))
+        codes = fr3_orbit(parse(rec.code))
         assert {str(u_polynomial(parse(c))) for c in codes} == {rec.u_text}
 
 
@@ -93,48 +97,42 @@ def test_class_soundness_sampled_at_four():
     for d1, d2 in itertools.islice(itertools.combinations(reps, 2), 12):
         assert not equivalent(d1, d2)
     for rec in records[:4]:
-        codes, _ = fr3_orbit(parse(rec.code))
+        codes = fr3_orbit(parse(rec.code))
         for code in codes:
             assert equivalent(parse(code), parse(rec.code))
 
 
 def test_catalog_file_round_trip(tmp_path):
-    records = classify(3)
     path = tmp_path / "three.flatcat"
-    write_catalog(records, str(path), 3)
-    got = read_catalog(str(path))
-    assert got.n == 3 and got.quotient == "oriented"
-    assert got.records == tuple(records)
+    write_catalog(classify(3), str(path), 3)
+    assert path.read_bytes() == CATALOG_3.encode("utf-8")
 
 
 def test_catalog_empty_records(tmp_path):
     path = tmp_path / "one.flatcat"
     write_catalog([], str(path), 1)
-    got = read_catalog(str(path))
-    assert got.n == 1 and got.records == ()
-
-
-def test_catalog_bad_header(tmp_path):
-    path = tmp_path / "bad.flatcat"
-    path.write_text("flatcat v2 n=3 quotient=oriented\n")
-    with pytest.raises(FormatVersionMismatch):
-        read_catalog(str(path))
-    path.write_text("")
-    with pytest.raises(FormatVersionMismatch):
-        read_catalog(str(path))
-
-
-def test_catalog_bad_record(tmp_path):
-    path = tmp_path / "bad.flatcat"
-    path.write_text("flatcat v1 n=3 quotient=oriented\nclass=1 nope\n")
-    with pytest.raises(FormatVersionMismatch):
-        read_catalog(str(path))
+    assert path.read_bytes() == b"flatcat v1 n=1 quotient=oriented\n"
 
 
 def test_catalog_overwrite_leaves_no_temp_files(tmp_path):
     path = tmp_path / "keep.flatcat"
     write_catalog(classify(3), str(path), 3)
     write_catalog([], str(path), 5)
-    got = read_catalog(str(path))
-    assert got.n == 5 and got.records == ()
+    assert path.read_text() == "flatcat v1 n=5 quotient=oriented\n"
     assert [p.name for p in tmp_path.iterdir()] == ["keep.flatcat"]
+
+
+def test_classify_canonicalizes_each_enumerated_word_once(monkeypatch, canonical_calls):
+    yielded = []
+    enumerate_all = catalog.enumerate_diagrams
+
+    def recording(n):
+        for d in enumerate_all(n):
+            yielded.append(d.word)
+            yield d
+
+    monkeypatch.setattr(catalog, "enumerate_diagrams", recording)
+    assert len(classify(4)) == 26
+    assert len(yielded) == 218
+    # the one call is the self-canonical filter's
+    assert [canonical_calls[id(w)] for w in yielded] == [1] * 218

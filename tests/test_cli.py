@@ -109,6 +109,21 @@ def test_tabulate_text_and_file(tmp_path):
     assert path.read_text().splitlines() == out.splitlines()
 
 
+def test_tabulate_out_error_names_the_given_path(tmp_path, capsys):
+    # a missing directory, and an existing directory given as the file
+    target = tmp_path / "dir"
+    target.mkdir()
+    for path in (tmp_path / "missing" / "one.flatcat", target):
+        capsys.readouterr()
+        code, out = run_cli(["tabulate", "1", "--out", str(path)])
+        err = capsys.readouterr().err
+        _assert_input_error(code, out, err)
+        assert str(path) in err and ".flatcat-" not in err
+    # no temp file is left beside either target
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+    assert list(target.iterdir()) == []
+
+
 def test_json_outputs_are_valid_json():
     commands = [
         ["--format", "json", "canon", "+1 -1"],

@@ -14,7 +14,6 @@ from flatknots import (
     enumerate_diagrams,
     find_splits,
     parse,
-    parse_based,
     rebase,
     serialize,
 )
@@ -52,6 +51,15 @@ def test_parse_empty_diagram():
 def test_parse_rejects(text, exc):
     with pytest.raises(exc):
         parse(text)
+
+
+@pytest.mark.parametrize(
+    "word",
+    [(1.0, -1.0), (True, -1), (-1, True), (1, -1.0), (1, -1, 2.5, -2.5), ("+1", "-1"), (None, None)],
+)
+def test_diagram_rejects_non_int_endpoints(word):
+    with pytest.raises(MalformedToken):
+        GaussDiagram(word)
 
 
 def test_serialize_empty_is_zero_token():
@@ -93,13 +101,6 @@ def test_based_diagram_gap_bounds():
         BasedDiagram(GaussDiagram(()), 1)
     with pytest.raises(ValueError):
         BasedDiagram(parse("+1 -1"), 2)
-
-
-def test_parse_based():
-    b = parse_based("+1 -1 +2 -2 base=3")
-    assert b.base == 3 and b.diagram.word == (1, -1, 2, -2)
-    assert parse_based("+1 -1").base == 0
-    assert parse_based("0 base=0").diagram.n == 0
 
 
 def test_find_splits_disjoint_arcs():

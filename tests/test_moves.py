@@ -282,7 +282,7 @@ def test_fr3_index_matches_oracle_random_large_n():
 def test_fr3_index_matches_oracle_on_classified_orbits():
     members = []
     for rec in classify(5):
-        codes, _ = fr3_orbit(parse(rec.code))
+        codes = fr3_orbit(parse(rec.code))
         assert len(codes) == rec.orbit_size
         members.extend(parse(c) for c in codes)
     assert len(members) >= 400

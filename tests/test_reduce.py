@@ -16,7 +16,6 @@ from flatknots import (
     enumerate_increasing,
     equivalent,
     fr3_orbit,
-    is_minimal,
     minimal_class_code,
     monotone_reduce,
     parse,
@@ -70,14 +69,12 @@ def test_crossing_number_examples():
 
 
 def test_orbit_of_empty():
-    codes, pred = fr3_orbit(GaussDiagram(()))
-    assert codes == ("0",)
-    assert pred == {"0": None}
+    assert fr3_orbit(GaussDiagram(())) == ("0",)
 
 
 def test_two_arrow_orbit_is_singleton():
     for d in enumerate_diagrams(2):
-        codes, _ = fr3_orbit(d)
+        codes = fr3_orbit(d)
         assert codes == (canonical_form(d),)
 
 
@@ -92,16 +89,31 @@ def test_orbit_contains_both_sides_of_a_slide():
             word.append(lab * role)
     d = GaussDiagram(tuple(word))
     m = next(mm for mm in enumerate_fr3(d) if mm.variant == entry.id)
-    codes, _ = fr3_orbit(d)
+    codes = fr3_orbit(d)
     assert canonical_form(d) in codes
     assert canonical_form(apply(d, m)) in codes
 
 
-def test_is_minimal_examples():
-    assert is_minimal(GaussDiagram(()))
-    assert not is_minimal(parse("+1 -1"))
+def test_minimality_examples():
+    empty = GaussDiagram(())
+    assert crossing_number(empty) == empty.n
+    kink = parse("+1 -1")
+    assert crossing_number(kink) != kink.n
     minimal, _ = monotone_reduce(parse("+1 +2 -1 -2 +3 -3"))
-    assert is_minimal(minimal)
+    assert crossing_number(minimal) == minimal.n
+
+
+def test_monotone_reduce_canonicalizes_its_input_once(canonical_calls):
+    d = parse("+1 +2 -1 -2 +3 -3")
+    monotone_reduce(d)
+    assert canonical_calls[id(d.word)] == 1
+
+
+def test_equivalent_certificate_canonicalizes_each_input_once(canonical_calls):
+    d1, d2 = parse("+1 -1 +2 +3 -2 -3"), parse("+2 +3 -2 -3 +1 -1")
+    same, cert = equivalent(d1, d2, with_certificate=True)
+    assert same and cert is not None
+    assert (canonical_calls[id(d1.word)], canonical_calls[id(d2.word)]) == (1, 1)
 
 
 def test_traces_never_increase_crossing_count():
@@ -215,7 +227,7 @@ def test_orbit_budget_exceeded_signals():
     # the message names where the search started and how far it got
     assert f"FR3 orbit of {start} " in str(info.value)
     assert "(nodes explored: 1, expanded: 1)" in str(info.value)
-    codes, _ = fr3_orbit(d)
+    codes = fr3_orbit(d)
     assert len(codes) == 2
 
 
@@ -249,6 +261,7 @@ def _check_reduce_against_oracle(diagrams, monkeypatch):
     _full_orbit on a cold memo."""
     wants = []
     for d in diagrams:
+        start = canonical_word(d.word)
         minimal, trace = reduce_oracle(d)
         want = (minimal.word, minimal.n)
         wants.append((want, trace.to_json()))
@@ -256,16 +269,16 @@ def _check_reduce_against_oracle(diagrams, monkeypatch):
         got, got_trace = monotone_reduce(d)
         assert (got, got_trace.to_json()) == (minimal, trace.to_json()), serialize(d)
         # recording a trace still writes the memo
-        assert reduce._memo[(canonical_word(d.word), MAX_NODES)][0] == minimal.word
+        assert reduce._memo[(start, MAX_NODES)][0] == minimal.word
         monkeypatch.setattr(reduce, "_memo", {})
-        assert reduce._reduce_word(d.word, MAX_NODES) == want, serialize(d)
-        assert reduce._reduce_word(d.word, MAX_NODES) == want, serialize(d)
+        assert reduce._reduce_word(start, MAX_NODES) == want, serialize(d)
+        assert reduce._reduce_word(start, MAX_NODES) == want, serialize(d)
         monkeypatch.setattr(reduce, "_memo", {})
-        orbit = {parse(c).word for c in fr3_orbit(minimal)[0]}
+        orbit = {parse(c).word for c in fr3_orbit(minimal)}
         assert reduce._full_orbit(minimal.word, MAX_NODES) == orbit, serialize(d)
     monkeypatch.setattr(reduce, "_memo", {})
     for d, (want, trace_json) in zip(diagrams, wants):
-        assert reduce._reduce_word(d.word, MAX_NODES) == want, serialize(d)
+        assert reduce._reduce_word(canonical_word(d.word), MAX_NODES) == want, serialize(d)
         assert monotone_reduce(d)[1].to_json() == trace_json, serialize(d)
 
 
@@ -284,7 +297,7 @@ def test_reduce_matches_oracle_small_n_exhaustive(monkeypatch):
     classes: dict[str, list] = {}
     for d in diagrams:
         minimal, _ = reduce_oracle(d)
-        classes.setdefault(fr3_orbit(minimal)[0][0], []).append(d)
+        classes.setdefault(fr3_orbit(minimal)[0], []).append(d)
     assert len(classes) == 1 + 0 + 0 + 2 + 26 + 400
     pairs = [p for members in classes.values() for p in zip(members, members[1:])]
     _check_certificates_against_oracle(pairs)
