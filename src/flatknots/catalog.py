@@ -1,12 +1,13 @@
 """Exhaustive enumeration and tabulation of flat knot classes.
 
-Diagrams with n arrows are generated as all chord pairings times all
-direction assignments, streamed through a self-canonical filter so each
-rotation/relabel class appears exactly once.  Classification reduces
-every diagram, keeps the irreducible ones (crossing number exactly n),
-and groups them into FR3 orbits; one record per orbit.  Classes are
-oriented flat knot classes: no mirror or reversal quotient is applied,
-and the file header says so.
+Diagrams with n arrows are generated as all chord pairings times every
+direction assignment that puts a tail at position 0, streamed through a
+self-canonical filter so each rotation/relabel class appears exactly
+once; a canonical word starts with a tail, so head-first candidates are
+never built.  Classification reduces every diagram, keeps the
+irreducible ones (crossing number exactly n), and groups them into FR3
+orbits; one record per orbit.  Classes are oriented flat knot classes:
+no mirror or reversal quotient is applied, and the file header says so.
 """
 from __future__ import annotations
 
@@ -19,8 +20,6 @@ from .compose import _minimal_verdict
 from .diagram import GaussDiagram, canonical_sort_key, canonical_word, serialize
 from .invariants import u_polynomial
 from .reduce import OrbitLimits, _full_orbit, _reduce_word, DEFAULT_LIMITS
-
-HEADER_PREFIX = "flatcat v1"
 
 
 @dataclass(frozen=True)
@@ -55,8 +54,9 @@ def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
     size = 2 * n
     for pairing in _pairings(tuple(range(size))):
         # pairs come out ordered by first endpoint, matching
-        # first-appearance labels
-        for bits in range(1 << n):
+        # first-appearance labels; bit 0 set would put arrow 1's head at
+        # position 0, and a canonical word starts with a tail
+        for bits in range(0, 1 << n, 2):
             word = [0] * size
             for label, (p, q) in enumerate(pairing, start=1):
                 if bits >> (label - 1) & 1:
@@ -97,24 +97,27 @@ def classify(n: int, limits: OrbitLimits | None = None) -> list[CatalogRecord]:
     return records
 
 
-def record_line(r: CatalogRecord) -> str:
-    return (
+def catalog_text(records, n: int) -> str:
+    """The catalog as text: a header line, then one line per record.
+    Both `write_catalog` and `tabulate`'s text output use it."""
+    lines = [f"flatcat v1 n={n} quotient=oriented"]
+    lines.extend(
         f"class={r.class_id} code={r.code} cr={r.cr} "
         f"u={r.u_text} verdict={r.verdict} orbit={r.orbit_size}"
+        for r in records
     )
+    return "\n".join(lines) + "\n"
 
 
 def write_catalog(records, path: str, n: int) -> None:
     """Atomic write: temp file in the same directory, then rename.  An
     OSError names the given path, never the temp file."""
-    lines = [f"{HEADER_PREFIX} n={n} quotient=oriented"]
-    lines.extend(record_line(r) for r in records)
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".flatcat-")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(catalog_text(records, n))
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc

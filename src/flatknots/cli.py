@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .catalog import classify, record_line, write_catalog
+from .catalog import catalog_text, classify, write_catalog
 from .compose import is_composite, permutant_set, verify_superadditivity
 from .diagram import (
     BasedDiagram,
@@ -238,9 +238,7 @@ def _cmd_tabulate(args) -> int:
             }
         )
     else:
-        print(f"flatcat v1 n={args.n} quotient=oriented")
-        for r in records:
-            print(record_line(r))
+        print(catalog_text(records, args.n), end="")
     return 0
 
 

@@ -28,7 +28,7 @@ from .diagram import (
 from .reduce import (
     OrbitLimits,
     crossing_number,
-    minimal_class_code,
+    _full_orbit,
     _reduce_word,
     DEFAULT_LIMITS,
 )
@@ -159,21 +159,21 @@ def verify_superadditivity(
         s = connected_sum(BasedDiagram(d1, g1), BasedDiagram(d2, g2))
         member_words.setdefault(canonical_word(s.word), None)
 
-    class_codes: dict[str, int] = {}
+    # each member word is canonical already: one reduction gives its
+    # crossing number, and the orbit of the minimal word its class
+    max_nodes = (limits or DEFAULT_LIMITS).max_nodes
+    class_ids: dict[tuple[int, ...], int] = {}
     prelim = []
     for w in sorted(member_words, key=canonical_sort_key):
-        member = GaussDiagram(w)
-        cr = crossing_number(member, limits)
-        cls = minimal_class_code(member, limits)
-        prelim.append((serialize(member), cr, cls, cr == member.n))
-        class_codes.setdefault(cls, 0)
-    for i, cls in enumerate(
-        sorted(class_codes, key=lambda c: canonical_sort_key(parse(c).word)), start=1
-    ):
-        class_codes[cls] = i
+        min_word, cr = _reduce_word(w, max_nodes)
+        cls = min(_full_orbit(min_word, max_nodes), key=canonical_sort_key)
+        prelim.append((serialize(GaussDiagram(w)), cr, cls, 2 * cr == len(w)))
+        class_ids.setdefault(cls, 0)
+    for i, cls in enumerate(sorted(class_ids, key=canonical_sort_key), start=1):
+        class_ids[cls] = i
 
     rows = tuple(
-        MemberRow(code, cr, class_codes[cls], minimal)
+        MemberRow(code, cr, class_ids[cls], minimal)
         for code, cr, cls, minimal in prelim
     )
     floor = c1 + c2
@@ -186,7 +186,7 @@ def verify_superadditivity(
         inputs_minimal,
         exhaustive,
         rows,
-        len(class_codes),
+        len(class_ids),
         ineq,
         eq,
     )

@@ -221,24 +221,21 @@ def find_splits(d: GaussDiagram, include_degenerate: bool = False) -> list[Split
     if include_degenerate:
         for g in range(max(size, 1)):
             splits.append(Split(g, g, (0, d.n)))
-    if size == 0:
-        return splits
     word = d.word
     for ga in range(size):
         open_count = 0
         inside: set[int] = set()
         # widen the arc [ga, gb) one endpoint at a time, tracking arrows
         # with exactly one endpoint inside
-        for off in range(size - 1):
-            a = abs(word[(ga + off) % size])
+        for gb in range(ga + 1, size):
+            a = abs(word[gb - 1])
             if a in inside:
                 open_count -= 1
             else:
                 inside.add(a)
                 open_count += 1
-            gb = (ga + off + 1) % size
-            if open_count == 0 and ga < gb:
-                arrows_inside = (off + 1) // 2
+            if open_count == 0:
+                arrows_inside = (gb - ga) // 2
                 splits.append(Split(ga, gb, (arrows_inside, d.n - arrows_inside)))
     splits.sort(key=lambda s: (s.gap_a, s.gap_b))
     return splits

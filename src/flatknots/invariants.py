@@ -6,8 +6,7 @@ endpoint on that arc) contributes +1 if its tail lies on the arc and -1
 if its head does; the total is the index n(e).  The u-polynomial collects
 sign(n(e)) * t^|n(e)| over arrows with nonzero index.  It is unchanged by
 every legal move, which makes it the external cross-check for the move
-catalogs, and a cheap "definitely inequivalent" test.  It is not
-complete, so it never certifies equivalence.
+catalogs.  It is not complete, and equivalence is decided without it.
 """
 from __future__ import annotations
 

@@ -25,7 +25,6 @@ from .diagram import (
     parse,
     serialize,
 )
-from .invariants import u_polynomial
 
 
 class OrbitBudgetExceeded(RuntimeError):
@@ -87,7 +86,11 @@ class MoveTrace:
 
     @classmethod
     def from_json(cls, text: str) -> "MoveTrace":
-        return cls.from_json_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise TraceMismatch("trace JSON is nested too deeply") from None
+        return cls.from_json_obj(obj)
 
 
 def replay_trace(trace: MoveTrace) -> GaussDiagram:
@@ -289,11 +292,9 @@ def equivalent(
     c1, c2 = canonical_word(d1.word), canonical_word(d2.word)
     steps1 = [] if with_certificate else None
     steps2 = [] if with_certificate else None
-    m1, cr1 = _reduce_word(c1, max_nodes, steps1)
-    m2, cr2 = _reduce_word(c2, max_nodes, steps2)
-    verdict = False
-    if cr1 == cr2 and u_polynomial(d1) == u_polynomial(d2):
-        verdict = m2 in _full_orbit(m1, max_nodes)
+    m1, _ = _reduce_word(c1, max_nodes, steps1)
+    m2, _ = _reduce_word(c2, max_nodes, steps2)
+    verdict = m2 in _full_orbit(m1, max_nodes)
     if not with_certificate:
         return verdict
     if not verdict:

@@ -153,22 +153,59 @@ def all_legal_moves(d: GaussDiagram, max_arrows: int | None = None):
     return moves
 
 
-def brute_force_splits(d: GaussDiagram) -> set[tuple[int, int]]:
-    """Independent split oracle: test every gap pair by set membership."""
+def brute_force_splits(
+    d: GaussDiagram, include_degenerate: bool = False
+) -> list[tuple[int, int, tuple[int, int]]]:
+    """Independent split oracle: every gap pair (ga, gb), ga < gb, whose
+    arc [ga, gb) holds both endpoints or neither of each arrow, in (ga, gb)
+    order, as (ga, gb, side sizes) with the sides read off the arc length;
+    with include_degenerate, also (g, g, (0, n)) for every gap g."""
     size = d.size
-    found = set()
-    for ga in range(size):
+    ends = [d.arrow_endpoints(arrow) for arrow in range(1, d.n + 1)]
+    found = []
+    for ga in range(max(size, 1)):
+        if include_degenerate:
+            found.append((ga, ga, (0, d.n)))
         for gb in range(ga + 1, size):
-            side = set(range(ga, gb))
-            ok = True
-            for arrow in range(1, d.n + 1):
-                t, h = d.arrow_endpoints(arrow)
-                if (t in side) != (h in side):
-                    ok = False
-                    break
-            if ok:
-                found.add((ga, gb))
+            if all((ga <= t < gb) == (ga <= h < gb) for t, h in ends):
+                inside = (gb - ga) // 2
+                found.append((ga, gb, (inside, d.n - inside)))
     return found
+
+
+def _oracle_pairings(points: tuple[int, ...]):
+    if not points:
+        yield []
+        return
+    first = points[0]
+    for i in range(1, len(points)):
+        rest = points[1:i] + points[i + 1 :]
+        for sub in _oracle_pairings(rest):
+            yield [(first, points[i])] + sub
+
+
+def enumerate_oracle(n: int):
+    """Reference generator: every chord pairing times every direction
+    assignment, kept when the word equals its own canonical form."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        yield GaussDiagram(())
+        return
+    size = 2 * n
+    for pairing in _oracle_pairings(tuple(range(size))):
+        # pairs come out ordered by first endpoint, matching
+        # first-appearance labels
+        for bits in range(1 << n):
+            word = [0] * size
+            for label, (p, q) in enumerate(pairing, start=1):
+                if bits >> (label - 1) & 1:
+                    word[p], word[q] = -label, label
+                else:
+                    word[p], word[q] = label, -label
+            wt = tuple(word)
+            if canonical_word(wt) == wt:
+                yield GaussDiagram(wt)
 
 
 @st.composite

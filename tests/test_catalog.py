@@ -15,9 +15,10 @@ from flatknots import (
 )
 from flatknots import catalog
 from flatknots.diagram import canonical_word
+from conftest import enumerate_oracle
 
 # regression constants, frozen after brute-force dedup
-DIAGRAM_COUNTS = {0: 1, 1: 1, 2: 4, 3: 22}
+DIAGRAM_COUNTS = {0: 1, 1: 1, 2: 4, 3: 22, 4: 218, 5: 3028}
 CLASS_COUNTS = {0: 1, 1: 0, 2: 0, 3: 2}
 CLASSES_3 = (
     ("+1 +2 -1 -3 -2 +3", "-2t^1+t^2"),
@@ -41,6 +42,13 @@ def test_enumerate_one_arrow():
 @pytest.mark.parametrize("n,count", sorted(DIAGRAM_COUNTS.items()))
 def test_enumerate_counts_frozen(n, count):
     assert sum(1 for _ in enumerate_diagrams(n)) == count
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_enumerate_matches_oracle(n):
+    # the same diagrams in the same order as the generator that builds
+    # every direction assignment, head-first ones included
+    assert list(enumerate_diagrams(n)) == list(enumerate_oracle(n))
 
 
 def test_enumerate_emits_canonical_words_once():

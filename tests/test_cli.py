@@ -106,7 +106,7 @@ def test_tabulate_text_and_file(tmp_path):
     code, out = run_cli(["tabulate", "3", "--out", str(path)])
     assert code == 0
     assert out.splitlines()[0] == "flatcat v1 n=3 quotient=oriented"
-    assert path.read_text().splitlines() == out.splitlines()
+    assert path.read_text() == out
 
 
 def test_tabulate_out_error_names_the_given_path(tmp_path, capsys):
@@ -187,6 +187,14 @@ def _assert_input_error(code, out, err):
 
 def test_replay_top_level_list_exit_2(tmp_path, capsys):
     _assert_input_error(*_replay_malformed(tmp_path, capsys, []))
+
+
+def test_replay_deeply_nested_json_exit_2(tmp_path, capsys):
+    trace_file = tmp_path / "deep.json"
+    trace_file.write_text("[" * 200_000 + "]" * 200_000)
+    capsys.readouterr()
+    code, out = run_cli(["replay", "+1 -1", str(trace_file)])
+    _assert_input_error(code, out, capsys.readouterr().err)
 
 
 def test_replay_missing_steps_exit_2(tmp_path, capsys):

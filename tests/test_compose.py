@@ -23,6 +23,7 @@ from flatknots import (
     serialize,
     verify_superadditivity,
 )
+from flatknots import compose, reduce
 from conftest import random_diagram
 
 WITNESS_3 = "+1 +2 -1 -3 -2 +3"
@@ -198,6 +199,29 @@ def test_superadditivity_sampling_is_seeded():
     assert r1 == r2
     r3 = verify_superadditivity(d1, d2, seed=4, sample_size=20)
     assert r3.ok
+
+
+def test_superadditivity_reduces_each_member_once(monkeypatch, canonical_calls):
+    d1, d2 = parse(WITNESS_3), parse("+1 +2 +3 -1 -3 -2")
+    # warm the memo first, so the counted run's reductions are memo reads
+    # that canonicalize nothing
+    members = len(verify_superadditivity(d1, d2).rows)
+    canonical_calls.clear()
+    reduce_calls = []
+    reduce_word = reduce._reduce_word
+
+    def spy(word, max_nodes, steps=None):
+        reduce_calls.append(word)
+        return reduce_word(word, max_nodes, steps)
+
+    monkeypatch.setattr(reduce, "_reduce_word", spy)
+    monkeypatch.setattr(compose, "_reduce_word", spy)
+    report = verify_superadditivity(d1, d2)
+    assert len(report.rows) == members == 36
+    # one canonicalization per basepoint pair (6 x 6) and one per input
+    assert sum(canonical_calls.values()) == d1.size * d2.size + 2
+    # one reduction per member and one per input
+    assert len(reduce_calls) == members + 2
 
 
 def test_superadditivity_rejects_sample_size_below_one():

@@ -11,6 +11,7 @@ from flatknots import (
     MalformedToken,
     NonContiguousLabels,
     canonical_form,
+    connected_sum,
     enumerate_diagrams,
     find_splits,
     parse,
@@ -127,11 +128,32 @@ def test_degenerate_splits_on_request():
 
 
 def test_find_splits_matches_brute_force():
+    """Gaps, side sizes and order, with and without the degenerate splits,
+    on random diagrams up to 16 arrows and on connected sums, which always
+    split."""
     rng = random.Random(42)
+    diagrams = [random_diagram(rng, rng.randint(0, 6)) for _ in range(300)]
+    diagrams += [random_diagram(rng, rng.randint(7, 16)) for _ in range(300)]
     for _ in range(300):
-        d = random_diagram(rng, rng.randint(0, 6))
-        got = {(s.gap_a, s.gap_b) for s in find_splits(d)}
-        assert got == brute_force_splits(d)
+        d1 = random_diagram(rng, rng.randint(1, 8))
+        d2 = random_diagram(rng, rng.randint(1, 8))
+        diagrams.append(
+            connected_sum(
+                BasedDiagram(d1, rng.randrange(d1.size)),
+                BasedDiagram(d2, rng.randrange(d2.size)),
+            )
+        )
+    nontrivial = 0
+    for d in diagrams:
+        for degenerate in (False, True):
+            got = [
+                (s.gap_a, s.gap_b, s.side_sizes)
+                for s in find_splits(d, include_degenerate=degenerate)
+            ]
+            assert got == brute_force_splits(d, include_degenerate=degenerate)
+            if not degenerate:
+                nontrivial += len(got)
+    assert nontrivial >= 1000
 
 
 @settings(max_examples=200, deadline=None)
