@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .compose import _minimal_verdict
-from .diagram import GaussDiagram, canonical_sort_key, canonical_word, serialize
+from .diagram import GaussDiagram, _trusted, canonical_sort_key, canonical_word, serialize
 from .invariants import u_polynomial
 from .reduce import OrbitLimits, _full_orbit, _reduce_word, DEFAULT_LIMITS
 
@@ -48,9 +48,6 @@ def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
     class (those whose word equals its own canonical form)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        yield GaussDiagram(())
-        return
     size = 2 * n
     for pairing in _pairings(tuple(range(size))):
         # pairs come out ordered by first endpoint, matching
@@ -65,7 +62,7 @@ def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
                     word[p], word[q] = label, -label
             wt = tuple(word)
             if canonical_word(wt) == wt:
-                yield GaussDiagram(wt)
+                yield _trusted(wt)
 
 
 def classify(n: int, limits: OrbitLimits | None = None) -> list[CatalogRecord]:
@@ -82,7 +79,7 @@ def classify(n: int, limits: OrbitLimits | None = None) -> list[CatalogRecord]:
         classes.setdefault(min(orbit, key=canonical_sort_key), orbit)
     records = []
     for class_id, key in enumerate(sorted(classes, key=canonical_sort_key), start=1):
-        rep = GaussDiagram(key)
+        rep = _trusted(key)
         verdict = _minimal_verdict(rep).verdict[0].upper()
         records.append(
             CatalogRecord(

@@ -17,11 +17,10 @@ from .diagram import (
     BasedDiagram,
     GaussDiagram,
     Split,
-    canonical_form,
+    _trusted,
     canonical_sort_key,
     canonical_word,
     find_splits,
-    parse,
     rebase,
     serialize,
 )
@@ -47,7 +46,7 @@ def connected_sum(b1: BasedDiagram, b2: BasedDiagram) -> GaussDiagram:
     w2 = rebase(b2.diagram, b2.base).word
     n1 = b1.diagram.n
     shifted = tuple(t + n1 if t > 0 else t - n1 for t in w2)
-    return GaussDiagram(w1 + shifted)
+    return _trusted(w1 + shifted)
 
 
 @dataclass(frozen=True)
@@ -61,18 +60,16 @@ class PermutantSet:
 
 
 def permutant_set(d1: GaussDiagram, d2: GaussDiagram) -> PermutantSet:
-    sources: dict[str, list[tuple[int, int]]] = {}
+    sources: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for g1 in range(max(d1.size, 1)):
         for g2 in range(max(d2.size, 1)):
-            code = canonical_form(connected_sum(BasedDiagram(d1, g1), BasedDiagram(d2, g2)))
-            sources.setdefault(code, []).append((g1, g2))
-    members = tuple(
-        sorted(sources, key=lambda c: canonical_sort_key(parse(c).word))
-    )
+            s = connected_sum(BasedDiagram(d1, g1), BasedDiagram(d2, g2))
+            sources.setdefault(canonical_word(s.word), []).append((g1, g2))
+    codes = {w: serialize(_trusted(w)) for w in sorted(sources, key=canonical_sort_key)}
     return PermutantSet(
         (serialize(d1), serialize(d2)),
-        members,
-        {c: tuple(pairs) for c, pairs in sources.items()},
+        tuple(codes.values()),
+        {codes[w]: tuple(pairs) for w, pairs in sources.items()},
     )
 
 
@@ -88,7 +85,7 @@ def is_composite(d: GaussDiagram, limits: OrbitLimits | None = None) -> Composit
     for a nontrivial split of the minimal diagram."""
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
     min_word, _ = _reduce_word(canonical_word(d.word), max_nodes)
-    return _minimal_verdict(GaussDiagram(min_word))
+    return _minimal_verdict(_trusted(min_word))
 
 
 def _minimal_verdict(minimal: GaussDiagram) -> CompositenessVerdict:
@@ -167,7 +164,7 @@ def verify_superadditivity(
     for w in sorted(member_words, key=canonical_sort_key):
         min_word, cr = _reduce_word(w, max_nodes)
         cls = min(_full_orbit(min_word, max_nodes), key=canonical_sort_key)
-        prelim.append((serialize(GaussDiagram(w)), cr, cls, 2 * cr == len(w)))
+        prelim.append((serialize(_trusted(w)), cr, cls, 2 * cr == len(w)))
         class_ids.setdefault(cls, 0)
     for i, cls in enumerate(sorted(class_ids, key=canonical_sort_key), start=1):
         class_ids[cls] = i

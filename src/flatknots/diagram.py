@@ -92,6 +92,14 @@ class GaussDiagram:
         return serialize(self)
 
 
+def _trusted(word: tuple[int, ...]) -> GaussDiagram:
+    """Unvalidated diagram of a word derived from valid ones by a move,
+    rotation, splice, enumeration or canonicalization: valid by construction."""
+    d = object.__new__(GaussDiagram)
+    object.__setattr__(d, "word", word)
+    return d
+
+
 EMPTY = GaussDiagram(())
 
 
@@ -190,7 +198,7 @@ def canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:
 def canonical_form(d: GaussDiagram) -> str:
     """Canonical code text: equal for two diagrams iff they differ only by
     rotation of the cyclic word and relabeling of arrows."""
-    return serialize(GaussDiagram(canonical_word(d.word)))
+    return serialize(_trusted(canonical_word(d.word)))
 
 
 def canonical_sort_key(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -206,7 +214,7 @@ def rebase(d: GaussDiagram, g: int) -> GaussDiagram:
         return d
     if not 0 <= g < d.size:
         raise ValueError(f"gap {g} out of range")
-    return GaussDiagram(d.word[g:] + d.word[:g])
+    return _trusted(d.word[g:] + d.word[:g])
 
 
 def find_splits(d: GaussDiagram, include_degenerate: bool = False) -> list[Split]:

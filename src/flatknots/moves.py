@@ -25,7 +25,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .diagram import HEAD, TAIL, GaussDiagram
+from .diagram import HEAD, TAIL, GaussDiagram, _trusted
 
 FR1_REMOVE = "fr1-remove"
 FR1_INSERT = "fr1-insert"
@@ -98,7 +98,7 @@ class Move:
         return f"{self.kind} {self.variant} [{pos}]"
 
 
-def _relabel(word: list[int]) -> tuple[int, ...]:
+def _relabel(word: list[int]) -> GaussDiagram:
     relab: dict[int, int] = {}
     out = []
     for t in word:
@@ -108,7 +108,7 @@ def _relabel(word: list[int]) -> tuple[int, ...]:
             lab = len(relab) + 1
             relab[a] = lab
         out.append(lab if t > 0 else -lab)
-    return tuple(out)
+    return _trusted(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +118,12 @@ def _relabel(word: list[int]) -> tuple[int, ...]:
 def enumerate_fr1_decreasing(d: GaussDiagram) -> list[Move]:
     """One move per arrow whose endpoints are cyclically consecutive."""
     word, size = d.word, d.size
-    moves = []
-    for arrow in range(1, d.n + 1):
-        t, h = word.index(arrow), word.index(-arrow)
-        starts = [i for i, j in ((t, h), (h, t)) if (i + 1) % size == j]
-        if starts:
-            i = min(starts)
-            variant = "th" if word[i] > 0 else "ht"
-            moves.append(Move(FR1_REMOVE, variant, (i, (i + 1) % size)))
+    # a lone arrow's two endpoints are adjacent both ways round; count it once
+    moves = [
+        Move(FR1_REMOVE, "th" if word[i] > 0 else "ht", (i, (i + 1) % size))
+        for i in range(1 if size == 2 else size)
+        if word[(i + 1) % size] == -word[i]
+    ]
     moves.sort(key=Move.sort_key)
     return moves
 
@@ -414,7 +412,8 @@ def _insert_blocks(word, inserts: list[tuple[int, list[int]]]) -> list[int]:
 
 
 def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
-    """Apply a move; labels are renormalized by first appearance."""
+    """Apply a move; labels are renormalized by first appearance.  The
+    result is not validated again: a legal move keeps a valid word valid."""
     word, size = d.word, d.size
     kind = m.kind
 
@@ -429,7 +428,7 @@ def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
         if m.variant != ("th" if word[i] > 0 else "ht"):
             raise SiteMismatch("arrow direction does not match the variant")
         keep = [t for p, t in enumerate(word) if p not in (i, j)]
-        return GaussDiagram(_relabel(keep))
+        return _relabel(keep)
 
     if kind == FR1_INSERT:
         if m.variant not in ("th", "ht"):
@@ -440,7 +439,7 @@ def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
         _check_gap(g, size)
         fresh = d.n + 1
         block = [fresh, -fresh] if m.variant == "th" else [-fresh, fresh]
-        return GaussDiagram(_relabel(_insert_blocks(word, [(g, block)])))
+        return _relabel(_insert_blocks(word, [(g, block)]))
 
     if kind == FR2_REMOVE:
         if m.variant not in FR2_VARIANTS:
@@ -456,7 +455,7 @@ def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
         if probe is None or probe.positions != m.positions or probe.variant != m.variant:
             raise SiteMismatch("no matching bigon at the stated positions")
         keep = [t for p, t in enumerate(word) if p not in m.positions]
-        return GaussDiagram(_relabel(keep))
+        return _relabel(keep)
 
     if kind == FR2_INSERT:
         if m.variant not in FR2_VARIANTS:
@@ -468,7 +467,7 @@ def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
         _check_gap(gb, size)
         x, y = d.n + 1, d.n + 2
         block_a, block_b = _fr2_blocks(m.variant, x, y)
-        return GaussDiagram(_relabel(_insert_blocks(word, [(ga, block_a), (gb, block_b)])))
+        return _relabel(_insert_blocks(word, [(ga, block_a), (gb, block_b)]))
 
     if kind == FR3:
         if len(m.positions) != 6 or len(set(m.positions)) != 6:
@@ -491,7 +490,7 @@ def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
         for s in starts:
             p1 = (s + 1) % size
             out[s], out[p1] = out[p1], out[s]
-        return GaussDiagram(_relabel(out))
+        return _relabel(out)
 
     raise SiteMismatch(f"unknown move kind {kind!r}")
 

@@ -20,6 +20,7 @@ from . import moves as mv
 from .diagram import (
     GaussDiagram,
     _canonical,
+    _trusted,
     canonical_sort_key,
     canonical_word,
     parse,
@@ -98,9 +99,9 @@ def replay_trace(trace: MoveTrace) -> GaussDiagram:
     raises SiteMismatch on a bad step and TraceMismatch on a bad end."""
     cur = canonical_word(parse(trace.start).word)
     for m in trace.steps:
-        nxt = mv.apply(GaussDiagram(cur), m)
+        nxt = mv.apply(_trusted(cur), m)
         cur = canonical_word(nxt.word)
-    result = GaussDiagram(cur)
+    result = _trusted(cur)
     if serialize(result) != trace.end:
         raise TraceMismatch(f"trace replays to {serialize(result)!r}, not {trace.end!r}")
     return result
@@ -131,7 +132,7 @@ def _scan_orbit(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
     while layer:
         nxt = []
         for w in sorted(layer, key=canonical_sort_key):
-            rep = GaussDiagram(w)
+            rep = _trusted(w)
             expanded += 1
             for m in mv.enumerate_fr3(rep):
                 nw = canonical_word(mv.apply(rep, m).word)
@@ -139,14 +140,14 @@ def _scan_orbit(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
                     continue
                 if len(pred) >= max_nodes:
                     raise OrbitBudgetExceeded(
-                        f"FR3 orbit of {serialize(GaussDiagram(start))} exceeds the "
+                        f"FR3 orbit of {serialize(_trusted(start))} exceeds the "
                         f"{max_nodes}-node budget (nodes explored: {len(pred)}, "
                         f"expanded: {expanded})"
                     )
                 pred[nw] = (w, m)
                 nxt.append(nw)
                 if find_decreasing:
-                    dec = mv.enumerate_decreasing(GaussDiagram(nw))
+                    dec = mv.enumerate_decreasing(_trusted(nw))
                     if dec:
                         return pred, nw, dec[0]
         layer = nxt
@@ -177,9 +178,7 @@ def fr3_orbit(d: GaussDiagram, limits: OrbitLimits | None = None) -> tuple[str, 
     codes in the orbit."""
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
     pred, _, _ = _scan_orbit(canonical_word(d.word), max_nodes, find_decreasing=False)
-    return tuple(
-        serialize(GaussDiagram(w)) for w in sorted(pred, key=canonical_sort_key)
-    )
+    return tuple(serialize(_trusted(w)) for w in sorted(pred, key=canonical_sort_key))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +205,7 @@ def _reduce_word(
             if value is not None:
                 break
         trail.append(cur)
-        rep = GaussDiagram(cur)
+        rep = _trusted(cur)
         dec = mv.enumerate_decreasing(rep)
         if dec:
             m = dec[0]
@@ -220,7 +219,7 @@ def _reduce_word(
                 break
             if steps is not None:
                 steps.extend(_path_from_pred(pred, node))
-            rep = GaussDiagram(node)
+            rep = _trusted(node)
         if steps is not None:
             steps.append(m)
         cur = canonical_word(mv.apply(rep, m).word)
@@ -240,8 +239,8 @@ def monotone_reduce(
     start = canonical_word(d.word)
     steps: list[mv.Move] = []
     min_word, _ = _reduce_word(start, (limits or DEFAULT_LIMITS).max_nodes, steps)
-    minimal = GaussDiagram(min_word)
-    return minimal, MoveTrace(serialize(GaussDiagram(start)), tuple(steps), serialize(minimal))
+    minimal = _trusted(min_word)
+    return minimal, MoveTrace(serialize(_trusted(start)), tuple(steps), serialize(minimal))
 
 
 def crossing_number(d: GaussDiagram, limits: OrbitLimits | None = None) -> int:
@@ -255,7 +254,7 @@ def minimal_class_code(d: GaussDiagram, limits: OrbitLimits | None = None) -> st
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
     min_word, _ = _reduce_word(canonical_word(d.word), max_nodes)
     orbit = _full_orbit(min_word, max_nodes)
-    return serialize(GaussDiagram(min(orbit, key=canonical_sort_key)))
+    return serialize(_trusted(min(orbit, key=canonical_sort_key)))
 
 
 def _reversed_steps(start_word: tuple[int, ...], steps) -> list[mv.Move]:
@@ -264,7 +263,7 @@ def _reversed_steps(start_word: tuple[int, ...], steps) -> list[mv.Move]:
     records = []
     cur = start_word
     for m in steps:
-        post = mv.apply(GaussDiagram(cur), m)
+        post = mv.apply(_trusted(cur), m)
         pre_size = len(cur)
         cur, r = _canonical(post.word)
         records.append((pre_size, m, r, len(cur)))
@@ -302,4 +301,4 @@ def equivalent(
     pred, _, _ = _scan_orbit(m1, max_nodes, find_decreasing=False)
     bridge = _path_from_pred(pred, m2)
     steps = steps1 + bridge + _reversed_steps(c2, steps2)
-    return True, MoveTrace(serialize(GaussDiagram(c1)), tuple(steps), serialize(GaussDiagram(c2)))
+    return True, MoveTrace(serialize(_trusted(c1)), tuple(steps), serialize(_trusted(c2)))

@@ -75,6 +75,23 @@ def canonical_oracle(word: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return canon, best_r
 
 
+def fr1_oracle(d: GaussDiagram) -> list[Move]:
+    """Reference FR1 enumerator: find both endpoints of every arrow and
+    test the two cyclic adjacencies; a lone arrow, adjacent both ways
+    round, gives the one move that starts at position 0."""
+    word, size = d.word, d.size
+    moves = []
+    for arrow in range(1, d.n + 1):
+        t, h = word.index(arrow), word.index(-arrow)
+        starts = [i for i, j in ((t, h), (h, t)) if (i + 1) % size == j]
+        if starts:
+            i = min(starts)
+            variant = "th" if word[i] > 0 else "ht"
+            moves.append(Move("fr1-remove", variant, (i, (i + 1) % size)))
+    moves.sort(key=Move.sort_key)
+    return moves
+
+
 def fr3_oracle(d: GaussDiagram) -> list[Move]:
     """Reference FR3 enumerator: scan every C(2n, 3) triple of block
     starts and keep the disjoint ones whose blocks cover three arrows

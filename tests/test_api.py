@@ -74,6 +74,40 @@ def test_benchmark_tracer_hooks_exist():
     assert needed <= wrapped, sorted(needed - wrapped)
 
 
+def test_tracer_counts_the_engine_work():
+    """The engine calls the public names the tracer wraps, so on runs
+    that do the work the per-layer counts are nonzero.  A private fast
+    path around one of them would read 0 here, not in a timing."""
+    # no decreasing site, so its reduction starts with an FR3 orbit step
+    d = flatknots.parse("+1 +2 -1 +3 +4 -2 -3 +5 -4 -5")
+    scrambled = flatknots.apply(
+        flatknots.apply(d, flatknots.Move("fr1-insert", "th", (3,))),
+        flatknots.Move("fr2-insert", "Nth", (1, 6)),
+    )
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        _, trace = flatknots.monotone_reduce(d)
+        same, cert = flatknots.equivalent(d, scrambled, with_certificate=True)
+        flatknots.replay_trace(cert)
+        flatknots.classify(3)
+    finally:
+        tracer.uninstall()
+    assert trace.steps[0].kind == "fr3" and same
+    stats = tracer.layer_stats()
+    kinds = {m.kind for m in trace.steps + cert.steps}
+    assert kinds == {"fr1-remove", "fr1-insert", "fr2-remove", "fr2-insert", "fr3"}
+    for kind in kinds:
+        assert stats[f"moves.apply.calls.{kind}"] > 0, kind
+    for name in (
+        "moves.enumerate_fr3.sites",
+        "moves.enumerate_decreasing.sites",
+        "reduce.orbit_nodes",
+        "catalog.candidates",
+    ):
+        assert stats[name] > 0, name
+
+
 def test_only_the_fr3_singletons_are_cached():
     """`reduce._memo` is the library's one cache; the only memoized
     functions are the two single-entry FR3 catalog builders."""

@@ -18,7 +18,7 @@ from flatknots.diagram import canonical_word
 from conftest import enumerate_oracle
 
 # regression constants, frozen after brute-force dedup
-DIAGRAM_COUNTS = {0: 1, 1: 1, 2: 4, 3: 22, 4: 218, 5: 3028}
+DIAGRAM_COUNTS = {0: 1, 1: 1, 2: 4, 3: 22, 4: 218, 5: 3028, 6: 55540}
 CLASS_COUNTS = {0: 1, 1: 0, 2: 0, 3: 2}
 CLASSES_3 = (
     ("+1 +2 -1 -3 -2 +3", "-2t^1+t^2"),

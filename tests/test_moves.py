@@ -18,14 +18,16 @@ from flatknots import (
     enumerate_fr2_increasing,
     enumerate_fr3,
     enumerate_diagrams,
+    enumerate_increasing,
     fr3_orbit,
     inverse,
     parse,
     serialize,
 )
+from flatknots import diagram
 from flatknots.diagram import HEAD, TAIL, canonical_word
 from flatknots.moves import canonical_pattern
-from conftest import all_legal_moves, fr3_oracle, random_diagram
+from conftest import all_legal_moves, fr1_oracle, fr3_oracle, random_diagram
 
 # ---------------------------------------------------------------------------
 # FR1
@@ -57,6 +59,22 @@ def test_fr1_remove_relabels():
     d = parse("+2 -2 +1 -1")
     out = apply(d, Move("fr1-remove", "th", (0, 1)))
     assert out.word == (1, -1)
+
+
+def test_fr1_matches_per_arrow_oracle_in_every_rotation():
+    # rotations put a kink on the wrap from the last endpoint to the first
+    rng = random.Random(32)
+    bases = [d for n in range(6) for d in enumerate_diagrams(n)]
+    bases += [random_diagram(rng, 1 + i % 16) for i in range(3000)]
+    words = [d.word[r:] + d.word[:r] for d in bases for r in range(max(d.size, 1))]
+    assert len(words) > 80000
+    sites = 0
+    for word in words:
+        d = GaussDiagram(word)
+        got = enumerate_fr1_decreasing(d)
+        assert got == fr1_oracle(d), word
+        sites += len(got)
+    assert sites > 80000
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +347,25 @@ def test_apply_rejects_positions_past_the_end():
 def test_apply_rejects_insert_with_wrong_position_count(move):
     with pytest.raises(SiteMismatch):
         apply(parse("+1 +2 -1 -2"), move)
+
+
+def test_apply_always_returns_a_valid_word():
+    """A legal move on a valid word gives a valid word, which is why
+    `apply` does not validate its result."""
+    rng = random.Random(33)
+    diagrams = [d for n in range(6) for d in enumerate_diagrams(n)]
+    diagrams += [random_diagram(rng, rng.randint(0, 12)) for _ in range(300)]
+    checked = 0
+    for d in diagrams:
+        moves = enumerate_decreasing(d) + enumerate_fr3(d)
+        if d.n <= 3:
+            moves += enumerate_increasing(d)
+        for m in moves:
+            word = apply(d, m).word
+            assert type(word) is tuple, (d.word, m)
+            diagram._validate_word(word)
+            checked += 1
+    assert checked > 13000
 
 
 def test_crossing_delta_accounting():

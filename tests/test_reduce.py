@@ -11,11 +11,13 @@ from flatknots import (
     TraceMismatch,
     apply,
     canonical_form,
+    classify,
     crossing_number,
     enumerate_diagrams,
     enumerate_increasing,
     equivalent,
     fr3_orbit,
+    is_composite,
     minimal_class_code,
     monotone_reduce,
     parse,
@@ -23,7 +25,7 @@ from flatknots import (
     serialize,
     u_polynomial,
 )
-from flatknots import reduce
+from flatknots import diagram, reduce
 from flatknots.cli import main
 from flatknots.diagram import canonical_word
 from flatknots.moves import KIND_DELTA
@@ -114,6 +116,51 @@ def test_equivalent_certificate_canonicalizes_each_input_once(canonical_calls):
     same, cert = equivalent(d1, d2, with_certificate=True)
     assert same and cert is not None
     assert (canonical_calls[id(d1.word)], canonical_calls[id(d2.word)]) == (1, 1)
+
+
+def test_engine_validates_only_words_from_outside(monkeypatch):
+    """`parse` and the constructor validate; a word the engine derives
+    from a valid one is valid by construction and is not checked again.
+    Replaying a trace validates its start code and nothing else."""
+    rng = random.Random(26)
+    diagrams = [random_diagram(rng, 8 + i % 5) for i in range(10)]
+    pairs = []
+    for d in diagrams:
+        e = d
+        for _ in range(2):
+            e = apply(e, rng.choice(enumerate_increasing(e)))
+        pairs.append((d, e))
+    traces = [monotone_reduce(d)[1] for d in diagrams]
+    traces += [equivalent(d, e, with_certificate=True)[1] for d, e in pairs]
+    starts = [parse(t.start).word for t in traces]
+
+    calls = []
+    validate = diagram._validate_word
+
+    def spy(word):
+        calls.append(word)
+        validate(word)
+
+    monkeypatch.setattr(diagram, "_validate_word", spy)
+    runs = {
+        "monotone_reduce": lambda: [monotone_reduce(d) for d in diagrams],
+        "crossing_number": lambda: [crossing_number(d) for d in diagrams],
+        "minimal_class_code": lambda: [minimal_class_code(d) for d in diagrams],
+        "is_composite": lambda: [is_composite(d) for d in diagrams],
+        "equivalent": lambda: [equivalent(d, e) for d, e in pairs],
+        "certified equivalent": lambda: [
+            equivalent(d, e, with_certificate=True) for d, e in pairs
+        ],
+        "fr3_orbit": lambda: [fr3_orbit(d) for d in diagrams],
+        "classify(4)": lambda: classify(4),
+    }
+    for name, run in runs.items():
+        assert run()
+        assert not calls, f"{name} validated {len(calls)} words"
+    for trace, start in zip(traces, starts):
+        replay_trace(trace)
+        assert calls == [start]
+        calls.clear()
 
 
 def test_traces_never_increase_crossing_count():
