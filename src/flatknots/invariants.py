@@ -54,16 +54,8 @@ def arrow_index(d: GaussDiagram, arrow: int) -> int:
         raise UnknownArrow(f"no arrow {arrow} in this diagram")
     word, size = d.word, d.size
     tail, head = d.arrow_endpoints(arrow)
-    arc_len = (tail - head - 1) % size
-    inside = [word[(head + 1 + i) % size] for i in range(arc_len)]
-    counts: dict[int, list[int]] = {}
-    for t in inside:
-        counts.setdefault(abs(t), []).append(t)
-    total = 0
-    for a, tokens in counts.items():
-        if a != arrow and len(tokens) == 1:
-            total += 1 if tokens[0] > 0 else -1
-    return total
+    arc = {word[(head + 1 + i) % size] for i in range((tail - head - 1) % size)}
+    return sum(1 if t > 0 else -1 for t in arc if -t not in arc)
 
 
 def u_polynomial(d: GaussDiagram) -> UPolynomial:

@@ -115,14 +115,20 @@ def _relabel(word: list[int]) -> GaussDiagram:
 # FR1
 # ---------------------------------------------------------------------------
 
+def _fr1_at(word: tuple[int, ...], size: int, i: int) -> Move | None:
+    """FR1 removal of the arrow whose endpoints sit at i and i + 1, if any."""
+    j = (i + 1) % size
+    if word[j] != -word[i]:
+        return None
+    return Move(FR1_REMOVE, "th" if word[i] > 0 else "ht", (i, j))
+
+
 def enumerate_fr1_decreasing(d: GaussDiagram) -> list[Move]:
     """One move per arrow whose endpoints are cyclically consecutive."""
     word, size = d.word, d.size
     # a lone arrow's two endpoints are adjacent both ways round; count it once
     moves = [
-        Move(FR1_REMOVE, "th" if word[i] > 0 else "ht", (i, (i + 1) % size))
-        for i in range(1 if size == 2 else size)
-        if word[(i + 1) % size] == -word[i]
+        m for i in range(1 if size == 2 else size) if (m := _fr1_at(word, size, i)) is not None
     ]
     moves.sort(key=Move.sort_key)
     return moves
@@ -138,16 +144,14 @@ def enumerate_fr1_increasing(d: GaussDiagram) -> list[Move]:
 # FR2
 # ---------------------------------------------------------------------------
 
-def _fr2_block_move(word: tuple[int, ...], size: int, a0: int) -> Move | None:
-    """Legal FR2 removal whose first block starts at a0, if any."""
+def _fr2_at(word: tuple[int, ...], size: int, where: dict[int, int], a0: int) -> Move | None:
+    """Legal FR2 removal whose first block starts at a0, if any; where
+    maps every endpoint token of word to its position."""
     a1 = (a0 + 1) % size
     ta, tb = word[a0], word[a1]
-    if abs(ta) == abs(tb):
-        return None
-    if (ta > 0) == (tb > 0):
-        return None  # the block must mix one tail and one head
-    ox = word.index(-ta)
-    oy = word.index(-tb)
+    if (ta > 0) == (tb > 0) or ta == -tb:
+        return None  # the block must mix a tail and a head of two arrows
+    ox, oy = where[-ta], where[-tb]
     if (ox + 1) % size == oy:
         b0, b1 = ox, oy
         arrangement = "I"  # second block repeats the (x, y) arrow order
@@ -161,24 +165,17 @@ def _fr2_block_move(word: tuple[int, ...], size: int, a0: int) -> Move | None:
 
 
 def enumerate_fr2_decreasing(d: GaussDiagram) -> list[Move]:
-    """One move per arrow pair forming two disjoint adjacent mixed blocks."""
+    """One move per arrow pair forming two disjoint adjacent mixed blocks.
+
+    Each bigon is found from both of its blocks and kept from the one
+    holding its lowest position."""
     word, size = d.word, d.size
+    where = dict(zip(word, range(size)))
     moves = []
-    seen: set[frozenset[int]] = set()
     for a0 in range(size):
-        m = _fr2_block_move(word, size, a0)
-        if m is None:
-            continue
-        key = frozenset(abs(word[p]) for p in m.positions)
-        if key in seen:
-            continue
-        seen.add(key)
-        # normalize: the recorded first block is the one holding the
-        # lowest endpoint index
-        lowest = min(m.positions)
-        if lowest not in m.positions[:2]:
-            m = _fr2_block_move(word, size, m.positions[2])
-        moves.append(m)
+        m = _fr2_at(word, size, where, a0)
+        if m is not None and min(m.positions) in m.positions[:2]:
+            moves.append(m)
     moves.sort(key=Move.sort_key)
     return moves
 
@@ -194,14 +191,11 @@ def enumerate_fr2_increasing(d: GaussDiagram) -> list[Move]:
     ]
 
 
-def _fr2_blocks(variant: str, x: int, y: int) -> tuple[list[int], list[int]]:
+def _fr2_blocks(variant: str, x: int, y: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """Endpoint tokens of the two inserted blocks for fresh arrows x, y."""
     arrangement, r0, r1 = variant[0], variant[1], variant[2]
-    block_a = [x if r0 == "t" else -x, y if r1 == "t" else -y]
-    if arrangement == "N":
-        block_b = [-block_a[1], -block_a[0]]
-    else:
-        block_b = [-block_a[0], -block_a[1]]
+    block_a = (x if r0 == "t" else -x, y if r1 == "t" else -y)
+    block_b = (-block_a[1], -block_a[0]) if arrangement == "N" else (-block_a[0], -block_a[1])
     return block_a, block_b
 
 
@@ -333,16 +327,14 @@ def _fr3_blocks_at(word, size, starts):
     return tuple(blocks)
 
 
-def _fr3_structural(blocks) -> bool:
-    arrow_pairs = []
-    for block in blocks:
-        pair = frozenset(sym for sym, _ in block)
-        if len(pair) != 2:
-            return False
-        arrow_pairs.append(pair)
-    if len(set(arrow_pairs)) != 3:
-        return False
-    return len(frozenset.union(*arrow_pairs)) == 3
+def _fr3_at(word: tuple[int, ...], size: int, positions: tuple[int, ...]) -> Move | None:
+    """FR3 move on the blocks starting at positions[0::2], if their pattern
+    is in the catalog.  Every catalog pattern covers three arrows pairwise,
+    and relabeling and rotation keep that, so a match implies it."""
+    entry = _fr3_before_index().get(
+        canonical_pattern(_fr3_blocks_at(word, size, positions[0::2]))
+    )
+    return None if entry is None else Move(FR3, entry.id, positions)
 
 
 def enumerate_fr3(d: GaussDiagram) -> list[Move]:
@@ -367,7 +359,6 @@ def enumerate_fr3(d: GaussDiagram) -> list[Move]:
             x, y = y, x
         by_pair.setdefault((x, y), []).append(s)
         partners.setdefault(x, set()).add(y)
-    index = _fr3_before_index()
     moves = []
     for (a, b), ab_starts in by_pair.items():
         for c in partners[a]:
@@ -376,16 +367,13 @@ def enumerate_fr3(d: GaussDiagram) -> list[Move]:
             for s1 in ab_starts:
                 for s2 in by_pair[(a, c)]:
                     for s3 in by_pair[(b, c)]:
-                        starts = sorted((s1, s2, s3))
-                        positions = []
-                        for s in starts:
-                            positions.extend((s, (s + 1) % size))
+                        t1, t2, t3 = sorted((s1, s2, s3))
+                        positions = (t1, (t1 + 1) % size, t2, (t2 + 1) % size, t3, (t3 + 1) % size)
                         if len(set(positions)) != 6:
                             continue
-                        blocks = _fr3_blocks_at(word, size, starts)
-                        entry = index.get(canonical_pattern(blocks))
-                        if entry is not None:
-                            moves.append(Move(FR3, entry.id, tuple(positions)))
+                        m = _fr3_at(word, size, positions)
+                        if m is not None:
+                            moves.append(m)
     moves.sort(key=Move.sort_key)
     return moves
 
@@ -399,98 +387,66 @@ def _check_gap(g: int, size: int):
         raise SiteMismatch(f"gap {g} out of range for {size} endpoints")
 
 
-def _insert_blocks(word, inserts: list[tuple[int, list[int]]]) -> list[int]:
-    """Insert blocks at gaps; for equal gaps, earlier-listed blocks come first."""
-    out: list[int] = []
-    for i in range(max(len(word), 1)):
-        for g, block in inserts:
-            if g == i:
-                out.extend(block)
-        if i < len(word):
-            out.append(word[i])
-    return out
+_BLOCK_POSITIONS = {FR1_REMOVE: 2, FR2_REMOVE: 4, FR3: 6}
 
 
 def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
     """Apply a move; labels are renormalized by first appearance.  The
-    result is not validated again: a legal move keeps a valid word valid."""
-    word, size = d.word, d.size
-    kind = m.kind
+    result is not validated again: a legal move keeps a valid word valid.
 
-    if kind == FR1_REMOVE:
-        if len(m.positions) != 2:
-            raise SiteMismatch("fr1-remove takes two endpoint positions")
-        i, j = m.positions
-        if size < 2 or not (0 <= i < size) or j != (i + 1) % size:
-            raise SiteMismatch("positions are not cyclically consecutive")
-        if abs(word[i]) != abs(word[j]):
-            raise SiteMismatch("endpoints belong to different arrows")
-        if m.variant != ("th" if word[i] > 0 else "ht"):
-            raise SiteMismatch("arrow direction does not match the variant")
-        keep = [t for p, t in enumerate(word) if p not in (i, j)]
-        return _relabel(keep)
+    A removal or FR3 move is legal when the recognizer its enumerator
+    uses finds exactly m at m's positions."""
+    word, size = d.word, d.size
+    kind, positions = m.kind, m.positions
+
+    count = _BLOCK_POSITIONS.get(kind)
+    if count is not None:
+        if len(positions) != count or len(set(positions)) != count:
+            raise SiteMismatch(f"{kind} takes {count} distinct positions")
+        if min(positions) < 0 or max(positions) >= size:
+            raise SiteMismatch(f"positions out of range for {size} endpoints")
+        starts = positions[0::2]
+        for s, p1 in zip(starts, positions[1::2]):
+            if p1 != (s + 1) % size:
+                raise SiteMismatch("blocks are not cyclically consecutive")
+        if kind == FR1_REMOVE:
+            found = _fr1_at(word, size, positions[0])
+        elif kind == FR2_REMOVE:
+            found = _fr2_at(word, size, dict(zip(word, range(size))), positions[0])
+        else:
+            found = _fr3_at(word, size, positions)
+        if found != m:
+            raise SiteMismatch(f"no {kind} site {m.variant!r} at the stated positions")
+        if kind == FR3:
+            out = list(word)
+            for p0, p1 in zip(starts, positions[1::2]):
+                out[p0], out[p1] = out[p1], out[p0]
+            return _relabel(out)
+        return _relabel([t for p, t in enumerate(word) if p not in positions])
 
     if kind == FR1_INSERT:
         if m.variant not in ("th", "ht"):
             raise SiteMismatch(f"unknown fr1 variant {m.variant!r}")
-        if len(m.positions) != 1:
+        if len(positions) != 1:
             raise SiteMismatch("fr1-insert takes one gap")
-        (g,) = m.positions
+        (g,) = positions
         _check_gap(g, size)
         fresh = d.n + 1
-        block = [fresh, -fresh] if m.variant == "th" else [-fresh, fresh]
-        return _relabel(_insert_blocks(word, [(g, block)]))
-
-    if kind == FR2_REMOVE:
-        if m.variant not in FR2_VARIANTS:
-            raise SiteMismatch(f"unknown fr2 variant {m.variant!r}")
-        if len(m.positions) != 4 or len(set(m.positions)) != 4:
-            raise SiteMismatch("fr2-remove takes four distinct positions")
-        if not all(0 <= p < size for p in m.positions):
-            raise SiteMismatch(f"positions out of range for {size} endpoints")
-        a0, a1, b0, b1 = m.positions
-        if size < 4 or a1 != (a0 + 1) % size or b1 != (b0 + 1) % size:
-            raise SiteMismatch("blocks are not cyclically consecutive")
-        probe = _fr2_block_move(word, size, a0)
-        if probe is None or probe.positions != m.positions or probe.variant != m.variant:
-            raise SiteMismatch("no matching bigon at the stated positions")
-        keep = [t for p, t in enumerate(word) if p not in m.positions]
-        return _relabel(keep)
+        block = (fresh, -fresh) if m.variant == "th" else (-fresh, fresh)
+        return _relabel(word[:g] + block + word[g:])
 
     if kind == FR2_INSERT:
         if m.variant not in FR2_VARIANTS:
             raise SiteMismatch(f"unknown fr2 variant {m.variant!r}")
-        if len(m.positions) != 2:
+        if len(positions) != 2:
             raise SiteMismatch("fr2-insert takes two gaps")
-        ga, gb = m.positions
+        ga, gb = positions
         _check_gap(ga, size)
         _check_gap(gb, size)
-        x, y = d.n + 1, d.n + 2
-        block_a, block_b = _fr2_blocks(m.variant, x, y)
-        return _relabel(_insert_blocks(word, [(ga, block_a), (gb, block_b)]))
-
-    if kind == FR3:
-        if len(m.positions) != 6 or len(set(m.positions)) != 6:
-            raise SiteMismatch("fr3 takes six distinct positions")
-        if not all(0 <= p < size for p in m.positions):
-            raise SiteMismatch(f"positions out of range for {size} endpoints")
-        starts = m.positions[0::2]
-        for s, p1 in zip(starts, m.positions[1::2]):
-            if p1 != (s + 1) % size:
-                raise SiteMismatch("blocks are not cyclically consecutive")
-        blocks = _fr3_blocks_at(word, size, starts)
-        if not _fr3_structural(blocks):
-            raise SiteMismatch("blocks do not cover three arrows pairwise")
-        catalog = build_fr3_catalog()
-        if not isinstance(m.variant, int) or not 0 <= m.variant < len(catalog):
-            raise SiteMismatch(f"unknown fr3 catalog entry {m.variant!r}")
-        if canonical_pattern(blocks) != catalog[m.variant].before:
-            raise SiteMismatch("blocks do not match the catalog entry")
-        out = list(word)
-        for s in starts:
-            p1 = (s + 1) % size
-            out[s], out[p1] = out[p1], out[s]
-        return _relabel(out)
+        block_a, block_b = _fr2_blocks(m.variant, d.n + 1, d.n + 2)
+        if ga > gb:  # at equal gaps the first block comes first
+            (ga, block_a), (gb, block_b) = (gb, block_b), (ga, block_a)
+        return _relabel(word[:ga] + block_a + word[ga:gb] + block_b + word[gb:])
 
     raise SiteMismatch(f"unknown move kind {kind!r}")
 

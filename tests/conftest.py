@@ -22,11 +22,20 @@ from flatknots import (
 from flatknots import diagram
 from flatknots.diagram import canonical_word, serialize
 from flatknots.moves import (
+    FR1_INSERT,
+    FR1_REMOVE,
+    FR2_INSERT,
+    FR2_REMOVE,
+    FR2_VARIANTS,
     FR3,
     Move,
+    SiteMismatch,
+    _check_gap,
+    _fr2_blocks,
     _fr3_before_index,
     _fr3_blocks_at,
-    _fr3_structural,
+    _relabel,
+    build_fr3_catalog,
     canonical_pattern,
 )
 from flatknots.reduce import DEFAULT_LIMITS, _path_from_pred, _reversed_steps, _scan_orbit
@@ -92,6 +101,65 @@ def fr1_oracle(d: GaussDiagram) -> list[Move]:
     return moves
 
 
+def _fr2_block_move(word: tuple[int, ...], size: int, a0: int) -> Move | None:
+    """Legal FR2 removal whose first block starts at a0, if any."""
+    a1 = (a0 + 1) % size
+    ta, tb = word[a0], word[a1]
+    if abs(ta) == abs(tb):
+        return None
+    if (ta > 0) == (tb > 0):
+        return None  # the block must mix one tail and one head
+    ox = word.index(-ta)
+    oy = word.index(-tb)
+    if (ox + 1) % size == oy:
+        b0, b1 = ox, oy
+        arrangement = "I"  # second block repeats the (x, y) arrow order
+    elif (oy + 1) % size == ox:
+        b0, b1 = oy, ox
+        arrangement = "N"
+    else:
+        return None
+    roles = ("t" if ta > 0 else "h") + ("t" if tb > 0 else "h")
+    return Move(FR2_REMOVE, arrangement + roles, (a0, a1, b0, b1))
+
+
+def fr2_oracle(d: GaussDiagram) -> list[Move]:
+    """Reference FR2 enumerator: locate each block's partners with two
+    `index` scans, keep the first bigon found per arrow pair, and rebuild
+    it from the block holding its lowest position."""
+    word, size = d.word, d.size
+    moves = []
+    seen: set[frozenset[int]] = set()
+    for a0 in range(size):
+        m = _fr2_block_move(word, size, a0)
+        if m is None:
+            continue
+        key = frozenset(abs(word[p]) for p in m.positions)
+        if key in seen:
+            continue
+        seen.add(key)
+        # normalize: the recorded first block is the one holding the
+        # lowest endpoint index
+        lowest = min(m.positions)
+        if lowest not in m.positions[:2]:
+            m = _fr2_block_move(word, size, m.positions[2])
+        moves.append(m)
+    moves.sort(key=Move.sort_key)
+    return moves
+
+
+def _fr3_structural(blocks) -> bool:
+    arrow_pairs = []
+    for block in blocks:
+        pair = frozenset(sym for sym, _ in block)
+        if len(pair) != 2:
+            return False
+        arrow_pairs.append(pair)
+    if len(set(arrow_pairs)) != 3:
+        return False
+    return len(frozenset.union(*arrow_pairs)) == 3
+
+
 def fr3_oracle(d: GaussDiagram) -> list[Move]:
     """Reference FR3 enumerator: scan every C(2n, 3) triple of block
     starts and keep the disjoint ones whose blocks cover three arrows
@@ -116,6 +184,103 @@ def fr3_oracle(d: GaussDiagram) -> list[Move]:
             moves.append(Move(FR3, entry.id, tuple(positions)))
     moves.sort(key=Move.sort_key)
     return moves
+
+
+def _insert_blocks(word, inserts: list[tuple[int, list[int]]]) -> list[int]:
+    """Insert blocks at gaps; for equal gaps, earlier-listed blocks come first."""
+    out: list[int] = []
+    for i in range(max(len(word), 1)):
+        for g, block in inserts:
+            if g == i:
+                out.extend(block)
+        if i < len(word):
+            out.append(word[i])
+    return out
+
+
+def apply_oracle(d: GaussDiagram, m: Move) -> GaussDiagram:
+    """Reference `apply`: hand-written legality checks for each kind, with
+    FR2 partners located by `_fr2_block_move` and FR3 blocks checked for
+    a pairwise cover of three arrows before the catalog lookup."""
+    word, size = d.word, d.size
+    kind = m.kind
+
+    if kind == FR1_REMOVE:
+        if len(m.positions) != 2:
+            raise SiteMismatch("fr1-remove takes two endpoint positions")
+        i, j = m.positions
+        if size < 2 or not (0 <= i < size) or j != (i + 1) % size:
+            raise SiteMismatch("positions are not cyclically consecutive")
+        if abs(word[i]) != abs(word[j]):
+            raise SiteMismatch("endpoints belong to different arrows")
+        if m.variant != ("th" if word[i] > 0 else "ht"):
+            raise SiteMismatch("arrow direction does not match the variant")
+        keep = [t for p, t in enumerate(word) if p not in (i, j)]
+        return _relabel(keep)
+
+    if kind == FR1_INSERT:
+        if m.variant not in ("th", "ht"):
+            raise SiteMismatch(f"unknown fr1 variant {m.variant!r}")
+        if len(m.positions) != 1:
+            raise SiteMismatch("fr1-insert takes one gap")
+        (g,) = m.positions
+        _check_gap(g, size)
+        fresh = d.n + 1
+        block = [fresh, -fresh] if m.variant == "th" else [-fresh, fresh]
+        return _relabel(_insert_blocks(word, [(g, block)]))
+
+    if kind == FR2_REMOVE:
+        if m.variant not in FR2_VARIANTS:
+            raise SiteMismatch(f"unknown fr2 variant {m.variant!r}")
+        if len(m.positions) != 4 or len(set(m.positions)) != 4:
+            raise SiteMismatch("fr2-remove takes four distinct positions")
+        if not all(0 <= p < size for p in m.positions):
+            raise SiteMismatch(f"positions out of range for {size} endpoints")
+        a0, a1, b0, b1 = m.positions
+        if size < 4 or a1 != (a0 + 1) % size or b1 != (b0 + 1) % size:
+            raise SiteMismatch("blocks are not cyclically consecutive")
+        probe = _fr2_block_move(word, size, a0)
+        if probe is None or probe.positions != m.positions or probe.variant != m.variant:
+            raise SiteMismatch("no matching bigon at the stated positions")
+        keep = [t for p, t in enumerate(word) if p not in m.positions]
+        return _relabel(keep)
+
+    if kind == FR2_INSERT:
+        if m.variant not in FR2_VARIANTS:
+            raise SiteMismatch(f"unknown fr2 variant {m.variant!r}")
+        if len(m.positions) != 2:
+            raise SiteMismatch("fr2-insert takes two gaps")
+        ga, gb = m.positions
+        _check_gap(ga, size)
+        _check_gap(gb, size)
+        x, y = d.n + 1, d.n + 2
+        block_a, block_b = _fr2_blocks(m.variant, x, y)
+        return _relabel(_insert_blocks(word, [(ga, block_a), (gb, block_b)]))
+
+    if kind == FR3:
+        if len(m.positions) != 6 or len(set(m.positions)) != 6:
+            raise SiteMismatch("fr3 takes six distinct positions")
+        if not all(0 <= p < size for p in m.positions):
+            raise SiteMismatch(f"positions out of range for {size} endpoints")
+        starts = m.positions[0::2]
+        for s, p1 in zip(starts, m.positions[1::2]):
+            if p1 != (s + 1) % size:
+                raise SiteMismatch("blocks are not cyclically consecutive")
+        blocks = _fr3_blocks_at(word, size, starts)
+        if not _fr3_structural(blocks):
+            raise SiteMismatch("blocks do not cover three arrows pairwise")
+        catalog = build_fr3_catalog()
+        if not isinstance(m.variant, int) or not 0 <= m.variant < len(catalog):
+            raise SiteMismatch(f"unknown fr3 catalog entry {m.variant!r}")
+        if canonical_pattern(blocks) != catalog[m.variant].before:
+            raise SiteMismatch("blocks do not match the catalog entry")
+        out = list(word)
+        for s in starts:
+            p1 = (s + 1) % size
+            out[s], out[p1] = out[p1], out[s]
+        return _relabel(out)
+
+    raise SiteMismatch(f"unknown move kind {kind!r}")
 
 
 def reduce_oracle(d: GaussDiagram) -> tuple[GaussDiagram, MoveTrace]:

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -27,7 +28,15 @@ from flatknots import (
 from flatknots import diagram
 from flatknots.diagram import HEAD, TAIL, canonical_word
 from flatknots.moves import canonical_pattern
-from conftest import all_legal_moves, fr1_oracle, fr3_oracle, random_diagram
+from conftest import (
+    _fr3_structural,
+    all_legal_moves,
+    apply_oracle,
+    fr1_oracle,
+    fr2_oracle,
+    fr3_oracle,
+    random_diagram,
+)
 
 # ---------------------------------------------------------------------------
 # FR1
@@ -61,8 +70,16 @@ def test_fr1_remove_relabels():
     assert out.word == (1, -1)
 
 
-def test_fr1_matches_per_arrow_oracle_in_every_rotation():
-    # rotations put a kink on the wrap from the last endpoint to the first
+@pytest.mark.parametrize(
+    "enumerate_sites, oracle, min_sites",
+    [
+        (enumerate_fr1_decreasing, fr1_oracle, 80000),
+        (enumerate_fr2_decreasing, fr2_oracle, 40000),
+    ],
+    ids=["fr1", "fr2"],
+)
+def test_decreasing_enumerators_match_oracles_in_every_rotation(enumerate_sites, oracle, min_sites):
+    # rotations put a site on the wrap from the last endpoint to the first
     rng = random.Random(32)
     bases = [d for n in range(6) for d in enumerate_diagrams(n)]
     bases += [random_diagram(rng, 1 + i % 16) for i in range(3000)]
@@ -71,10 +88,10 @@ def test_fr1_matches_per_arrow_oracle_in_every_rotation():
     sites = 0
     for word in words:
         d = GaussDiagram(word)
-        got = enumerate_fr1_decreasing(d)
-        assert got == fr1_oracle(d), word
+        got = enumerate_sites(d)
+        assert got == oracle(d), word
         sites += len(got)
-    assert sites > 80000
+    assert sites > min_sites
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +230,9 @@ def test_fr3_catalog_worked_configuration():
 
 def test_fr3_entries_keep_arrow_directions():
     for e in build_fr3_catalog():
+        # a catalog match therefore implies the blocks cover three arrows
+        # pairwise, which is why `apply` needs no separate check for it
+        assert _fr3_structural(e.before) and _fr3_structural(e.after)
         roles_before = sorted((sym, role) for block in e.before for sym, role in block)
         roles_after = sorted((sym, role) for block in e.after for sym, role in block)
         assert roles_before == roles_after
@@ -347,6 +367,73 @@ def test_apply_rejects_positions_past_the_end():
 def test_apply_rejects_insert_with_wrong_position_count(move):
     with pytest.raises(SiteMismatch):
         apply(parse("+1 +2 -1 -2"), move)
+
+
+_POSITION_COUNTS = {"fr1-remove": 2, "fr1-insert": 1, "fr2-remove": 4, "fr2-insert": 2, "fr3": 6}
+_ANY_VARIANT = ("th", "ht", "Nth", "Nht", "Ith", "Iht", "Xth", *range(-1, 10))
+
+
+def _perturbed(rng, m, size):
+    """m with its variant, one position, or the order of its blocks changed."""
+    how = rng.randrange(3)
+    if how == 0:
+        return Move(m.kind, rng.choice(_ANY_VARIANT), m.positions)
+    positions = list(m.positions)
+    if how == 1:
+        positions[rng.randrange(len(positions))] = rng.randrange(-1, size + 2)
+    elif len(positions) > 2:
+        pairs = [positions[i : i + 2] for i in range(0, len(positions), 2)]
+        positions = [p for pair in pairs[1:] + pairs[:1] for p in pair]
+    else:
+        positions.reverse()
+    return Move(m.kind, m.variant, tuple(positions))
+
+
+def _random_move(rng, size):
+    """A move of any kind and variant, at random positions or, for half
+    the removals and FR3 moves, on random cyclically consecutive blocks."""
+    kind = rng.choice(sorted(_POSITION_COUNTS))
+    count = _POSITION_COUNTS[kind]
+    if kind in ("fr1-remove", "fr2-remove", "fr3") and size and rng.random() < 0.5:
+        starts = [rng.randrange(size) for _ in range(count // 2)]
+        positions = tuple(p for s in starts for p in (s, (s + 1) % size))
+    else:
+        count = max(0, count + rng.choice((0, 0, 0, -1, 1)))
+        positions = tuple(rng.randrange(-1, size + 2) for _ in range(count))
+    return Move(kind, rng.choice(_ANY_VARIANT), positions)
+
+
+def _outcome(apply_fn, d, m):
+    try:
+        return apply_fn(d, m).word
+    except Exception as exc:
+        return type(exc)
+
+
+def test_apply_matches_oracle_on_legal_perturbed_and_random_moves():
+    """`apply` accepts exactly the moves the hand-checked reference
+    accepts, with the same result word, and rejects the rest with the
+    same exception type."""
+    rng = random.Random(34)
+    accepted = collections.Counter()
+    rejected = 0
+    for _ in range(3000):
+        d = random_diagram(rng, rng.randint(0, 7))
+        by_kind = collections.defaultdict(list)
+        for m in all_legal_moves(d):
+            by_kind[m.kind].append(m)
+        moves = [m for ms in by_kind.values() for m in rng.sample(ms, min(len(ms), 2))]
+        moves += [_perturbed(rng, m, d.size) for m in moves]
+        moves += [_random_move(rng, d.size) for _ in range(8)]
+        for m in moves:
+            got = _outcome(apply, d, m)
+            assert got == _outcome(apply_oracle, d, m), (d.word, m)
+            if isinstance(got, tuple):
+                accepted[m.kind] += 1
+            else:
+                rejected += 1
+    assert set(accepted) == set(_POSITION_COUNTS), accepted
+    assert min(accepted.values()) > 500 and rejected > 30000, (accepted, rejected)
 
 
 def test_apply_always_returns_a_valid_word():
