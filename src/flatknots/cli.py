@@ -261,6 +261,11 @@ def _cmd_replay(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line on stderr, exit 2, like other bad input
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -269,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-orbit", type=int, default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flatknots",
         description="Flat virtual knots as Gauss diagrams: canonical forms, "
         "reduction, equivalence, primality, connected sums, tabulation.",
@@ -334,15 +339,14 @@ _GLOBAL_DEFAULTS = {"format": "text", "max_orbit": DEFAULT_LIMITS.max_nodes, "se
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # global flags are valid before or after the subcommand; both copies
-    # default to SUPPRESS, so whichever was given wins and the fallback
-    # lands here
-    for dest, default in _GLOBAL_DEFAULTS.items():
-        if not hasattr(args, dest):
-            setattr(args, dest, default)
     try:
+        args = build_parser().parse_args(argv)
+        # global flags are valid before or after the subcommand; both copies
+        # default to SUPPRESS, so whichever was given wins and the fallback
+        # lands here
+        for dest, default in _GLOBAL_DEFAULTS.items():
+            if not hasattr(args, dest):
+                setattr(args, dest, default)
         return args.func(args)
     except (
         GaussCodeError,

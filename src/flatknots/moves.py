@@ -25,7 +25,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .diagram import HEAD, TAIL, GaussDiagram, _trusted
+from .diagram import GaussDiagram, _trusted, canonical_sort_key
 
 FR1_REMOVE = "fr1-remove"
 FR1_INSERT = "fr1-insert"
@@ -98,17 +98,21 @@ class Move:
         return f"{self.kind} {self.variant} [{pos}]"
 
 
-def _relabel(word: list[int]) -> GaussDiagram:
+def _first_appearance(tokens) -> tuple[int, ...]:
+    """tokens with their arrows relabeled 1, 2, ... by first appearance."""
     relab: dict[int, int] = {}
     out = []
-    for t in word:
+    for t in tokens:
         a = t if t > 0 else -t
         lab = relab.get(a)
         if lab is None:
-            lab = len(relab) + 1
-            relab[a] = lab
+            lab = relab[a] = len(relab) + 1
         out.append(lab if t > 0 else -lab)
-    return _trusted(tuple(out))
+    return tuple(out)
+
+
+def _relabel(word) -> GaussDiagram:
+    return _trusted(_first_appearance(word))
 
 
 # ---------------------------------------------------------------------------
@@ -225,43 +229,26 @@ def enumerate_increasing(d: GaussDiagram) -> list[Move]:
 # FR3 catalog
 # ---------------------------------------------------------------------------
 
-Block = tuple[tuple[int, int], tuple[int, int]]  # ((arrow, role), (arrow, role))
-Pattern = tuple[Block, Block, Block]
+Pattern = tuple[int, ...]  # six endpoint tokens, two per block
 
 
-def canonical_pattern(blocks) -> Pattern:
-    """Canonical form of a cyclic triple of two-endpoint blocks: minimum
-    over the 3 rotations after relabeling arrows by first appearance."""
-    best = None
-    for rot in range(3):
-        seq = blocks[rot:] + blocks[:rot]
-        relab: dict[int, int] = {}
-        enc = []
-        for block in seq:
-            eb = []
-            for sym, role in block:
-                lab = relab.get(sym)
-                if lab is None:
-                    lab = len(relab) + 1
-                    relab[sym] = lab
-                eb.append((lab, 0 if role == TAIL else 1))
-            enc.append(tuple(eb))
-        enc_t = tuple(enc)
-        if best is None or enc_t < best:
-            best = enc_t
-    return tuple(
-        tuple((sym, TAIL if bit == 0 else HEAD) for sym, bit in block) for block in best
-    )
+def canonical_pattern(tokens) -> Pattern:
+    """Canonical form of a cyclic triple of two-endpoint blocks, given as
+    six endpoint tokens: the least of the three block rotations after
+    relabeling arrows by first appearance."""
+    rotations = (tokens[r:] + tokens[:r] for r in (0, 2, 4))
+    return min(map(_first_appearance, rotations), key=canonical_sort_key)
 
 
 def _swap_blocks(pattern: Pattern) -> Pattern:
-    return tuple((block[1], block[0]) for block in pattern)
+    return tuple(pattern[i ^ 1] for i in range(6))
 
 
 @dataclass(frozen=True)
 class FR3CatalogEntry:
     """A legal FR3 configuration: matching the before pattern permits
-    swapping the two endpoints inside each block."""
+    swapping the two endpoints inside each block.  Both patterns are six
+    endpoint tokens, two per block; a canonical before is a Gauss word."""
 
     id: int
     before: Pattern
@@ -270,20 +257,20 @@ class FR3CatalogEntry:
 
 
 def _triangle_patterns():
-    """(before, after) block patterns from the three-line coordinate model."""
+    """(before, after) token patterns from the three-line coordinate model,
+    with crossings r, q, p labeled 1, 2, 3."""
     for sa, sb, sc in itertools.product((1, -1), repeat=3):
-        role_a_r = TAIL if sa * sb > 0 else HEAD  # det(tA, tB) sign
-        role_a_q = TAIL if sa * sc > 0 else HEAD  # det(tA, tC) sign
-        role_b_p = TAIL if sb * sc > 0 else HEAD  # det(tB, tC) sign
+        r = sa * sb  # det(tA, tB) sign: the endpoint on A is a tail iff +
+        q = 2 * sa * sc  # det(tA, tC) sign
+        p = 3 * sb * sc  # det(tB, tC) sign
         blocks_before = {
-            "A": [("r", role_a_r), ("q", role_a_q)] if sa > 0 else [("q", role_a_q), ("r", role_a_r)],
-            "B": [("r", -role_a_r), ("p", role_b_p)] if sb > 0 else [("p", role_b_p), ("r", -role_a_r)],
-            "C": [("q", -role_a_q), ("p", -role_b_p)] if sc > 0 else [("p", -role_b_p), ("q", -role_a_q)],
+            "A": (r, q) if sa > 0 else (q, r),
+            "B": (-r, p) if sb > 0 else (p, -r),
+            "C": (-q, -p) if sc > 0 else (-p, -q),
         }
-        blocks_after = {s: list(reversed(b)) for s, b in blocks_before.items()}
-        for order in (("A", "B", "C"), ("A", "C", "B")):
-            bw = tuple(tuple(blocks_before[s]) for s in order)
-            aw = tuple(tuple(blocks_after[s]) for s in order)
+        for order in ("ABC", "ACB"):
+            bw = tuple(t for s in order for t in blocks_before[s])
+            aw = tuple(t for s in order for t in reversed(blocks_before[s]))
             yield bw, aw
             yield aw, bw
 
@@ -294,17 +281,17 @@ def build_fr3_catalog() -> tuple[FR3CatalogEntry, ...]:
     befores: dict[Pattern, Pattern] = {}
     for bw, aw in _triangle_patterns():
         cb = canonical_pattern(bw)
-        ca_expected = canonical_pattern(_swap_blocks(cb))
-        if canonical_pattern(aw) != ca_expected:
+        if canonical_pattern(aw) != canonical_pattern(_swap_blocks(cb)):
             raise AssertionError("triangle model: after is not the blockwise swap")
         befores.setdefault(cb, _swap_blocks(cb))
-    ordered = sorted(befores)
+    # traces record entry ids, so they keep their order: a head sorts
+    # before a tail of the same arrow, not after it as in canonical_sort_key
+    ordered = sorted(befores, key=lambda p: [(abs(t), t) for t in p])
     index = {cb: i for i, cb in enumerate(ordered)}
-    entries = []
-    for i, cb in enumerate(ordered):
-        after = befores[cb]
-        inv = index[canonical_pattern(after)]
-        entries.append(FR3CatalogEntry(i, cb, after, inv))
+    entries = [
+        FR3CatalogEntry(i, cb, befores[cb], index[canonical_pattern(befores[cb])])
+        for i, cb in enumerate(ordered)
+    ]
     for e in entries:
         if entries[e.inverse_id].inverse_id != e.id:
             raise AssertionError("FR3 catalog inverse pairing is not an involution")
@@ -313,27 +300,18 @@ def build_fr3_catalog() -> tuple[FR3CatalogEntry, ...]:
 
 @functools.lru_cache(maxsize=1)
 def _fr3_before_index() -> dict[Pattern, FR3CatalogEntry]:
-    return {e.before: e for e in build_fr3_catalog()}
+    """Every block rotation of every canonical before, relabeled by first
+    appearance, mapped to its entry.  Six tokens relabeled the same way
+    are a key exactly when their canonical pattern is that before."""
+    catalog = build_fr3_catalog()
+    return {_first_appearance(e.before[r:] + e.before[:r]): e for e in catalog for r in (0, 2, 4)}
 
 
-def _fr3_blocks_at(word, size, starts):
-    blocks = []
-    for s in starts:
-        p0, p1 = s, (s + 1) % size
-        blocks.append((
-            (abs(word[p0]), TAIL if word[p0] > 0 else HEAD),
-            (abs(word[p1]), TAIL if word[p1] > 0 else HEAD),
-        ))
-    return tuple(blocks)
-
-
-def _fr3_at(word: tuple[int, ...], size: int, positions: tuple[int, ...]) -> Move | None:
-    """FR3 move on the blocks starting at positions[0::2], if their pattern
-    is in the catalog.  Every catalog pattern covers three arrows pairwise,
-    and relabeling and rotation keep that, so a match implies it."""
-    entry = _fr3_before_index().get(
-        canonical_pattern(_fr3_blocks_at(word, size, positions[0::2]))
-    )
+def _fr3_at(word: tuple[int, ...], positions: tuple[int, ...]) -> Move | None:
+    """FR3 move on the blocks (positions[0], positions[1]), ... if their
+    pattern is in the catalog.  Every catalog pattern covers three arrows
+    pairwise, and relabeling and rotation keep that, so a match implies it."""
+    entry = _fr3_before_index().get(_first_appearance([word[p] for p in positions]))
     return None if entry is None else Move(FR3, entry.id, positions)
 
 
@@ -371,7 +349,7 @@ def enumerate_fr3(d: GaussDiagram) -> list[Move]:
                         positions = (t1, (t1 + 1) % size, t2, (t2 + 1) % size, t3, (t3 + 1) % size)
                         if len(set(positions)) != 6:
                             continue
-                        m = _fr3_at(word, size, positions)
+                        m = _fr3_at(word, positions)
                         if m is not None:
                             moves.append(m)
     moves.sort(key=Move.sort_key)
@@ -414,7 +392,7 @@ def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
         elif kind == FR2_REMOVE:
             found = _fr2_at(word, size, dict(zip(word, range(size))), positions[0])
         else:
-            found = _fr3_at(word, size, positions)
+            found = _fr3_at(word, positions)
         if found != m:
             raise SiteMismatch(f"no {kind} site {m.variant!r} at the stated positions")
         if kind == FR3:
@@ -499,7 +477,9 @@ def inverse(m: Move, pre_size: int) -> Move:
         return Move(FR2_INSERT, variant, (gap_a, gap_b))
 
     if m.kind == FR3:
-        entry = build_fr3_catalog()[m.variant]
-        return Move(FR3, entry.inverse_id, m.positions)
+        catalog, v = build_fr3_catalog(), m.variant
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < len(catalog):
+            raise ValueError(f"unknown fr3 catalog entry {v!r}")
+        return Move(FR3, catalog[v].inverse_id, m.positions)
 
     raise ValueError(f"unknown move kind {m.kind!r}")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import random
 
@@ -20,7 +21,7 @@ from flatknots import (
     enumerate_fr3,
 )
 from flatknots import diagram
-from flatknots.diagram import canonical_word, serialize
+from flatknots.diagram import HEAD, TAIL, canonical_word, serialize
 from flatknots.moves import (
     FR1_INSERT,
     FR1_REMOVE,
@@ -28,15 +29,12 @@ from flatknots.moves import (
     FR2_REMOVE,
     FR2_VARIANTS,
     FR3,
+    FR3CatalogEntry,
     Move,
     SiteMismatch,
     _check_gap,
     _fr2_blocks,
-    _fr3_before_index,
-    _fr3_blocks_at,
     _relabel,
-    build_fr3_catalog,
-    canonical_pattern,
 )
 from flatknots.reduce import DEFAULT_LIMITS, _path_from_pred, _reversed_steps, _scan_orbit
 
@@ -148,6 +146,86 @@ def fr2_oracle(d: GaussDiagram) -> list[Move]:
     return moves
 
 
+def _block_canonical_pattern(blocks):
+    """Canonical form of a cyclic triple of ((arrow, role), (arrow, role))
+    blocks: minimum over the 3 rotations after relabeling arrows by first
+    appearance, with a tail encoded below a head."""
+    best = None
+    for rot in range(3):
+        seq = blocks[rot:] + blocks[:rot]
+        relab: dict[int, int] = {}
+        enc = []
+        for block in seq:
+            eb = []
+            for sym, role in block:
+                lab = relab.get(sym)
+                if lab is None:
+                    lab = len(relab) + 1
+                    relab[sym] = lab
+                eb.append((lab, 0 if role == TAIL else 1))
+            enc.append(tuple(eb))
+        enc_t = tuple(enc)
+        if best is None or enc_t < best:
+            best = enc_t
+    return tuple(
+        tuple((sym, TAIL if bit == 0 else HEAD) for sym, bit in block) for block in best
+    )
+
+
+def _block_swap(pattern):
+    return tuple((block[1], block[0]) for block in pattern)
+
+
+def _block_triangle_patterns():
+    """(before, after) block patterns from the three-line coordinate model."""
+    for sa, sb, sc in itertools.product((1, -1), repeat=3):
+        role_a_r = TAIL if sa * sb > 0 else HEAD  # det(tA, tB) sign
+        role_a_q = TAIL if sa * sc > 0 else HEAD  # det(tA, tC) sign
+        role_b_p = TAIL if sb * sc > 0 else HEAD  # det(tB, tC) sign
+        blocks_before = {
+            "A": [("r", role_a_r), ("q", role_a_q)] if sa > 0 else [("q", role_a_q), ("r", role_a_r)],
+            "B": [("r", -role_a_r), ("p", role_b_p)] if sb > 0 else [("p", role_b_p), ("r", -role_a_r)],
+            "C": [("q", -role_a_q), ("p", -role_b_p)] if sc > 0 else [("p", -role_b_p), ("q", -role_a_q)],
+        }
+        blocks_after = {s: list(reversed(b)) for s, b in blocks_before.items()}
+        for order in (("A", "B", "C"), ("A", "C", "B")):
+            bw = tuple(tuple(blocks_before[s]) for s in order)
+            aw = tuple(tuple(blocks_after[s]) for s in order)
+            yield bw, aw
+            yield aw, bw
+
+
+@functools.lru_cache(maxsize=1)
+def fr3_catalog_oracle() -> tuple[FR3CatalogEntry, ...]:
+    """Reference FR3 catalog in block form: each pattern is three blocks
+    ((arrow, role), (arrow, role)) with role TAIL or HEAD, canonicalized
+    by `_block_canonical_pattern` and numbered in sorted block order."""
+    befores = {}
+    for bw, aw in _block_triangle_patterns():
+        cb = _block_canonical_pattern(bw)
+        if _block_canonical_pattern(aw) != _block_canonical_pattern(_block_swap(cb)):
+            raise AssertionError("triangle model: after is not the blockwise swap")
+        befores.setdefault(cb, _block_swap(cb))
+    ordered = sorted(befores)
+    index = {cb: i for i, cb in enumerate(ordered)}
+    return tuple(
+        FR3CatalogEntry(i, cb, befores[cb], index[_block_canonical_pattern(befores[cb])])
+        for i, cb in enumerate(ordered)
+    )
+
+
+def _fr3_blocks_at(word, size, starts):
+    """The blocks (word[s], word[s + 1]) in block form."""
+    blocks = []
+    for s in starts:
+        p0, p1 = s, (s + 1) % size
+        blocks.append((
+            (abs(word[p0]), TAIL if word[p0] > 0 else HEAD),
+            (abs(word[p1]), TAIL if word[p1] > 0 else HEAD),
+        ))
+    return tuple(blocks)
+
+
 def _fr3_structural(blocks) -> bool:
     arrow_pairs = []
     for block in blocks:
@@ -168,7 +246,7 @@ def fr3_oracle(d: GaussDiagram) -> list[Move]:
     if d.n < 3:
         return []
     word = d.word
-    index = _fr3_before_index()
+    index = {e.before: e for e in fr3_catalog_oracle()}
     moves = []
     for starts in itertools.combinations(range(size), 3):
         positions = []
@@ -179,7 +257,7 @@ def fr3_oracle(d: GaussDiagram) -> list[Move]:
         blocks = _fr3_blocks_at(word, size, starts)
         if not _fr3_structural(blocks):
             continue
-        entry = index.get(canonical_pattern(blocks))
+        entry = index.get(_block_canonical_pattern(blocks))
         if entry is not None:
             moves.append(Move(FR3, entry.id, tuple(positions)))
     moves.sort(key=Move.sort_key)
@@ -269,10 +347,10 @@ def apply_oracle(d: GaussDiagram, m: Move) -> GaussDiagram:
         blocks = _fr3_blocks_at(word, size, starts)
         if not _fr3_structural(blocks):
             raise SiteMismatch("blocks do not cover three arrows pairwise")
-        catalog = build_fr3_catalog()
+        catalog = fr3_catalog_oracle()
         if not isinstance(m.variant, int) or not 0 <= m.variant < len(catalog):
             raise SiteMismatch(f"unknown fr3 catalog entry {m.variant!r}")
-        if canonical_pattern(blocks) != catalog[m.variant].before:
+        if _block_canonical_pattern(blocks) != catalog[m.variant].before:
             raise SiteMismatch("blocks do not match the catalog entry")
         out = list(word)
         for s in starts:

@@ -223,6 +223,21 @@ def test_replay_insert_with_wrong_position_count_exit_1(tmp_path, capsys):
         assert err.startswith("replay failed: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["tabulate", "abc"], ["--format", "xml", "canon", "0"], ["equiv", "0"]]
+)
+def test_bad_arguments_exit_2_with_one_line(argv, capsys):
+    capsys.readouterr()
+    code, out = run_cli(argv)
+    _assert_input_error(code, out, capsys.readouterr().err)
+
+
+def test_help_still_exits_0():
+    with pytest.raises(SystemExit) as info:
+        run_cli(["-h"])
+    assert info.value.code == 0
+
+
 def test_verify_superadd_rejects_sample_size_below_one(capsys):
     # 18 x 18 = 324 basepoint pairs would take the sampling path
     code9 = " ".join(f"+{k} -{k}" for k in range(1, 10))

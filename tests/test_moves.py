@@ -27,13 +27,15 @@ from flatknots import (
 )
 from flatknots import diagram
 from flatknots.diagram import HEAD, TAIL, canonical_word
-from flatknots.moves import canonical_pattern
+from flatknots.moves import _fr3_before_index, canonical_pattern
 from conftest import (
+    _fr3_blocks_at,
     _fr3_structural,
     all_legal_moves,
     apply_oracle,
     fr1_oracle,
     fr2_oracle,
+    fr3_catalog_oracle,
     fr3_oracle,
     random_diagram,
 )
@@ -211,17 +213,10 @@ def test_fr3_catalog_size_frozen():
 def test_fr3_catalog_worked_configuration():
     # all three strands in the positive direction, blocks in (A, B, C)
     # order: before [r q][r p][q p], after [q r][p r][p q]; r points
-    # block1->block2, q block1->block3, p block2->block3
-    before = (
-        (("r", TAIL), ("q", TAIL)),
-        (("r", HEAD), ("p", TAIL)),
-        (("q", HEAD), ("p", HEAD)),
-    )
-    after = (
-        (("q", TAIL), ("r", TAIL)),
-        (("p", TAIL), ("r", HEAD)),
-        (("p", HEAD), ("q", HEAD)),
-    )
+    # block1->block2, q block1->block3, p block2->block3; r, q, p are
+    # arrows 1, 2, 3
+    before = (1, 2, -1, 3, -2, -3)
+    after = (2, 1, 3, -1, -3, -2)
     index = {e.before: e for e in build_fr3_catalog()}
     entry = index.get(canonical_pattern(before))
     assert entry is not None
@@ -232,20 +227,33 @@ def test_fr3_entries_keep_arrow_directions():
     for e in build_fr3_catalog():
         # a catalog match therefore implies the blocks cover three arrows
         # pairwise, which is why `apply` needs no separate check for it
-        assert _fr3_structural(e.before) and _fr3_structural(e.after)
-        roles_before = sorted((sym, role) for block in e.before for sym, role in block)
-        roles_after = sorted((sym, role) for block in e.after for sym, role in block)
-        assert roles_before == roles_after
-        assert e.after == tuple((b, a) for a, b in e.before)
+        blocks = [_fr3_blocks_at(p, 6, (0, 2, 4)) for p in (e.before, e.after)]
+        assert _fr3_structural(blocks[0]) and _fr3_structural(blocks[1])
+        assert sorted(e.before) == sorted(e.after)
+        assert e.after == tuple(e.before[i ^ 1] for i in range(6))
 
 
-def _instantiate(pattern):
-    labels, word = {}, []
-    for block in pattern:
-        for sym, role in block:
-            lab = labels.setdefault(sym, len(labels) + 1)
-            word.append(lab * role)
-    return GaussDiagram(tuple(word))
+def test_fr3_catalog_matches_block_form_oracle():
+    """The token catalog is the block-form catalog with each (arrow, role)
+    endpoint written as the token arrow * role, entry by entry."""
+
+    def tokens(blocks):
+        return tuple(sym * role for block in blocks for sym, role in block)
+
+    catalog, oracle = build_fr3_catalog(), fr3_catalog_oracle()
+    assert len(catalog) == len(oracle) == 8
+    for e, o in zip(catalog, oracle):
+        assert (e.id, e.before, e.after, e.inverse_id) == (
+            o.id,
+            tokens(o.before),
+            tokens(o.after),
+            o.inverse_id,
+        )
+    index = _fr3_before_index()
+    assert len(index) == 16  # entries 0-3 are rotation-symmetric
+    assert set(index.values()) == set(catalog)
+    for key, e in index.items():
+        assert canonical_pattern(key) == e.before
 
 
 def test_fr3_enumerate_needs_three_arrows():
@@ -256,7 +264,7 @@ def test_fr3_enumerate_needs_three_arrows():
 def test_fr3_pattern_instantiations_have_sites():
     catalog = build_fr3_catalog()
     for e in catalog:
-        d = _instantiate(e.before)
+        d = GaussDiagram(e.before)
         moves = enumerate_fr3(d)
         assert any(
             m.variant == e.id and set(m.positions) == {0, 1, 2, 3, 4, 5} for m in moves
@@ -265,7 +273,7 @@ def test_fr3_pattern_instantiations_have_sites():
 
 def test_fr3_apply_then_inverse_site_present():
     e = build_fr3_catalog()[0]
-    d = _instantiate(e.before)
+    d = GaussDiagram(e.before)
     m = next(
         m for m in enumerate_fr3(d) if m.variant == e.id and m.positions[0] == 0
     )
@@ -501,6 +509,12 @@ def test_inverse_examples():
     e = build_fr3_catalog()[0]
     m3 = inverse(Move("fr3", e.id, (0, 1, 2, 3, 4, 5)), 6)
     assert m3 == Move("fr3", e.inverse_id, (0, 1, 2, 3, 4, 5))
+
+
+@pytest.mark.parametrize("variant", [-1, True, "x", 99])
+def test_inverse_rejects_an_fr3_variant_that_is_not_a_catalog_id(variant):
+    with pytest.raises(ValueError, match="unknown fr3 catalog entry"):
+        inverse(Move("fr3", variant, (0, 1, 2, 3, 4, 5)), 6)
 
 
 def test_insert_closure_reduces_back_to_empty():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -84,16 +85,38 @@ def test_orbit_contains_both_sides_of_a_slide():
     from flatknots import build_fr3_catalog, enumerate_fr3
 
     entry = build_fr3_catalog()[0]
-    labels, word = {}, []
-    for block in entry.before:
-        for sym, role in block:
-            lab = labels.setdefault(sym, len(labels) + 1)
-            word.append(lab * role)
-    d = GaussDiagram(tuple(word))
+    d = GaussDiagram(entry.before)
     m = next(mm for mm in enumerate_fr3(d) if mm.variant == entry.id)
     codes = fr3_orbit(d)
     assert canonical_form(d) in codes
     assert canonical_form(apply(d, m)) in codes
+
+
+# equal-orbit pairs of classify(5) classes 15, 20, 383 and 312, whose
+# certificates between them use FR3 catalog ids 6, 7; 0, 4; 1, 5; and 2
+_ORBIT_PAIRS_5 = (
+    ("+1 +2 -1 -2 -3 -4 +3 -5 +4 +5", "+1 +2 -1 +3 -2 -3 -4 -5 +4 +5"),
+    ("+1 +2 -1 +3 -2 +4 -3 +5 -4 -5", "+1 +2 -3 +4 -2 +5 -4 -1 +3 -5"),
+    ("+1 +2 -3 +4 -2 -5 +3 -1 +5 -4", "+1 +2 -3 -4 +3 -5 +4 -1 +5 -2"),
+    ("+1 +2 +3 -4 -2 +4 -5 -1 +5 -3", "+1 +2 +3 -4 +5 -3 -1 +4 -2 -5"),
+)
+
+
+def test_trace_and_certificate_bytes_are_pinned():
+    """The JSON of one reduction trace and four certificates, hashed:
+    any change to a move's variant, positions or order shows here."""
+    _, trace = monotone_reduce(parse("+1 +2 -1 +3 +4 -2 -3 +5 -4 -5"))
+    assert trace.steps[0].kind == "fr3"
+    texts = [trace.to_json()]
+    fr3_ids = set()
+    for code1, code2 in _ORBIT_PAIRS_5:
+        same, cert = equivalent(parse(code1), parse(code2), with_certificate=True)
+        assert same
+        texts.append(cert.to_json())
+        fr3_ids |= {m.variant for m in cert.steps if m.kind == "fr3"}
+    assert fr3_ids == {0, 1, 2, 4, 5, 6, 7}
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "ec95d24bb2d764a7931a9c68763337f3d42fc2bec13c64922befb97167273c41"
 
 
 def test_minimality_examples():
