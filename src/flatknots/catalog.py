@@ -4,10 +4,16 @@ Diagrams with n arrows are generated as all chord pairings times every
 direction assignment that puts a tail at position 0, streamed through a
 self-canonical filter so each rotation/relabel class appears exactly
 once; a canonical word starts with a tail, so head-first candidates are
-never built.  Classification reduces every diagram, keeps the
-irreducible ones (crossing number exactly n), and groups them into FR3
-orbits; one record per orbit.  Classes are oriented flat knot classes:
-no mirror or reversal quotient is applied, and the file header says so.
+never built.  With `reduced=True` the generator also skips every
+pairing with a chord between cyclically adjacent points (an FR1 site in
+every direction assignment) and drops every survivor with an FR2
+removal site, so it yields exactly the diagrams with no decreasing
+move.  Classification reduces only those: a diagram with a decreasing
+move has crossing number below n and can never give a record.  It keeps
+the irreducible ones (crossing number exactly n) and groups them into
+FR3 orbits; one record per orbit.  Classes are oriented flat knot
+classes: no mirror or reversal quotient is applied, and the file header
+says so.
 """
 from __future__ import annotations
 
@@ -19,6 +25,7 @@ from typing import Iterator
 from .compose import _minimal_verdict
 from .diagram import GaussDiagram, _trusted, canonical_sort_key, canonical_word, serialize
 from .invariants import u_polynomial
+from .moves import enumerate_fr2_decreasing
 from .reduce import OrbitLimits, _full_orbit, _reduce_word, DEFAULT_LIMITS
 
 
@@ -43,13 +50,20 @@ def _pairings(points: tuple[int, ...]) -> Iterator[list[tuple[int, int]]]:
             yield [(first, points[i])] + sub
 
 
-def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
+def enumerate_diagrams(n: int, *, reduced: bool = False) -> Iterator[GaussDiagram]:
     """Every diagram with exactly n arrows, once per rotation/relabel
-    class (those whose word equals its own canonical form)."""
+    class (those whose word equals its own canonical form).
+
+    With reduced=True, only those with no decreasing FR1 or FR2 site,
+    in the same order."""
     if n < 0:
         raise ValueError("n must be >= 0")
     size = 2 * n
     for pairing in _pairings(tuple(range(size))):
+        # a chord between cyclically adjacent points, (p, p + 1) or
+        # (0, size - 1), is an FR1 site in every direction assignment
+        if reduced and any(q - p in (1, size - 1) for p, q in pairing):
+            continue
         # pairs come out ordered by first endpoint, matching
         # first-appearance labels; bit 0 set would put arrow 1's head at
         # position 0, and a canonical word starts with a tail
@@ -62,16 +76,20 @@ def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
                     word[p], word[q] = label, -label
             wt = tuple(word)
             if canonical_word(wt) == wt:
-                yield _trusted(wt)
+                d = _trusted(wt)
+                if not (reduced and enumerate_fr2_decreasing(d)):
+                    yield d
 
 
 def classify(n: int, limits: OrbitLimits | None = None) -> list[CatalogRecord]:
-    """Reduce every n-arrow diagram, keep the irreducible ones, and emit
-    one record per FR3 orbit.  Each orbit member is minimal, so its
-    representative's verdict needs no second reduction."""
+    """Reduce every n-arrow diagram with no decreasing site, keep the
+    irreducible ones, and emit one record per FR3 orbit.  A diagram with
+    a decreasing site has crossing number below n, so skipping it loses
+    no class.  Each orbit member is minimal, so its representative's
+    verdict needs no second reduction."""
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
     classes: dict[tuple[int, ...], frozenset] = {}
-    for d in enumerate_diagrams(n):
+    for d in enumerate_diagrams(n, reduced=True):
         min_word, cr = _reduce_word(d.word, max_nodes)
         if cr != n:
             continue

@@ -392,6 +392,9 @@ def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
         elif kind == FR2_REMOVE:
             found = _fr2_at(word, size, dict(zip(word, range(size))), positions[0])
         else:
+            # Move equality would let True or 1.0 stand for catalog id 1
+            if not isinstance(m.variant, int) or isinstance(m.variant, bool):
+                raise SiteMismatch(f"unknown fr3 catalog entry {m.variant!r}")
             found = _fr3_at(word, positions)
         if found != m:
             raise SiteMismatch(f"no {kind} site {m.variant!r} at the stated positions")

@@ -348,7 +348,7 @@ def apply_oracle(d: GaussDiagram, m: Move) -> GaussDiagram:
         if not _fr3_structural(blocks):
             raise SiteMismatch("blocks do not cover three arrows pairwise")
         catalog = fr3_catalog_oracle()
-        if not isinstance(m.variant, int) or not 0 <= m.variant < len(catalog):
+        if type(m.variant) is not int or not 0 <= m.variant < len(catalog):
             raise SiteMismatch(f"unknown fr3 catalog entry {m.variant!r}")
         if _block_canonical_pattern(blocks) != catalog[m.variant].before:
             raise SiteMismatch("blocks do not match the catalog entry")

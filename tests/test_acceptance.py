@@ -141,7 +141,9 @@ def test_criterion_5_permutant_minimality():
     # an empty summand: permutants are rotations of the other side
     for n in (0, 3, 4, 5, 6):
         if n == 6:
-            others = [d for d in enumerate_diagrams(6) if crossing_number(d) == 6]
+            # a diagram with a decreasing site has cr < 6, so this is every
+            # diagram with cr = 6
+            others = [d for d in enumerate_diagrams(6, reduced=True) if crossing_number(d) == 6]
         else:
             others = _minimal_diagrams(n)
         for d in others:
@@ -182,17 +184,21 @@ def test_criterion_6_split_preservation():
 
 
 def test_criterion_7_compositeness_stability():
+    # every minimal diagram of a composite splits, and none of any other
+    # class does
     violations = []
-    for n in (4, 5):
+    composite_members = 0
+    for n in (4, 5, 6):
         for rec in classify(n):
-            if rec.verdict != "C":
-                continue
-            codes = fr3_orbit(parse(rec.code))
-            for code in codes:
-                if not find_splits(parse(code)):
+            composite = rec.verdict == "C"
+            for code in fr3_orbit(parse(rec.code)):
+                composite_members += composite
+                if bool(find_splits(parse(code))) != composite:
                     violations.append(code)
-    _report(7, "every minimal diagram of a composite splits", not violations,
-            f"violations={len(violations)}")
+    # orbit members of the 3, 36 and 692 composite classes at n = 4, 5, 6
+    ok = not violations and composite_members == 3 + 40 + 793
+    _report(7, "every minimal diagram of a composite splits", ok,
+            f"composite members={composite_members}, violations={len(violations)}")
 
 
 def test_criterion_8_u_polynomial_cross_check():

@@ -5,6 +5,7 @@ import pytest
 from flatknots import (
     classify,
     crossing_number,
+    enumerate_decreasing,
     enumerate_diagrams,
     equivalent,
     fr3_orbit,
@@ -19,6 +20,8 @@ from conftest import enumerate_oracle
 
 # regression constants, frozen after brute-force dedup
 DIAGRAM_COUNTS = {0: 1, 1: 1, 2: 4, 3: 22, 4: 218, 5: 3028, 6: 55540}
+# diagrams with no decreasing FR1 or FR2 site
+REDUCED_COUNTS = {0: 1, 1: 0, 2: 0, 3: 2, 4: 32, 5: 488, 6: 9522}
 CLASS_COUNTS = {0: 1, 1: 0, 2: 0, 3: 2}
 CLASSES_3 = (
     ("+1 +2 -1 -3 -2 +3", "-2t^1+t^2"),
@@ -49,6 +52,18 @@ def test_enumerate_matches_oracle(n):
     # the same diagrams in the same order as the generator that builds
     # every direction assignment, head-first ones included
     assert list(enumerate_diagrams(n)) == list(enumerate_oracle(n))
+
+
+@pytest.mark.parametrize("n,count", sorted(REDUCED_COUNTS.items()))
+def test_enumerate_reduced_counts_frozen(n, count):
+    assert sum(1 for _ in enumerate_diagrams(n, reduced=True)) == count
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_enumerate_reduced_matches_oracle(n):
+    # the oracle's diagrams with no decreasing site, in the oracle's order
+    want = [d for d in enumerate_oracle(n) if not enumerate_decreasing(d)]
+    assert list(enumerate_diagrams(n, reduced=True)) == want
 
 
 def test_enumerate_emits_canonical_words_once():
@@ -134,13 +149,13 @@ def test_classify_canonicalizes_each_enumerated_word_once(monkeypatch, canonical
     yielded = []
     enumerate_all = catalog.enumerate_diagrams
 
-    def recording(n):
-        for d in enumerate_all(n):
+    def recording(n, **kwargs):
+        for d in enumerate_all(n, **kwargs):
             yielded.append(d.word)
             yield d
 
     monkeypatch.setattr(catalog, "enumerate_diagrams", recording)
     assert len(classify(4)) == 26
-    assert len(yielded) == 218
+    assert len(yielded) == 32
     # the one call is the self-canonical filter's
-    assert [canonical_calls[id(w)] for w in yielded] == [1] * 218
+    assert [canonical_calls[id(w)] for w in yielded] == [1] * 32

@@ -318,3 +318,13 @@ def test_max_orbit_flag_budget_error():
         ["--max-orbit", "1", "reduce", "+1 +2 -1 -2 +3 +4 -3 +5 -4 -5"]
     )
     assert code == 2
+
+
+def test_tabulate_budget_error_exit_2_with_one_line(capsys):
+    # classify reduces only diagrams with no decreasing site, so the first
+    # orbit search over budget is the one of such a diagram
+    capsys.readouterr()
+    code, out = run_cli(["tabulate", "5", "--max-orbit", "1"])
+    err = capsys.readouterr().err
+    _assert_input_error(code, out, err)
+    assert "+1 +2 -1 -2 +3 +4 -3 +5 -4 -5 exceeds the 1-node budget" in err

@@ -363,6 +363,16 @@ def test_apply_rejects_positions_past_the_end():
         apply(parse("+1 +2 -1 -3 -2 +3"), Move("fr3", 0, (11, 0, 1, 2, 3, 4)))
 
 
+@pytest.mark.parametrize("variant", [True, 1.0])
+def test_apply_rejects_an_fr3_variant_equal_to_but_not_a_catalog_id(variant):
+    # both compare equal to catalog id 1, the entry this site matches
+    d = GaussDiagram(build_fr3_catalog()[1].before)
+    site = (0, 1, 2, 3, 4, 5)
+    assert serialize(apply(d, Move("fr3", 1, site))) == "+1 -2 +2 -3 +3 -1"
+    with pytest.raises(SiteMismatch, match="unknown fr3 catalog entry"):
+        apply(d, Move("fr3", variant, site))
+
+
 @pytest.mark.parametrize(
     "move",
     [
