@@ -29,6 +29,12 @@ from .moves import enumerate_fr2_decreasing
 from .reduce import OrbitLimits, _full_orbit, _reduce_word, DEFAULT_LIMITS
 
 
+# (2n - 1)!! pairings times 2^(n - 1) directions: 332,640 candidates at
+# n = 6 and 6.5e14 at n = 12, so no larger run could finish; the bound
+# makes a mistyped n an input error, not a huge index range
+_MAX_ARROWS = 12
+
+
 @dataclass(frozen=True)
 class CatalogRecord:
     class_id: int
@@ -51,13 +57,14 @@ def _pairings(points: tuple[int, ...]) -> Iterator[list[tuple[int, int]]]:
 
 
 def enumerate_diagrams(n: int, *, reduced: bool = False) -> Iterator[GaussDiagram]:
-    """Every diagram with exactly n arrows, once per rotation/relabel
-    class (those whose word equals its own canonical form).
+    """Every diagram with exactly n arrows, 0 <= n <= 12, once per
+    rotation/relabel class (those whose word equals its own canonical
+    form).
 
     With reduced=True, only those with no decreasing FR1 or FR2 site,
     in the same order."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not 0 <= n <= _MAX_ARROWS:
+        raise ValueError(f"n must be between 0 and {_MAX_ARROWS}")
     size = 2 * n
     for pairing in _pairings(tuple(range(size))):
         # a chord between cyclically adjacent points, (p, p + 1) or

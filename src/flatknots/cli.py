@@ -46,10 +46,6 @@ def _input_codes(args) -> list[str]:
     return [line.strip() for line in sys.stdin if line.strip()]
 
 
-def _limits(args) -> OrbitLimits:
-    return OrbitLimits(max_nodes=args.max_orbit)
-
-
 def _cmd_canon(args) -> int:
     for code in _input_codes(args):
         canon = canonical_form(parse(code))
@@ -64,9 +60,8 @@ def _cmd_reduce(args) -> int:
     codes = _input_codes(args)
     if args.trace and len(codes) != 1:
         raise ValueError("--trace needs exactly one input code")
-    limits = _limits(args)
     for code in codes:
-        minimal, trace = monotone_reduce(parse(code), limits)
+        minimal, trace = monotone_reduce(parse(code), args.limits)
         if args.trace:
             with open(args.trace, "w", encoding="utf-8") as fh:
                 fh.write(trace.to_json() + "\n")
@@ -87,14 +82,13 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_equiv(args) -> int:
     d1, d2 = parse(args.code1), parse(args.code2)
-    limits = _limits(args)
     if args.trace:
-        same, cert = equivalent(d1, d2, limits, with_certificate=True)
+        same, cert = equivalent(d1, d2, args.limits, with_certificate=True)
         if same and cert is not None:
             with open(args.trace, "w", encoding="utf-8") as fh:
                 fh.write(cert.to_json() + "\n")
     else:
-        same = equivalent(d1, d2, limits)
+        same = equivalent(d1, d2, args.limits)
     if args.format == "json":
         _emit_json({"equivalent": same, "inputs": [args.code1, args.code2]})
     else:
@@ -103,9 +97,8 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_prime(args) -> int:
-    limits = _limits(args)
     for code in _input_codes(args):
-        v = is_composite(parse(code), limits)
+        v = is_composite(parse(code), args.limits)
         min_code = serialize(v.minimal)
         splits = find_splits(v.minimal, include_degenerate=True) if args.all_splits else None
         if args.format == "json":
@@ -174,7 +167,7 @@ def _cmd_verify_superadd(args) -> int:
     report = verify_superadditivity(
         parse(args.code1),
         parse(args.code2),
-        _limits(args),
+        args.limits,
         seed=args.seed,
         sample_size=args.sample_size,
     )
@@ -216,7 +209,7 @@ def _cmd_verify_superadd(args) -> int:
 
 
 def _cmd_tabulate(args) -> int:
-    records = classify(args.n, _limits(args))
+    records = classify(args.n, args.limits)
     if args.out:
         write_catalog(records, args.out, args.n)
     if args.format == "json":
@@ -347,6 +340,9 @@ def main(argv=None) -> int:
         for dest, default in _GLOBAL_DEFAULTS.items():
             if not hasattr(args, dest):
                 setattr(args, dest, default)
+        # checked here, not by the commands that use it, so every command
+        # rejects a bad budget alike
+        args.limits = OrbitLimits(max_nodes=args.max_orbit)
         return args.func(args)
     except (
         GaussCodeError,

@@ -1,12 +1,19 @@
 """Connected sums, permutant sets, primality, and super-additivity checks.
 
 A connected sum splices two based diagrams at their basepoint gaps; the
-permutant set collects the sums over every basepoint choice.  A minimal
-diagram with a nontrivial split certifies a composite knot: were the
-knot equivalent to one of the two sides, its crossing number would drop
-below the minimal diagram's, which is impossible.  Conversely composite
-knots always show a split on minimal diagrams, so primality is decided
-by reducing and inspecting splits.
+permutant set collects the sums over every basepoint choice.
+
+Composite, as `_minimal_verdict` decides it: a nontrivial knot is
+composite when a minimal diagram of it has a split with at least one
+arrow on each side (arXiv 2312.03994: any minimal diagram of a composite
+flat knot is a connected sum diagram).  Such a split certifies a
+composite knot: were the knot equivalent to one of the two sides, its
+crossing number would drop below the minimal diagram's, which is
+impossible.  Conversely composite knots always show a split on minimal
+diagrams, so primality is decided by reducing and inspecting splits.
+The sides are long knots; closed up on their own they may be trivial.
+At n = 4 all three composite classes split only into two sides that
+close to the trivial knot, and at n = 5, 12 of the 36 do.
 """
 from __future__ import annotations
 

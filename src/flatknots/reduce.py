@@ -111,20 +111,32 @@ def replay_trace(trace: MoveTrace) -> GaussDiagram:
 # FR3 orbit search
 # ---------------------------------------------------------------------------
 
-# The one memo: (canonical word, max_nodes) -> (canonical word of the
-# minimal diagram it reduces to, FR3 orbit of that minimal word).  Keying
-# by the budget means an entry found under one --max-orbit never answers
-# a call under another.  Values are pure, so racing writers are harmless.
+# The one memo: (canonical word, max_nodes) -> one flat tuple.  A word of
+# a minimal diagram's FR3 orbit maps to (itself, the orbit).  Any other
+# word w that a reduction passes through maps to (minimal word, orbit,
+# next word, m1, r1, ..., mk, rk).  Everything after the orbit is w's
+# link: the moves the reduction takes from w (an FR3 path, possibly
+# empty, then one decreasing move), each applying to the canonical
+# representative of its pre-move diagram and each result canonicalizing
+# at rotation offset r; the last result is the next word, the same tuple
+# as that word's key.  The path from a canonical word depends only on the
+# key, so a link is exact.  Policy: a plain call stops at the first entry
+# it finds; a recording call reads only links, following them to the
+# minimal word.  Keying by the budget means an entry found under one
+# --max-orbit never answers a call under another.  Values are pure, so
+# racing writers are harmless.
 _memo: dict = {}
 
 
 def _scan_orbit(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
     """Deterministic BFS over FR3 neighbors keyed by canonical word.
 
-    With find_decreasing, nodes are checked on discovery (start excluded)
-    and the scan stops at the first node admitting a decreasing site,
-    returning (pred, node, move).  Otherwise returns (pred, None, None)
-    with pred covering the whole orbit.
+    Each discovered word maps to (predecessor, move, offset): the move
+    applies to the predecessor, and its result canonicalizes at that
+    rotation offset.  With find_decreasing, nodes are checked on discovery
+    (start excluded) and the scan stops at the first node admitting a
+    decreasing site, returning (pred, node, move).  Otherwise returns
+    (pred, None, None) with pred covering the whole orbit.
     """
     pred: dict = {start: None}
     layer = [start]
@@ -135,7 +147,7 @@ def _scan_orbit(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
             rep = _trusted(w)
             expanded += 1
             for m in mv.enumerate_fr3(rep):
-                nw = canonical_word(mv.apply(rep, m).word)
+                nw, r = _canonical(mv.apply(rep, m).word)
                 if nw in pred:
                     continue
                 if len(pred) >= max_nodes:
@@ -144,7 +156,7 @@ def _scan_orbit(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
                         f"{max_nodes}-node budget (nodes explored: {len(pred)}, "
                         f"expanded: {expanded})"
                     )
-                pred[nw] = (w, m)
+                pred[nw] = (w, m, r)
                 nxt.append(nw)
                 if find_decreasing:
                     dec = mv.enumerate_decreasing(_trusted(nw))
@@ -162,15 +174,15 @@ def _full_orbit(word: tuple[int, ...], max_nodes: int) -> frozenset:
     return _memo[key][1]
 
 
-def _path_from_pred(pred: dict, target: tuple[int, ...]) -> list[mv.Move]:
-    chain = []
+def _path_from_pred(pred: dict, target: tuple[int, ...]) -> tuple:
+    """The BFS path to target as one flat tuple (m1, r1, ..., mk, rk)."""
+    path = []
     w = target
     while pred[w] is not None:
-        prev, m = pred[w]
-        chain.append(m)
-        w = prev
-    chain.reverse()
-    return chain
+        w, m, r = pred[w]
+        path += (r, m)
+    path.reverse()
+    return tuple(path)
 
 
 def fr3_orbit(d: GaussDiagram, limits: OrbitLimits | None = None) -> tuple[str, ...]:
@@ -186,29 +198,32 @@ def fr3_orbit(d: GaussDiagram, limits: OrbitLimits | None = None) -> tuple[str, 
 # ---------------------------------------------------------------------------
 
 def _reduce_word(
-    word: tuple[int, ...], max_nodes: int, steps: list | None = None
+    word: tuple[int, ...], max_nodes: int, links: list | None = None
 ) -> tuple[tuple[int, ...], int]:
     """Canonical word of a reached minimal diagram, and its crossing count.
 
     The one reduction loop.  ``word`` must already be canonical: each
     public entry point canonicalizes its input once and passes the result
-    here.  With a steps list it appends every move it takes, each applying
-    to the canonical representative of its pre-move diagram, and reads no
-    memo entry, so the recorded path never depends on earlier calls; the
-    memo is written either way.
+    here.  With a links list it records: it appends the link (next word,
+    m1, r1, ..., mk, rk; see ``_memo``) of every word it leaves, in order,
+    reading the links the memo holds and computing the rest.  A stored
+    link is the one this loop would compute, so the recorded path never
+    depends on earlier calls.  The memo is written either way.
     """
     cur = word
     trail = []
     while True:
-        if steps is None:
-            value = _memo.get((cur, max_nodes))
-            if value is not None:
+        value = _memo.get((cur, max_nodes))
+        if value is not None:
+            if links is None or len(value) == 2:
                 break
-        trail.append(cur)
+            links.append(value[2:])
+            cur = value[2]
+            continue
         rep = _trusted(cur)
         dec = mv.enumerate_decreasing(rep)
         if dec:
-            m = dec[0]
+            m, path = dec[0], ()
         else:
             pred, node, m = _scan_orbit(cur, max_nodes, find_decreasing=True)
             if node is None:
@@ -217,18 +232,23 @@ def _reduce_word(
                     _memo[(w, max_nodes)] = (w, orbit)
                 value = _memo[(cur, max_nodes)]
                 break
-            if steps is not None:
-                steps.extend(_path_from_pred(pred, node))
+            path = _path_from_pred(pred, node)
             rep = _trusted(node)
-        if steps is not None:
-            steps.append(m)
-        cur = canonical_word(mv.apply(rep, m).word)
-    # trail entries share the reached minimal word's value, so a call
-    # stores no tuple of its own
-    for w in trail:
-        _memo[(w, max_nodes)] = value
+        nxt, r = _canonical(mv.apply(rep, m).word)
+        link = (nxt, *path, m, r)
+        trail.append((cur, link))
+        if links is not None:
+            links.append(link)
+        cur = nxt
+    head = value[:2]
+    for w, link in trail:
+        _memo[(w, max_nodes)] = head + link
     min_word = value[0]
     return min_word, len(min_word) // 2
+
+
+def _link_moves(links) -> list[mv.Move]:
+    return [m for link in links for m in link[1::2]]
 
 
 def monotone_reduce(
@@ -237,10 +257,11 @@ def monotone_reduce(
     """Reduce to a minimal crossing diagram using only FR3 and decreasing
     FR1/FR2 moves; the trace replays start-to-end over canonical forms."""
     start = canonical_word(d.word)
-    steps: list[mv.Move] = []
-    min_word, _ = _reduce_word(start, (limits or DEFAULT_LIMITS).max_nodes, steps)
+    links: list = []
+    min_word, _ = _reduce_word(start, (limits or DEFAULT_LIMITS).max_nodes, links)
     minimal = _trusted(min_word)
-    return minimal, MoveTrace(serialize(_trusted(start)), tuple(steps), serialize(minimal))
+    steps = tuple(_link_moves(links))
+    return minimal, MoveTrace(serialize(_trusted(start)), steps, serialize(minimal))
 
 
 def crossing_number(d: GaussDiagram, limits: OrbitLimits | None = None) -> int:
@@ -257,24 +278,21 @@ def minimal_class_code(d: GaussDiagram, limits: OrbitLimits | None = None) -> st
     return serialize(_trusted(min(orbit, key=canonical_sort_key)))
 
 
-def _reversed_steps(start_word: tuple[int, ...], steps) -> list[mv.Move]:
-    """Inverse steps, in reverse order, with positions translated into the
-    canonical frame replay uses."""
-    records = []
-    cur = start_word
-    for m in steps:
-        post = mv.apply(_trusted(cur), m)
-        pre_size = len(cur)
-        cur, r = _canonical(post.word)
-        records.append((pre_size, m, r, len(cur)))
+def _reversed_steps(links) -> list[mv.Move]:
+    """Inverse steps of recorded links, in reverse order, with positions
+    translated into the canonical frame replay uses.  Each move's pre-move
+    size, result size and offset are known, so nothing is applied."""
     out = []
-    for pre_size, m, r, length in reversed(records):
-        inv = mv.inverse(m, pre_size)
-        if length:
-            inv = mv.Move(
-                inv.kind, inv.variant, tuple((p - r) % length for p in inv.positions)
-            )
-        out.append(inv)
+    for link in reversed(links):
+        post = len(link[0])
+        size = post - 2 * link[-2].delta  # every move of a link starts at this size
+        for i in range(len(link) - 2, 0, -2):
+            inv = mv.inverse(link[i], size)
+            if post:
+                r = link[i + 1]
+                inv = mv.Move(inv.kind, inv.variant, tuple((p - r) % post for p in inv.positions))
+            out.append(inv)
+            post = size
     return out
 
 
@@ -289,16 +307,16 @@ def equivalent(
     minimal(d2) -> d2."""
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
     c1, c2 = canonical_word(d1.word), canonical_word(d2.word)
-    steps1 = [] if with_certificate else None
-    steps2 = [] if with_certificate else None
-    m1, _ = _reduce_word(c1, max_nodes, steps1)
-    m2, _ = _reduce_word(c2, max_nodes, steps2)
+    links1 = [] if with_certificate else None
+    links2 = [] if with_certificate else None
+    m1, _ = _reduce_word(c1, max_nodes, links1)
+    m2, _ = _reduce_word(c2, max_nodes, links2)
     verdict = m2 in _full_orbit(m1, max_nodes)
     if not with_certificate:
         return verdict
     if not verdict:
         return False, None
     pred, _, _ = _scan_orbit(m1, max_nodes, find_decreasing=False)
-    bridge = _path_from_pred(pred, m2)
-    steps = steps1 + bridge + _reversed_steps(c2, steps2)
+    bridge = _path_from_pred(pred, m2)[0::2]
+    steps = _link_moves(links1) + list(bridge) + _reversed_steps(links2)
     return True, MoveTrace(serialize(_trusted(c1)), tuple(steps), serialize(_trusted(c2)))

@@ -21,7 +21,7 @@ from flatknots import (
     enumerate_fr3,
 )
 from flatknots import diagram
-from flatknots.diagram import HEAD, TAIL, canonical_word, serialize
+from flatknots.diagram import HEAD, TAIL, canonical_sort_key, canonical_word, serialize
 from flatknots.moves import (
     FR1_INSERT,
     FR1_REMOVE,
@@ -35,8 +35,9 @@ from flatknots.moves import (
     _check_gap,
     _fr2_blocks,
     _relabel,
+    inverse,
 )
-from flatknots.reduce import DEFAULT_LIMITS, _path_from_pred, _reversed_steps, _scan_orbit
+from flatknots.reduce import DEFAULT_LIMITS, OrbitBudgetExceeded
 
 
 def random_diagram(rng: random.Random, n: int) -> GaussDiagram:
@@ -361,6 +362,72 @@ def apply_oracle(d: GaussDiagram, m: Move) -> GaussDiagram:
     raise SiteMismatch(f"unknown move kind {kind!r}")
 
 
+def scan_orbit_oracle(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
+    """Reference FR3 orbit BFS: the engine's scan before it recorded
+    rotation offsets.  pred maps each discovered word to (predecessor,
+    move); with find_decreasing it stops at the first discovered node
+    admitting a decreasing site and returns (pred, node, move), else
+    (pred, None, None) over the whole orbit.  Reads and writes no memo."""
+    pred: dict = {start: None}
+    layer = [start]
+    expanded = 0
+    while layer:
+        nxt = []
+        for w in sorted(layer, key=canonical_sort_key):
+            rep = GaussDiagram(w)
+            expanded += 1
+            for m in enumerate_fr3(rep):
+                nw = canonical_word(apply(rep, m).word)
+                if nw in pred:
+                    continue
+                if len(pred) >= max_nodes:
+                    raise OrbitBudgetExceeded(
+                        f"FR3 orbit of {serialize(GaussDiagram(start))} exceeds the "
+                        f"{max_nodes}-node budget (nodes explored: {len(pred)}, "
+                        f"expanded: {expanded})"
+                    )
+                pred[nw] = (w, m)
+                nxt.append(nw)
+                if find_decreasing:
+                    dec = enumerate_decreasing(GaussDiagram(nw))
+                    if dec:
+                        return pred, nw, dec[0]
+        layer = nxt
+    return pred, None, None
+
+
+def path_oracle(pred: dict, target: tuple[int, ...]) -> list[Move]:
+    """Moves from the BFS start to target in a scan_orbit_oracle pred map."""
+    chain = []
+    w = target
+    while pred[w] is not None:
+        prev, m = pred[w]
+        chain.append(m)
+        w = prev
+    chain.reverse()
+    return chain
+
+
+def reversed_steps_oracle(start_word: tuple[int, ...], steps) -> list[Move]:
+    """Inverse steps, in reverse order, with positions translated into the
+    canonical frame replay uses, found by re-applying and re-canonicalizing
+    every step from start_word."""
+    records = []
+    cur = start_word
+    for m in steps:
+        post = apply(GaussDiagram(cur), m)
+        pre_size = len(cur)
+        cur, r = diagram._canonical(post.word)
+        records.append((pre_size, m, r, len(cur)))
+    out = []
+    for pre_size, m, r, length in reversed(records):
+        inv = inverse(m, pre_size)
+        if length:
+            inv = Move(inv.kind, inv.variant, tuple((p - r) % length for p in inv.positions))
+        out.append(inv)
+    return out
+
+
 def reduce_oracle(d: GaussDiagram) -> tuple[GaussDiagram, MoveTrace]:
     """Reference reducer under the default budget: the trace-recording
     loop that ran beside the memoized one before the two were merged.  It
@@ -376,10 +443,10 @@ def reduce_oracle(d: GaussDiagram) -> tuple[GaussDiagram, MoveTrace]:
             steps.append(dec[0])
             cur = canonical_word(apply(rep, dec[0]).word)
             continue
-        pred, node, m = _scan_orbit(cur, max_nodes, find_decreasing=True)
+        pred, node, m = scan_orbit_oracle(cur, max_nodes, find_decreasing=True)
         if node is None:
             break
-        steps.extend(_path_from_pred(pred, node))
+        steps.extend(path_oracle(pred, node))
         steps.append(m)
         cur = canonical_word(apply(GaussDiagram(node), m).word)
     minimal = GaussDiagram(cur)
@@ -392,9 +459,9 @@ def certificate_oracle(d1: GaussDiagram, d2: GaussDiagram) -> MoveTrace:
     assembled from two reduce_oracle traces, for equivalent inputs."""
     m1, trace1 = reduce_oracle(d1)
     m2, trace2 = reduce_oracle(d2)
-    pred, _, _ = _scan_orbit(m1.word, DEFAULT_LIMITS.max_nodes, find_decreasing=False)
-    bridge = _path_from_pred(pred, m2.word)
-    back = _reversed_steps(canonical_word(d2.word), trace2.steps)
+    pred, _, _ = scan_orbit_oracle(m1.word, DEFAULT_LIMITS.max_nodes, find_decreasing=False)
+    bridge = path_oracle(pred, m2.word)
+    back = reversed_steps_oracle(canonical_word(d2.word), trace2.steps)
     return MoveTrace(
         trace1.start,
         tuple(trace1.steps) + tuple(bridge) + tuple(back),

@@ -74,10 +74,13 @@ def test_benchmark_tracer_hooks_exist():
     assert needed <= wrapped, sorted(needed - wrapped)
 
 
-def test_tracer_counts_the_engine_work():
+def test_tracer_counts_the_engine_work(monkeypatch):
     """The engine calls the public names the tracer wraps, so on runs
     that do the work the per-layer counts are nonzero.  A private fast
-    path around one of them would read 0 here, not in a timing."""
+    path around one of them would read 0 here, not in a timing.  The memo
+    starts cold: a certified call follows the links earlier calls stored
+    and skips the very work counted here."""
+    monkeypatch.setattr(flatknots.reduce, "_memo", {})
     # no decreasing site, so its reduction starts with an FR3 orbit step
     d = flatknots.parse("+1 +2 -1 +3 +4 -2 -3 +5 -4 -5")
     scrambled = flatknots.apply(

@@ -232,6 +232,41 @@ def test_bad_arguments_exit_2_with_one_line(argv, capsys):
     _assert_input_error(code, out, capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("n", ["-1", "13", "99999999999999999999"])
+def test_tabulate_n_out_of_range_exit_2_with_one_line(n, capsys):
+    capsys.readouterr()
+    code, out = run_cli(["tabulate", n])
+    err = capsys.readouterr().err
+    _assert_input_error(code, out, err)
+    assert err == "error: n must be between 0 and 12\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["canon", "0"],
+        ["reduce", "0"],
+        ["equiv", "0", "0"],
+        ["prime", "0"],
+        ["csum", "0", "0", "0", "0"],
+        ["permutants", "0", "0"],
+        ["verify-superadd", "0", "0"],
+        ["tabulate", "0"],
+        ["replay", "0", "missing.json"],
+    ],
+)
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_max_orbit_below_one_exit_2_for_every_command(command, value, capsys):
+    for argv in (["--max-orbit", value, *command], [*command, "--max-orbit", value]):
+        capsys.readouterr()
+        code, out = run_cli(argv)
+        assert (code, out, capsys.readouterr().err) == (
+            2,
+            "",
+            "error: max_nodes must be >= 1\n",
+        ), argv
+
+
 def test_help_still_exits_0():
     with pytest.raises(SystemExit) as info:
         run_cli(["-h"])

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -8,6 +9,7 @@ from flatknots import (
     GaussDiagram,
     apply,
     canonical_form,
+    classify,
     connected_sum,
     crossing_number,
     enumerate_decreasing,
@@ -24,6 +26,7 @@ from flatknots import (
     verify_superadditivity,
 )
 from flatknots import compose, reduce
+from flatknots.moves import _relabel
 from conftest import random_diagram
 
 WITNESS_3 = "+1 +2 -1 -3 -2 +3"
@@ -128,6 +131,43 @@ def test_verdict_stable_across_orbit():
     for code in codes:
         assert find_splits(parse(code)), code
         assert is_composite(parse(code)).verdict == "composite"
+
+
+def _closed_side_crossing_numbers(d, split):
+    """Crossing numbers of the two arcs of a split, each closed into a
+    diagram of its own, smaller first."""
+    inside = d.word[split.gap_a : split.gap_b]
+    outside = d.word[split.gap_b :] + d.word[: split.gap_a]
+    return tuple(sorted(crossing_number(_relabel(w)) for w in (inside, outside)))
+
+
+@pytest.mark.parametrize(
+    "n, want",
+    [
+        (0, {}),
+        (1, {}),
+        (2, {}),
+        (3, {}),
+        (4, {((0, 0),): 3}),
+        (5, {((0, 0),): 12, ((0, 3),): 24}),
+    ],
+)
+def test_composite_classes_by_the_sides_of_their_splits(n, want):
+    """A class is composite when its minimal diagrams have a split with at
+    least one arrow on each side; the closed sides need not be
+    nontrivial.  Over every split of every FR3-orbit member, each
+    composite class shows one pair of side crossing numbers: at n = 4 all
+    three split only into two trivial sides."""
+    breakdown = collections.Counter()
+    for r in classify(n):
+        kinds = set()
+        for code in fr3_orbit(parse(r.code)):
+            d = parse(code)
+            kinds |= {_closed_side_crossing_numbers(d, s) for s in find_splits(d)}
+        assert bool(kinds) == (r.verdict == "C"), r.code
+        if kinds:
+            breakdown[tuple(sorted(kinds))] += 1
+    assert breakdown == want
 
 
 def nontrivial_side(rng, inserts=1):

@@ -327,8 +327,8 @@ MAX_NODES = DEFAULT_LIMITS.max_nodes
 def _check_reduce_against_oracle(diagrams, monkeypatch):
     """Same minimal word and trace bytes as reduce_oracle, the same
     _reduce_word answer on a cold memo, on the diagram's own entry, and
-    on a memo warmed by every diagram before it, and the right orbit from
-    _full_orbit on a cold memo."""
+    on a memo warmed by every diagram before it, the right orbit from
+    _full_orbit on a cold memo, and links in the warm memo that replay."""
     wants = []
     for d in diagrams:
         start = canonical_word(d.word)
@@ -350,13 +350,50 @@ def _check_reduce_against_oracle(diagrams, monkeypatch):
     for d, (want, trace_json) in zip(diagrams, wants):
         assert reduce._reduce_word(canonical_word(d.word), MAX_NODES) == want, serialize(d)
         assert monotone_reduce(d)[1].to_json() == trace_json, serialize(d)
+    _check_links_replay()
 
 
-def _check_certificates_against_oracle(pairs):
+def _check_certificates_against_oracle(pairs, monkeypatch):
+    """Certified `equivalent` writes the oracle's certificate bytes on a
+    cold memo, on a memo warmed by `crossing_number` on both inputs (links
+    written without recording), and on a memo warmed by the certified call
+    in the other direction (links written while recording)."""
     for d1, d2 in pairs:
-        same, cert = equivalent(d1, d2, with_certificate=True)
-        assert same, (serialize(d1), serialize(d2))
-        assert cert.to_json() == certificate_oracle(d1, d2).to_json()
+        want = certificate_oracle(d1, d2).to_json()
+        for warm in (
+            lambda: None,
+            lambda: (crossing_number(d1), crossing_number(d2)),
+            lambda: equivalent(d2, d1, with_certificate=True),
+        ):
+            monkeypatch.setattr(reduce, "_memo", {})
+            warm()
+            same, cert = equivalent(d1, d2, with_certificate=True)
+            assert same and cert.to_json() == want, (serialize(d1), serialize(d2))
+
+
+def _check_links_replay():
+    """Every memo entry is (word, orbit) for a member of its own minimal
+    orbit, or holds a link: FR3 moves and then one decreasing move, each
+    applied to the canonical word before it, whose results canonicalize
+    at the stored offsets and end at the next entry's word.  Links with
+    and without an FR3 path must both occur."""
+    fr3_paths = set()
+    for (word, budget), value in reduce._memo.items():
+        min_word, orbit, link = value[0], value[1], value[2:]
+        if not link:
+            assert min_word == word and word in orbit
+            continue
+        nxt, moves, offsets = link[0], link[1::2], link[2::2]
+        fr3_paths.add(len(moves) > 1)
+        assert [m.kind == "fr3" for m in moves] == [True] * (len(moves) - 1) + [False]
+        assert moves[-1].delta < 0
+        cur = word
+        for m, r in zip(moves, offsets):
+            cur, got_r = diagram._canonical(apply(GaussDiagram(cur), m).word)
+            assert got_r == r, serialize(GaussDiagram(word))
+        assert cur == nxt, serialize(GaussDiagram(word))
+        assert reduce._memo[(nxt, budget)][:2] == (min_word, orbit)
+    assert fr3_paths == {False, True}
 
 
 def test_reduce_matches_oracle_small_n_exhaustive(monkeypatch):
@@ -370,7 +407,7 @@ def test_reduce_matches_oracle_small_n_exhaustive(monkeypatch):
         classes.setdefault(fr3_orbit(minimal)[0], []).append(d)
     assert len(classes) == 1 + 0 + 0 + 2 + 26 + 400
     pairs = [p for members in classes.values() for p in zip(members, members[1:])]
-    _check_certificates_against_oracle(pairs)
+    _check_certificates_against_oracle(pairs, monkeypatch)
 
 
 def test_reduce_matches_oracle_random_larger_n(monkeypatch):
@@ -383,7 +420,7 @@ def test_reduce_matches_oracle_random_larger_n(monkeypatch):
         for _ in range(2):
             e = apply(e, rng.choice(enumerate_increasing(e)))
         pairs.append((d, e))
-    _check_certificates_against_oracle(pairs)
+    _check_certificates_against_oracle(pairs, monkeypatch)
 
 
 def test_budget_errors_do_not_depend_on_the_memo(monkeypatch, capsys):
