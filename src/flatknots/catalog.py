@@ -95,13 +95,13 @@ def classify(n: int, limits: OrbitLimits | None = None) -> list[CatalogRecord]:
     no class.  Each orbit member is minimal, so its representative's
     verdict needs no second reduction."""
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
-    classes: dict[tuple[int, ...], frozenset] = {}
+    classes: dict[tuple[int, ...], int] = {}
     for d in enumerate_diagrams(n, reduced=True):
-        min_word, cr = _reduce_word(d.word, max_nodes)
-        if cr != n:
+        min_word = _reduce_word(d.word, max_nodes)
+        if len(min_word) // 2 != n:
             continue
         orbit = _full_orbit(min_word, max_nodes)
-        classes.setdefault(min(orbit, key=canonical_sort_key), orbit)
+        classes.setdefault(orbit[0], len(orbit))
     records = []
     for class_id, key in enumerate(sorted(classes, key=canonical_sort_key), start=1):
         rep = _trusted(key)
@@ -113,7 +113,7 @@ def classify(n: int, limits: OrbitLimits | None = None) -> list[CatalogRecord]:
                 n,
                 str(u_polynomial(rep)),
                 verdict,
-                len(classes[key]),
+                classes[key],
             )
         )
     return records

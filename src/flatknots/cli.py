@@ -15,7 +15,6 @@ from .catalog import catalog_text, classify, write_catalog
 from .compose import is_composite, permutant_set, verify_superadditivity
 from .diagram import (
     BasedDiagram,
-    GaussCodeError,
     canonical_form,
     find_splits,
     parse,
@@ -344,15 +343,7 @@ def main(argv=None) -> int:
         # rejects a bad budget alike
         args.limits = OrbitLimits(max_nodes=args.max_orbit)
         return args.func(args)
-    except (
-        GaussCodeError,
-        SiteMismatch,
-        TraceMismatch,
-        OrbitBudgetExceeded,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ValueError, OSError, OrbitBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -91,7 +91,7 @@ def is_composite(d: GaussDiagram, limits: OrbitLimits | None = None) -> Composit
     """Classify as trivial, prime, or composite by reducing and looking
     for a nontrivial split of the minimal diagram."""
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
-    min_word, _ = _reduce_word(canonical_word(d.word), max_nodes)
+    min_word = _reduce_word(canonical_word(d.word), max_nodes)
     return _minimal_verdict(_trusted(min_word))
 
 
@@ -164,13 +164,14 @@ def verify_superadditivity(
         member_words.setdefault(canonical_word(s.word), None)
 
     # each member word is canonical already: one reduction gives its
-    # crossing number, and the orbit of the minimal word its class
+    # crossing number, and the first word of its minimal orbit its class
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
     class_ids: dict[tuple[int, ...], int] = {}
     prelim = []
     for w in sorted(member_words, key=canonical_sort_key):
-        min_word, cr = _reduce_word(w, max_nodes)
-        cls = min(_full_orbit(min_word, max_nodes), key=canonical_sort_key)
+        min_word = _reduce_word(w, max_nodes)
+        cr = len(min_word) // 2
+        cls = _full_orbit(min_word, max_nodes)[0]
         prelim.append((serialize(_trusted(w)), cr, cls, 2 * cr == len(w)))
         class_ids.setdefault(cls, 0)
     for i, cls in enumerate(sorted(class_ids, key=canonical_sort_key), start=1):

@@ -50,7 +50,7 @@ class SiteMismatch(ValueError):
     """The move's pattern is not present at the stated indices."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     """One flat Reidemeister move application site.
 

@@ -60,19 +60,23 @@ class MoveTrace:
     steps: tuple[mv.Move, ...]
     end: str
 
-    def to_json_obj(self) -> dict:
-        return {
-            "format": "flatknots-trace v1",
-            "start": self.start,
-            "steps": [m.to_record() for m in self.steps],
-            "end": self.end,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
+        return json.dumps(
+            {
+                "format": "flatknots-trace v1",
+                "start": self.start,
+                "steps": [m.to_record() for m in self.steps],
+                "end": self.end,
+            },
+            sort_keys=True,
+        )
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "MoveTrace":
+    def from_json(cls, text: str) -> "MoveTrace":
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise TraceMismatch("trace JSON is nested too deeply") from None
         if not isinstance(obj, dict):
             raise TraceMismatch(f"a trace must be a JSON object, not {type(obj).__name__}")
         if obj.get("format") != "flatknots-trace v1":
@@ -84,14 +88,6 @@ class MoveTrace:
             raise TraceMismatch("trace 'steps' must be a list")
         steps = tuple(mv.Move.from_record(r) for r in obj["steps"])
         return cls(obj["start"], steps, obj["end"])
-
-    @classmethod
-    def from_json(cls, text: str) -> "MoveTrace":
-        try:
-            obj = json.loads(text)
-        except RecursionError:
-            raise TraceMismatch("trace JSON is nested too deeply") from None
-        return cls.from_json_obj(obj)
 
 
 def replay_trace(trace: MoveTrace) -> GaussDiagram:
@@ -112,10 +108,11 @@ def replay_trace(trace: MoveTrace) -> GaussDiagram:
 # ---------------------------------------------------------------------------
 
 # The one memo: (canonical word, max_nodes) -> one flat tuple.  A word of
-# a minimal diagram's FR3 orbit maps to (itself, the orbit).  Any other
-# word w that a reduction passes through maps to (minimal word, orbit,
-# next word, m1, r1, ..., mk, rk).  Everything after the orbit is w's
-# link: the moves the reduction takes from w (an FR3 path, possibly
+# a minimal diagram's FR3 orbit maps to (itself, the orbit), the orbit a
+# tuple sorted by canonical_sort_key, so its first word names the class.
+# Any other word w that a reduction passes through maps to (minimal word,
+# orbit, next word, m1, r1, ..., mk, rk).  Everything after the orbit is
+# w's link: the moves the reduction takes from w (an FR3 path, possibly
 # empty, then one decreasing move), each applying to the canonical
 # representative of its pre-move diagram and each result canonicalizing
 # at rotation offset r; the last result is the next word, the same tuple
@@ -166,8 +163,9 @@ def _scan_orbit(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
     return pred, None, None
 
 
-def _full_orbit(word: tuple[int, ...], max_nodes: int) -> frozenset:
-    """FR3 orbit of the minimal diagram a canonical word reduces to."""
+def _full_orbit(word: tuple[int, ...], max_nodes: int) -> tuple:
+    """FR3 orbit of the minimal diagram a canonical word reduces to,
+    sorted by canonical_sort_key: its first word is the class word."""
     key = (word, max_nodes)
     if key not in _memo:
         _reduce_word(word, max_nodes)
@@ -199,8 +197,9 @@ def fr3_orbit(d: GaussDiagram, limits: OrbitLimits | None = None) -> tuple[str, 
 
 def _reduce_word(
     word: tuple[int, ...], max_nodes: int, links: list | None = None
-) -> tuple[tuple[int, ...], int]:
-    """Canonical word of a reached minimal diagram, and its crossing count.
+) -> tuple[int, ...]:
+    """Canonical word of a reached minimal diagram; its crossing number
+    is half its length.
 
     The one reduction loop.  ``word`` must already be canonical: each
     public entry point canonicalizes its input once and passes the result
@@ -227,7 +226,7 @@ def _reduce_word(
         else:
             pred, node, m = _scan_orbit(cur, max_nodes, find_decreasing=True)
             if node is None:
-                orbit = frozenset(pred)
+                orbit = tuple(sorted(pred, key=canonical_sort_key))
                 for w in orbit:
                     _memo[(w, max_nodes)] = (w, orbit)
                 value = _memo[(cur, max_nodes)]
@@ -243,8 +242,7 @@ def _reduce_word(
     head = value[:2]
     for w, link in trail:
         _memo[(w, max_nodes)] = head + link
-    min_word = value[0]
-    return min_word, len(min_word) // 2
+    return value[0]
 
 
 def _link_moves(links) -> list[mv.Move]:
@@ -258,7 +256,7 @@ def monotone_reduce(
     FR1/FR2 moves; the trace replays start-to-end over canonical forms."""
     start = canonical_word(d.word)
     links: list = []
-    min_word, _ = _reduce_word(start, (limits or DEFAULT_LIMITS).max_nodes, links)
+    min_word = _reduce_word(start, (limits or DEFAULT_LIMITS).max_nodes, links)
     minimal = _trusted(min_word)
     steps = tuple(_link_moves(links))
     return minimal, MoveTrace(serialize(_trusted(start)), steps, serialize(minimal))
@@ -266,16 +264,15 @@ def monotone_reduce(
 
 def crossing_number(d: GaussDiagram, limits: OrbitLimits | None = None) -> int:
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
-    return _reduce_word(canonical_word(d.word), max_nodes)[1]
+    return len(_reduce_word(canonical_word(d.word), max_nodes)) // 2
 
 
 def minimal_class_code(d: GaussDiagram, limits: OrbitLimits | None = None) -> str:
     """Complete flat-knot invariant: the least canonical code over the FR3
     orbit of a reached minimal diagram."""
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
-    min_word, _ = _reduce_word(canonical_word(d.word), max_nodes)
-    orbit = _full_orbit(min_word, max_nodes)
-    return serialize(_trusted(min(orbit, key=canonical_sort_key)))
+    min_word = _reduce_word(canonical_word(d.word), max_nodes)
+    return serialize(_trusted(_full_orbit(min_word, max_nodes)[0]))
 
 
 def _reversed_steps(links) -> list[mv.Move]:
@@ -309,14 +306,18 @@ def equivalent(
     c1, c2 = canonical_word(d1.word), canonical_word(d2.word)
     links1 = [] if with_certificate else None
     links2 = [] if with_certificate else None
-    m1, _ = _reduce_word(c1, max_nodes, links1)
-    m2, _ = _reduce_word(c2, max_nodes, links2)
-    verdict = m2 in _full_orbit(m1, max_nodes)
+    m1 = _reduce_word(c1, max_nodes, links1)
+    m2 = _reduce_word(c2, max_nodes, links2)
+    verdict = _full_orbit(m1, max_nodes)[0] == _full_orbit(m2, max_nodes)[0]
     if not with_certificate:
         return verdict
     if not verdict:
         return False, None
-    pred, _, _ = _scan_orbit(m1, max_nodes, find_decreasing=False)
-    bridge = _path_from_pred(pred, m2)[0::2]
-    steps = _link_moves(links1) + list(bridge) + _reversed_steps(links2)
+    steps = _link_moves(links1)
+    # equal minimal words need no bridge, and their orbit was scanned
+    # under this budget when it was memoized, so no budget error is lost
+    if m1 != m2:
+        pred, _, _ = _scan_orbit(m1, max_nodes, find_decreasing=False)
+        steps += _path_from_pred(pred, m2)[0::2]
+    steps += _reversed_steps(links2)
     return True, MoveTrace(serialize(_trusted(c1)), tuple(steps), serialize(_trusted(c2)))

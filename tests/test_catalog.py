@@ -114,6 +114,13 @@ def test_u_constant_on_each_class_at_four():
         assert {str(u_polynomial(parse(c))) for c in codes} == {rec.u_text}
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_each_record_names_its_class_by_the_least_orbit_code(n):
+    for rec in classify(n):
+        codes = fr3_orbit(parse(rec.code))
+        assert (codes[0], len(codes)) == (rec.code, rec.orbit_size)
+
+
 def test_class_soundness_sampled_at_four():
     records = classify(4)
     reps = [parse(r.code) for r in records]

@@ -327,13 +327,14 @@ MAX_NODES = DEFAULT_LIMITS.max_nodes
 def _check_reduce_against_oracle(diagrams, monkeypatch):
     """Same minimal word and trace bytes as reduce_oracle, the same
     _reduce_word answer on a cold memo, on the diagram's own entry, and
-    on a memo warmed by every diagram before it, the right orbit from
-    _full_orbit on a cold memo, and links in the warm memo that replay."""
+    on a memo warmed by every diagram before it, the orbit from
+    _full_orbit on a cold memo in fr3_orbit's order with the class code
+    first, and links in the warm memo that replay."""
     wants = []
     for d in diagrams:
         start = canonical_word(d.word)
         minimal, trace = reduce_oracle(d)
-        want = (minimal.word, minimal.n)
+        want = minimal.word
         wants.append((want, trace.to_json()))
         monkeypatch.setattr(reduce, "_memo", {})
         got, got_trace = monotone_reduce(d)
@@ -344,8 +345,10 @@ def _check_reduce_against_oracle(diagrams, monkeypatch):
         assert reduce._reduce_word(start, MAX_NODES) == want, serialize(d)
         assert reduce._reduce_word(start, MAX_NODES) == want, serialize(d)
         monkeypatch.setattr(reduce, "_memo", {})
-        orbit = {parse(c).word for c in fr3_orbit(minimal)}
+        codes = fr3_orbit(minimal)
+        orbit = tuple(parse(c).word for c in codes)
         assert reduce._full_orbit(minimal.word, MAX_NODES) == orbit, serialize(d)
+        assert minimal_class_code(d) == codes[0], serialize(d)
     monkeypatch.setattr(reduce, "_memo", {})
     for d, (want, trace_json) in zip(diagrams, wants):
         assert reduce._reduce_word(canonical_word(d.word), MAX_NODES) == want, serialize(d)
@@ -357,9 +360,12 @@ def _check_certificates_against_oracle(pairs, monkeypatch):
     """Certified `equivalent` writes the oracle's certificate bytes on a
     cold memo, on a memo warmed by `crossing_number` on both inputs (links
     written without recording), and on a memo warmed by the certified call
-    in the other direction (links written while recording)."""
+    in the other direction (links written while recording).  Returns how
+    many pairs reduce to two different minimal words, so need a bridge."""
+    bridged = 0
     for d1, d2 in pairs:
         want = certificate_oracle(d1, d2).to_json()
+        bridged += reduce_oracle(d1)[0] != reduce_oracle(d2)[0]
         for warm in (
             lambda: None,
             lambda: (crossing_number(d1), crossing_number(d2)),
@@ -369,6 +375,7 @@ def _check_certificates_against_oracle(pairs, monkeypatch):
             warm()
             same, cert = equivalent(d1, d2, with_certificate=True)
             assert same and cert.to_json() == want, (serialize(d1), serialize(d2))
+    return bridged
 
 
 def _check_links_replay():
@@ -407,7 +414,7 @@ def test_reduce_matches_oracle_small_n_exhaustive(monkeypatch):
         classes.setdefault(fr3_orbit(minimal)[0], []).append(d)
     assert len(classes) == 1 + 0 + 0 + 2 + 26 + 400
     pairs = [p for members in classes.values() for p in zip(members, members[1:])]
-    _check_certificates_against_oracle(pairs, monkeypatch)
+    assert _check_certificates_against_oracle(pairs, monkeypatch) > 0
 
 
 def test_reduce_matches_oracle_random_larger_n(monkeypatch):
@@ -420,7 +427,14 @@ def test_reduce_matches_oracle_random_larger_n(monkeypatch):
         for _ in range(2):
             e = apply(e, rng.choice(enumerate_increasing(e)))
         pairs.append((d, e))
-    _check_certificates_against_oracle(pairs, monkeypatch)
+    # and each diagram against another member of its minimal FR3 orbit,
+    # so some certificates cross the orbit between two minimal words
+    for d in diagrams:
+        minimal = serialize(reduce_oracle(d)[0])
+        others = [c for c in fr3_orbit(parse(minimal)) if c != minimal]
+        if others:
+            pairs.append((d, parse(rng.choice(others))))
+    assert _check_certificates_against_oracle(pairs, monkeypatch) > 0
 
 
 def test_budget_errors_do_not_depend_on_the_memo(monkeypatch, capsys):
