@@ -66,12 +66,21 @@ class PermutantSet:
     sources: dict[str, tuple[tuple[int, int], ...]]
 
 
-def permutant_set(d1: GaussDiagram, d2: GaussDiagram) -> PermutantSet:
+def _gap_pairs(d1: GaussDiagram, d2: GaussDiagram) -> list[tuple[int, int]]:
+    return [(g1, g2) for g1 in range(max(d1.size, 1)) for g2 in range(max(d2.size, 1))]
+
+
+def _sum_words(d1: GaussDiagram, d2: GaussDiagram, pairs) -> dict:
+    """Canonical word of each connected sum -> the gap pairs giving it."""
     sources: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for g1 in range(max(d1.size, 1)):
-        for g2 in range(max(d2.size, 1)):
-            s = connected_sum(BasedDiagram(d1, g1), BasedDiagram(d2, g2))
-            sources.setdefault(canonical_word(s.word), []).append((g1, g2))
+    for g1, g2 in pairs:
+        s = connected_sum(BasedDiagram(d1, g1), BasedDiagram(d2, g2))
+        sources.setdefault(canonical_word(s.word), []).append((g1, g2))
+    return sources
+
+
+def permutant_set(d1: GaussDiagram, d2: GaussDiagram) -> PermutantSet:
+    sources = _sum_words(d1, d2, _gap_pairs(d1, d2))
     codes = {w: serialize(_trusted(w)) for w in sorted(sources, key=canonical_sort_key)}
     return PermutantSet(
         (serialize(d1), serialize(d2)),
@@ -142,26 +151,19 @@ def verify_superadditivity(
     exact equality when both inputs are minimal diagrams.
 
     Basepoint pairs are enumerated exhaustively when there are at most
-    256 of them, otherwise a seeded uniform sample of sample_size pairs
-    is used."""
+    256 of them or at most sample_size, otherwise a seeded uniform sample
+    of sample_size pairs is used."""
     if sample_size < 1:
         raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     c1 = crossing_number(d1, limits)
     c2 = crossing_number(d2, limits)
     inputs_minimal = c1 == d1.n and c2 == d2.n
 
-    g1s = range(max(d1.size, 1))
-    g2s = range(max(d2.size, 1))
-    all_pairs = [(g1, g2) for g1 in g1s for g2 in g2s]
-    exhaustive = len(all_pairs) <= 256
+    pairs = _gap_pairs(d1, d2)
+    exhaustive = len(pairs) <= max(256, sample_size)
     if not exhaustive:
-        rng = random.Random(seed)
-        all_pairs = sorted(rng.sample(all_pairs, min(sample_size, len(all_pairs))))
-
-    member_words: dict[tuple[int, ...], None] = {}
-    for g1, g2 in all_pairs:
-        s = connected_sum(BasedDiagram(d1, g1), BasedDiagram(d2, g2))
-        member_words.setdefault(canonical_word(s.word), None)
+        pairs = sorted(random.Random(seed).sample(pairs, sample_size))
+    member_words = _sum_words(d1, d2, pairs)
 
     # each member word is canonical already: one reduction gives its
     # crossing number, and the first word of its minimal orbit its class

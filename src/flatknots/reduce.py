@@ -117,11 +117,11 @@ def replay_trace(trace: MoveTrace) -> GaussDiagram:
 # representative of its pre-move diagram and each result canonicalizing
 # at rotation offset r; the last result is the next word, the same tuple
 # as that word's key.  The path from a canonical word depends only on the
-# key, so a link is exact.  Policy: a plain call stops at the first entry
-# it finds; a recording call reads only links, following them to the
-# minimal word.  Keying by the budget means an entry found under one
-# --max-orbit never answers a call under another.  Values are pure, so
-# racing writers are harmless.
+# key, so a link is exact.  Policy: a reduction stops at the first entry
+# it finds; a trace or certificate is read afterwards from the stored links
+# (_trace), and each link is written after its next word's entry.  Keying
+# by the budget means an entry found under one --max-orbit never answers a
+# call under another.  Values are pure, so racing writers are harmless.
 _memo: dict = {}
 
 
@@ -195,30 +195,18 @@ def fr3_orbit(d: GaussDiagram, limits: OrbitLimits | None = None) -> tuple[str, 
 # monotone reduction
 # ---------------------------------------------------------------------------
 
-def _reduce_word(
-    word: tuple[int, ...], max_nodes: int, links: list | None = None
-) -> tuple[int, ...]:
+def _reduce_word(word: tuple[int, ...], max_nodes: int) -> tuple[int, ...]:
     """Canonical word of a reached minimal diagram; its crossing number
     is half its length.
 
     The one reduction loop.  ``word`` must already be canonical: each
     public entry point canonicalizes its input once and passes the result
-    here.  With a links list it records: it appends the link (next word,
-    m1, r1, ..., mk, rk; see ``_memo``) of every word it leaves, in order,
-    reading the links the memo holds and computing the rest.  A stored
-    link is the one this loop would compute, so the recorded path never
-    depends on earlier calls.  The memo is written either way.
+    here.  It stops at the first memo entry it finds, then writes an entry
+    for every word it left, the last one first (see ``_memo``).
     """
     cur = word
     trail = []
-    while True:
-        value = _memo.get((cur, max_nodes))
-        if value is not None:
-            if links is None or len(value) == 2:
-                break
-            links.append(value[2:])
-            cur = value[2]
-            continue
+    while (value := _memo.get((cur, max_nodes))) is None:
         rep = _trusted(cur)
         dec = mv.enumerate_decreasing(rep)
         if dec:
@@ -234,19 +222,12 @@ def _reduce_word(
             path = _path_from_pred(pred, node)
             rep = _trusted(node)
         nxt, r = _canonical(mv.apply(rep, m).word)
-        link = (nxt, *path, m, r)
-        trail.append((cur, link))
-        if links is not None:
-            links.append(link)
+        trail.append((cur, (nxt, *path, m, r)))
         cur = nxt
     head = value[:2]
-    for w, link in trail:
+    for w, link in reversed(trail):
         _memo[(w, max_nodes)] = head + link
     return value[0]
-
-
-def _link_moves(links) -> list[mv.Move]:
-    return [m for link in links for m in link[1::2]]
 
 
 def monotone_reduce(
@@ -254,12 +235,10 @@ def monotone_reduce(
 ) -> tuple[GaussDiagram, MoveTrace]:
     """Reduce to a minimal crossing diagram using only FR3 and decreasing
     FR1/FR2 moves; the trace replays start-to-end over canonical forms."""
+    max_nodes = (limits or DEFAULT_LIMITS).max_nodes
     start = canonical_word(d.word)
-    links: list = []
-    min_word = _reduce_word(start, (limits or DEFAULT_LIMITS).max_nodes, links)
-    minimal = _trusted(min_word)
-    steps = tuple(_link_moves(links))
-    return minimal, MoveTrace(serialize(_trusted(start)), steps, serialize(minimal))
+    min_word = _reduce_word(start, max_nodes)
+    return _trusted(min_word), _trace(start, min_word, max_nodes)
 
 
 def crossing_number(d: GaussDiagram, limits: OrbitLimits | None = None) -> int:
@@ -275,8 +254,18 @@ def minimal_class_code(d: GaussDiagram, limits: OrbitLimits | None = None) -> st
     return serialize(_trusted(_full_orbit(min_word, max_nodes)[0]))
 
 
+def _chain(word: tuple[int, ...], max_nodes: int):
+    """(minimal word, stored links in order) of a reduced canonical word."""
+    links = []
+    value = _memo[(word, max_nodes)]
+    while len(value) > 2:
+        links.append(value[2:])
+        value = _memo[(value[2], max_nodes)]
+    return value[0], links
+
+
 def _reversed_steps(links) -> list[mv.Move]:
-    """Inverse steps of recorded links, in reverse order, with positions
+    """Inverse steps of stored links, in reverse order, with positions
     translated into the canonical frame replay uses.  Each move's pre-move
     size, result size and offset are known, so nothing is applied."""
     out = []
@@ -293,6 +282,22 @@ def _reversed_steps(links) -> list[mv.Move]:
     return out
 
 
+def _trace(c1: tuple[int, ...], c2: tuple[int, ...], max_nodes: int) -> MoveTrace:
+    """Moves from canonical word c1 to c2, two words of one class already
+    reduced under max_nodes: c1's stored links down to its minimal word,
+    an FR3 path to c2's minimal word, and c2's links inverted."""
+    m1, links1 = _chain(c1, max_nodes)
+    m2, links2 = _chain(c2, max_nodes)
+    steps = [m for link in links1 for m in link[1::2]]
+    # equal minimal words need no bridge, and their orbit was scanned
+    # under this budget when it was memoized, so no budget error is lost
+    if m1 != m2:
+        pred, _, _ = _scan_orbit(m1, max_nodes, find_decreasing=False)
+        steps += _path_from_pred(pred, m2)[0::2]
+    steps += _reversed_steps(links2)
+    return MoveTrace(serialize(_trusted(c1)), tuple(steps), serialize(_trusted(c2)))
+
+
 def equivalent(
     d1: GaussDiagram,
     d2: GaussDiagram,
@@ -304,20 +309,9 @@ def equivalent(
     minimal(d2) -> d2."""
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
     c1, c2 = canonical_word(d1.word), canonical_word(d2.word)
-    links1 = [] if with_certificate else None
-    links2 = [] if with_certificate else None
-    m1 = _reduce_word(c1, max_nodes, links1)
-    m2 = _reduce_word(c2, max_nodes, links2)
+    m1 = _reduce_word(c1, max_nodes)
+    m2 = _reduce_word(c2, max_nodes)
     verdict = _full_orbit(m1, max_nodes)[0] == _full_orbit(m2, max_nodes)[0]
     if not with_certificate:
         return verdict
-    if not verdict:
-        return False, None
-    steps = _link_moves(links1)
-    # equal minimal words need no bridge, and their orbit was scanned
-    # under this budget when it was memoized, so no budget error is lost
-    if m1 != m2:
-        pred, _, _ = _scan_orbit(m1, max_nodes, find_decreasing=False)
-        steps += _path_from_pred(pred, m2)[0::2]
-    steps += _reversed_steps(links2)
-    return True, MoveTrace(serialize(_trusted(c1)), tuple(steps), serialize(_trusted(c2)))
+    return verdict, (_trace(c1, c2, max_nodes) if verdict else None)

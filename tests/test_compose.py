@@ -241,6 +241,18 @@ def test_superadditivity_sampling_is_seeded():
     assert r3.ok
 
 
+def test_superadditivity_sample_covering_every_pair_is_exhaustive():
+    # 18 x 18 = 324 basepoint pairs: a sample at least that large checks
+    # every pair, so the report is exhaustive and the seed does not matter
+    d = parse(" ".join(f"+{k} -{k}" for k in range(1, 10)))
+    full = verify_superadditivity(d, d, seed=1, sample_size=324)
+    assert full.exhaustive
+    assert verify_superadditivity(d, d, seed=2, sample_size=1000) == full
+    partial = verify_superadditivity(d, d, seed=1, sample_size=323)
+    assert not partial.exhaustive
+    assert {r.code for r in partial.rows} <= {r.code for r in full.rows}
+
+
 def test_superadditivity_reduces_each_member_once(monkeypatch, canonical_calls):
     d1, d2 = parse(WITNESS_3), parse("+1 +2 +3 -1 -3 -2")
     # warm the memo first, so the counted run's reductions are memo reads
@@ -250,9 +262,9 @@ def test_superadditivity_reduces_each_member_once(monkeypatch, canonical_calls):
     reduce_calls = []
     reduce_word = reduce._reduce_word
 
-    def spy(word, max_nodes, steps=None):
+    def spy(word, max_nodes):
         reduce_calls.append(word)
-        return reduce_word(word, max_nodes, steps)
+        return reduce_word(word, max_nodes)
 
     monkeypatch.setattr(reduce, "_reduce_word", spy)
     monkeypatch.setattr(compose, "_reduce_word", spy)

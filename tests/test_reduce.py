@@ -339,7 +339,7 @@ def _check_reduce_against_oracle(diagrams, monkeypatch):
         monkeypatch.setattr(reduce, "_memo", {})
         got, got_trace = monotone_reduce(d)
         assert (got, got_trace.to_json()) == (minimal, trace.to_json()), serialize(d)
-        # recording a trace still writes the memo
+        # the trace is read from the links the reduction wrote
         assert reduce._memo[(start, MAX_NODES)][0] == minimal.word
         monkeypatch.setattr(reduce, "_memo", {})
         assert reduce._reduce_word(start, MAX_NODES) == want, serialize(d)
@@ -359,9 +359,10 @@ def _check_reduce_against_oracle(diagrams, monkeypatch):
 def _check_certificates_against_oracle(pairs, monkeypatch):
     """Certified `equivalent` writes the oracle's certificate bytes on a
     cold memo, on a memo warmed by `crossing_number` on both inputs (links
-    written without recording), and on a memo warmed by the certified call
-    in the other direction (links written while recording).  Returns how
-    many pairs reduce to two different minimal words, so need a bridge."""
+    written by plain reductions), and on a memo warmed by the certified
+    call in the other direction (its certificate read from those links).
+    Returns how many pairs reduce to two different minimal words, so need
+    a bridge."""
     bridged = 0
     for d1, d2 in pairs:
         want = certificate_oracle(d1, d2).to_json()
@@ -401,6 +402,43 @@ def _check_links_replay():
         assert cur == nxt, serialize(GaussDiagram(word))
         assert reduce._memo[(nxt, budget)][:2] == (min_word, orbit)
     assert fr3_paths == {False, True}
+
+
+class _LinkCheckedMemo(dict):
+    """A memo that refuses a link whose next word has no entry yet."""
+
+    def __setitem__(self, key, value):
+        if len(value) > 2:
+            assert (value[2], key[1]) in self, serialize(GaussDiagram(key[0]))
+        super().__setitem__(key, value)
+
+
+def test_memo_links_are_written_after_their_next_word(monkeypatch):
+    # so a walk down the stored links never meets a missing entry, even
+    # while another caller is still writing its trail
+    monkeypatch.setattr(reduce, "_memo", _LinkCheckedMemo())
+    rng = random.Random(14)
+    for n in range(6, 12):
+        d = random_diagram(rng, n)
+        e = random_diagram(rng, n)
+        minimal, trace = monotone_reduce(d)
+        assert replay_trace(trace) == minimal
+        assert crossing_number(e) == reduce_oracle(e)[0].n
+    # two kinked members of a two-node minimal FR3 orbit need a bridge
+    orbit = fr3_orbit(parse("+1 +2 -1 -2 +3 +4 -3 +5 -4 -5"))
+    d1, d2 = (parse(f"+6 -6 {code} +7 -7") for code in orbit)
+    for a, b in ((d1, d2), (d2, d1)):
+        same, cert = equivalent(a, b, with_certificate=True)
+        assert same and serialize(replay_trace(cert)) == canonical_form(b)
+        assert cert.to_json() == certificate_oracle(a, b).to_json()
+    ends = {reduce._memo[(canonical_word(x.word), MAX_NODES)][0] for x in (d1, d2)}
+    assert len(ends) == 2
+    # some trails were longer than one link, so their write order mattered
+    assert any(
+        len(reduce._memo[(v[2], budget)]) > 2
+        for (_, budget), v in reduce._memo.items()
+        if len(v) > 2
+    )
 
 
 def test_reduce_matches_oracle_small_n_exhaustive(monkeypatch):
