@@ -1,19 +1,19 @@
 """Exhaustive enumeration and tabulation of flat knot classes.
 
-Diagrams with n arrows are generated as all chord pairings times every
-direction assignment that puts a tail at position 0, streamed through a
-self-canonical filter so each rotation/relabel class appears exactly
-once; a canonical word starts with a tail, so head-first candidates are
-never built.  With `reduced=True` the generator also skips every
-pairing with a chord between cyclically adjacent points (an FR1 site in
-every direction assignment) and drops every survivor with an FR2
-removal site, so it yields exactly the diagrams with no decreasing
-move.  Classification reduces only those: a diagram with a decreasing
-move has crossing number below n and can never give a record.  It keeps
-the irreducible ones (crossing number exactly n) and groups them into
-FR3 orbits; one record per orbit.  Classes are oriented flat knot
-classes: no mirror or reversal quotient is applied, and the file header
-says so.
+Diagrams with n arrows are generated by one orderly generator: each word
+is built left to right in first-appearance labels, starting with a tail,
+and a prefix is cut as soon as some rotation of it already encodes below
+it, so most words that are not their own canonical form are never built.
+Every complete word still passes the exact self-canonical filter, so each
+rotation/relabel class appears exactly once, in `canonical_sort_key`
+order.  With `reduced=True` the generator also cuts every prefix with an
+FR1 site or a placed FR2 site, and drops every survivor with an FR2
+removal site, so it yields exactly the diagrams with no decreasing move.
+Classification reduces only those: a diagram with a decreasing move has
+crossing number below n and can never give a record.  It keeps the
+irreducible ones (crossing number exactly n) and groups them into FR3
+orbits; one record per orbit.  Classes are oriented flat knot classes:
+no mirror or reversal quotient is applied, and the file header says so.
 """
 from __future__ import annotations
 
@@ -29,9 +29,10 @@ from .moves import enumerate_fr2_decreasing
 from .reduce import OrbitLimits, _full_orbit, _reduce_word, DEFAULT_LIMITS
 
 
-# (2n - 1)!! pairings times 2^(n - 1) directions: 332,640 candidates at
-# n = 6 and 6.5e14 at n = 12, so no larger run could finish; the bound
-# makes a mistyped n an input error, not a huge index range
+# there are about (2n - 1)!! 2^n / 2n diagrams, 5.4e13 at n = 12 (the
+# generator builds 77,296 words for 55,540 at n = 6), so no larger run
+# could finish; the bound makes a mistyped n an input error, not a run
+# that never ends
 _MAX_ARROWS = 12
 
 
@@ -45,47 +46,93 @@ class CatalogRecord:
     orbit_size: int
 
 
-def _pairings(points: tuple[int, ...]) -> Iterator[list[tuple[int, int]]]:
-    if not points:
-        yield []
+def _orderly_words(n: int, reduced: bool) -> Iterator[tuple[int, ...]]:
+    """Complete n-arrow words in first-appearance labels, starting with a
+    tail, in `canonical_sort_key` order, built left to right with every
+    prefix cut that no completion could make canonical.
+
+    A prefix is cut when some rotation starting at a tail already encodes
+    below rotation 0 on the positions placed; the comparison goes by rank
+    (see `diagram._canonical`), so rotation 0's ranks are stored and a
+    rotation that encodes above rotation 0 is no longer followed.  With
+    reduced=True a prefix is also cut at an FR1 site (an arrow closed right
+    after its first endpoint, or arrow 1 closed at the last position) and
+    at an FR2 site between two blocks already placed.  The cuts miss some
+    words they could drop, so the caller filters every word built."""
+    size = 2 * n
+    word = [0] * size
+    opened = [0] * (n + 1)  # position of each label's first endpoint
+    rank0 = [0] * size  # rotation 0's rank at each offset
+
+    def extend(k, labels, open_labels, kept):
+        if k == size:
+            yield tuple(word)
+            return
+        # (endpoint, partner position or -1 for a new arrow) in ascending
+        # code order: returns by label, then a new tail, then a new head
+        choices = []
+        for lab in open_labels:
+            p = opened[lab]
+            if reduced and (p == k - 1 or (p == 0 and k == size - 1)):
+                continue
+            choices.append((-word[p], p))
+        if labels < n and len(open_labels) < size - k - 1:
+            choices.append((labels + 1, -1))
+            choices.append((-labels - 1, -1))
+        u = word[k - 1]
+        q = opened[u if u > 0 else -u]
+        for t, p in choices:
+            if p >= 0:
+                # a mixed block whose endpoints both return to adjacent
+                # partners is an FR2 removal site
+                if reduced and q != k - 1 and (u > 0) != (t > 0) and (q - p == 1 or p - q == 1):
+                    continue
+                rank = p - k
+            else:
+                rank = t < 0
+            # kept: tail positions r whose rotation encodes like rotation 0
+            # so far; position k sits at its offset k - r
+            next_kept = []
+            for r in kept:
+                rr = rank if p >= r else t < 0
+                c = rank0[k - r]
+                if rr < c:
+                    break
+                if rr == c:
+                    next_kept.append(r)
+            else:
+                if t > 0:
+                    next_kept.append(k)
+                word[k] = t
+                rank0[k] = rank
+                if p >= 0:
+                    rest = [lab for lab in open_labels if lab != t and lab != -t]
+                    yield from extend(k + 1, labels, rest, next_kept)
+                else:
+                    opened[labels + 1] = k
+                    yield from extend(k + 1, labels + 1, open_labels + [labels + 1], next_kept)
+
+    if n == 0:
+        yield ()
         return
-    first = points[0]
-    for i in range(1, len(points)):
-        rest = points[1:i] + points[i + 1 :]
-        for sub in _pairings(rest):
-            yield [(first, points[i])] + sub
+    word[0] = 1
+    yield from extend(1, 1, [1], [])
 
 
 def enumerate_diagrams(n: int, *, reduced: bool = False) -> Iterator[GaussDiagram]:
     """Every diagram with exactly n arrows, 0 <= n <= 12, once per
     rotation/relabel class (those whose word equals its own canonical
-    form).
+    form), in `canonical_sort_key` order of their words.
 
     With reduced=True, only those with no decreasing FR1 or FR2 site,
     in the same order."""
     if not 0 <= n <= _MAX_ARROWS:
         raise ValueError(f"n must be between 0 and {_MAX_ARROWS}")
-    size = 2 * n
-    for pairing in _pairings(tuple(range(size))):
-        # a chord between cyclically adjacent points, (p, p + 1) or
-        # (0, size - 1), is an FR1 site in every direction assignment
-        if reduced and any(q - p in (1, size - 1) for p, q in pairing):
-            continue
-        # pairs come out ordered by first endpoint, matching
-        # first-appearance labels; bit 0 set would put arrow 1's head at
-        # position 0, and a canonical word starts with a tail
-        for bits in range(0, 1 << n, 2):
-            word = [0] * size
-            for label, (p, q) in enumerate(pairing, start=1):
-                if bits >> (label - 1) & 1:
-                    word[p], word[q] = -label, label
-                else:
-                    word[p], word[q] = label, -label
-            wt = tuple(word)
-            if canonical_word(wt) == wt:
-                d = _trusted(wt)
-                if not (reduced and enumerate_fr2_decreasing(d)):
-                    yield d
+    for wt in _orderly_words(n, reduced):
+        if canonical_word(wt) == wt:
+            d = _trusted(wt)
+            if not (reduced and enumerate_fr2_decreasing(d)):
+                yield d
 
 
 def classify(n: int, limits: OrbitLimits | None = None) -> list[CatalogRecord]:

@@ -159,36 +159,46 @@ def _canonical(word: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     appearance, encode tail < head, and keep the lexicographic minimum.
     Returns (canonical word, smallest rotation offset achieving it).
 
-    A first tail encodes below a first head, so only rotations starting at
-    a tail are tried.  Each is dropped at its first endpoint that encodes
-    above the best so far, and only a strictly smaller rotation replaces
-    the best, so ties keep the smallest offset."""
+    Two rotations whose relabeled prefixes agree compare at the next
+    offset by rank alone: an endpoint whose partner lies b positions back
+    inside the prefix ranks -b (an earlier first appearance, so a lower
+    label), and an endpoint opening a new arrow ranks 0 as a tail, 1 as a
+    head.  So every rotation starting at a tail is kept, then offset by
+    offset only those of least rank; the survivor, or the smallest offset
+    of a tie, is relabeled once."""
     length = len(word)
     if length == 0:
         return (), 0
-    doubled = word + word
-    best = None
-    best_r = 0
-    for r in range(length):
-        if word[r] < 0:
-            continue
-        relab: dict[int, int] = {}
-        enc = []
-        smaller = best is None
-        for i in range(length):
-            t = doubled[r + i]
-            e = 2 * relab.setdefault(abs(t), len(relab) + 1) + (t < 0)
-            if not smaller:
-                if e > best[i]:
-                    break
-                smaller = e < best[i]
-            enc.append(e)
+    # back[q]: positions from q back to its partner, cyclically; doubled
+    # so that a rotation's offset never wraps
+    back = [0] * length
+    first: dict[int, int] = {}
+    for q, t in enumerate(word):
+        a = t if t > 0 else -t
+        p = first.pop(a, None)
+        if p is None:
+            first[a] = q
         else:
-            if smaller:
-                best = enc
-                best_r = r
-    canon = tuple(e // 2 if e % 2 == 0 else -(e // 2) for e in best)
-    return canon, best_r
+            back[q] = q - p
+            back[p] = length - q + p
+    back += back
+    new_rank = [t < 0 for t in word] * 2
+    kept = [r for r in range(length) if word[r] > 0]
+    i = 1
+    while len(kept) > 1 and i < length:
+        ranks = [-b if (b := back[r + i]) <= i else new_rank[r + i] for r in kept]
+        least = min(ranks)
+        kept = [r for r, k in zip(kept, ranks) if k == least]
+        i += 1
+    r = kept[0]
+    relab: dict[int, int] = {}
+    canon = []
+    for t in word[r:] + word[:r]:
+        if t > 0:
+            canon.append(relab.setdefault(t, len(relab) + 1))
+        else:
+            canon.append(-relab.setdefault(-t, len(relab) + 1))
+    return tuple(canon), r
 
 
 def canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ from flatknots import (
     write_catalog,
 )
 from flatknots import catalog
-from flatknots.diagram import canonical_word
+from flatknots.diagram import canonical_sort_key, canonical_word
 from conftest import enumerate_oracle
 
 # regression constants, frozen after brute-force dedup
@@ -47,11 +47,15 @@ def test_enumerate_counts_frozen(n, count):
     assert sum(1 for _ in enumerate_diagrams(n)) == count
 
 
+def _oracle_sorted(n):
+    return sorted(enumerate_oracle(n), key=lambda d: canonical_sort_key(d.word))
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_enumerate_matches_oracle(n):
-    # the same diagrams in the same order as the generator that builds
-    # every direction assignment, head-first ones included
-    assert list(enumerate_diagrams(n)) == list(enumerate_oracle(n))
+    # the same diagrams as the generator that builds every pairing and
+    # direction assignment, head-first ones included, in sort-key order
+    assert list(enumerate_diagrams(n)) == _oracle_sorted(n)
 
 
 @pytest.mark.parametrize("n,count", sorted(REDUCED_COUNTS.items()))
@@ -61,9 +65,26 @@ def test_enumerate_reduced_counts_frozen(n, count):
 
 @pytest.mark.parametrize("n", range(6))
 def test_enumerate_reduced_matches_oracle(n):
-    # the oracle's diagrams with no decreasing site, in the oracle's order
-    want = [d for d in enumerate_oracle(n) if not enumerate_decreasing(d)]
+    # the oracle's diagrams with no decreasing site, in sort-key order
+    want = [d for d in _oracle_sorted(n) if not enumerate_decreasing(d)]
     assert list(enumerate_diagrams(n, reduced=True)) == want
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+@pytest.mark.parametrize("n", range(6))
+def test_enumerate_yields_strictly_increasing_sort_keys(n, reduced):
+    keys = [canonical_sort_key(d.word) for d in enumerate_diagrams(n, reduced=reduced)]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("reduced,built", [(False, 4184), (True, 920)])
+def test_enumerate_builds_few_words_at_five(reduced, built, canonical_calls):
+    # one canonical_word call per complete word built; every pairing times
+    # every tail-first direction assignment would build 15,120 and, skipping
+    # pairings with an adjacent chord, 4,688
+    counts = REDUCED_COUNTS if reduced else DIAGRAM_COUNTS
+    assert sum(1 for _ in enumerate_diagrams(5, reduced=reduced)) == counts[5]
+    assert sum(canonical_calls.values()) == built
 
 
 def test_enumerate_emits_canonical_words_once():

@@ -230,15 +230,17 @@ def test_superadditivity_strictness_observed():
 
 
 def test_superadditivity_sampling_is_seeded():
-    # 16 x 18 = 288 basepoint pairs forces the seeded-sample path
-    d1 = parse(" ".join(f"+{k} -{k}" for k in range(1, 9)))
+    # 16 x 18 = 288 basepoint pairs forces the seeded-sample path; the
+    # crossing-3 summand makes the rows depend on which pairs are sampled
+    d1 = parse("+1 +2 -1 -3 -2 +3 " + " ".join(f"+{k} -{k}" for k in range(4, 9)))
     d2 = parse(" ".join(f"+{k} -{k}" for k in range(1, 10)))
     r1 = verify_superadditivity(d1, d2, seed=3, sample_size=20)
     r2 = verify_superadditivity(d1, d2, seed=3, sample_size=20)
     assert not r1.exhaustive
     assert r1 == r2
     r3 = verify_superadditivity(d1, d2, seed=4, sample_size=20)
-    assert r3.ok
+    assert r1.ok and r3.ok
+    assert r3 != r1
 
 
 def test_superadditivity_sample_covering_every_pair_is_exhaustive():
