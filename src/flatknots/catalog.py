@@ -9,11 +9,11 @@ rotation/relabel class appears exactly once, in `canonical_sort_key`
 order.  With `reduced=True` the generator also cuts every prefix with an
 FR1 site or a placed FR2 site, and drops every survivor with an FR2
 removal site, so it yields exactly the diagrams with no decreasing move.
-Classification reduces only those: a diagram with a decreasing move has
-crossing number below n and can never give a record.  It keeps the
-irreducible ones (crossing number exactly n) and groups them into FR3
-orbits; one record per orbit.  Classes are oriented flat knot classes:
-no mirror or reversal quotient is applied, and the file header says so.
+Classification scans the FR3 orbits of only those: a diagram with a
+decreasing move has crossing number below n and can never give a record.
+One record per orbit with no decreasing site; the reduction memo is left
+untouched.  Classes are oriented flat knot classes: no mirror or
+reversal quotient is applied, and the file header says so.
 """
 from __future__ import annotations
 
@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .compose import _minimal_verdict
-from .diagram import GaussDiagram, _trusted, canonical_sort_key, canonical_word, serialize
+from .diagram import GaussDiagram, _trusted, canonical_word, serialize
 from .invariants import u_polynomial
 from .moves import enumerate_fr2_decreasing
-from .reduce import OrbitLimits, _full_orbit, _reduce_word, DEFAULT_LIMITS
+from .reduce import DEFAULT_LIMITS, OrbitLimits, _scan_orbit
 
 
 # there are about (2n - 1)!! 2^n / 2n diagrams, 5.4e13 at n = 12 (the
@@ -136,33 +136,30 @@ def enumerate_diagrams(n: int, *, reduced: bool = False) -> Iterator[GaussDiagra
 
 
 def classify(n: int, limits: OrbitLimits | None = None) -> list[CatalogRecord]:
-    """Reduce every n-arrow diagram with no decreasing site, keep the
-    irreducible ones, and emit one record per FR3 orbit.  A diagram with
-    a decreasing site has crossing number below n, so skipping it loses
-    no class.  Each orbit member is minimal, so its representative's
-    verdict needs no second reduction."""
+    """Scan the FR3 orbit of every n-arrow diagram with no decreasing
+    site that no earlier scan reached; one record per orbit the scan
+    finds no decreasing site in.  Every word of such a minimal orbit is
+    yielded, in `canonical_sort_key` order, so the word that starts its
+    scan is the class word, and its verdict needs no reduction."""
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
-    classes: dict[tuple[int, ...], int] = {}
-    for d in enumerate_diagrams(n, reduced=True):
-        min_word = _reduce_word(d.word, max_nodes)
-        if len(min_word) // 2 != n:
-            continue
-        orbit = _full_orbit(min_word, max_nodes)
-        classes.setdefault(orbit[0], len(orbit))
+    seen: set[tuple[int, ...]] = set()
     records = []
-    for class_id, key in enumerate(sorted(classes, key=canonical_sort_key), start=1):
-        rep = _trusted(key)
-        verdict = _minimal_verdict(rep).verdict[0].upper()
-        records.append(
-            CatalogRecord(
-                class_id,
-                serialize(rep),
-                n,
-                str(u_polynomial(rep)),
-                verdict,
-                classes[key],
+    for d in enumerate_diagrams(n, reduced=True):
+        if d.word in seen:
+            continue
+        pred, node, _ = _scan_orbit(d.word, max_nodes, find_decreasing=True)
+        seen.update(pred)
+        if node is None:
+            records.append(
+                CatalogRecord(
+                    len(records) + 1,
+                    serialize(d),
+                    n,
+                    str(u_polynomial(d)),
+                    _minimal_verdict(d).verdict[0].upper(),
+                    len(pred),
+                )
             )
-        )
     return records
 
 

@@ -154,6 +154,19 @@ def serialize(d: GaussDiagram) -> str:
     return " ".join(f"+{t}" if t > 0 else f"-{-t}" for t in d.word)
 
 
+def _first_appearance(tokens) -> tuple[int, ...]:
+    """tokens with their arrows relabeled 1, 2, ... by first appearance."""
+    relab: dict[int, int] = {}
+    out = []
+    for t in tokens:
+        a = t if t > 0 else -t
+        lab = relab.get(a)
+        if lab is None:
+            lab = relab[a] = len(relab) + 1
+        out.append(lab if t > 0 else -lab)
+    return tuple(out)
+
+
 def _canonical(word: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Canonical rotation of a word: relabel each rotation by first
     appearance, encode tail < head, and keep the lexicographic minimum.
@@ -191,14 +204,7 @@ def _canonical(word: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
         kept = [r for r, k in zip(kept, ranks) if k == least]
         i += 1
     r = kept[0]
-    relab: dict[int, int] = {}
-    canon = []
-    for t in word[r:] + word[:r]:
-        if t > 0:
-            canon.append(relab.setdefault(t, len(relab) + 1))
-        else:
-            canon.append(-relab.setdefault(-t, len(relab) + 1))
-    return tuple(canon), r
+    return _first_appearance(word[r:] + word[:r]), r
 
 
 def canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -232,15 +238,15 @@ def find_splits(d: GaussDiagram, include_degenerate: bool = False) -> list[Split
 
     By default only nontrivial splits (each side holding at least one
     arrow) are returned; with include_degenerate the same-gap pairs
-    (g, g), whose first side is empty, are included as well.
+    (g, g), whose first side is empty, are included as well.  The list
+    is in (gap_a, gap_b) order.
     """
     size = d.size
     splits = []
-    if include_degenerate:
-        for g in range(max(size, 1)):
-            splits.append(Split(g, g, (0, d.n)))
     word = d.word
-    for ga in range(size):
+    for ga in range(max(size, 1)):
+        if include_degenerate:
+            splits.append(Split(ga, ga, (0, d.n)))
         open_count = 0
         inside: set[int] = set()
         # widen the arc [ga, gb) one endpoint at a time, tracking arrows
@@ -255,5 +261,4 @@ def find_splits(d: GaussDiagram, include_degenerate: bool = False) -> list[Split
             if open_count == 0:
                 arrows_inside = (gb - ga) // 2
                 splits.append(Split(ga, gb, (arrows_inside, d.n - arrows_inside)))
-    splits.sort(key=lambda s: (s.gap_a, s.gap_b))
     return splits

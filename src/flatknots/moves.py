@@ -25,7 +25,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .diagram import GaussDiagram, _trusted, canonical_sort_key
+from .diagram import GaussDiagram, _first_appearance, _trusted, canonical_sort_key
 
 FR1_REMOVE = "fr1-remove"
 FR1_INSERT = "fr1-insert"
@@ -96,19 +96,6 @@ class Move:
     def __str__(self) -> str:
         pos = ",".join(str(p) for p in self.positions)
         return f"{self.kind} {self.variant} [{pos}]"
-
-
-def _first_appearance(tokens) -> tuple[int, ...]:
-    """tokens with their arrows relabeled 1, 2, ... by first appearance."""
-    relab: dict[int, int] = {}
-    out = []
-    for t in tokens:
-        a = t if t > 0 else -t
-        lab = relab.get(a)
-        if lab is None:
-            lab = relab[a] = len(relab) + 1
-        out.append(lab if t > 0 else -lab)
-    return tuple(out)
 
 
 def _relabel(word) -> GaussDiagram:

@@ -122,6 +122,8 @@ def replay_trace(trace: MoveTrace) -> GaussDiagram:
 # (_trace), and each link is written after its next word's entry.  Keying
 # by the budget means an entry found under one --max-orbit never answers a
 # call under another.  Values are pure, so racing writers are harmless.
+# Only _reduce_word writes entries; catalog.classify scans orbits itself
+# and leaves the memo as it found it.
 _memo: dict = {}
 
 
@@ -130,12 +132,17 @@ def _scan_orbit(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
 
     Each discovered word maps to (predecessor, move, offset): the move
     applies to the predecessor, and its result canonicalizes at that
-    rotation offset.  With find_decreasing, nodes are checked on discovery
-    (start excluded) and the scan stops at the first node admitting a
-    decreasing site, returning (pred, node, move).  Otherwise returns
-    (pred, None, None) with pred covering the whole orbit.
+    rotation offset.  With find_decreasing, the start word is checked
+    first and every other node on discovery, and the scan stops at the
+    first node admitting a decreasing site, returning (pred, node, move);
+    a start word with one returns ({start: None}, start, move).  Otherwise
+    returns (pred, None, None) with pred covering the whole orbit.
     """
     pred: dict = {start: None}
+    if find_decreasing:
+        dec = mv.enumerate_decreasing(_trusted(start))
+        if dec:
+            return pred, start, dec[0]
     layer = [start]
     expanded = 0
     while layer:
@@ -201,28 +208,23 @@ def _reduce_word(word: tuple[int, ...], max_nodes: int) -> tuple[int, ...]:
 
     The one reduction loop.  ``word`` must already be canonical: each
     public entry point canonicalizes its input once and passes the result
-    here.  It stops at the first memo entry it finds, then writes an entry
-    for every word it left, the last one first (see ``_memo``).
+    here.  Each step is one orbit scan from the current word, whose FR3
+    path is empty when that word has a decreasing site itself.  It stops
+    at the first memo entry it finds, then writes an entry for every word
+    it left, the last one first (see ``_memo``).
     """
     cur = word
     trail = []
     while (value := _memo.get((cur, max_nodes))) is None:
-        rep = _trusted(cur)
-        dec = mv.enumerate_decreasing(rep)
-        if dec:
-            m, path = dec[0], ()
-        else:
-            pred, node, m = _scan_orbit(cur, max_nodes, find_decreasing=True)
-            if node is None:
-                orbit = tuple(sorted(pred, key=canonical_sort_key))
-                for w in orbit:
-                    _memo[(w, max_nodes)] = (w, orbit)
-                value = _memo[(cur, max_nodes)]
-                break
-            path = _path_from_pred(pred, node)
-            rep = _trusted(node)
-        nxt, r = _canonical(mv.apply(rep, m).word)
-        trail.append((cur, (nxt, *path, m, r)))
+        pred, node, m = _scan_orbit(cur, max_nodes, find_decreasing=True)
+        if node is None:
+            orbit = tuple(sorted(pred, key=canonical_sort_key))
+            for w in orbit:
+                _memo[(w, max_nodes)] = (w, orbit)
+            value = _memo[(cur, max_nodes)]
+            break
+        nxt, r = _canonical(mv.apply(_trusted(node), m).word)
+        trail.append((cur, (nxt, *_path_from_pred(pred, node), m, r)))
         cur = nxt
     head = value[:2]
     for w, link in reversed(trail):

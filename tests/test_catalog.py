@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -14,7 +15,7 @@ from flatknots import (
     u_polynomial,
     write_catalog,
 )
-from flatknots import catalog
+from flatknots import catalog, reduce
 from flatknots.diagram import canonical_sort_key, canonical_word
 from conftest import enumerate_oracle
 
@@ -32,6 +33,11 @@ CATALOG_3 = (
     "class=1 code=+1 +2 -1 -3 -2 +3 cr=3 u=-2t^1+t^2 verdict=P orbit=1\n"
     "class=2 code=+1 +2 +3 -1 -3 -2 cr=3 u=2t^1-t^2 verdict=P orbit=1\n"
 )
+# sha256 of catalog_text(classify(n), n), frozen
+CATALOG_SHA256 = {
+    4: "dac092f6374daa99f9c2cb69da8ccf0bcd6546e944eb1d826f2ed1c7e77de85e",
+    5: "095593c18057021d14c8d3f4b4e73e220d496d5ce98ec120aeafe3fa8e3ceb3d",
+}
 
 
 def test_enumerate_zero_arrows():
@@ -116,6 +122,26 @@ def test_classify_three_frozen():
     assert all(r.verdict == "P" for r in records)
     assert all(r.orbit_size == 1 for r in records)
     assert all(crossing_number(parse(r.code)) == parse(r.code).n for r in records)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_catalog_bytes_are_pinned(n):
+    text = catalog.catalog_text(classify(n), n)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CATALOG_SHA256[n]
+
+
+def test_classify_leaves_the_reduction_memo_as_it_found_it(monkeypatch):
+    monkeypatch.setattr(reduce, "_memo", {})
+    records = classify(4)
+    assert reduce._memo == {}
+    # warm the memo with every class word and a diagram that reduces to one
+    for rec in records:
+        assert crossing_number(parse(rec.code)) == 4
+    assert crossing_number(parse(records[0].code + " +5 -5")) == 4
+    warmed = dict(reduce._memo)
+    assert len(warmed) > len(records)
+    assert classify(4) == records
+    assert reduce._memo == warmed
 
 
 def test_class_soundness_exhaustive_at_three():

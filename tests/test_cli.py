@@ -356,8 +356,8 @@ def test_max_orbit_flag_budget_error():
 
 
 def test_tabulate_budget_error_exit_2_with_one_line(capsys):
-    # classify reduces only diagrams with no decreasing site, so the first
-    # orbit search over budget is the one of such a diagram
+    # classify scans only the orbits of diagrams with no decreasing site,
+    # so the first orbit search over budget starts at such a diagram
     capsys.readouterr()
     code, out = run_cli(["tabulate", "5", "--max-orbit", "1"])
     err = capsys.readouterr().err

@@ -14,6 +14,7 @@ from flatknots import (
     canonical_form,
     classify,
     crossing_number,
+    enumerate_decreasing,
     enumerate_diagrams,
     enumerate_increasing,
     equivalent,
@@ -26,7 +27,7 @@ from flatknots import (
     serialize,
     u_polynomial,
 )
-from flatknots import diagram, reduce
+from flatknots import diagram, moves, reduce
 from flatknots.cli import main
 from flatknots.diagram import canonical_word
 from flatknots.moves import KIND_DELTA
@@ -299,6 +300,24 @@ def test_orbit_budget_exceeded_signals():
     assert "(nodes explored: 1, expanded: 1)" in str(info.value)
     codes = fr3_orbit(d)
     assert len(codes) == 2
+
+
+def test_scan_orbit_checks_the_start_word_first(monkeypatch):
+    # the kink gives a decreasing site, so no FR3 neighbor is looked at
+    d = parse("+1 +2 -1 -3 -2 +3 +4 -4")
+    w = canonical_word(d.word)
+    fr3_calls = []
+    enumerate_fr3 = moves.enumerate_fr3
+
+    def spy(rep):
+        fr3_calls.append(rep)
+        return enumerate_fr3(rep)
+
+    monkeypatch.setattr(moves, "enumerate_fr3", spy)
+    for budget in (1, DEFAULT_LIMITS.max_nodes):
+        result = reduce._scan_orbit(w, budget, find_decreasing=True)
+        assert result == ({w: None}, w, enumerate_decreasing(GaussDiagram(w))[0])
+    assert fr3_calls == []
 
 
 def test_orbit_limits_validation():
