@@ -171,6 +171,8 @@ def _canonical(word: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Canonical rotation of a word: relabel each rotation by first
     appearance, encode tail < head, and keep the lexicographic minimum.
     Returns (canonical word, smallest rotation offset achieving it).
+    The word may carry any distinct nonzero arrow labels, as a move
+    leaves them before relabeling.
 
     Two rotations whose relabeled prefixes agree compare at the next
     offset by rank alone: an endpoint whose partner lies b positions back
@@ -240,25 +242,26 @@ def find_splits(d: GaussDiagram, include_degenerate: bool = False) -> list[Split
     arrow) are returned; with include_degenerate the same-gap pairs
     (g, g), whose first side is empty, are included as well.  The list
     is in (gap_a, gap_b) order.
+
+    The mask of gap g is the XOR of 1 << arrow over the endpoints before
+    g, so the arc [ga, gb) holds both endpoints or neither of every arrow
+    exactly when gaps ga and gb have equal masks.  One pass groups the
+    gaps by mask, and every pair inside a group is a split.
     """
-    size = d.size
-    splits = []
-    word = d.word
-    for ga in range(max(size, 1)):
-        if include_degenerate:
-            splits.append(Split(ga, ga, (0, d.n)))
-        open_count = 0
-        inside: set[int] = set()
-        # widen the arc [ga, gb) one endpoint at a time, tracking arrows
-        # with exactly one endpoint inside
-        for gb in range(ga + 1, size):
-            a = abs(word[gb - 1])
-            if a in inside:
-                open_count -= 1
-            else:
-                inside.add(a)
-                open_count += 1
-            if open_count == 0:
-                arrows_inside = (gb - ga) // 2
-                splits.append(Split(ga, gb, (arrows_inside, d.n - arrows_inside)))
-    return splits
+    n = d.n
+    groups: dict[int, list[int]] = {}  # mask -> its gaps, in order
+    mask = 0
+    for g, t in enumerate(d.word):
+        groups.setdefault(mask, []).append(g)
+        mask ^= 1 << (t if t > 0 else -t)
+    pairs = [
+        (ga, gb)
+        for group in groups.values()
+        if len(group) > 1
+        for i, ga in enumerate(group)
+        for gb in group[i + 1 :]
+    ]
+    if include_degenerate:
+        pairs += [(g, g) for g in range(max(d.size, 1))]
+    pairs.sort()
+    return [Split(ga, gb, ((gb - ga) // 2, n - (gb - ga) // 2)) for ga, gb in pairs]

@@ -155,18 +155,20 @@ def _fr2_at(word: tuple[int, ...], size: int, where: dict[int, int], a0: int) ->
     return Move(FR2_REMOVE, arrangement + roles, (a0, a1, b0, b1))
 
 
-def enumerate_fr2_decreasing(d: GaussDiagram) -> list[Move]:
-    """One move per arrow pair forming two disjoint adjacent mixed blocks.
+def _fr2_kept_at(word: tuple[int, ...], size: int, where: dict[int, int], a0: int) -> Move | None:
+    """_fr2_at, kept only from the block holding the bigon's lowest
+    position: each bigon is found from both of its blocks."""
+    m = _fr2_at(word, size, where, a0)
+    return m if m is not None and min(m.positions) in m.positions[:2] else None
 
-    Each bigon is found from both of its blocks and kept from the one
-    holding its lowest position."""
+
+def enumerate_fr2_decreasing(d: GaussDiagram) -> list[Move]:
+    """One move per arrow pair forming two disjoint adjacent mixed blocks."""
     word, size = d.word, d.size
     where = dict(zip(word, range(size)))
-    moves = []
-    for a0 in range(size):
-        m = _fr2_at(word, size, where, a0)
-        if m is not None and min(m.positions) in m.positions[:2]:
-            moves.append(m)
+    moves = [
+        m for a0 in range(size) if (m := _fr2_kept_at(word, size, where, a0)) is not None
+    ]
     moves.sort(key=Move.sort_key)
     return moves
 
@@ -203,6 +205,34 @@ def enumerate_decreasing(d: GaussDiagram) -> list[Move]:
     out = enumerate_fr1_decreasing(d) + enumerate_fr2_decreasing(d)
     out.sort(key=Move.sort_key)
     return out
+
+
+def _first_decreasing(d: GaussDiagram) -> Move | None:
+    """enumerate_decreasing(d)[0], or None, without building the rest.
+
+    A kept site's base (its least position) is its first block's start,
+    except for a block (size - 1, 0) that wraps, whose base is 0.  So the
+    base-0 sites come from starts 0 and size - 1, and a base b >= 1 site
+    only from start b, where FR1 sorts before FR2."""
+    word, size = d.word, d.size
+    if size < 2:
+        return None
+    where = dict(zip(word, range(size)))
+    # a lone arrow's two endpoints are adjacent both ways round; count it once
+    starts = (0, size - 1) if size > 2 else (0,)
+    base0 = [
+        m
+        for a0 in starts
+        for m in (_fr1_at(word, size, a0), _fr2_kept_at(word, size, where, a0))
+        if m is not None
+    ]
+    if base0:
+        return min(base0, key=Move.sort_key)
+    for b in range(1, size - 1):
+        m = _fr1_at(word, size, b) or _fr2_kept_at(word, size, where, b)
+        if m is not None:
+            return m
+    return None
 
 
 def enumerate_increasing(d: GaussDiagram) -> list[Move]:
@@ -355,12 +385,38 @@ def _check_gap(g: int, size: int):
 _BLOCK_POSITIONS = {FR1_REMOVE: 2, FR2_REMOVE: 4, FR3: 6}
 
 
+def _perform(word: tuple[int, ...], m: Move) -> tuple[int, ...]:
+    """The word a legal move m leaves, labels not renormalized: removals
+    drop their endpoints, FR3 swaps the two endpoints of each block, and
+    inserts add fresh arrows n + 1 (and n + 2).  m is not checked."""
+    kind, positions = m.kind, m.positions
+    if kind == FR3:
+        out = list(word)
+        for p0, p1 in zip(positions[0::2], positions[1::2]):
+            out[p0], out[p1] = out[p1], out[p0]
+        return tuple(out)
+    if kind == FR1_REMOVE or kind == FR2_REMOVE:
+        return tuple([t for p, t in enumerate(word) if p not in positions])
+    fresh = len(word) // 2 + 1
+    if kind == FR1_INSERT:
+        (g,) = positions
+        block = (fresh, -fresh) if m.variant == "th" else (-fresh, fresh)
+        return word[:g] + block + word[g:]
+    ga, gb = positions
+    block_a, block_b = _fr2_blocks(m.variant, fresh, fresh + 1)
+    if ga > gb:  # at equal gaps the first block comes first
+        (ga, block_a), (gb, block_b) = (gb, block_b), (ga, block_a)
+    return word[:ga] + block_a + word[ga:gb] + block_b + word[gb:]
+
+
 def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
     """Apply a move; labels are renormalized by first appearance.  The
     result is not validated again: a legal move keeps a valid word valid.
 
-    A removal or FR3 move is legal when the recognizer its enumerator
-    uses finds exactly m at m's positions."""
+    Every move given is checked first: a removal or FR3 move is legal
+    when the recognizer its enumerator uses finds exactly m at m's
+    positions, and an insert needs a known variant and gaps in range.
+    Then _perform makes the move."""
     word, size = d.word, d.size
     kind, positions = m.kind, m.positions
 
@@ -370,8 +426,7 @@ def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
             raise SiteMismatch(f"{kind} takes {count} distinct positions")
         if min(positions) < 0 or max(positions) >= size:
             raise SiteMismatch(f"positions out of range for {size} endpoints")
-        starts = positions[0::2]
-        for s, p1 in zip(starts, positions[1::2]):
+        for s, p1 in zip(positions[0::2], positions[1::2]):
             if p1 != (s + 1) % size:
                 raise SiteMismatch("blocks are not cyclically consecutive")
         if kind == FR1_REMOVE:
@@ -385,38 +440,22 @@ def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
             found = _fr3_at(word, positions)
         if found != m:
             raise SiteMismatch(f"no {kind} site {m.variant!r} at the stated positions")
-        if kind == FR3:
-            out = list(word)
-            for p0, p1 in zip(starts, positions[1::2]):
-                out[p0], out[p1] = out[p1], out[p0]
-            return _relabel(out)
-        return _relabel([t for p, t in enumerate(word) if p not in positions])
-
-    if kind == FR1_INSERT:
+    elif kind == FR1_INSERT:
         if m.variant not in ("th", "ht"):
             raise SiteMismatch(f"unknown fr1 variant {m.variant!r}")
         if len(positions) != 1:
             raise SiteMismatch("fr1-insert takes one gap")
-        (g,) = positions
-        _check_gap(g, size)
-        fresh = d.n + 1
-        block = (fresh, -fresh) if m.variant == "th" else (-fresh, fresh)
-        return _relabel(word[:g] + block + word[g:])
-
-    if kind == FR2_INSERT:
+        _check_gap(positions[0], size)
+    elif kind == FR2_INSERT:
         if m.variant not in FR2_VARIANTS:
             raise SiteMismatch(f"unknown fr2 variant {m.variant!r}")
         if len(positions) != 2:
             raise SiteMismatch("fr2-insert takes two gaps")
-        ga, gb = positions
-        _check_gap(ga, size)
-        _check_gap(gb, size)
-        block_a, block_b = _fr2_blocks(m.variant, d.n + 1, d.n + 2)
-        if ga > gb:  # at equal gaps the first block comes first
-            (ga, block_a), (gb, block_b) = (gb, block_b), (ga, block_a)
-        return _relabel(word[:ga] + block_a + word[ga:gb] + block_b + word[gb:])
-
-    raise SiteMismatch(f"unknown move kind {kind!r}")
+        _check_gap(positions[0], size)
+        _check_gap(positions[1], size)
+    else:
+        raise SiteMismatch(f"unknown move kind {kind!r}")
+    return _relabel(_perform(word, m))
 
 
 def _kept_below(position: int, removed: tuple[int, ...]) -> int:

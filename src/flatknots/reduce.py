@@ -134,15 +134,20 @@ def _scan_orbit(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
     applies to the predecessor, and its result canonicalizes at that
     rotation offset.  With find_decreasing, the start word is checked
     first and every other node on discovery, and the scan stops at the
-    first node admitting a decreasing site, returning (pred, node, move);
-    a start word with one returns ({start: None}, start, move).  Otherwise
-    returns (pred, None, None) with pred covering the whole orbit.
+    first node admitting a decreasing site, returning (pred, node, move)
+    with move the first of enumerate_decreasing(node); a start word with
+    one returns ({start: None}, start, move).  Otherwise returns
+    (pred, None, None) with pred covering the whole orbit.
+
+    The scan performs only moves its own enumerators found, so it skips
+    apply's legality check: each FR3 neighbor is _perform's word,
+    canonicalized once.
     """
     pred: dict = {start: None}
     if find_decreasing:
-        dec = mv.enumerate_decreasing(_trusted(start))
-        if dec:
-            return pred, start, dec[0]
+        dec = mv._first_decreasing(_trusted(start))
+        if dec is not None:
+            return pred, start, dec
     layer = [start]
     expanded = 0
     while layer:
@@ -151,7 +156,7 @@ def _scan_orbit(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
             rep = _trusted(w)
             expanded += 1
             for m in mv.enumerate_fr3(rep):
-                nw, r = _canonical(mv.apply(rep, m).word)
+                nw, r = _canonical(mv._perform(w, m))
                 if nw in pred:
                     continue
                 if len(pred) >= max_nodes:
@@ -163,9 +168,9 @@ def _scan_orbit(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
                 pred[nw] = (w, m, r)
                 nxt.append(nw)
                 if find_decreasing:
-                    dec = mv.enumerate_decreasing(_trusted(nw))
-                    if dec:
-                        return pred, nw, dec[0]
+                    dec = mv._first_decreasing(_trusted(nw))
+                    if dec is not None:
+                        return pred, nw, dec
         layer = nxt
     return pred, None, None
 
@@ -209,9 +214,11 @@ def _reduce_word(word: tuple[int, ...], max_nodes: int) -> tuple[int, ...]:
     The one reduction loop.  ``word`` must already be canonical: each
     public entry point canonicalizes its input once and passes the result
     here.  Each step is one orbit scan from the current word, whose FR3
-    path is empty when that word has a decreasing site itself.  It stops
-    at the first memo entry it finds, then writes an entry for every word
-    it left, the last one first (see ``_memo``).
+    path is empty when that word has a decreasing site itself.  The step
+    performs the scan's decreasing move with ``moves._perform``, without
+    apply's legality check: the move is one the enumerator found.  It
+    stops at the first memo entry it finds, then writes an entry for
+    every word it left, the last one first (see ``_memo``).
     """
     cur = word
     trail = []
@@ -223,7 +230,7 @@ def _reduce_word(word: tuple[int, ...], max_nodes: int) -> tuple[int, ...]:
                 _memo[(w, max_nodes)] = (w, orbit)
             value = _memo[(cur, max_nodes)]
             break
-        nxt, r = _canonical(mv.apply(_trusted(node), m).word)
+        nxt, r = _canonical(mv._perform(node, m))
         trail.append((cur, (nxt, *_path_from_pred(pred, node), m, r)))
         cur = nxt
     head = value[:2]

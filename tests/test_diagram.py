@@ -19,7 +19,13 @@ from flatknots import (
     serialize,
 )
 from flatknots.diagram import _canonical
-from conftest import brute_force_splits, canonical_oracle, diagram_strategy, random_diagram
+from conftest import (
+    brute_force_splits,
+    canonical_oracle,
+    diagram_strategy,
+    find_splits_oracle,
+    random_diagram,
+)
 
 
 def test_parse_smallest_code():
@@ -154,6 +160,45 @@ def test_find_splits_matches_brute_force():
             if not degenerate:
                 nontrivial += len(got)
     assert nontrivial >= 1000
+
+
+def test_find_splits_matches_oracle_in_every_rotation_small_n():
+    """Every n <= 5 word in every rotation, and with the degenerate
+    splits in its canonical rotation."""
+    nontrivial = 0
+    for n in range(6):
+        for d in enumerate_diagrams(n):
+            got = find_splits(d, include_degenerate=True)
+            assert got == find_splits_oracle(d, include_degenerate=True), d.word
+            for r in range(d.size):
+                rotated = GaussDiagram(d.word[r:] + d.word[:r])
+                got = find_splits(rotated)
+                assert got == find_splits_oracle(rotated), rotated.word
+                nontrivial += len(got)
+    assert nontrivial > 10000
+
+
+def test_find_splits_matches_oracle_on_random_words():
+    """20,000 seeded random words with up to 16 arrows, every tenth with
+    the degenerate splits too.  Half of them are two random words joined
+    end to end and rotated, so they split."""
+    rng = random.Random(71)
+    nontrivial = 0
+    for i in range(20000):
+        n = rng.randint(0, 16)
+        if n >= 2 and i % 2:
+            k = rng.randint(1, n - 1)
+            w2 = random_diagram(rng, n - k).word
+            word = random_diagram(rng, k).word + tuple(t + k if t > 0 else t - k for t in w2)
+            r = rng.randrange(2 * n)
+            d = GaussDiagram(word[r:] + word[:r])
+        else:
+            d = random_diagram(rng, n)
+        degenerate = i % 10 == 0
+        got = find_splits(d, include_degenerate=degenerate)
+        assert got == find_splits_oracle(d, include_degenerate=degenerate), d.word
+        nontrivial += len(got)
+    assert nontrivial > 20000
 
 
 @settings(max_examples=200, deadline=None)

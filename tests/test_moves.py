@@ -27,7 +27,13 @@ from flatknots import (
 )
 from flatknots import diagram
 from flatknots.diagram import HEAD, TAIL, canonical_word
-from flatknots.moves import _fr3_before_index, canonical_pattern
+from flatknots.moves import (
+    FR2_VARIANTS,
+    _first_decreasing,
+    _fr3_before_index,
+    _perform,
+    canonical_pattern,
+)
 from conftest import (
     _fr3_blocks_at,
     _fr3_structural,
@@ -94,6 +100,74 @@ def test_decreasing_enumerators_match_oracles_in_every_rotation(enumerate_sites,
         assert got == oracle(d), word
         sites += len(got)
     assert sites > min_sites
+
+
+def _first_decreasing_cases(words):
+    """Check _first_decreasing against the sorted enumeration on every
+    word; count the kinds of first site seen, so no case passes unseen."""
+    seen = collections.Counter()
+    for word in words:
+        d = GaussDiagram(word)
+        first = (enumerate_decreasing(d) or [None])[0]
+        assert _first_decreasing(d) == first, word
+        if first is None:
+            seen["none"] += 1
+            continue
+        base = min(first.positions)
+        wraps = first.positions[:2] == (d.size - 1, 0)
+        seen[(first.kind, "wrap" if wraps else "base 0" if base == 0 else "base > 0")] += 1
+        seen["one arrow"] += d.size == 2
+    return seen
+
+
+def test_first_decreasing_is_the_first_enumerated_site_in_every_rotation():
+    # rotations put a site on the wrap from the last endpoint to the first
+    words = [
+        d.word[r:] + d.word[:r]
+        for n in range(6)
+        for d in enumerate_diagrams(n)
+        for r in range(max(d.size, 1))
+    ]
+    seen = _first_decreasing_cases(words)
+    assert seen["none"] > 1000 and seen["one arrow"] == 2, seen
+    for kind in ("fr1-remove", "fr2-remove"):
+        for where in ("wrap", "base 0", "base > 0"):
+            assert seen[(kind, where)] > 100, seen
+
+
+def test_first_decreasing_is_the_first_enumerated_site_on_random_words():
+    """n = 6..16, each word also with one random bigon inserted, so that
+    FR2 sites come first often enough to be checked."""
+    rng = random.Random(29)
+    words = []
+    for i in range(3000):
+        d = random_diagram(rng, 6 + i % 11)
+        r = rng.randrange(d.size)
+        words.append(d.word[r:] + d.word[:r])
+        gaps = (rng.randrange(d.size), rng.randrange(d.size))
+        words.append(apply(d, Move("fr2-insert", rng.choice(FR2_VARIANTS), gaps)).word)
+    seen = _first_decreasing_cases(words)
+    assert seen["none"] > 500, seen
+    for kind in ("fr1-remove", "fr2-remove"):
+        for where in ("wrap", "base 0", "base > 0"):
+            assert seen[(kind, where)] > 20, seen
+
+
+def test_perform_then_relabel_is_apply():
+    """Every decreasing and FR3 move enumerated on n <= 5, and every
+    insert on n <= 2: _perform gives apply's word before relabeling."""
+    performed = collections.Counter()
+    for n in range(6):
+        for d in enumerate_diagrams(n):
+            found = enumerate_decreasing(d) + enumerate_fr3(d)
+            if n <= 2:
+                found += enumerate_increasing(d)
+            for m in found:
+                word = _perform(d.word, m)
+                assert type(word) is tuple and len(word) == d.size + 2 * m.delta
+                assert diagram._first_appearance(word) == apply(d, m).word, (d.word, m)
+                performed[m.kind] += 1
+    assert min(performed.values()) > 20 and len(performed) == 5, performed
 
 
 # ---------------------------------------------------------------------------

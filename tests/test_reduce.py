@@ -320,6 +320,30 @@ def test_scan_orbit_checks_the_start_word_first(monkeypatch):
     assert fr3_calls == []
 
 
+def test_reduction_performs_its_own_moves_without_apply(monkeypatch):
+    """A reduction or a certificate performs only moves its own
+    enumerators found: it neither re-checks one with apply nor builds
+    every decreasing site to keep the first."""
+    rng = random.Random(23)
+    diagrams = [random_diagram(rng, n) for n in range(6, 11) for _ in range(4)]
+    # two kinked members of a two-node minimal FR3 orbit need a bridge
+    orbit = fr3_orbit(parse("+1 +2 -1 -2 +3 +4 -3 +5 -4 -5"))
+    d1, d2 = (parse(f"+6 -6 {code} +7 -7") for code in orbit)
+    expected = [reduce_oracle(d)[1].to_json() for d in diagrams]
+    expected.append(certificate_oracle(d1, d2).to_json())
+
+    calls = []
+    for name in ("apply", "enumerate_decreasing"):
+        monkeypatch.setattr(moves, name, lambda *args, name=name: calls.append(name))
+    monkeypatch.setattr(reduce, "_memo", {})
+    got = [monotone_reduce(d)[1] for d in diagrams]
+    same, cert = equivalent(d1, d2, with_certificate=True)
+    assert same and calls == []
+    assert [t.to_json() for t in got] + [cert.to_json()] == expected
+    kinds = {m.kind for t in got + [cert] for m in t.steps}
+    assert {"fr1-remove", "fr2-remove", "fr3"} <= kinds, kinds
+
+
 def test_orbit_limits_validation():
     with pytest.raises(ValueError):
         OrbitLimits(max_nodes=0)
