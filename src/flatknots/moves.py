@@ -200,39 +200,37 @@ def _swap_ab_variant(variant: str) -> str:
     return "I" + flip[variant[1]] + flip[variant[2]]
 
 
-def enumerate_decreasing(d: GaussDiagram) -> list[Move]:
-    """Decreasing FR1 and FR2 sites in deterministic tie-break order."""
-    out = enumerate_fr1_decreasing(d) + enumerate_fr2_decreasing(d)
-    out.sort(key=Move.sort_key)
-    return out
+def _decreasing_sites(word: tuple[int, ...]):
+    """Yield the decreasing FR1 and FR2 sites of word in Move.sort_key
+    order, building each only when it is asked for.
 
-
-def _first_decreasing(d: GaussDiagram) -> Move | None:
-    """enumerate_decreasing(d)[0], or None, without building the rest.
-
-    A kept site's base (its least position) is its first block's start,
-    except for a block (size - 1, 0) that wraps, whose base is 0.  So the
-    base-0 sites come from starts 0 and size - 1, and a base b >= 1 site
-    only from start b, where FR1 sorts before FR2."""
-    word, size = d.word, d.size
+    A start position holds at most one site: its block is either one
+    arrow's two endpoints (FR1) or mixes two arrows (FR2).  A kept site's
+    base (its least position) is its first block's start, except for a
+    block (size - 1, 0) that wraps, whose base is 0.  So the base-0 sites
+    come from starts 0 and size - 1, and a base b >= 1 site only from
+    start b."""
+    size = len(word)
     if size < 2:
-        return None
+        return
     where = dict(zip(word, range(size)))
     # a lone arrow's two endpoints are adjacent both ways round; count it once
     starts = (0, size - 1) if size > 2 else (0,)
     base0 = [
         m
         for a0 in starts
-        for m in (_fr1_at(word, size, a0), _fr2_kept_at(word, size, where, a0))
-        if m is not None
+        if (m := _fr1_at(word, size, a0) or _fr2_kept_at(word, size, where, a0)) is not None
     ]
-    if base0:
-        return min(base0, key=Move.sort_key)
+    yield from sorted(base0, key=Move.sort_key)
     for b in range(1, size - 1):
         m = _fr1_at(word, size, b) or _fr2_kept_at(word, size, where, b)
         if m is not None:
-            return m
-    return None
+            yield m
+
+
+def enumerate_decreasing(d: GaussDiagram) -> list[Move]:
+    """Decreasing FR1 and FR2 sites in deterministic tie-break order."""
+    return list(_decreasing_sites(d.word))
 
 
 def enumerate_increasing(d: GaussDiagram) -> list[Move]:

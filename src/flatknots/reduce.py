@@ -145,7 +145,7 @@ def _scan_orbit(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
     """
     pred: dict = {start: None}
     if find_decreasing:
-        dec = mv._first_decreasing(_trusted(start))
+        dec = next(mv._decreasing_sites(start), None)
         if dec is not None:
             return pred, start, dec
     layer = [start]
@@ -168,7 +168,7 @@ def _scan_orbit(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
                 pred[nw] = (w, m, r)
                 nxt.append(nw)
                 if find_decreasing:
-                    dec = mv._first_decreasing(_trusted(nw))
+                    dec = next(mv._decreasing_sites(nw), None)
                     if dec is not None:
                         return pred, nw, dec
         layer = nxt

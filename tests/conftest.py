@@ -505,18 +505,18 @@ def find_splits_oracle(d: GaussDiagram, include_degenerate: bool = False) -> lis
     endpoint at a time, counting arrows with one endpoint inside; O(n^2)."""
     size = d.size
     splits = []
-    word = d.word
+    arrows = [abs(t) for t in d.word]
     for ga in range(max(size, 1)):
         if include_degenerate:
             splits.append(Split(ga, ga, (0, d.n)))
         open_count = 0
-        inside: set[int] = set()
+        inside = [False] * (d.n + 1)
         for gb in range(ga + 1, size):
-            a = abs(word[gb - 1])
-            if a in inside:
+            a = arrows[gb - 1]
+            if inside[a]:
                 open_count -= 1
             else:
-                inside.add(a)
+                inside[a] = True
                 open_count += 1
             if open_count == 0:
                 arrows_inside = (gb - ga) // 2

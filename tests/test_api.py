@@ -81,10 +81,11 @@ def test_tracer_counts_the_engine_work(monkeypatch):
     starts cold: a certified call follows the links earlier calls stored
     and skips the very work counted here.
 
-    The reduction finds its decreasing site with moves._first_decreasing
-    and performs its own moves with moves._perform, not through the
-    public enumerate_decreasing and apply; the tracer sees them once its
-    PRIVATE lists them, as it is extended here."""
+    One gap is known: the reduction takes its decreasing sites from the
+    private moves._decreasing_sites and performs its moves with
+    moves._perform, which the tracer does not wrap, so on this path
+    moves.enumerate_decreasing.sites reads 0 and moves.apply counts only
+    replay.  A spy on _decreasing_sites counts those sites instead."""
     monkeypatch.setattr(flatknots.reduce, "_memo", {})
     # no decreasing site, so its reduction starts with an FR3 orbit step
     d = flatknots.parse("+1 +2 -1 +3 +4 -2 -3 +5 -4 -5")
@@ -92,9 +93,16 @@ def test_tracer_counts_the_engine_work(monkeypatch):
         flatknots.apply(d, flatknots.Move("fr1-insert", "th", (3,))),
         flatknots.Move("fr2-insert", "Nth", (1, 6)),
     )
-    tracer_module = _load_tracer()
-    tracer_module.PRIVATE = {**tracer_module.PRIVATE, "moves": ("_first_decreasing", "_perform")}
-    tracer = tracer_module.Tracer()
+    sites = []
+    decreasing_sites = flatknots.moves._decreasing_sites
+
+    def spy(word):
+        for m in decreasing_sites(word):
+            sites.append(m)
+            yield m
+
+    monkeypatch.setattr(flatknots.moves, "_decreasing_sites", spy)
+    tracer = _load_tracer().Tracer()
     tracer.install()
     try:
         _, trace = flatknots.monotone_reduce(d)
@@ -111,12 +119,11 @@ def test_tracer_counts_the_engine_work(monkeypatch):
         assert stats[f"moves.apply.calls.{kind}"] > 0, kind
     for name in (
         "moves.enumerate_fr3.sites",
-        "moves._first_decreasing.calls",
-        "moves._perform.calls",
         "reduce.orbit_nodes",
         "catalog.candidates",
     ):
         assert stats[name] > 0, name
+    assert sites
 
 
 def test_only_the_fr3_singletons_are_cached():

@@ -29,7 +29,7 @@ from flatknots import diagram
 from flatknots.diagram import HEAD, TAIL, canonical_word
 from flatknots.moves import (
     FR2_VARIANTS,
-    _first_decreasing,
+    _decreasing_sites,
     _fr3_before_index,
     _perform,
     canonical_pattern,
@@ -102,25 +102,29 @@ def test_decreasing_enumerators_match_oracles_in_every_rotation(enumerate_sites,
     assert sites > min_sites
 
 
-def _first_decreasing_cases(words):
-    """Check _first_decreasing against the sorted enumeration on every
-    word; count the kinds of first site seen, so no case passes unseen."""
+def _decreasing_cases(words):
+    """Check enumerate_decreasing, which lists moves._decreasing_sites,
+    against the FR1 and FR2 enumerations sorted together, and the
+    reduction's first site against the list's first; count the kinds of
+    site seen, so no case passes unseen."""
     seen = collections.Counter()
     for word in words:
         d = GaussDiagram(word)
-        first = (enumerate_decreasing(d) or [None])[0]
-        assert _first_decreasing(d) == first, word
-        if first is None:
+        sites = enumerate_decreasing(d)
+        expected = enumerate_fr1_decreasing(d) + enumerate_fr2_decreasing(d)
+        assert sites == sorted(expected, key=Move.sort_key), word
+        assert next(_decreasing_sites(word), None) == (sites or [None])[0], word
+        if not sites:
             seen["none"] += 1
-            continue
-        base = min(first.positions)
-        wraps = first.positions[:2] == (d.size - 1, 0)
-        seen[(first.kind, "wrap" if wraps else "base 0" if base == 0 else "base > 0")] += 1
+        for m in sites:
+            base = min(m.positions)
+            wraps = m.positions[:2] == (d.size - 1, 0)
+            seen[(m.kind, "wrap" if wraps else "base 0" if base == 0 else "base > 0")] += 1
         seen["one arrow"] += d.size == 2
     return seen
 
 
-def test_first_decreasing_is_the_first_enumerated_site_in_every_rotation():
+def test_decreasing_sites_come_in_sort_order_in_every_rotation():
     # rotations put a site on the wrap from the last endpoint to the first
     words = [
         d.word[r:] + d.word[:r]
@@ -128,16 +132,16 @@ def test_first_decreasing_is_the_first_enumerated_site_in_every_rotation():
         for d in enumerate_diagrams(n)
         for r in range(max(d.size, 1))
     ]
-    seen = _first_decreasing_cases(words)
+    seen = _decreasing_cases(words)
     assert seen["none"] > 1000 and seen["one arrow"] == 2, seen
     for kind in ("fr1-remove", "fr2-remove"):
         for where in ("wrap", "base 0", "base > 0"):
             assert seen[(kind, where)] > 100, seen
 
 
-def test_first_decreasing_is_the_first_enumerated_site_on_random_words():
+def test_decreasing_sites_come_in_sort_order_on_random_words():
     """n = 6..16, each word also with one random bigon inserted, so that
-    FR2 sites come first often enough to be checked."""
+    FR2 sites are frequent enough to be checked."""
     rng = random.Random(29)
     words = []
     for i in range(3000):
@@ -146,7 +150,7 @@ def test_first_decreasing_is_the_first_enumerated_site_on_random_words():
         words.append(d.word[r:] + d.word[:r])
         gaps = (rng.randrange(d.size), rng.randrange(d.size))
         words.append(apply(d, Move("fr2-insert", rng.choice(FR2_VARIANTS), gaps)).word)
-    seen = _first_decreasing_cases(words)
+    seen = _decreasing_cases(words)
     assert seen["none"] > 500, seen
     for kind in ("fr1-remove", "fr2-remove"):
         for where in ("wrap", "base 0", "base > 0"):
