@@ -7,12 +7,15 @@ it, so most words that are not their own canonical form are never built.
 Every complete word still passes the exact self-canonical filter, so each
 rotation/relabel class appears exactly once, in `canonical_sort_key`
 order.  With `reduced=True` the generator also cuts every prefix with an
-FR1 site or a placed FR2 site, and drops every survivor with an FR2
-removal site, so it yields exactly the diagrams with no decreasing move.
-Classification scans the FR3 orbits of only those: a diagram with a
-decreasing move has crossing number below n and can never give a record.
-One record per orbit with no decreasing site; the reduction memo is left
-untouched.  Classes are oriented flat knot classes: no mirror or
+FR1 site or a placed FR2 site, and drops every survivor at its first
+decreasing site (only an FR2 site can be left), so it yields exactly the
+diagrams with no decreasing move.  Classification scans the FR3 orbits
+of only those: a diagram with a decreasing move has crossing number
+below n and can never give a record.  One record per orbit with no
+decreasing site; the reduction memo is left untouched.  Each record
+costs one pass over its word per question: the u-polynomial from prefix
+sums of endpoint signs, the verdict from the first split of the prefix
+XOR masks.  Classes are oriented flat knot classes: no mirror or
 reversal quotient is applied, and the file header says so.
 """
 from __future__ import annotations
@@ -22,10 +25,10 @@ import tempfile
 from dataclasses import dataclass
 from typing import Iterator
 
+from . import moves
 from .compose import _minimal_verdict
 from .diagram import GaussDiagram, _trusted, canonical_word, serialize
 from .invariants import u_polynomial
-from .moves import enumerate_fr2_decreasing
 from .reduce import DEFAULT_LIMITS, OrbitLimits, _scan_orbit
 
 
@@ -129,10 +132,8 @@ def enumerate_diagrams(n: int, *, reduced: bool = False) -> Iterator[GaussDiagra
     if not 0 <= n <= _MAX_ARROWS:
         raise ValueError(f"n must be between 0 and {_MAX_ARROWS}")
     for wt in _orderly_words(n, reduced):
-        if canonical_word(wt) == wt:
-            d = _trusted(wt)
-            if not (reduced and enumerate_fr2_decreasing(d)):
-                yield d
+        if canonical_word(wt) == wt and not (reduced and next(moves._decreasing_sites(wt), None)):
+            yield _trusted(wt)
 
 
 def classify(n: int, limits: OrbitLimits | None = None) -> list[CatalogRecord]:
@@ -140,7 +141,12 @@ def classify(n: int, limits: OrbitLimits | None = None) -> list[CatalogRecord]:
     site that no earlier scan reached; one record per orbit the scan
     finds no decreasing site in.  Every word of such a minimal orbit is
     yielded, in `canonical_sort_key` order, so the word that starts its
-    scan is the class word, and its verdict needs no reduction."""
+    scan is the class word, and its verdict needs no reduction.
+
+    The enumeration filter has just shown that the start word has no
+    decreasing site, so the scan checks only the words it discovers.
+    The record's u-polynomial and verdict each take one pass over the
+    class word (`u_polynomial`, `compose._minimal_verdict`)."""
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
     seen: set[tuple[int, ...]] = set()
     records = []

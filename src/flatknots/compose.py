@@ -24,10 +24,10 @@ from .diagram import (
     BasedDiagram,
     GaussDiagram,
     Split,
+    _first_split,
     _trusted,
     canonical_sort_key,
     canonical_word,
-    find_splits,
     rebase,
     serialize,
 )
@@ -106,13 +106,14 @@ def is_composite(d: GaussDiagram, limits: OrbitLimits | None = None) -> Composit
 
 def _minimal_verdict(minimal: GaussDiagram) -> CompositenessVerdict:
     """Verdict read off a minimal diagram: a nontrivial split there
-    certifies a composite, and composites always show one."""
+    certifies a composite, and composites always show one.  The witness
+    is the first split `find_splits` would list, found without building
+    the others (`diagram._first_split`)."""
     if minimal.n == 0:
         return CompositenessVerdict(VERDICT_TRIVIAL, minimal, None)
-    splits = find_splits(minimal)
-    if splits:
-        return CompositenessVerdict(VERDICT_COMPOSITE, minimal, splits[0])
-    return CompositenessVerdict(VERDICT_PRIME, minimal, None)
+    witness = _first_split(minimal)
+    verdict = VERDICT_PRIME if witness is None else VERDICT_COMPOSITE
+    return CompositenessVerdict(verdict, minimal, witness)
 
 
 @dataclass(frozen=True)

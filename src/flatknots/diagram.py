@@ -265,3 +265,26 @@ def find_splits(d: GaussDiagram, include_degenerate: bool = False) -> list[Split
         pairs += [(g, g) for g in range(max(d.size, 1))]
     pairs.sort()
     return [Split(ga, gb, ((gb - ga) // 2, n - (gb - ga) // 2)) for ga, gb in pairs]
+
+
+def _first_split(d: GaussDiagram) -> Split | None:
+    """``find_splits(d)[0]``, or None when d has no nontrivial split,
+    without building the other splits.
+
+    The splits come in (gap_a, gap_b) order, and every pair of a mask
+    group starts at or after the group's first gap, so the first split
+    pairs the first two gaps of the group whose first gap is least.  One
+    pass keeps each mask's first gap; a later gap of a group takes the
+    lead only if the group's first gap is below the one held, so only the
+    group's second gap ever does."""
+    first: dict[int, int] = {}  # mask -> its first gap
+    ga = gb = d.size
+    mask = 0
+    for g, t in enumerate(d.word):
+        f = first.setdefault(mask, g)
+        if f < g and f < ga:
+            ga, gb = f, g
+        mask ^= 1 << (t if t > 0 else -t)
+    if gb == d.size:
+        return None
+    return Split(ga, gb, ((gb - ga) // 2, d.n - (gb - ga) // 2))

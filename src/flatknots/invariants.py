@@ -48,20 +48,38 @@ class UPolynomial:
         return "".join(parts)
 
 
+def _indices(word: tuple[int, ...]) -> list[int]:
+    """Index of every arrow of a word, by label (entry 0 unused).
+
+    An arrow with both endpoints on an arc adds +1 and -1 there, so the
+    index is the plain signed sum of the arc [head + 1, tail).  With s(i)
+    the sum of the signs before position i, that is s(tail) - s(head + 1),
+    and the same across the wrap, because s(size) = 0.  One pass adds
+    s(tail) at each tail and subtracts s(head + 1) at each head."""
+    idx = [0] * (len(word) // 2 + 1)
+    s = 0
+    for t in word:
+        if t > 0:
+            idx[t] += s
+            s += 1
+        else:
+            s -= 1
+            idx[-t] -= s
+    return idx
+
+
 def arrow_index(d: GaussDiagram, arrow: int) -> int:
     """Signed count of arrows interlaced with the given arrow."""
-    if not 1 <= arrow <= d.n or arrow not in d.word:
-        raise UnknownArrow(f"no arrow {arrow} in this diagram")
-    word, size = d.word, d.size
-    tail, head = d.arrow_endpoints(arrow)
-    arc = {word[(head + 1 + i) % size] for i in range((tail - head - 1) % size)}
-    return sum(1 if t > 0 else -1 for t in arc if -t not in arc)
+    if not isinstance(arrow, int) or isinstance(arrow, bool) or not 1 <= arrow <= d.n:
+        raise UnknownArrow(f"no arrow {arrow!r} in this diagram")
+    return _indices(d.word)[arrow]
 
 
 def u_polynomial(d: GaussDiagram) -> UPolynomial:
+    """sign(n(e)) * t^|n(e)| summed over the arrows, from one pass over
+    the word (see `_indices`)."""
     coeffs: dict[int, int] = {}
-    for arrow in range(1, d.n + 1):
-        idx = arrow_index(d, arrow)
+    for idx in _indices(d.word)[1:]:
         if idx:
             exp = abs(idx)
             coeffs[exp] = coeffs.get(exp, 0) + (1 if idx > 0 else -1)

@@ -132,22 +132,20 @@ def _scan_orbit(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
 
     Each discovered word maps to (predecessor, move, offset): the move
     applies to the predecessor, and its result canonicalizes at that
-    rotation offset.  With find_decreasing, the start word is checked
-    first and every other node on discovery, and the scan stops at the
-    first node admitting a decreasing site, returning (pred, node, move)
-    with move the first of enumerate_decreasing(node); a start word with
-    one returns ({start: None}, start, move).  Otherwise returns
-    (pred, None, None) with pred covering the whole orbit.
+    rotation offset.  With find_decreasing, every node but the start is
+    checked on discovery, and the scan stops at the first node admitting
+    a decreasing site, returning (pred, node, move) with move the first
+    of enumerate_decreasing(node).  Otherwise returns (pred, None, None)
+    with pred covering the whole orbit.  The start word is not checked:
+    both callers that look for a decreasing site already know it has
+    none (`_reduce_word` checks it first, `catalog.classify` scans only
+    words its enumeration filter passed).
 
     The scan performs only moves its own enumerators found, so it skips
     apply's legality check: each FR3 neighbor is _perform's word,
     canonicalized once.
     """
     pred: dict = {start: None}
-    if find_decreasing:
-        dec = next(mv._decreasing_sites(start), None)
-        if dec is not None:
-            return pred, start, dec
     layer = [start]
     expanded = 0
     while layer:
@@ -213,17 +211,20 @@ def _reduce_word(word: tuple[int, ...], max_nodes: int) -> tuple[int, ...]:
 
     The one reduction loop.  ``word`` must already be canonical: each
     public entry point canonicalizes its input once and passes the result
-    here.  Each step is one orbit scan from the current word, whose FR3
-    path is empty when that word has a decreasing site itself.  The step
-    performs the scan's decreasing move with ``moves._perform``, without
-    apply's legality check: the move is one the enumerator found.  It
-    stops at the first memo entry it finds, then writes an entry for
-    every word it left, the last one first (see ``_memo``).
+    here.  Each step takes the current word's first decreasing site, or
+    when it has none, scans its FR3 orbit for the first node with one; a
+    scan that finds none ends the reduction.  The step performs the
+    decreasing move with ``moves._perform``, without apply's legality
+    check: the move is one the enumerator found.  It stops at the first
+    memo entry it finds, then writes an entry for every word it left,
+    the last one first (see ``_memo``).
     """
     cur = word
     trail = []
     while (value := _memo.get((cur, max_nodes))) is None:
-        pred, node, m = _scan_orbit(cur, max_nodes, find_decreasing=True)
+        pred, node, m = {cur: None}, cur, next(mv._decreasing_sites(cur), None)
+        if m is None:
+            pred, node, m = _scan_orbit(cur, max_nodes, find_decreasing=True)
         if node is None:
             orbit = tuple(sorted(pred, key=canonical_sort_key))
             for w in orbit:

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from flatknots import (
     GaussDiagram,
     MoveTrace,
+    UPolynomial,
     apply,
     canonical_form,
+    classify,
     enumerate_decreasing,
     enumerate_diagrams,
     enumerate_fr1_increasing,
@@ -524,6 +526,28 @@ def find_splits_oracle(d: GaussDiagram, include_degenerate: bool = False) -> lis
     return splits
 
 
+def arrow_index_oracle(d: GaussDiagram, arrow: int) -> int:
+    """Reference index: the set of endpoints on the open arc from the
+    arrow's head to its tail, counting +1 per tail and -1 per head of the
+    arrows with exactly one endpoint there."""
+    word = d.word
+    tail, head = d.arrow_endpoints(arrow)
+    arc = set(word[head + 1 : tail] if head < tail else word[head + 1 :] + word[:tail])
+    return sum(1 if t > 0 else -1 for t in arc if -t not in arc)
+
+
+def u_polynomial_oracle(d: GaussDiagram) -> UPolynomial:
+    """Reference u-polynomial from arrow_index_oracle, one arc set per
+    arrow; O(n^2)."""
+    coeffs: dict[int, int] = {}
+    for arrow in range(1, d.n + 1):
+        idx = arrow_index_oracle(d, arrow)
+        if idx:
+            exp = abs(idx)
+            coeffs[exp] = coeffs.get(exp, 0) + (1 if idx > 0 else -1)
+    return UPolynomial.from_dict(coeffs)
+
+
 def _oracle_pairings(points: tuple[int, ...]):
     if not points:
         yield []
@@ -609,6 +633,13 @@ def full_move_graph_classes(ceiling: int):
 @pytest.fixture(scope="session")
 def oracle_classes_ceiling_5():
     return full_move_graph_classes(5)
+
+
+@pytest.fixture(scope="session")
+def classified():
+    """classify(n) as a tuple of records, computed once per session for
+    each n asked for; the default orbit budget."""
+    return functools.cache(lambda n: tuple(classify(n)))
 
 
 @pytest.fixture

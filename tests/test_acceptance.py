@@ -183,13 +183,13 @@ def test_criterion_6_split_preservation():
             f"trials={trials}, violations={violations}")
 
 
-def test_criterion_7_compositeness_stability():
+def test_criterion_7_compositeness_stability(classified):
     # every minimal diagram of a composite splits, and none of any other
     # class does
     violations = []
     composite_members = 0
     for n in (4, 5, 6):
-        for rec in classify(n):
+        for rec in classified(n):
             composite = rec.verdict == "C"
             for code in fr3_orbit(parse(rec.code)):
                 composite_members += composite

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 
@@ -15,7 +16,7 @@ from flatknots import (
     u_polynomial,
     write_catalog,
 )
-from flatknots import catalog, reduce
+from flatknots import catalog, moves, reduce
 from flatknots.diagram import canonical_sort_key, canonical_word
 from conftest import enumerate_oracle
 
@@ -37,6 +38,7 @@ CATALOG_3 = (
 CATALOG_SHA256 = {
     4: "dac092f6374daa99f9c2cb69da8ccf0bcd6546e944eb1d826f2ed1c7e77de85e",
     5: "095593c18057021d14c8d3f4b4e73e220d496d5ce98ec120aeafe3fa8e3ceb3d",
+    6: "c935dc3d6158c709161992980afb55e7317e403f5ad4baa351a9eccc661ba06f",
 }
 
 
@@ -124,9 +126,9 @@ def test_classify_three_frozen():
     assert all(crossing_number(parse(r.code)) == parse(r.code).n for r in records)
 
 
-@pytest.mark.parametrize("n", [4, 5])
-def test_catalog_bytes_are_pinned(n):
-    text = catalog.catalog_text(classify(n), n)
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_catalog_bytes_are_pinned(n, classified):
+    text = catalog.catalog_text(classified(n), n)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CATALOG_SHA256[n]
 
 
@@ -213,3 +215,31 @@ def test_classify_canonicalizes_each_enumerated_word_once(monkeypatch, canonical
     assert len(yielded) == 32
     # the one call is the self-canonical filter's
     assert [canonical_calls[id(w)] for w in yielded] == [1] * 32
+
+
+def test_classify_checks_each_scan_start_once_in_the_filter(monkeypatch):
+    """The enumeration filter has just shown that a scan's start word has
+    no decreasing site, so the scan does not check it again."""
+    in_filter, in_scans, starts = collections.Counter(), collections.Counter(), []
+    sites, scan = moves._decreasing_sites, catalog._scan_orbit
+    scanning_now = [False]
+
+    def checking(word):
+        (in_scans if scanning_now[0] else in_filter)[word] += 1
+        return sites(word)
+
+    def scanning(start, *args, **kwargs):
+        starts.append(start)
+        scanning_now[0] = True
+        try:
+            return scan(start, *args, **kwargs)
+        finally:
+            scanning_now[0] = False
+
+    monkeypatch.setattr(moves, "_decreasing_sites", checking)
+    monkeypatch.setattr(catalog, "_scan_orbit", scanning)
+    assert len(classify(5)) == 400
+    # 400 orbits with no decreasing site and 16 that stop at one
+    assert len(starts) == 416
+    assert [(in_filter[w], in_scans[w]) for w in starts] == [(1, 0)] * len(starts)
+    assert sum(in_scans.values()) > 0

@@ -19,6 +19,7 @@ from flatknots import (
     find_splits,
     fr3_orbit,
     is_composite,
+    minimal_class_code,
     parse,
     permutant_set,
     rebase,
@@ -168,6 +169,30 @@ def test_composite_classes_by_the_sides_of_their_splits(n, want):
         if kinds:
             breakdown[tuple(sorted(kinds))] += 1
     assert breakdown == want
+
+
+def test_sums_of_two_crossing_number_three_knots_at_six(classified):
+    """Composite in the stricter sense, a sum of two nontrivial knots: the
+    connected sums of every pair of 3-arrow minimal diagrams, over every
+    basepoint pair, fall into exactly the 78 classes of crossing number 6
+    whose minimal diagrams split into two sides of crossing number 3."""
+    threes = [parse(c) for r in classified(3) for c in fr3_orbit(parse(r.code))]
+    by_sums = {
+        minimal_class_code(parse(code))
+        for d1, d2 in itertools.product(threes, repeat=2)
+        for code in permutant_set(d1, d2).members
+    }
+    by_splits = set()
+    for r in classified(6):
+        members = [parse(code) for code in fr3_orbit(parse(r.code))] if r.verdict == "C" else []
+        if any(
+            s.side_sizes == (3, 3) and _closed_side_crossing_numbers(d, s) == (3, 3)
+            for d in members
+            for s in find_splits(d)
+        ):
+            by_splits.add(r.code)
+    assert len(by_splits) == 78
+    assert by_sums == by_splits
 
 
 def nontrivial_side(rng, inserts=1):

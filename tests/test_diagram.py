@@ -18,6 +18,7 @@ from flatknots import (
     rebase,
     serialize,
 )
+from flatknots.compose import _minimal_verdict
 from flatknots.diagram import _canonical
 from conftest import (
     brute_force_splits,
@@ -164,7 +165,8 @@ def test_find_splits_matches_brute_force():
 
 def test_find_splits_matches_oracle_in_every_rotation_small_n():
     """Every n <= 5 word in every rotation, and with the degenerate
-    splits in its canonical rotation."""
+    splits in its canonical rotation.  A verdict's witness, found without
+    listing the splits, is the first split listed."""
     nontrivial = 0
     for n in range(6):
         for d in enumerate_diagrams(n):
@@ -174,6 +176,7 @@ def test_find_splits_matches_oracle_in_every_rotation_small_n():
                 rotated = GaussDiagram(d.word[r:] + d.word[:r])
                 got = find_splits(rotated)
                 assert got == find_splits_oracle(rotated), rotated.word
+                assert _minimal_verdict(rotated).witness == (got[0] if got else None)
                 nontrivial += len(got)
     assert nontrivial > 10000
 
@@ -181,7 +184,8 @@ def test_find_splits_matches_oracle_in_every_rotation_small_n():
 def test_find_splits_matches_oracle_on_random_words():
     """20,000 seeded random words with up to 16 arrows, every tenth with
     the degenerate splits too.  Half of them are two random words joined
-    end to end and rotated, so they split."""
+    end to end and rotated, so they split.  A verdict's witness is the
+    first nontrivial split listed."""
     rng = random.Random(71)
     nontrivial = 0
     for i in range(20000):
@@ -197,6 +201,8 @@ def test_find_splits_matches_oracle_on_random_words():
         degenerate = i % 10 == 0
         got = find_splits(d, include_degenerate=degenerate)
         assert got == find_splits_oracle(d, include_degenerate=degenerate), d.word
+        first = next((s for s in got if s.gap_a < s.gap_b), None)
+        assert _minimal_verdict(d).witness == first, d.word
         nontrivial += len(got)
     assert nontrivial > 20000
 

@@ -13,7 +13,7 @@ from flatknots import (
     parse,
     u_polynomial,
 )
-from conftest import all_legal_moves, random_diagram
+from conftest import all_legal_moves, arrow_index_oracle, random_diagram, u_polynomial_oracle
 
 
 def test_index_single_arrow():
@@ -35,6 +35,13 @@ def test_index_non_interlaced_pair():
 def test_index_unknown_arrow():
     with pytest.raises(UnknownArrow):
         arrow_index(parse("+1 -1"), 2)
+
+
+@pytest.mark.parametrize("arrow", [True, 2.0, "1", None])
+def test_index_rejects_an_arrow_that_is_not_an_int(arrow):
+    # True and 2.0 compare equal to arrows 1 and 2, which are present
+    with pytest.raises(UnknownArrow):
+        arrow_index(parse("+1 +2 -1 -2"), arrow)
 
 
 def test_u_of_empty_is_zero():
@@ -96,3 +103,33 @@ def test_index_sum_invariant_under_fr3():
         after = sum(arrow_index(e, a) for a in range(1, e.n + 1))
         assert before == after
         checked += 1
+
+
+def test_index_and_u_match_the_oracle_in_every_rotation():
+    """u on every rotation of every diagram with n <= 5, so arcs cross
+    the word's end in every way they can, and every arrow's index on each
+    diagram.  A rotation keeps each arrow's arcs, so the oracle runs once
+    per diagram."""
+    nonzero = 0
+    for n in range(6):
+        for d in enumerate_diagrams(n):
+            assert [arrow_index(d, a) for a in range(1, n + 1)] == [
+                arrow_index_oracle(d, a) for a in range(1, n + 1)
+            ]
+            u = u_polynomial_oracle(d)
+            nonzero += not u.is_zero
+            for r in range(max(d.size, 1)):
+                rotated = GaussDiagram(d.word[r:] + d.word[:r])
+                assert u_polynomial(rotated) == u, rotated.word
+    assert nonzero > 1000
+
+
+def test_u_matches_the_oracle_on_random_words():
+    rng = random.Random(73)
+    nonzero = 0
+    for _ in range(20000):
+        d = random_diagram(rng, rng.randint(0, 16))
+        got = u_polynomial(d)
+        assert got == u_polynomial_oracle(d), d.word
+        nonzero += not got.is_zero
+    assert nonzero > 10000

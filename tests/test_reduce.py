@@ -302,22 +302,36 @@ def test_orbit_budget_exceeded_signals():
     assert len(codes) == 2
 
 
-def test_scan_orbit_checks_the_start_word_first(monkeypatch):
-    # the kink gives a decreasing site, so no FR3 neighbor is looked at
+def test_reduction_step_checks_the_start_word_first(monkeypatch):
+    # the kink gives a decreasing site, so no FR3 neighbor of the word is
+    # looked at and no orbit scan starts from it
     d = parse("+1 +2 -1 -3 -2 +3 +4 -4")
     w = canonical_word(d.word)
-    fr3_calls = []
-    enumerate_fr3 = moves.enumerate_fr3
+    fr3_calls, scans = [], []
+    enumerate_fr3, scan_orbit = moves.enumerate_fr3, reduce._scan_orbit
 
     def spy(rep):
-        fr3_calls.append(rep)
+        fr3_calls.append(rep.word)
         return enumerate_fr3(rep)
 
+    def scanning(start, *args, **kwargs):
+        scans.append(start)
+        return scan_orbit(start, *args, **kwargs)
+
     monkeypatch.setattr(moves, "enumerate_fr3", spy)
+    monkeypatch.setattr(reduce, "_scan_orbit", scanning)
     for budget in (1, DEFAULT_LIMITS.max_nodes):
-        result = reduce._scan_orbit(w, budget, find_decreasing=True)
-        assert result == ({w: None}, w, enumerate_decreasing(GaussDiagram(w))[0])
-    assert fr3_calls == []
+        monkeypatch.setattr(reduce, "_memo", {})
+        minimal = reduce._reduce_word(w, budget)
+        # one step reaches the minimal word; the link holds the move and
+        # its offset, and no FR3 path
+        link = reduce._memo[(w, budget)][2:]
+        assert link[:2] == (minimal, enumerate_decreasing(GaussDiagram(w))[0])
+        assert len(link) == 3
+        assert w not in fr3_calls and w not in scans
+    # the 3-crossing word it reaches has no decreasing site: its orbit is
+    # scanned
+    assert scans == [minimal, minimal] and fr3_calls
 
 
 def test_reduction_performs_its_own_moves_without_apply(monkeypatch):
