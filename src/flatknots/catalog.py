@@ -3,20 +3,21 @@
 Diagrams with n arrows are generated by one orderly generator: each word
 is built left to right in first-appearance labels, starting with a tail,
 and a prefix is cut as soon as some rotation of it already encodes below
-it, so most words that are not their own canonical form are never built.
-Every complete word still passes the exact self-canonical filter, so each
-rotation/relabel class appears exactly once, in `canonical_sort_key`
-order.  With `reduced=True` the generator also cuts every prefix with an
-FR1 site or a placed FR2 site, and drops every survivor at its first
-decreasing site (only an FR2 site can be left), so it yields exactly the
-diagrams with no decreasing move.  Classification scans the FR3 orbits
-of only those: a diagram with a decreasing move has crossing number
-below n and can never give a record.  One record per orbit with no
-decreasing site; the reduction memo is left untouched.  Each record
-costs one pass over its word per question: the u-polynomial from prefix
-sums of endpoint signs, the verdict from the first split of the prefix
-XOR masks.  Classes are oriented flat knot classes: no mirror or
-reversal quotient is applied, and the file header says so.
+it.  When a word is complete, the rotations that still tie with it are
+compared through the word's end, so the generator yields exactly the
+words that are their own canonical form, each rotation/relabel class
+once, in `canonical_sort_key` order, and no word is canonicalized after
+it is built.  With `reduced=True` the generator also cuts every prefix
+with an FR1 site or a placed FR2 site, and drops a complete word whose
+wrap block is an FR2 site, so it yields exactly the diagrams with no
+decreasing move.  Classification scans the FR3 orbits of only those: a
+diagram with a decreasing move has crossing number below n and can
+never give a record.  One record per orbit with no decreasing site; the
+reduction memo is left untouched.  Each record costs one pass over its
+word per question: the u-polynomial from prefix sums of endpoint signs,
+the verdict from the first split of the prefix XOR masks.  Classes are
+oriented flat knot classes: no mirror or reversal quotient is applied,
+and the file header says so.
 """
 from __future__ import annotations
 
@@ -25,15 +26,14 @@ import tempfile
 from dataclasses import dataclass
 from typing import Iterator
 
-from . import moves
 from .compose import _minimal_verdict
-from .diagram import GaussDiagram, _trusted, canonical_word, serialize
+from .diagram import GaussDiagram, _trusted, serialize
 from .invariants import u_polynomial
 from .reduce import DEFAULT_LIMITS, OrbitLimits, _scan_orbit
 
 
 # there are about (2n - 1)!! 2^n / 2n diagrams, 5.4e13 at n = 12 (the
-# generator builds 77,296 words for 55,540 at n = 6), so no larger run
+# generator completes 77,296 words for 55,540 at n = 6), so no larger run
 # could finish; the bound makes a mistyped n an input error, not a run
 # that never ends
 _MAX_ARROWS = 12
@@ -50,26 +50,31 @@ class CatalogRecord:
 
 
 def _orderly_words(n: int, reduced: bool) -> Iterator[tuple[int, ...]]:
-    """Complete n-arrow words in first-appearance labels, starting with a
-    tail, in `canonical_sort_key` order, built left to right with every
-    prefix cut that no completion could make canonical.
+    """Every n-arrow word equal to its own canonical form, in
+    `canonical_sort_key` order; with reduced=True, only those with no
+    decreasing FR1 or FR2 site.  No word is canonicalized or searched
+    for a site after it is built.
 
-    A prefix is cut when some rotation starting at a tail already encodes
-    below rotation 0 on the positions placed; the comparison goes by rank
-    (see `diagram._canonical`), so rotation 0's ranks are stored and a
-    rotation that encodes above rotation 0 is no longer followed.  With
-    reduced=True a prefix is also cut at an FR1 site (an arrow closed right
-    after its first endpoint, or arrow 1 closed at the last position) and
-    at an FR2 site between two blocks already placed.  The cuts miss some
-    words they could drop, so the caller filters every word built."""
+    Each word is built left to right in first-appearance labels,
+    starting with a tail.  A prefix is cut when some rotation starting at
+    a tail already encodes below rotation 0 on the positions placed; the
+    comparison goes by rank (see `diagram._canonical`), so rotation 0's
+    ranks are stored and a rotation that encodes above rotation 0 is no
+    longer followed.  `_completes` finishes the comparison through the
+    word's end.  With reduced=True a prefix is also cut at an FR1 site
+    (an arrow closed right after its first endpoint, or arrow 1 closed at
+    the last position) and at an FR2 site between two blocks already
+    placed; `_completes` checks the one block no prefix holds, the wrap."""
     size = 2 * n
     word = [0] * size
+    partner = [0] * size  # partner position of each closed endpoint
     opened = [0] * (n + 1)  # position of each label's first endpoint
     rank0 = [0] * size  # rotation 0's rank at each offset
 
     def extend(k, labels, open_labels, kept):
         if k == size:
-            yield tuple(word)
+            if _completes(word, partner, rank0, kept, reduced):
+                yield tuple(word)
             return
         # (endpoint, partner position or -1 for a new arrow) in ascending
         # code order: returns by label, then a new tail, then a new head
@@ -109,6 +114,7 @@ def _orderly_words(n: int, reduced: bool) -> Iterator[tuple[int, ...]]:
                 word[k] = t
                 rank0[k] = rank
                 if p >= 0:
+                    partner[k], partner[p] = p, k
                     rest = [lab for lab in open_labels if lab != t and lab != -t]
                     yield from extend(k + 1, labels, rest, next_kept)
                 else:
@@ -122,18 +128,53 @@ def _orderly_words(n: int, reduced: bool) -> Iterator[tuple[int, ...]]:
     yield from extend(1, 1, [1], [])
 
 
+def _completes(word, partner, rank0, kept, reduced) -> bool:
+    """Whether a word `_orderly_words` has just completed is yielded.
+
+    Each rotation r still in `kept` has encoded like rotation 0 on
+    positions r..size-1; positions j = 0..r-1 sit at its offsets
+    size - r + j.  Position j's partner p sits at offset p - r when
+    p >= r, else at size - r + p, so it lies back inside the rotation's
+    prefix when p >= r or p < j.  A rank below rotation 0's rejects the
+    word, a rank above drops r, and a rotation equal all the way through
+    is a symmetry of the word.  With reduced=True the wrap block
+    (size - 1, 0) must not be an FR2 site: word[0] is arrow 1's tail and
+    arrow 1 never closes at the last position, so the block mixes two
+    arrows exactly when word[-1] is a head."""
+    size = len(word)
+    if reduced and word[-1] < 0 and abs(partner[-1] - partner[0]) == 1:
+        return False
+    for r in kept:
+        for j in range(r):
+            p = partner[j]
+            if p >= r:
+                rank = p - j - size
+            elif p < j:
+                rank = p - j
+            else:
+                rank = word[j] < 0
+            c = rank0[size - r + j]
+            if rank != c:
+                if rank < c:
+                    return False
+                break
+    return True
+
+
 def enumerate_diagrams(n: int, *, reduced: bool = False) -> Iterator[GaussDiagram]:
     """Every diagram with exactly n arrows, 0 <= n <= 12, once per
     rotation/relabel class (those whose word equals its own canonical
     form), in `canonical_sort_key` order of their words.
 
     With reduced=True, only those with no decreasing FR1 or FR2 site,
-    in the same order."""
+    in the same order.  The generator builds exactly these words, so
+    none is canonicalized or searched for a site here."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"n must be an integer, not {n!r}")
     if not 0 <= n <= _MAX_ARROWS:
         raise ValueError(f"n must be between 0 and {_MAX_ARROWS}")
     for wt in _orderly_words(n, reduced):
-        if canonical_word(wt) == wt and not (reduced and next(moves._decreasing_sites(wt), None)):
-            yield _trusted(wt)
+        yield _trusted(wt)
 
 
 def classify(n: int, limits: OrbitLimits | None = None) -> list[CatalogRecord]:
@@ -143,8 +184,8 @@ def classify(n: int, limits: OrbitLimits | None = None) -> list[CatalogRecord]:
     yielded, in `canonical_sort_key` order, so the word that starts its
     scan is the class word, and its verdict needs no reduction.
 
-    The enumeration filter has just shown that the start word has no
-    decreasing site, so the scan checks only the words it discovers.
+    The generator builds only words with no decreasing site, so the
+    scan checks only the words it discovers.
     The record's u-polynomial and verdict each take one pass over the
     class word (`u_polynomial`, `compose._minimal_verdict`)."""
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes

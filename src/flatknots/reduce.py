@@ -41,7 +41,10 @@ class OrbitLimits:
     max_nodes: int = 1_000_000
 
     def __post_init__(self):
-        if self.max_nodes < 1:
+        m = self.max_nodes
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise ValueError(f"max_nodes must be an integer, not {m!r}")
+        if m < 1:
             raise ValueError("max_nodes must be >= 1")
 
 

@@ -22,7 +22,7 @@ from flatknots import (
     enumerate_fr2_increasing,
     enumerate_fr3,
 )
-from flatknots import diagram
+from flatknots import diagram, moves
 from flatknots.diagram import HEAD, TAIL, Split, canonical_sort_key, canonical_word, serialize
 from flatknots.moves import (
     FR1_INSERT,
@@ -581,6 +581,75 @@ def enumerate_oracle(n: int):
             wt = tuple(word)
             if canonical_word(wt) == wt:
                 yield GaussDiagram(wt)
+
+
+def _prefix_cut_words(n: int, reduced: bool):
+    """The orderly generator before its leaf check: every prefix cut of
+    `catalog._orderly_words`, but a rotation is compared with rotation 0
+    only on positions inside the prefix, and no FR2 site across the wrap
+    is cut.  So it also builds words that are not their own canonical
+    form, and, reduced, words with an FR2 site across the wrap."""
+    size = 2 * n
+    word = [0] * size
+    opened = [0] * (n + 1)
+    rank0 = [0] * size
+
+    def extend(k, labels, open_labels, kept):
+        if k == size:
+            yield tuple(word)
+            return
+        choices = []
+        for lab in open_labels:
+            p = opened[lab]
+            if reduced and (p == k - 1 or (p == 0 and k == size - 1)):
+                continue
+            choices.append((-word[p], p))
+        if labels < n and len(open_labels) < size - k - 1:
+            choices.append((labels + 1, -1))
+            choices.append((-labels - 1, -1))
+        u = word[k - 1]
+        q = opened[u if u > 0 else -u]
+        for t, p in choices:
+            if p >= 0:
+                if reduced and q != k - 1 and (u > 0) != (t > 0) and (q - p == 1 or p - q == 1):
+                    continue
+                rank = p - k
+            else:
+                rank = t < 0
+            next_kept = []
+            for r in kept:
+                rr = rank if p >= r else t < 0
+                c = rank0[k - r]
+                if rr < c:
+                    break
+                if rr == c:
+                    next_kept.append(r)
+            else:
+                if t > 0:
+                    next_kept.append(k)
+                word[k] = t
+                rank0[k] = rank
+                if p >= 0:
+                    rest = [lab for lab in open_labels if lab != t and lab != -t]
+                    yield from extend(k + 1, labels, rest, next_kept)
+                else:
+                    opened[labels + 1] = k
+                    yield from extend(k + 1, labels + 1, open_labels + [labels + 1], next_kept)
+
+    if n == 0:
+        yield ()
+        return
+    word[0] = 1
+    yield from extend(1, 1, [1], [])
+
+
+def orderly_filter_oracle(n: int, reduced: bool):
+    """Reference for `enumerate_diagrams`' words: the prefix-cut
+    generator, then the exact filters it needed, the self-canonical check
+    and, reduced, the first decreasing site."""
+    for wt in _prefix_cut_words(n, reduced):
+        if canonical_word(wt) == wt and not (reduced and next(moves._decreasing_sites(wt), None)):
+            yield wt
 
 
 @st.composite

@@ -85,7 +85,13 @@ def test_tracer_counts_the_engine_work(monkeypatch):
     private moves._decreasing_sites and performs its moves with
     moves._perform, which the tracer does not wrap, so on this path
     moves.enumerate_decreasing.sites reads 0 and moves.apply counts only
-    replay.  A spy on _decreasing_sites counts those sites instead."""
+    replay.  A spy on _decreasing_sites counts those sites instead.
+
+    A second gap: the tracer counts catalog.candidates as canonical_word
+    calls under enumerate_diagrams, and the generator builds only
+    canonical words, so none is made and the count reads 0.  A spy on
+    catalog._completes, which runs once per complete word built, counts
+    them instead."""
     monkeypatch.setattr(flatknots.reduce, "_memo", {})
     # no decreasing site, so its reduction starts with an FR3 orbit step
     d = flatknots.parse("+1 +2 -1 +3 +4 -2 -3 +5 -4 -5")
@@ -102,6 +108,14 @@ def test_tracer_counts_the_engine_work(monkeypatch):
             yield m
 
     monkeypatch.setattr(flatknots.moves, "_decreasing_sites", spy)
+    completed = []
+    completes = flatknots.catalog._completes
+
+    def completes_spy(*args):
+        completed.append(args)
+        return completes(*args)
+
+    monkeypatch.setattr(flatknots.catalog, "_completes", completes_spy)
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
@@ -117,13 +131,9 @@ def test_tracer_counts_the_engine_work(monkeypatch):
     assert kinds == {"fr1-remove", "fr1-insert", "fr2-remove", "fr2-insert", "fr3"}
     for kind in kinds:
         assert stats[f"moves.apply.calls.{kind}"] > 0, kind
-    for name in (
-        "moves.enumerate_fr3.sites",
-        "reduce.orbit_nodes",
-        "catalog.candidates",
-    ):
+    for name in ("moves.enumerate_fr3.sites", "reduce.orbit_nodes"):
         assert stats[name] > 0, name
-    assert sites
+    assert sites and completed
 
 
 def test_only_the_fr3_singletons_are_cached():

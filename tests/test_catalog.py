@@ -16,9 +16,9 @@ from flatknots import (
     u_polynomial,
     write_catalog,
 )
-from flatknots import catalog, moves, reduce
+from flatknots import catalog, diagram, moves, reduce
 from flatknots.diagram import canonical_sort_key, canonical_word
-from conftest import enumerate_oracle
+from conftest import enumerate_oracle, orderly_filter_oracle
 
 # regression constants, frozen after brute-force dedup
 DIAGRAM_COUNTS = {0: 1, 1: 1, 2: 4, 3: 22, 4: 218, 5: 3028, 6: 55540}
@@ -85,14 +85,49 @@ def test_enumerate_yields_strictly_increasing_sort_keys(n, reduced):
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
+@pytest.mark.parametrize("reduced", [False, True])
+@pytest.mark.parametrize("n", range(7))
+def test_enumerate_matches_filter_oracle(n, reduced):
+    # the generator without its leaf check, then the exact filters
+    want = list(orderly_filter_oracle(n, reduced))
+    assert [d.word for d in enumerate_diagrams(n, reduced=reduced)] == want
+
+
+def _calls_of(monkeypatch, module, name):
+    """Replace module.name by a spy; return the list of calls it saw."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_enumerate_makes_no_canonical_or_site_call(reduced, monkeypatch):
+    canonical = _calls_of(monkeypatch, diagram, "_canonical")
+    sites = _calls_of(monkeypatch, moves, "_decreasing_sites")
+    counts = REDUCED_COUNTS if reduced else DIAGRAM_COUNTS
+    for n in range(6):
+        assert sum(1 for _ in enumerate_diagrams(n, reduced=reduced)) == counts[n]
+    assert canonical == [] and sites == []
+    # the spies are live: the oracle's filters go through both
+    assert len(list(orderly_filter_oracle(4, True))) == REDUCED_COUNTS[4]
+    assert canonical and sites
+
+
 @pytest.mark.parametrize("reduced,built", [(False, 4184), (True, 920)])
-def test_enumerate_builds_few_words_at_five(reduced, built, canonical_calls):
-    # one canonical_word call per complete word built; every pairing times
+def test_enumerate_builds_few_words_at_five(reduced, built, monkeypatch):
+    # one _completes call per complete word built; every pairing times
     # every tail-first direction assignment would build 15,120 and, skipping
     # pairings with an adjacent chord, 4,688
+    completes = _calls_of(monkeypatch, catalog, "_completes")
     counts = REDUCED_COUNTS if reduced else DIAGRAM_COUNTS
     assert sum(1 for _ in enumerate_diagrams(5, reduced=reduced)) == counts[5]
-    assert sum(canonical_calls.values()) == built
+    assert len(completes) == built
 
 
 def test_enumerate_emits_canonical_words_once():
@@ -106,6 +141,13 @@ def test_enumerate_emits_canonical_words_once():
 def test_enumerate_rejects_negative():
     with pytest.raises(ValueError):
         list(enumerate_diagrams(-1))
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, "3", None, 13])
+def test_enumerate_rejects_n_that_is_not_an_arrow_count(n):
+    with pytest.raises(ValueError) as info:
+        next(enumerate_diagrams(n))
+    assert "\n" not in str(info.value)
 
 
 @pytest.mark.parametrize("n,count", sorted(CLASS_COUNTS.items()))
@@ -201,7 +243,9 @@ def test_catalog_overwrite_leaves_no_temp_files(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["keep.flatcat"]
 
 
-def test_classify_canonicalizes_each_enumerated_word_once(monkeypatch, canonical_calls):
+def test_classify_never_canonicalizes_an_enumerated_word(monkeypatch, canonical_calls):
+    """The generator builds only canonical words, so neither enumeration
+    nor a scan canonicalizes a word it yields."""
     yielded = []
     enumerate_all = catalog.enumerate_diagrams
 
@@ -211,15 +255,19 @@ def test_classify_canonicalizes_each_enumerated_word_once(monkeypatch, canonical
             yield d
 
     monkeypatch.setattr(catalog, "enumerate_diagrams", recording)
+    # the scans' own binding of _canonical goes through the spy too
+    monkeypatch.setattr(reduce, "_canonical", diagram._canonical)
     assert len(classify(4)) == 26
     assert len(yielded) == 32
-    # the one call is the self-canonical filter's
-    assert [canonical_calls[id(w)] for w in yielded] == [1] * 32
+    assert [canonical_calls[id(w)] for w in yielded] == [0] * 32
+    # the spy is live: the scans canonicalize the words they reach
+    assert sum(canonical_calls.values()) > 0
 
 
-def test_classify_checks_each_scan_start_once_in_the_filter(monkeypatch):
-    """The enumeration filter has just shown that a scan's start word has
-    no decreasing site, so the scan does not check it again."""
+def test_classify_never_checks_a_scan_start_for_a_decreasing_site(monkeypatch):
+    """The generator builds only words with no decreasing site, and a
+    scan checks only the words it discovers, so nobody checks a scan's
+    start word."""
     in_filter, in_scans, starts = collections.Counter(), collections.Counter(), []
     sites, scan = moves._decreasing_sites, catalog._scan_orbit
     scanning_now = [False]
@@ -241,5 +289,5 @@ def test_classify_checks_each_scan_start_once_in_the_filter(monkeypatch):
     assert len(classify(5)) == 400
     # 400 orbits with no decreasing site and 16 that stop at one
     assert len(starts) == 416
-    assert [(in_filter[w], in_scans[w]) for w in starts] == [(1, 0)] * len(starts)
-    assert sum(in_scans.values()) > 0
+    assert [(in_filter[w], in_scans[w]) for w in starts] == [(0, 0)] * len(starts)
+    assert sum(in_filter.values()) == 0 and sum(in_scans.values()) > 0

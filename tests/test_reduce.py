@@ -363,6 +363,13 @@ def test_orbit_limits_validation():
         OrbitLimits(max_nodes=0)
 
 
+@pytest.mark.parametrize("max_nodes", [True, False, 2.5, 2.0, "5", None])
+def test_orbit_limits_reject_a_budget_that_is_not_an_integer(max_nodes):
+    with pytest.raises(ValueError, match="^max_nodes must be an integer, not .*") as info:
+        OrbitLimits(max_nodes=max_nodes)
+    assert "\n" not in str(info.value)
+
+
 def test_minimal_class_code_is_class_invariant():
     rng = random.Random(27)
     for _ in range(20):
