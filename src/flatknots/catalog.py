@@ -173,6 +173,8 @@ def enumerate_diagrams(n: int, *, reduced: bool = False) -> Iterator[GaussDiagra
         raise ValueError(f"n must be an integer, not {n!r}")
     if not 0 <= n <= _MAX_ARROWS:
         raise ValueError(f"n must be between 0 and {_MAX_ARROWS}")
+    if not isinstance(reduced, bool):
+        raise ValueError(f"reduced must be True or False, not {reduced!r}")
     for wt in _orderly_words(n, reduced):
         yield _trusted(wt)
 

@@ -330,43 +330,76 @@ def _fr3_at(word: tuple[int, ...], positions: tuple[int, ...]) -> Move | None:
     return None if entry is None else Move(FR3, entry.id, positions)
 
 
+@functools.lru_cache(maxsize=1)
+def _fr3_shape_table() -> tuple[int | None, ...]:
+    """Catalog entry id, or None, for each of the 64 shapes of a candidate
+    site that enumerate_fr3 forms from its least block (s, s + 1), which
+    holds arrows a and b.  Bit 32: word[s] is a tail; 16: word[s + 1] is
+    a tail; 8: the endpoint q of arrow c next to a's partner p1 is a tail;
+    4: a's block is (p1, q), not (q, p1); 2: b's block ends, not starts,
+    at b's partner p2; 1: a's block comes before b's."""
+    index = _fr3_before_index()
+    table = []
+    for key in range(64):
+        ta, tb, tc = (1 if key & 32 else -1), (2 if key & 16 else -2), (3 if key & 8 else -3)
+        a_block = (-ta, tc) if key & 4 else (tc, -ta)
+        b_block = (-tc, -tb) if key & 2 else (-tb, -tc)
+        later = a_block + b_block if key & 1 else b_block + a_block
+        entry = index.get(_first_appearance((ta, tb) + later))
+        table.append(None if entry is None else entry.id)
+    return tuple(table)
+
+
 def enumerate_fr3(d: GaussDiagram) -> list[Move]:
     """All FR3 sites: three disjoint adjacent blocks, each holding two of
     the three arrows, arrow pairs covered once, pattern in the catalog.
 
-    Adjacent blocks holding two distinct arrows are indexed by their
-    sorted arrow pair; a site joins the blocks of (a,b), (a,c) and (b,c).
-    Every arrow lies in at most four blocks, so the work grows with the
-    number of candidate sites rather than with C(2n, 3)."""
-    size = d.size
+    Each site is found once, from its least block (s, s + 1), which holds
+    two arrows a and b.  a's other block holds a's partner p1 and one
+    neighbour q of it, an endpoint of the third arrow c; b's other block
+    must then hold b's partner p2 and the partner of q side by side.  So
+    a block start has at most two candidates, and each is matched by one
+    lookup in _fr3_shape_table, with no relabeling: the work is linear in
+    the number of endpoints."""
     if d.n < 3:
         return []
-    word = d.word
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    partners: dict[int, set[int]] = {}
-    for s in range(size):
-        x, y = abs(word[s]), abs(word[(s + 1) % size])
-        if x == y:
-            continue
-        if x > y:
-            x, y = y, x
-        by_pair.setdefault((x, y), []).append(s)
-        partners.setdefault(x, set()).add(y)
+    word, size = d.word, d.size
+    last = size - 1
+    where = dict(zip(word, range(size)))
+    partner = [where[-t] for t in word]
+    shapes = _fr3_shape_table()
     moves = []
-    for (a, b), ab_starts in by_pair.items():
-        for c in partners[a]:
-            if c <= b or (b, c) not in by_pair:
+    for s in range(size - 4):
+        s1 = s + 1
+        ta, tb = word[s], word[s1]
+        if ta == -tb:
+            continue
+        p1, p2 = partner[s], partner[s1]
+        before_p2 = p2 - 1 if p2 else last
+        after_p2 = p2 + 1 if p2 < last else 0
+        for a_side in (0, 4):
+            if a_side:
+                a_start, q = p1, (p1 + 1 if p1 < last else 0)
+            else:
+                a_start = q = p1 - 1 if p1 else last
+            r = partner[q]
+            if r == after_p2:
+                b_start, b_side = p2, 0
+            elif r == before_p2:
+                b_start, b_side = r, 2
+            else:
                 continue
-            for s1 in ab_starts:
-                for s2 in by_pair[(a, c)]:
-                    for s3 in by_pair[(b, c)]:
-                        t1, t2, t3 = sorted((s1, s2, s3))
-                        positions = (t1, (t1 + 1) % size, t2, (t2 + 1) % size, t3, (t3 + 1) % size)
-                        if len(set(positions)) != 6:
-                            continue
-                        m = _fr3_at(word, positions)
-                        if m is not None:
-                            moves.append(m)
+            # both later blocks start past the least one, which keeps the
+            # three disjoint except when s == 0 and a's block (last, 0) holds s
+            if a_start <= s1 or b_start <= s1 or q == s:
+                continue
+            a_first = a_start < b_start
+            signs = (32 if ta > 0 else 0) + (16 if tb > 0 else 0) + (8 if word[q] > 0 else 0)
+            entry = shapes[signs + a_side + b_side + a_first]
+            if entry is None:
+                continue
+            lo, hi = (a_start, b_start) if a_first else (b_start, a_start)
+            moves.append(Move(FR3, entry, (s, s1, lo, lo + 1, hi, hi + 1 if hi < last else 0)))
     moves.sort(key=Move.sort_key)
     return moves
 

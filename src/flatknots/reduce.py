@@ -153,7 +153,9 @@ def _scan_orbit(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
     expanded = 0
     while layer:
         nxt = []
-        for w in sorted(layer, key=canonical_sort_key):
+        if len(layer) > 1:
+            layer.sort(key=canonical_sort_key)
+        for w in layer:
             rep = _trusted(w)
             expanded += 1
             for m in mv.enumerate_fr3(rep):

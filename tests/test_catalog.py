@@ -150,6 +150,14 @@ def test_enumerate_rejects_n_that_is_not_an_arrow_count(n):
     assert "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize("reduced", ["no", 0.0, 1, None])
+def test_enumerate_rejects_reduced_that_is_not_a_bool(reduced):
+    # "no" once selected the reduced set and 0.0 the full one
+    with pytest.raises(ValueError) as info:
+        next(enumerate_diagrams(4, reduced=reduced))
+    assert "\n" not in str(info.value)
+
+
 @pytest.mark.parametrize("n,count", sorted(CLASS_COUNTS.items()))
 def test_class_counts_frozen(n, count):
     assert len(classify(n)) == count

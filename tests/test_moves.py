@@ -31,6 +31,7 @@ from flatknots.moves import (
     FR2_VARIANTS,
     _decreasing_sites,
     _fr3_before_index,
+    _fr3_shape_table,
     _perform,
     canonical_pattern,
 )
@@ -334,6 +335,35 @@ def test_fr3_catalog_matches_block_form_oracle():
         assert canonical_pattern(key) == e.before
 
 
+def test_fr3_shape_table_agrees_with_the_before_index():
+    """Each 6-bit key spells the six tokens of a candidate site with a, b
+    and c labeled 1, 2 and 3: the least block (a, b), a's block holding
+    -a and c on either side of it, and b's holding -b and -c, in either
+    order; the table names the entry those tokens match, or none."""
+    index, table = _fr3_before_index(), _fr3_shape_table()
+    assert len(table) == 64
+    for key in range(64):
+        a, b, c = (1 if key & 32 else -1), (2 if key & 16 else -2), (3 if key & 8 else -3)
+        a_block = [-a, c] if key & 4 else [c, -a]
+        b_block = [-c, -b] if key & 2 else [-b, -c]
+        tokens = [a, b] + (a_block + b_block if key & 1 else b_block + a_block)
+        entry = index.get(diagram._first_appearance(tokens))
+        assert table[key] == (None if entry is None else entry.id), key
+    legal = [entry for entry in table if entry is not None]
+    assert len(legal) == 16
+    assert set(legal) == {e.id for e in build_fr3_catalog()}
+
+
+def test_fr3_finds_a_site_whose_last_block_wraps():
+    # the site's last block is (11, 0), and b's partner sits at 0
+    w = parse("+1 +2 -1 -2 +3 +4 -3 +5 +6 -4 -5 -6").word
+    d = GaussDiagram(w[7:] + w[:7])
+    assert serialize(d) == "+5 +6 -4 -5 -6 +1 +2 -1 -2 +3 +4 -3"
+    sites = enumerate_fr3(d)
+    assert [m.positions for m in sites] == [(2, 3, 9, 10, 11, 0)]
+    assert sites == fr3_oracle(d)
+
+
 def test_fr3_enumerate_needs_three_arrows():
     assert enumerate_fr3(parse("+1 +2 -1 -2")) == []
     assert enumerate_fr3(GaussDiagram(())) == []
@@ -376,7 +406,7 @@ def test_fr3_preserves_crossing_count_and_arrows():
 
 
 def _fr3_sites_checked(diagrams) -> int:
-    """Compare the pair-indexed enumerator with the cubic-scan oracle on
+    """Compare the partner-scan enumerator with the cubic-scan oracle on
     every diagram; return the number of sites compared."""
     total = 0
     for d in diagrams:
