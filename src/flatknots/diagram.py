@@ -248,6 +248,8 @@ def find_splits(d: GaussDiagram, include_degenerate: bool = False) -> list[Split
     exactly when gaps ga and gb have equal masks.  One pass groups the
     gaps by mask, and every pair inside a group is a split.
     """
+    if not isinstance(include_degenerate, bool):
+        raise ValueError(f"include_degenerate must be True or False, not {include_degenerate!r}")
     n = d.n
     groups: dict[int, list[int]] = {}  # mask -> its gaps, in order
     mask = 0

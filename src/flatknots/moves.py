@@ -114,17 +114,6 @@ def _fr1_at(word: tuple[int, ...], size: int, i: int) -> Move | None:
     return Move(FR1_REMOVE, "th" if word[i] > 0 else "ht", (i, j))
 
 
-def enumerate_fr1_decreasing(d: GaussDiagram) -> list[Move]:
-    """One move per arrow whose endpoints are cyclically consecutive."""
-    word, size = d.word, d.size
-    # a lone arrow's two endpoints are adjacent both ways round; count it once
-    moves = [
-        m for i in range(1 if size == 2 else size) if (m := _fr1_at(word, size, i)) is not None
-    ]
-    moves.sort(key=Move.sort_key)
-    return moves
-
-
 def enumerate_fr1_increasing(d: GaussDiagram) -> list[Move]:
     """One kink insertion per gap and direction."""
     gaps = max(d.size, 1)
@@ -160,17 +149,6 @@ def _fr2_kept_at(word: tuple[int, ...], size: int, where: dict[int, int], a0: in
     position: each bigon is found from both of its blocks."""
     m = _fr2_at(word, size, where, a0)
     return m if m is not None and min(m.positions) in m.positions[:2] else None
-
-
-def enumerate_fr2_decreasing(d: GaussDiagram) -> list[Move]:
-    """One move per arrow pair forming two disjoint adjacent mixed blocks."""
-    word, size = d.word, d.size
-    where = dict(zip(word, range(size)))
-    moves = [
-        m for a0 in range(size) if (m := _fr2_kept_at(word, size, where, a0)) is not None
-    ]
-    moves.sort(key=Move.sort_key)
-    return moves
 
 
 def enumerate_fr2_increasing(d: GaussDiagram) -> list[Move]:
@@ -313,41 +291,55 @@ def build_fr3_catalog() -> tuple[FR3CatalogEntry, ...]:
     return tuple(entries)
 
 
-@functools.lru_cache(maxsize=1)
-def _fr3_before_index() -> dict[Pattern, FR3CatalogEntry]:
-    """Every block rotation of every canonical before, relabeled by first
-    appearance, mapped to its entry.  Six tokens relabeled the same way
-    are a key exactly when their canonical pattern is that before."""
-    catalog = build_fr3_catalog()
-    return {_first_appearance(e.before[r:] + e.before[:r]): e for e in catalog for r in (0, 2, 4)}
-
-
-def _fr3_at(word: tuple[int, ...], positions: tuple[int, ...]) -> Move | None:
-    """FR3 move on the blocks (positions[0], positions[1]), ... if their
-    pattern is in the catalog.  Every catalog pattern covers three arrows
-    pairwise, and relabeling and rotation keep that, so a match implies it."""
-    entry = _fr3_before_index().get(_first_appearance([word[p] for p in positions]))
-    return None if entry is None else Move(FR3, entry.id, positions)
+def _fr3_key(tokens) -> int | None:
+    """The _fr3_shape_table key of six distinct endpoint tokens read as
+    three blocks, the first holding arrows a and b, or None unless one
+    later block holds -a and an endpoint c of a third arrow and the other
+    holds -b and -c.  A key names its six tokens up to relabeling."""
+    ta, tb, t2, t3, t4, t5 = tokens
+    if -ta in (t2, t3):
+        a_first, (x, y), b_block = 1, (t2, t3), (t4, t5)
+    elif -ta in (t4, t5):
+        a_first, (x, y), b_block = 0, (t4, t5), (t2, t3)
+    else:
+        return None
+    a_side, tc = (4, y) if x == -ta else (0, x)
+    # the tokens are distinct, so c is neither a nor b once b's block holds -c
+    if b_block == (-tb, -tc):
+        b_side = 0
+    elif b_block == (-tc, -tb):
+        b_side = 2
+    else:
+        return None
+    signs = (32 if ta > 0 else 0) + (16 if tb > 0 else 0) + (8 if tc > 0 else 0)
+    return signs + a_side + b_side + a_first
 
 
 @functools.lru_cache(maxsize=1)
 def _fr3_shape_table() -> tuple[int | None, ...]:
-    """Catalog entry id, or None, for each of the 64 shapes of a candidate
-    site that enumerate_fr3 forms from its least block (s, s + 1), which
-    holds arrows a and b.  Bit 32: word[s] is a tail; 16: word[s + 1] is
-    a tail; 8: the endpoint q of arrow c next to a's partner p1 is a tail;
-    4: a's block is (p1, q), not (q, p1); 2: b's block ends, not starts,
-    at b's partner p2; 1: a's block comes before b's."""
-    index = _fr3_before_index()
-    table = []
-    for key in range(64):
-        ta, tb, tc = (1 if key & 32 else -1), (2 if key & 16 else -2), (3 if key & 8 else -3)
-        a_block = (-ta, tc) if key & 4 else (tc, -ta)
-        b_block = (-tc, -tb) if key & 2 else (-tb, -tc)
-        later = a_block + b_block if key & 1 else b_block + a_block
-        entry = index.get(_first_appearance((ta, tb) + later))
-        table.append(None if entry is None else entry.id)
+    """Catalog entry id, or None, for each of the 64 keys of _fr3_key,
+    set from every block rotation of every catalog before.  enumerate_fr3
+    computes the same key from partner positions for a candidate whose
+    least block (s, s + 1) holds arrows a and b.  Bit 32: word[s] is a
+    tail; 16: word[s + 1] is a tail; 8: the endpoint q of arrow c next to
+    a's partner p1 is a tail; 4: a's block is (p1, q), not (q, p1); 2:
+    b's block ends, not starts, at b's partner p2; 1: a's block comes
+    before b's."""
+    table: list[int | None] = [None] * 64
+    for e in build_fr3_catalog():
+        for r in (0, 2, 4):
+            table[_fr3_key(e.before[r:] + e.before[:r])] = e.id
     return tuple(table)
+
+
+def _fr3_at(word: tuple[int, ...], positions: tuple[int, ...]) -> Move | None:
+    """FR3 move on the blocks (positions[0], positions[1]), ... if their
+    pattern is in the catalog: the _fr3_key of their tokens, read in the
+    order given, names an entry of _fr3_shape_table.  The table holds
+    every block rotation, so any of the three blocks may be listed first."""
+    key = _fr3_key([word[p] for p in positions])
+    entry = None if key is None else _fr3_shape_table()[key]
+    return None if entry is None else Move(FR3, entry, positions)
 
 
 def enumerate_fr3(d: GaussDiagram) -> list[Move]:
@@ -414,6 +406,7 @@ def _check_gap(g: int, size: int):
 
 
 _BLOCK_POSITIONS = {FR1_REMOVE: 2, FR2_REMOVE: 4, FR3: 6}
+_POSITION_COUNT = {**_BLOCK_POSITIONS, FR1_INSERT: 1, FR2_INSERT: 2}
 
 
 def _perform(word: tuple[int, ...], m: Move) -> tuple[int, ...]:
@@ -445,8 +438,9 @@ def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
     result is not validated again: a legal move keeps a valid word valid.
 
     Every move given is checked first: a removal or FR3 move is legal
-    when the recognizer its enumerator uses finds exactly m at m's
-    positions, and an insert needs a known variant and gaps in range.
+    when its recognizer (_fr1_at, _fr2_at or _fr3_at, which reads
+    enumerate_fr3's shape table) finds exactly m at m's positions, and
+    an insert needs a known variant and gaps in range.
     Then _perform makes the move."""
     word, size = d.word, d.size
     kind, positions = m.kind, m.positions
@@ -504,6 +498,12 @@ def _vacated_gap(pair: tuple[int, int], removed: tuple[int, ...], pre_size: int)
 def inverse(m: Move, pre_size: int) -> Move:
     """Move undoing m; pre_size is the endpoint count of m's pre-move
     diagram.  Positions refer to the literal post-move word of apply."""
+    count = _POSITION_COUNT.get(m.kind)
+    if count is None:
+        raise ValueError(f"unknown move kind {m.kind!r}")
+    if len(m.positions) != count:
+        raise ValueError(f"{m.kind}: {len(m.positions)} positions given, {count} expected")
+
     if m.kind == FR1_INSERT:
         g = m.positions[0]
         return Move(FR1_REMOVE, m.variant, (g, g + 1))
@@ -536,10 +536,7 @@ def inverse(m: Move, pre_size: int) -> Move:
         variant = m.variant if lead in (a0, a1) else _swap_ab_variant(m.variant)
         return Move(FR2_INSERT, variant, (gap_a, gap_b))
 
-    if m.kind == FR3:
-        catalog, v = build_fr3_catalog(), m.variant
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < len(catalog):
-            raise ValueError(f"unknown fr3 catalog entry {v!r}")
-        return Move(FR3, catalog[v].inverse_id, m.positions)
-
-    raise ValueError(f"unknown move kind {m.kind!r}")
+    catalog, v = build_fr3_catalog(), m.variant
+    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < len(catalog):
+        raise ValueError(f"unknown fr3 catalog entry {v!r}")
+    return Move(FR3, catalog[v].inverse_id, m.positions)

@@ -14,6 +14,7 @@ from flatknots import (
     MoveTrace,
     UPolynomial,
     apply,
+    build_fr3_catalog,
     canonical_form,
     classify,
     enumerate_decreasing,
@@ -215,6 +216,18 @@ def fr3_catalog_oracle() -> tuple[FR3CatalogEntry, ...]:
         FR3CatalogEntry(i, cb, befores[cb], index[_block_canonical_pattern(befores[cb])])
         for i, cb in enumerate(ordered)
     )
+
+
+@functools.lru_cache(maxsize=1)
+def fr3_before_index_oracle() -> dict[tuple[int, ...], FR3CatalogEntry]:
+    """Every block rotation of every canonical before, relabeled by first
+    appearance, mapped to its entry.  Six tokens relabeled the same way
+    are a key exactly when their canonical pattern is that before."""
+    return {
+        diagram._first_appearance(e.before[r:] + e.before[:r]): e
+        for e in build_fr3_catalog()
+        for r in (0, 2, 4)
+    }
 
 
 def _fr3_blocks_at(word, size, starts):

@@ -155,6 +155,20 @@ def test_criterion_5_permutant_minimality():
     _report(5, "permutants of minimal diagrams stay minimal", ok, f"violations={len(failures)}")
 
 
+def test_superadditivity_is_equality_for_minimal_3_and_4_arrow_summands():
+    """Sums of two nontrivial minimal diagrams with 3 + 4 arrows: every
+    permutant is itself minimal, so cr(sum) = cr(d1) + cr(d2) exactly."""
+    minimal3, minimal4 = _minimal_diagrams(3), _minimal_diagrams(4)
+    assert (len(minimal3), len(minimal4)) == (2, 30)
+    members = {
+        code
+        for d1, d2 in itertools.product(minimal3, minimal4)
+        for code in permutant_set(d1, d2).members
+    }
+    assert len(members) == 2784
+    assert {crossing_number(parse(code)) for code in members} == {7}
+
+
 def test_criterion_6_split_preservation():
     rng = random.Random(1006)
     base = [WITNESS_3, WITNESS_3_OTHER]

@@ -138,8 +138,8 @@ def test_tracer_counts_the_engine_work(monkeypatch):
 
 def test_only_the_fr3_singletons_are_cached():
     """`reduce._memo` is the library's one cache; the only memoized
-    functions are the three single-entry FR3 builders: the catalog, its
-    before index and the shape table."""
+    functions are the two single-entry FR3 builders: the catalog and the
+    shape table."""
     modules = [flatknots] + [
         importlib.import_module(f"flatknots.{info.name}")
         for info in pkgutil.iter_modules(flatknots.__path__)
@@ -152,6 +152,5 @@ def test_only_the_fr3_singletons_are_cached():
                     cached.add(f"{fn.__module__}.{fn.__qualname__}")
     assert cached == {
         "flatknots.moves.build_fr3_catalog",
-        "flatknots.moves._fr3_before_index",
         "flatknots.moves._fr3_shape_table",
     }

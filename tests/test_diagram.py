@@ -134,6 +134,12 @@ def test_degenerate_splits_on_request():
     assert [(s.gap_a, s.gap_b) for s in empty] == [(0, 0)]
 
 
+@pytest.mark.parametrize("flag", ["no", 0, 1, None])
+def test_find_splits_rejects_an_include_degenerate_that_is_not_a_bool(flag):
+    with pytest.raises(ValueError, match="^include_degenerate must be True or False"):
+        find_splits(parse("+1 -1 +2 -2"), include_degenerate=flag)
+
+
 def test_find_splits_matches_brute_force():
     """Gaps, side sizes and order, with and without the degenerate splits,
     on random diagrams up to 16 arrows and on connected sums, which always

@@ -13,9 +13,7 @@ from flatknots import (
     classify,
     crossing_number,
     enumerate_decreasing,
-    enumerate_fr1_decreasing,
     enumerate_fr1_increasing,
-    enumerate_fr2_decreasing,
     enumerate_fr2_increasing,
     enumerate_fr3,
     enumerate_diagrams,
@@ -28,9 +26,12 @@ from flatknots import (
 from flatknots import diagram
 from flatknots.diagram import HEAD, TAIL, canonical_word
 from flatknots.moves import (
+    FR1_REMOVE,
+    FR2_REMOVE,
     FR2_VARIANTS,
+    FR3,
     _decreasing_sites,
-    _fr3_before_index,
+    _fr3_at,
     _fr3_shape_table,
     _perform,
     canonical_pattern,
@@ -42,10 +43,17 @@ from conftest import (
     apply_oracle,
     fr1_oracle,
     fr2_oracle,
+    fr3_before_index_oracle,
     fr3_catalog_oracle,
     fr3_oracle,
     random_diagram,
 )
+
+
+def removals(d: GaussDiagram, kind: str) -> list[Move]:
+    """The sites of one removal kind among enumerate_decreasing's."""
+    return [m for m in enumerate_decreasing(d) if m.kind == kind]
+
 
 # ---------------------------------------------------------------------------
 # FR1
@@ -53,17 +61,17 @@ from conftest import (
 
 
 def test_fr1_isolated_kink():
-    moves = enumerate_fr1_decreasing(parse("+1 -1"))
+    moves = removals(parse("+1 -1"), FR1_REMOVE)
     assert len(moves) == 1 and moves[0].variant == "th"
 
 
 def test_fr1_opposite_direction():
-    moves = enumerate_fr1_decreasing(parse("-1 +1"))
+    moves = removals(parse("-1 +1"), FR1_REMOVE)
     assert len(moves) == 1 and moves[0].variant == "ht"
 
 
 def test_fr1_no_adjacent_endpoints():
-    assert enumerate_fr1_decreasing(parse("+1 +2 -1 -2")) == []
+    assert removals(parse("+1 +2 -1 -2"), FR1_REMOVE) == []
 
 
 def test_fr1_remove_and_insert_round():
@@ -80,14 +88,11 @@ def test_fr1_remove_relabels():
 
 
 @pytest.mark.parametrize(
-    "enumerate_sites, oracle, min_sites",
-    [
-        (enumerate_fr1_decreasing, fr1_oracle, 80000),
-        (enumerate_fr2_decreasing, fr2_oracle, 40000),
-    ],
+    "kind, oracle, min_sites",
+    [(FR1_REMOVE, fr1_oracle, 80000), (FR2_REMOVE, fr2_oracle, 40000)],
     ids=["fr1", "fr2"],
 )
-def test_decreasing_enumerators_match_oracles_in_every_rotation(enumerate_sites, oracle, min_sites):
+def test_decreasing_enumerators_match_oracles_in_every_rotation(kind, oracle, min_sites):
     # rotations put a site on the wrap from the last endpoint to the first
     rng = random.Random(32)
     bases = [d for n in range(6) for d in enumerate_diagrams(n)]
@@ -97,7 +102,7 @@ def test_decreasing_enumerators_match_oracles_in_every_rotation(enumerate_sites,
     sites = 0
     for word in words:
         d = GaussDiagram(word)
-        got = enumerate_sites(d)
+        got = removals(d, kind)
         assert got == oracle(d), word
         sites += len(got)
     assert sites > min_sites
@@ -105,15 +110,14 @@ def test_decreasing_enumerators_match_oracles_in_every_rotation(enumerate_sites,
 
 def _decreasing_cases(words):
     """Check enumerate_decreasing, which lists moves._decreasing_sites,
-    against the FR1 and FR2 enumerations sorted together, and the
-    reduction's first site against the list's first; count the kinds of
-    site seen, so no case passes unseen."""
+    against the FR1 and FR2 oracles sorted together, and the reduction's
+    first site against the list's first; count the kinds of site seen,
+    so no case passes unseen."""
     seen = collections.Counter()
     for word in words:
         d = GaussDiagram(word)
         sites = enumerate_decreasing(d)
-        expected = enumerate_fr1_decreasing(d) + enumerate_fr2_decreasing(d)
-        assert sites == sorted(expected, key=Move.sort_key), word
+        assert sites == sorted(fr1_oracle(d) + fr2_oracle(d), key=Move.sort_key), word
         assert next(_decreasing_sites(word), None) == (sites or [None])[0], word
         if not sites:
             seen["none"] += 1
@@ -212,7 +216,7 @@ def test_fr2_rule_matches_bigon_model_exactly():
     admitting = {
         canonical_word(d.word)
         for d in enumerate_diagrams(2)
-        if enumerate_fr2_decreasing(d)
+        if removals(d, FR2_REMOVE)
     }
     assert admitting == model
 
@@ -223,7 +227,7 @@ def test_fr2_sites_embed_in_bigon_model():
     seen = 0
     while seen < 200:
         d = random_diagram(rng, rng.randint(2, 6))
-        for m in enumerate_fr2_decreasing(d):
+        for m in removals(d, FR2_REMOVE):
             a0, a1, b0, b1 = m.positions
             x, y = d.word[a0], d.word[a1]
             standalone = (
@@ -237,11 +241,11 @@ def test_fr2_sites_embed_in_bigon_model():
 
 
 def test_fr2_nested_tails_only_pair_illegal():
-    assert enumerate_fr2_decreasing(parse("+1 +2 -2 -1")) == []
+    assert removals(parse("+1 +2 -2 -1"), FR2_REMOVE) == []
 
 
 def test_fr2_nested_mixed_pair_legal():
-    moves = enumerate_fr2_decreasing(parse("+1 -2 +2 -1"))
+    moves = removals(parse("+1 -2 +2 -1"), FR2_REMOVE)
     assert len(moves) == 1
     assert apply(parse("+1 -2 +2 -1"), moves[0]).n == 0
 
@@ -250,7 +254,7 @@ def test_fr2_interleaved_same_role_pairing_illegal():
     # the (0,1)/(2,3) pairing is tails-only against heads-only and is not
     # a site; only the wrap pairing, which mixes roles, qualifies
     d = parse("+1 +2 -1 -2")
-    moves = enumerate_fr2_decreasing(d)
+    moves = removals(d, FR2_REMOVE)
     assert len(moves) == 1
     assert set(moves[0].positions) == {0, 1, 2, 3}
     assert moves[0].positions[:2] != (0, 1)
@@ -265,7 +269,7 @@ def test_fr2_one_move_per_arrow_pair():
         d = random_diagram(rng, rng.randint(2, 6))
         pairs = [
             frozenset(abs(d.word[p]) for p in m.positions)
-            for m in enumerate_fr2_decreasing(d)
+            for m in removals(d, FR2_REMOVE)
         ]
         assert len(pairs) == len(set(pairs))
 
@@ -273,7 +277,7 @@ def test_fr2_one_move_per_arrow_pair():
 def test_fr2_insert_same_gap_nested():
     d = apply(GaussDiagram(()), Move("fr2-insert", "Nth", (0, 0)))
     assert d.word == (1, -2, 2, -1)
-    assert enumerate_fr2_decreasing(d)
+    assert removals(d, FR2_REMOVE)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +332,7 @@ def test_fr3_catalog_matches_block_form_oracle():
             tokens(o.after),
             o.inverse_id,
         )
-    index = _fr3_before_index()
+    index = fr3_before_index_oracle()
     assert len(index) == 16  # entries 0-3 are rotation-symmetric
     assert set(index.values()) == set(catalog)
     for key, e in index.items():
@@ -340,7 +344,7 @@ def test_fr3_shape_table_agrees_with_the_before_index():
     and c labeled 1, 2 and 3: the least block (a, b), a's block holding
     -a and c on either side of it, and b's holding -b and -c, in either
     order; the table names the entry those tokens match, or none."""
-    index, table = _fr3_before_index(), _fr3_shape_table()
+    index, table = fr3_before_index_oracle(), _fr3_shape_table()
     assert len(table) == 64
     for key in range(64):
         a, b, c = (1 if key & 32 else -1), (2 if key & 16 else -2), (3 if key & 8 else -3)
@@ -352,6 +356,38 @@ def test_fr3_shape_table_agrees_with_the_before_index():
     legal = [entry for entry in table if entry is not None]
     assert len(legal) == 16
     assert set(legal) == {e.id for e in build_fr3_catalog()}
+
+
+def first_appearance_sequences(length: int) -> list[tuple[int, ...]]:
+    """Every sequence of distinct endpoint tokens whose arrows are
+    labeled 1, 2, ... in order of first appearance."""
+    sequences = [()]
+    for _ in range(length):
+        grown = []
+        for seq in sequences:
+            fresh = max(map(abs, seq), default=0) + 1
+            options = [-t for t in seq if -t not in seq] + [fresh, -fresh]
+            grown += [seq + (t,) for t in options]
+        sequences = grown
+    return sequences
+
+
+def test_fr3_at_agrees_with_the_before_index_on_every_six_token_sequence():
+    """apply's recognizer reads a key from the blocks as given; the
+    before index relabels the tokens and looks them up.  They agree on
+    every six tokens, and on the same tokens with other labels."""
+    index, positions = fr3_before_index_oracle(), (0, 1, 2, 3, 4, 5)
+    sequences = first_appearance_sequences(6)
+    assert len(sequences) == 1384
+    matched = 0
+    for tokens in sequences:
+        entry = index.get(diagram._first_appearance(tokens))
+        expected = None if entry is None else Move(FR3, entry.id, positions)
+        assert _fr3_at(tokens, positions) == expected, tokens
+        shifted = tuple(t + 3 if t > 0 else t - 3 for t in tokens)
+        assert _fr3_at(shifted, positions) == expected, shifted
+        matched += entry is not None
+    assert matched == 16
 
 
 def test_fr3_finds_a_site_whose_last_block_wraps():
@@ -633,6 +669,23 @@ def test_inverse_examples():
 def test_inverse_rejects_an_fr3_variant_that_is_not_a_catalog_id(variant):
     with pytest.raises(ValueError, match="unknown fr3 catalog entry"):
         inverse(Move("fr3", variant, (0, 1, 2, 3, 4, 5)), 6)
+
+
+@pytest.mark.parametrize(
+    "move",
+    [
+        Move("fr1-insert", "th", ()),
+        Move("fr1-insert", "th", (0, 1)),
+        Move("fr1-remove", "th", (0,)),
+        Move("fr2-insert", "Nth", (0,)),
+        Move("fr2-remove", "Nth", (0, 1, 2)),
+        Move("fr3", 0, (0, 1, 2, 3, 4)),
+    ],
+    ids=str,
+)
+def test_inverse_rejects_a_move_with_the_wrong_number_of_positions(move):
+    with pytest.raises(ValueError, match=f"^{move.kind}: {len(move.positions)} positions given"):
+        inverse(move, 4)
 
 
 def test_insert_closure_reduces_back_to_empty():
