@@ -13,21 +13,25 @@ wrap block is an FR2 site, so it yields exactly the diagrams with no
 decreasing move.  Classification scans the FR3 orbits of only those: a
 diagram with a decreasing move has crossing number below n and can
 never give a record.  One record per orbit with no decreasing site; the
-reduction memo is left untouched.  Each record costs one pass over its
-word per question: the u-polynomial from prefix sums of endpoint signs,
-the verdict from the first split of the prefix XOR masks.  Classes are
+reduction memo is left untouched.  Records stream: each is yielded as
+soon as it is made, and of the words the scans reach only those the
+generator has not yielded yet are kept, so memory does not grow with
+the class count.  Each record costs one pass over its word per
+question: the u-polynomial from prefix sums of endpoint signs, the
+verdict from the first split of the prefix XOR masks.  Classes are
 oriented flat knot classes: no mirror or reversal quotient is applied,
 and the file header says so.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, TextIO
 
 from .compose import _minimal_verdict
-from .diagram import GaussDiagram, _trusted, serialize
+from .diagram import GaussDiagram, _trusted, canonical_sort_key, serialize
 from .invariants import u_polynomial
 from .reduce import DEFAULT_LIMITS, OrbitLimits, _scan_orbit
 
@@ -179,6 +183,44 @@ def enumerate_diagrams(n: int, *, reduced: bool = False) -> Iterator[GaussDiagra
         yield _trusted(wt)
 
 
+def _records(n: int, limits: OrbitLimits | None) -> Iterator[CatalogRecord]:
+    """`classify`'s records, each yielded as soon as it is made.
+
+    Only the reached words the generator has not yielded yet are kept,
+    in `ahead`.  The generator yields each reduced canonical word once,
+    in `canonical_sort_key` order, and every word of a scan's `pred` but
+    the returned node is such a word: the start passed the generator,
+    and the scan checked each word it discovered.  A minimal orbit's
+    start is its least word, so the rest of the orbit is ahead of it; of
+    an orbit the scan stopped in, only the words above the start are.  A
+    word leaves `ahead` when the generator reaches it and is skipped
+    there, so the same scans run as if every reached word were kept."""
+    max_nodes = (limits or DEFAULT_LIMITS).max_nodes
+    ahead: set[tuple[int, ...]] = set()
+    class_id = 0
+    for d in enumerate_diagrams(n, reduced=True):
+        start = d.word
+        if start in ahead:
+            ahead.remove(start)
+            continue
+        pred, node, _ = _scan_orbit(start, max_nodes, find_decreasing=True)
+        if node is not None:
+            key = canonical_sort_key(start)
+            ahead.update(w for w in pred if w != node and canonical_sort_key(w) > key)
+            continue
+        ahead.update(pred)
+        ahead.remove(start)
+        class_id += 1
+        yield CatalogRecord(
+            class_id,
+            serialize(d),
+            n,
+            str(u_polynomial(d)),
+            _minimal_verdict(d).verdict[0].upper(),
+            len(pred),
+        )
+
+
 def classify(n: int, limits: OrbitLimits | None = None) -> list[CatalogRecord]:
     """Scan the FR3 orbit of every n-arrow diagram with no decreasing
     site that no earlier scan reached; one record per orbit the scan
@@ -189,53 +231,46 @@ def classify(n: int, limits: OrbitLimits | None = None) -> list[CatalogRecord]:
     The generator builds only words with no decreasing site, so the
     scan checks only the words it discovers.
     The record's u-polynomial and verdict each take one pass over the
-    class word (`u_polynomial`, `compose._minimal_verdict`)."""
-    max_nodes = (limits or DEFAULT_LIMITS).max_nodes
-    seen: set[tuple[int, ...]] = set()
-    records = []
-    for d in enumerate_diagrams(n, reduced=True):
-        if d.word in seen:
-            continue
-        pred, node, _ = _scan_orbit(d.word, max_nodes, find_decreasing=True)
-        seen.update(pred)
-        if node is None:
-            records.append(
-                CatalogRecord(
-                    len(records) + 1,
-                    serialize(d),
-                    n,
-                    str(u_polynomial(d)),
-                    _minimal_verdict(d).verdict[0].upper(),
-                    len(pred),
-                )
-            )
-    return records
+    class word (`u_polynomial`, `compose._minimal_verdict`).  The records
+    are made one at a time by a generator that keeps only the reached
+    words still ahead of it (`_records`); `tabulate` streams them."""
+    return list(_records(n, limits))
 
 
-def catalog_text(records, n: int) -> str:
-    """The catalog as text: a header line, then one line per record.
-    Both `write_catalog` and `tabulate`'s text output use it."""
-    lines = [f"flatcat v1 n={n} quotient=oriented"]
-    lines.extend(
+def _header(n: int) -> str:
+    return f"flatcat v1 n={n} quotient=oriented\n"
+
+
+def _line(r: CatalogRecord) -> str:
+    return (
         f"class={r.class_id} code={r.code} cr={r.cr} "
-        f"u={r.u_text} verdict={r.verdict} orbit={r.orbit_size}"
-        for r in records
+        f"u={r.u_text} verdict={r.verdict} orbit={r.orbit_size}\n"
     )
-    return "\n".join(lines) + "\n"
 
 
-def write_catalog(records, path: str, n: int) -> None:
-    """Atomic write: temp file in the same directory, then rename.  An
-    OSError names the given path, never the temp file."""
+@contextlib.contextmanager
+def _atomic_file(path: str) -> Iterator[TextIO]:
+    """A text file that replaces `path` only when the block completes:
+    written as a temp file in the same directory, then renamed.  On any
+    error the temp file is removed, and an OSError names the given path,
+    never the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".flatcat-")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(catalog_text(records, n))
+            yield fh
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def write_catalog(records, path: str, n: int) -> None:
+    """Atomic write of a header line, then one line per record, taken
+    from `records` one at a time."""
+    with _atomic_file(path) as fh:
+        fh.write(_header(n))
+        fh.writelines(map(_line, records))

@@ -8,10 +8,13 @@ newline-delimited codes from stdin when no code argument is given.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import shutil
 import sys
+import tempfile
 
-from .catalog import catalog_text, classify, write_catalog
+from .catalog import _atomic_file, _header, _line, _records
 from .compose import is_composite, permutant_set, verify_superadditivity
 from .diagram import (
     BasedDiagram,
@@ -35,8 +38,23 @@ from .reduce import (
 )
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    print(_json_text(obj))
+
+
+def _json_record(r) -> dict:
+    return {
+        "class": r.class_id,
+        "code": r.code,
+        "cr": r.cr,
+        "orbit": r.orbit_size,
+        "u": r.u_text,
+        "verdict": r.verdict,
+    }
 
 
 def _input_codes(args) -> list[str]:
@@ -208,29 +226,36 @@ def _cmd_verify_superadd(args) -> int:
 
 
 def _cmd_tabulate(args) -> int:
-    records = classify(args.n, args.limits)
-    if args.out:
-        write_catalog(records, args.out, args.n)
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": args.n,
-                "quotient": "oriented",
-                "records": [
-                    {
-                        "class": r.class_id,
-                        "code": r.code,
-                        "cr": r.cr,
-                        "orbit": r.orbit_size,
-                        "u": r.u_text,
-                        "verdict": r.verdict,
-                    }
-                    for r in records
-                ],
-            }
-        )
-    else:
-        print(catalog_text(records, args.n), end="")
+    # records stream into the --out temp file and into a temp file for
+    # stdout; stdout gets its copy only after the last record, so an orbit
+    # budget error leaves stdout empty and the --out file untouched.  The
+    # JSON form has sorted keys, so "records" comes last: its text is the
+    # object with no records up to the closing "]}", each record, "]}".
+    as_json = args.format == "json"
+    header = _header(args.n)
+    saving = contextlib.nullcontext() if args.out is None else _atomic_file(args.out)
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as shown:
+        with saving as saved:
+            if saved is not None:
+                saved.write(header)
+            if as_json:
+                shown.write(_json_text({"n": args.n, "quotient": "oriented", "records": []})[:-2])
+            else:
+                shown.write(header)
+            sep = ""
+            for r in _records(args.n, args.limits):
+                line = _line(r)
+                if saved is not None:
+                    saved.write(line)
+                if as_json:
+                    shown.write(sep + _json_text(_json_record(r)))
+                    sep = ","
+                else:
+                    shown.write(line)
+            if as_json:
+                shown.write("]}\n")
+        shown.seek(0)
+        shutil.copyfileobj(shown, sys.stdout)
     return 0
 
 
@@ -251,6 +276,13 @@ def _cmd_replay(args) -> int:
     else:
         print(serialize(result))
     return 0
+
+
+def _file_name(text: str) -> str:
+    # an empty name would otherwise read as "no file given"
+    if not text:
+        raise argparse.ArgumentTypeError("empty file name")
+    return text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -280,13 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", parents=[common], help="minimal diagram and crossing number")
     p.add_argument("codes", nargs="*")
-    p.add_argument("--trace", metavar="FILE")
+    p.add_argument("--trace", metavar="FILE", type=_file_name)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("equiv", parents=[common], help="decide flat equivalence")
     p.add_argument("code1")
     p.add_argument("code2")
-    p.add_argument("--trace", metavar="FILE")
+    p.add_argument("--trace", metavar="FILE", type=_file_name)
     p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("prime", parents=[common], help="trivial / prime / composite verdict")
@@ -316,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tabulate", parents=[common], help="classify all n-arrow diagrams")
     p.add_argument("n", type=int)
-    p.add_argument("--out", metavar="FILE")
+    p.add_argument("--out", metavar="FILE", type=_file_name)
     p.set_defaults(func=_cmd_tabulate)
 
     p = sub.add_parser("replay", parents=[common], help="replay and validate a trace file")

@@ -17,14 +17,27 @@ from flatknots import (
     build_fr3_catalog,
     canonical_form,
     classify,
+    crossing_number,
     enumerate_decreasing,
     enumerate_diagrams,
     enumerate_fr1_increasing,
     enumerate_fr2_increasing,
     enumerate_fr3,
+    u_polynomial,
 )
-from flatknots import diagram, moves
-from flatknots.diagram import HEAD, TAIL, Split, canonical_sort_key, canonical_word, serialize
+from flatknots import diagram, moves, reduce
+from flatknots.catalog import CatalogRecord
+from flatknots.compose import _minimal_verdict
+from flatknots.diagram import (
+    HEAD,
+    TAIL,
+    Split,
+    _first_appearance,
+    canonical_sort_key,
+    canonical_word,
+    find_splits,
+    serialize,
+)
 from flatknots.moves import (
     FR1_INSERT,
     FR1_REMOVE,
@@ -710,6 +723,57 @@ def full_move_graph_classes(ceiling: int):
         for m in all_legal_moves(d, max_arrows=ceiling):
             union(w, canonical_word(apply(d, m).word))
     return {w: find(w) for w in words}
+
+
+def classify_oracle(n: int, limits=None) -> list[CatalogRecord]:
+    """`classify` as it was before its records streamed: every reached
+    word is kept in `seen`, and every record in a list.  The orbit scans
+    go through `reduce._scan_orbit`, so a spy there counts them."""
+    max_nodes = (limits or DEFAULT_LIMITS).max_nodes
+    seen: set[tuple[int, ...]] = set()
+    records = []
+    for d in enumerate_diagrams(n, reduced=True):
+        if d.word in seen:
+            continue
+        pred, node, _ = reduce._scan_orbit(d.word, max_nodes, find_decreasing=True)
+        seen.update(pred)
+        if node is None:
+            records.append(
+                CatalogRecord(
+                    len(records) + 1,
+                    serialize(d),
+                    n,
+                    str(u_polynomial(d)),
+                    _minimal_verdict(d).verdict[0].upper(),
+                    len(pred),
+                )
+            )
+    return records
+
+
+def catalog_text(records, n: int) -> str:
+    """The catalog file's text, joined in one string: a header line,
+    then one line per record."""
+    lines = [f"flatcat v1 n={n} quotient=oriented"]
+    lines.extend(
+        f"class={r.class_id} code={r.code} cr={r.cr} "
+        f"u={r.u_text} verdict={r.verdict} orbit={r.orbit_size}"
+        for r in records
+    )
+    return "\n".join(lines) + "\n"
+
+
+def strict(word: tuple[int, ...]) -> bool:
+    """Composite in the strict sense, a sum of two nontrivial knots: some
+    nontrivial split's two arcs, each relabeled by first appearance and
+    closed into a diagram of its own, both have crossing number > 0."""
+    d = GaussDiagram(word)
+    for s in find_splits(d):
+        inside = word[s.gap_a : s.gap_b]
+        outside = word[s.gap_b :] + word[: s.gap_a]
+        if all(crossing_number(GaussDiagram(_first_appearance(arc))) > 0 for arc in (inside, outside)):
+            return True
+    return False
 
 
 @pytest.fixture(scope="session")

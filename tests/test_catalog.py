@@ -18,7 +18,7 @@ from flatknots import (
 )
 from flatknots import catalog, diagram, moves, reduce
 from flatknots.diagram import canonical_sort_key, canonical_word
-from conftest import enumerate_oracle, orderly_filter_oracle
+from conftest import catalog_text, classify_oracle, enumerate_oracle, orderly_filter_oracle
 
 # regression constants, frozen after brute-force dedup
 DIAGRAM_COUNTS = {0: 1, 1: 1, 2: 4, 3: 22, 4: 218, 5: 3028, 6: 55540}
@@ -34,7 +34,7 @@ CATALOG_3 = (
     "class=1 code=+1 +2 -1 -3 -2 +3 cr=3 u=-2t^1+t^2 verdict=P orbit=1\n"
     "class=2 code=+1 +2 +3 -1 -3 -2 cr=3 u=2t^1-t^2 verdict=P orbit=1\n"
 )
-# sha256 of catalog_text(classify(n), n), frozen
+# sha256 of conftest.catalog_text(classify(n), n), frozen
 CATALOG_SHA256 = {
     4: "dac092f6374daa99f9c2cb69da8ccf0bcd6546e944eb1d826f2ed1c7e77de85e",
     5: "095593c18057021d14c8d3f4b4e73e220d496d5ce98ec120aeafe3fa8e3ceb3d",
@@ -98,9 +98,9 @@ def _calls_of(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, spy)
     return calls
@@ -178,7 +178,7 @@ def test_classify_three_frozen():
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_catalog_bytes_are_pinned(n, classified):
-    text = catalog.catalog_text(classified(n), n)
+    text = catalog_text(classified(n), n)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CATALOG_SHA256[n]
 
 
@@ -299,3 +299,23 @@ def test_classify_never_checks_a_scan_start_for_a_decreasing_site(monkeypatch):
     assert len(starts) == 416
     assert [(in_filter[w], in_scans[w]) for w in starts] == [(0, 0)] * len(starts)
     assert sum(in_filter.values()) == 0 and sum(in_scans.values()) > 0
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_classify_matches_the_oracle_that_keeps_every_reached_word(n, classified):
+    # n = 6 is compared in test_classify_scans_the_oracles_orbits_at_six
+    assert classified(n) == tuple(classify_oracle(n))
+
+
+def test_classify_scans_the_oracles_orbits_at_six(monkeypatch, classified):
+    """Keeping only the reached words still ahead skips exactly the words
+    the oracle's set of every reached word skips, so the same orbits are
+    scanned from the same starts, in the same order."""
+    streamed = _calls_of(monkeypatch, catalog, "_scan_orbit")
+    kept_all = _calls_of(monkeypatch, reduce, "_scan_orbit")
+    records = classify(6)
+    assert kept_all == []
+    assert classify_oracle(6) == records == list(classified(6))
+    # 8,079 scans: 7,825 minimal orbits and 254 that stop at a decreasing site
+    assert len(streamed) == 8079 and len(records) == 7825
+    assert [args[0] for args in streamed] == [args[0] for args in kept_all]

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -14,6 +15,7 @@ import flatknots
 from flatknots import monotone_reduce, serialize
 from flatknots.cli import main
 from conftest import random_diagram
+from test_catalog import CATALOG_SHA256
 
 
 def run_cli(argv, stdin_text=None):
@@ -363,3 +365,62 @@ def test_tabulate_budget_error_exit_2_with_one_line(capsys):
     err = capsys.readouterr().err
     _assert_input_error(code, out, err)
     assert "+1 +2 -1 -2 +3 +4 -3 +5 -4 -5 exceeds the 1-node budget" in err
+
+
+def test_tabulate_budget_error_keeps_an_existing_out_file(tmp_path, capsys):
+    path = tmp_path / "keep.flatcat"
+    path.write_bytes(b"old bytes\n")
+    capsys.readouterr()
+    code, out = run_cli(["tabulate", "5", "--max-orbit", "1", "--out", str(path)])
+    _assert_input_error(code, out, capsys.readouterr().err)
+    assert path.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["keep.flatcat"]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_tabulate_json_streams_the_list_forms_bytes(n, classified):
+    want = {
+        "n": n,
+        "quotient": "oriented",
+        "records": [
+            {
+                "class": r.class_id,
+                "code": r.code,
+                "cr": r.cr,
+                "orbit": r.orbit_size,
+                "u": r.u_text,
+                "verdict": r.verdict,
+            }
+            for r in classified(n)
+        ],
+    }
+    code, out = run_cli(["--format", "json", "tabulate", str(n)])
+    assert code == 0
+    assert out == json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_tabulate_out_and_stdout_bytes_are_pinned(n, tmp_path):
+    path = tmp_path / "catalog.flatcat"
+    code, out = run_cli(["tabulate", str(n), "--out", str(path)])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CATALOG_SHA256[n]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CATALOG_SHA256[n]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tabulate", "3", "--out", ""],
+        ["reduce", "--trace", "", "+1 -1"],
+        ["equiv", "--trace", "", "+1 -1", "0"],
+    ],
+)
+def test_empty_file_name_is_an_input_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    _assert_input_error(code, out, err)
+    assert "empty file name" in err
+    assert list(tmp_path.iterdir()) == []

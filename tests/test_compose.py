@@ -28,7 +28,7 @@ from flatknots import (
 )
 from flatknots import compose, reduce
 from flatknots.moves import _relabel
-from conftest import random_diagram
+from conftest import random_diagram, strict
 
 WITNESS_3 = "+1 +2 -1 -3 -2 +3"
 # the interleaved two-arrow diagram: trivial as a knot, nontrivial long
@@ -193,6 +193,20 @@ def test_sums_of_two_crossing_number_three_knots_at_six(classified):
             by_splits.add(r.code)
     assert len(by_splits) == 78
     assert by_sums == by_splits
+
+
+@pytest.mark.parametrize("n, strict_classes, composite_classes", [(4, 0, 3), (5, 0, 36), (6, 78, 692)])
+def test_strict_reading_is_constant_on_each_composite_orbit(n, strict_classes, composite_classes, classified):
+    """The paper's first claim under the strict reading of composite, a
+    sum of two nontrivial knots: whether some split of a minimal diagram
+    has two nontrivial sides is the same on every member of a composite
+    class's FR3 orbit, so either reading says that every minimal diagram
+    of a composite is a connected-sum diagram.  The 78 strict classes at
+    n = 6 are the sums of two crossing-number-3 knots."""
+    composites = [r for r in classified(n) if r.verdict == "C"]
+    readings = [{strict(parse(code).word) for code in fr3_orbit(parse(r.code))} for r in composites]
+    assert all(len(values) == 1 for values in readings)
+    assert (sum(True in values for values in readings), len(composites)) == (strict_classes, composite_classes)
 
 
 def nontrivial_side(rng, inserts=1):
