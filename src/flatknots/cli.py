@@ -2,14 +2,17 @@
 
 Exit codes: 0 for success / positive answers, 1 for negative answers
 (not equivalent, violations found, trace fails to replay), 2 for
-errors (bad input, I/O, orbit budget).  Single-code commands read
-newline-delimited codes from stdin when no code argument is given.
+errors (bad input, I/O, orbit budget), and 141 (128 + SIGPIPE), with
+nothing on stderr, when the reader of stdout closes it early.
+Single-code commands read newline-delimited codes from stdin when no
+code argument is given.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import json
+import os
 import shutil
 import sys
 import tempfile
@@ -374,7 +377,14 @@ def main(argv=None) -> int:
         # checked here, not by the commands that use it, so every command
         # rejects a bad budget alike
         args.limits = OrbitLimits(max_nodes=args.max_orbit)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the input was fine, so not 2, and 1 means "no" to equiv; the
+        # unwritten output goes to os.devnull, or the exit flush raises again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError, OrbitBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -167,25 +167,11 @@ def _first_appearance(tokens) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _canonical(word: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Canonical rotation of a word: relabel each rotation by first
-    appearance, encode tail < head, and keep the lexicographic minimum.
-    Returns (canonical word, smallest rotation offset achieving it).
-    The word may carry any distinct nonzero arrow labels, as a move
-    leaves them before relabeling.
-
-    Two rotations whose relabeled prefixes agree compare at the next
-    offset by rank alone: an endpoint whose partner lies b positions back
-    inside the prefix ranks -b (an earlier first appearance, so a lower
-    label), and an endpoint opening a new arrow ranks 0 as a tail, 1 as a
-    head.  So every rotation starting at a tail is kept, then offset by
-    offset only those of least rank; the survivor, or the smallest offset
-    of a tie, is relabeled once."""
+def _offsets(word: tuple[int, ...]) -> list[int]:
+    """Partner offsets of a word: entry q counts the positions from q
+    back to its partner, cyclically, so it lies in 1..len(word) - 1.
+    Offsets do not depend on labels, and rotating the word rotates them."""
     length = len(word)
-    if length == 0:
-        return (), 0
-    # back[q]: positions from q back to its partner, cyclically; doubled
-    # so that a rotation's offset never wraps
     back = [0] * length
     first: dict[int, int] = {}
     for q, t in enumerate(word):
@@ -196,17 +182,41 @@ def _canonical(word: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
         else:
             back[q] = q - p
             back[p] = length - q + p
+    return back
+
+
+def _canonical(word: tuple[int, ...]) -> tuple[tuple[int, ...], int, list[int]]:
+    """Canonical rotation of a word: relabel each rotation by first
+    appearance, encode tail < head, and keep the lexicographic minimum.
+    Returns (canonical word, smallest rotation offset achieving it, the
+    canonical word's _offsets).  The word may carry any distinct nonzero
+    arrow labels, as a move leaves them before relabeling.
+
+    Two rotations whose relabeled prefixes agree compare at the next
+    offset by rank alone: an endpoint whose partner lies b positions back
+    inside the prefix ranks -b (an earlier first appearance, so a lower
+    label), and an endpoint opening a new arrow ranks 0 as a tail, 1 as a
+    head.  So every rotation starting at a tail is kept, then offset by
+    offset only those of least rank; the survivor, or the smallest offset
+    of a tie, is relabeled once.  The scan reads the offsets and the word
+    doubled, so that a rotation's offset never wraps, and the canonical
+    word's offsets are one slice of them: the reduction reads its sites
+    there."""
+    length = len(word)
+    if length == 0:
+        return (), 0, []
+    back = _offsets(word)
     back += back
-    new_rank = [t < 0 for t in word] * 2
-    kept = [r for r in range(length) if word[r] > 0]
+    doubled = word + word
+    kept = [r for r, t in enumerate(word) if t > 0]
     i = 1
     while len(kept) > 1 and i < length:
-        ranks = [-b if (b := back[r + i]) <= i else new_rank[r + i] for r in kept]
+        ranks = [-b if (b := back[r + i]) <= i else doubled[r + i] < 0 for r in kept]
         least = min(ranks)
         kept = [r for r, k in zip(kept, ranks) if k == least]
         i += 1
     r = kept[0]
-    return _first_appearance(word[r:] + word[:r]), r
+    return _first_appearance(doubled[r : r + length]), r, back[r : r + length]
 
 
 def canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:

@@ -25,7 +25,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .diagram import GaussDiagram, _first_appearance, _trusted, canonical_sort_key
+from .diagram import GaussDiagram, _first_appearance, _offsets, _trusted, canonical_sort_key
 
 FR1_REMOVE = "fr1-remove"
 FR1_INSERT = "fr1-insert"
@@ -124,31 +124,32 @@ def enumerate_fr1_increasing(d: GaussDiagram) -> list[Move]:
 # FR2
 # ---------------------------------------------------------------------------
 
-def _fr2_at(word: tuple[int, ...], size: int, where: dict[int, int], a0: int) -> Move | None:
-    """Legal FR2 removal whose first block starts at a0, if any; where
-    maps every endpoint token of word to its position."""
+def _fr2_at(word: tuple[int, ...], size: int, back: list[int], a0: int) -> Move | None:
+    """Legal FR2 removal whose first block starts at a0, if any; back
+    holds word's partner offsets (diagram._offsets).
+
+    The block's partners sit at ox = a0 - back[a0] and oy = a1 - back[a1]
+    (mod size), so with d = back[a1] - back[a0] they are adjacent as
+    (ox, oy) exactly when d == 0 modulo size, and as (oy, ox) exactly
+    when d == 2.  Offsets lie in 1..size - 1, so d == 0 modulo size is
+    d == 0; and d == 2 - size would need back[a0] == size - 1, which puts
+    a0's partner at a1, a block of one arrow."""
     a1 = (a0 + 1) % size
     ta, tb = word[a0], word[a1]
     if (ta > 0) == (tb > 0) or ta == -tb:
         return None  # the block must mix a tail and a head of two arrows
-    ox, oy = where[-ta], where[-tb]
-    if (ox + 1) % size == oy:
-        b0, b1 = ox, oy
+    d = back[a1] - back[a0]
+    if d == 0:
+        b0 = a0 - back[a0]
         arrangement = "I"  # second block repeats the (x, y) arrow order
-    elif (oy + 1) % size == ox:
-        b0, b1 = oy, ox
+    elif d == 2:
+        b0 = a1 - back[a1]
         arrangement = "N"
     else:
         return None
+    b0 %= size
     roles = ("t" if ta > 0 else "h") + ("t" if tb > 0 else "h")
-    return Move(FR2_REMOVE, arrangement + roles, (a0, a1, b0, b1))
-
-
-def _fr2_kept_at(word: tuple[int, ...], size: int, where: dict[int, int], a0: int) -> Move | None:
-    """_fr2_at, kept only from the block holding the bigon's lowest
-    position: each bigon is found from both of its blocks."""
-    m = _fr2_at(word, size, where, a0)
-    return m if m is not None and min(m.positions) in m.positions[:2] else None
+    return Move(FR2_REMOVE, arrangement + roles, (a0, a1, b0, (b0 + 1) % size))
 
 
 def enumerate_fr2_increasing(d: GaussDiagram) -> list[Move]:
@@ -178,37 +179,52 @@ def _swap_ab_variant(variant: str) -> str:
     return "I" + flip[variant[1]] + flip[variant[2]]
 
 
-def _decreasing_sites(word: tuple[int, ...]):
+def _decreasing_sites(word: tuple[int, ...], back: list[int]):
     """Yield the decreasing FR1 and FR2 sites of word in Move.sort_key
-    order, building each only when it is asked for.
+    order, building each only when it is asked for; back holds word's
+    partner offsets (diagram._offsets, or the third item of
+    diagram._canonical).
 
     A start position holds at most one site: its block is either one
     arrow's two endpoints (FR1) or mixes two arrows (FR2).  A kept site's
     base (its least position) is its first block's start, except for a
     block (size - 1, 0) that wraps, whose base is 0.  So the base-0 sites
     come from starts 0 and size - 1, and a base b >= 1 site only from
-    start b."""
+    start b.  A block (b, b + 1) is an FR1 site exactly when
+    back[b + 1] == 1, and can be an FR2 site only when back[b + 1] -
+    back[b] is 0 or 2 (see _fr2_at): one subtraction rejects almost every
+    start, with no call."""
     size = len(word)
     if size < 2:
         return
-    where = dict(zip(word, range(size)))
-    # a lone arrow's two endpoints are adjacent both ways round; count it once
-    starts = (0, size - 1) if size > 2 else (0,)
-    base0 = [
-        m
-        for a0 in starts
-        if (m := _fr1_at(word, size, a0) or _fr2_kept_at(word, size, where, a0)) is not None
-    ]
-    yield from sorted(base0, key=Move.sort_key)
-    for b in range(1, size - 1):
-        m = _fr1_at(word, size, b) or _fr2_kept_at(word, size, where, b)
-        if m is not None:
-            yield m
+    last = size - 1
+    # both base-0 blocks hold position 0, so a site there is always kept;
+    # a lone arrow's two endpoints are adjacent both ways round: count it once
+    base0 = []
+    for a0, a1 in ((0, 1), (last, 0)) if size > 2 else ((0, 1),):
+        if back[a1] == 1:
+            base0.append(Move(FR1_REMOVE, "th" if word[a0] > 0 else "ht", (a0, a1)))
+        elif (d := back[a1] - back[a0]) == 0 or d == 2:
+            m = _fr2_at(word, size, back, a0)
+            if m is not None:
+                base0.append(m)
+    if len(base0) > 1:
+        base0.sort(key=Move.sort_key)
+    yield from base0
+    for b in range(1, last):
+        c = back[b + 1]
+        if c == 1:
+            yield Move(FR1_REMOVE, "th" if word[b] > 0 else "ht", (b, b + 1))
+        elif (d := c - back[b]) == 0 or d == 2:
+            # kept only from the block holding the bigon's least position
+            m = _fr2_at(word, size, back, b)
+            if m is not None and min(m.positions) == b:
+                yield m
 
 
 def enumerate_decreasing(d: GaussDiagram) -> list[Move]:
     """Decreasing FR1 and FR2 sites in deterministic tie-break order."""
-    return list(_decreasing_sites(d.word))
+    return list(_decreasing_sites(d.word, _offsets(d.word)))
 
 
 def enumerate_increasing(d: GaussDiagram) -> list[Move]:
@@ -411,7 +427,8 @@ _POSITION_COUNT = {**_BLOCK_POSITIONS, FR1_INSERT: 1, FR2_INSERT: 2}
 
 def _perform(word: tuple[int, ...], m: Move) -> tuple[int, ...]:
     """The word a legal move m leaves, labels not renormalized: removals
-    drop their endpoints, FR3 swaps the two endpoints of each block, and
+    slice their endpoints out (an FR1 block (size - 1, 0) that wraps
+    leaves word[1:-1]), FR3 swaps the two endpoints of each block, and
     inserts add fresh arrows n + 1 (and n + 2).  m is not checked."""
     kind, positions = m.kind, m.positions
     if kind == FR3:
@@ -419,8 +436,12 @@ def _perform(word: tuple[int, ...], m: Move) -> tuple[int, ...]:
         for p0, p1 in zip(positions[0::2], positions[1::2]):
             out[p0], out[p1] = out[p1], out[p0]
         return tuple(out)
-    if kind == FR1_REMOVE or kind == FR2_REMOVE:
-        return tuple([t for p, t in enumerate(word) if p not in positions])
+    if kind == FR1_REMOVE:
+        i, j = positions
+        return word[1:-1] if j == 0 else word[:i] + word[i + 2 :]
+    if kind == FR2_REMOVE:
+        p0, p1, p2, p3 = sorted(positions)
+        return word[:p0] + word[p0 + 1 : p1] + word[p1 + 1 : p2] + word[p2 + 1 : p3] + word[p3 + 1 :]
     fresh = len(word) // 2 + 1
     if kind == FR1_INSERT:
         (g,) = positions
@@ -457,7 +478,7 @@ def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
         if kind == FR1_REMOVE:
             found = _fr1_at(word, size, positions[0])
         elif kind == FR2_REMOVE:
-            found = _fr2_at(word, size, dict(zip(word, range(size))), positions[0])
+            found = _fr2_at(word, size, _offsets(word), positions[0])
         else:
             # Move equality would let True or 1.0 stand for catalog id 1
             if not isinstance(m.variant, int) or isinstance(m.variant, bool):

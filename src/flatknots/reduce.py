@@ -20,6 +20,7 @@ from . import moves as mv
 from .diagram import (
     GaussDiagram,
     _canonical,
+    _offsets,
     _trusted,
     canonical_sort_key,
     canonical_word,
@@ -138,7 +139,8 @@ def _scan_orbit(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
     rotation offset.  With find_decreasing, every node but the start is
     checked on discovery, and the scan stops at the first node admitting
     a decreasing site, returning (pred, node, move) with move the first
-    of enumerate_decreasing(node).  Otherwise returns (pred, None, None)
+    of enumerate_decreasing(node), read from the partner offsets that
+    node's _canonical call returned.  Otherwise returns (pred, None, None)
     with pred covering the whole orbit.  The start word is not checked:
     both callers that look for a decreasing site already know it has
     none (`_reduce_word` checks it first, `catalog.classify` scans only
@@ -159,7 +161,7 @@ def _scan_orbit(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
             rep = _trusted(w)
             expanded += 1
             for m in mv.enumerate_fr3(rep):
-                nw, r = _canonical(mv._perform(w, m))
+                nw, r, back = _canonical(mv._perform(w, m))
                 if nw in pred:
                     continue
                 if len(pred) >= max_nodes:
@@ -171,7 +173,7 @@ def _scan_orbit(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
                 pred[nw] = (w, m, r)
                 nxt.append(nw)
                 if find_decreasing:
-                    dec = next(mv._decreasing_sites(nw), None)
+                    dec = next(mv._decreasing_sites(nw, back), None)
                     if dec is not None:
                         return pred, nw, dec
         layer = nxt
@@ -218,26 +220,33 @@ def _reduce_word(word: tuple[int, ...], max_nodes: int) -> tuple[int, ...]:
     public entry point canonicalizes its input once and passes the result
     here.  Each step takes the current word's first decreasing site, or
     when it has none, scans its FR3 orbit for the first node with one; a
-    scan that finds none ends the reduction.  The step performs the
+    scan that finds none ends the reduction.  The sites are read from the
+    current word's partner offsets: the start word's come from
+    ``_offsets``, once and only if the memo misses it, and every later
+    word's from the ``_canonical`` call that made it.  A step whose site
+    lies on the current word links straight to the next word; one that
+    scanned links through the scan's FR3 path.  The step performs the
     decreasing move with ``moves._perform``, without apply's legality
     check: the move is one the enumerator found.  It stops at the first
     memo entry it finds, then writes an entry for every word it left,
     the last one first (see ``_memo``).
     """
-    cur = word
+    cur, back = word, None  # back: cur's offsets, once a step has made cur
     trail = []
     while (value := _memo.get((cur, max_nodes))) is None:
-        pred, node, m = {cur: None}, cur, next(mv._decreasing_sites(cur), None)
+        node, path = cur, ()
+        m = next(mv._decreasing_sites(cur, back or _offsets(cur)), None)
         if m is None:
             pred, node, m = _scan_orbit(cur, max_nodes, find_decreasing=True)
-        if node is None:
-            orbit = tuple(sorted(pred, key=canonical_sort_key))
-            for w in orbit:
-                _memo[(w, max_nodes)] = (w, orbit)
-            value = _memo[(cur, max_nodes)]
-            break
-        nxt, r = _canonical(mv._perform(node, m))
-        trail.append((cur, (nxt, *_path_from_pred(pred, node), m, r)))
+            if node is None:
+                orbit = tuple(sorted(pred, key=canonical_sort_key))
+                for w in orbit:
+                    _memo[(w, max_nodes)] = (w, orbit)
+                value = _memo[(cur, max_nodes)]
+                break
+            path = _path_from_pred(pred, node)
+        nxt, r, back = _canonical(mv._perform(node, m))
+        trail.append((cur, (nxt, *path, m, r)))
         cur = nxt
     head = value[:2]
     for w, link in reversed(trail):

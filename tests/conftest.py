@@ -163,6 +163,32 @@ def fr2_oracle(d: GaussDiagram) -> list[Move]:
     return moves
 
 
+def decreasing_sites_oracle(word: tuple[int, ...]):
+    """Reference for `moves._decreasing_sites`: the generator as it was
+    before it read partner offsets.  Every start position's block goes
+    through the FR1 test and the FR2 recognizer `_fr2_block_move`, which
+    finds the partners by position; an FR2 site is kept only from the
+    block holding its least position.  The base-0 sites, from starts 0
+    and size - 1, come sorted first, then one start at a time."""
+    size = len(word)
+    if size < 2:
+        return
+
+    def site_at(a0):
+        if word[(a0 + 1) % size] == -word[a0]:
+            return Move(FR1_REMOVE, "th" if word[a0] > 0 else "ht", (a0, (a0 + 1) % size))
+        m = _fr2_block_move(word, size, a0)
+        return m if m is not None and min(m.positions) in m.positions[:2] else None
+
+    # a lone arrow's two endpoints are adjacent both ways round; count it once
+    starts = (0, size - 1) if size > 2 else (0,)
+    yield from sorted(filter(None, map(site_at, starts)), key=Move.sort_key)
+    for b in range(1, size - 1):
+        m = site_at(b)
+        if m is not None:
+            yield m
+
+
 def _block_canonical_pattern(blocks):
     """Canonical form of a cyclic triple of ((arrow, role), (arrow, role))
     blocks: minimum over the 3 rotations after relabeling arrows by first
@@ -445,7 +471,7 @@ def reversed_steps_oracle(start_word: tuple[int, ...], steps) -> list[Move]:
     for m in steps:
         post = apply(GaussDiagram(cur), m)
         pre_size = len(cur)
-        cur, r = diagram._canonical(post.word)
+        cur, r = diagram._canonical(post.word)[:2]
         records.append((pre_size, m, r, len(cur)))
     out = []
     for pre_size, m, r, length in reversed(records):
@@ -674,7 +700,7 @@ def orderly_filter_oracle(n: int, reduced: bool):
     generator, then the exact filters it needed, the self-canonical check
     and, reduced, the first decreasing site."""
     for wt in _prefix_cut_words(n, reduced):
-        if canonical_word(wt) == wt and not (reduced and next(moves._decreasing_sites(wt), None)):
+        if canonical_word(wt) == wt and not (reduced and next(moves._decreasing_sites(wt, diagram._offsets(wt)), None)):
             yield wt
 
 

@@ -102,8 +102,8 @@ def test_tracer_counts_the_engine_work(monkeypatch):
     sites = []
     decreasing_sites = flatknots.moves._decreasing_sites
 
-    def spy(word):
-        for m in decreasing_sites(word):
+    def spy(word, back):
+        for m in decreasing_sites(word, back):
             sites.append(m)
             yield m
 

@@ -280,9 +280,9 @@ def test_classify_never_checks_a_scan_start_for_a_decreasing_site(monkeypatch):
     sites, scan = moves._decreasing_sites, catalog._scan_orbit
     scanning_now = [False]
 
-    def checking(word):
+    def checking(word, back):
         (in_scans if scanning_now[0] else in_filter)[word] += 1
-        return sites(word)
+        return sites(word, back)
 
     def scanning(start, *args, **kwargs):
         starts.append(start)

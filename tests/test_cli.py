@@ -350,6 +350,29 @@ def test_console_script_entry_point():
         _check_console_script([installed])
 
 
+@pytest.mark.parametrize(
+    "argv,status",
+    [(["tabulate", "4"], 0), (["canon", "+2 -2 +1 -1"], 0), (["equiv", "+1 -1", "0"], 0)],
+)
+def test_closed_stdout_exits_141_with_nothing_on_stderr(argv, status):
+    """A reader that closes the pipe early is not an input error (2),
+    and 1 would read as "not equivalent": the CLI exits 128 + SIGPIPE.
+    The same command into an open pipe exits with its answer."""
+    src = str(Path(flatknots.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    command = [sys.executable, "-m", "flatknots.cli", *argv]
+    env = {**os.environ, "PYTHONPATH": path}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        closed = subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (closed.returncode, closed.stderr) == (141, b"")
+    opened = subprocess.run(command, capture_output=True, env=env, timeout=60)
+    assert opened.returncode == status and opened.stdout and opened.stderr == b""
+
+
 def test_max_orbit_flag_budget_error():
     code, _ = run_cli(
         ["--max-orbit", "1", "reduce", "+1 +2 -1 -2 +3 +4 -3 +5 -4 -5"]

@@ -238,7 +238,7 @@ def _rotations(word):
 
 
 def _assert_matches_oracle(word):
-    assert _canonical(word) == canonical_oracle(word), word
+    assert _canonical(word)[:2] == canonical_oracle(word), word
 
 
 def test_canonical_matches_oracle_small_n_every_rotation_and_relabeling():
@@ -294,4 +294,4 @@ def test_canonical_matches_oracle_on_periodic_words():
 def test_canonical_matches_oracle_on_edge_words():
     for word in [(), (1, -1), (-1, 1)]:
         _assert_matches_oracle(word)
-    assert _canonical((-1, 1)) == ((1, -1), 1)
+    assert _canonical((-1, 1))[:2] == ((1, -1), 1)

@@ -41,6 +41,7 @@ from conftest import (
     _fr3_structural,
     all_legal_moves,
     apply_oracle,
+    decreasing_sites_oracle,
     fr1_oracle,
     fr2_oracle,
     fr3_before_index_oracle,
@@ -118,7 +119,7 @@ def _decreasing_cases(words):
         d = GaussDiagram(word)
         sites = enumerate_decreasing(d)
         assert sites == sorted(fr1_oracle(d) + fr2_oracle(d), key=Move.sort_key), word
-        assert next(_decreasing_sites(word), None) == (sites or [None])[0], word
+        assert next(_decreasing_sites(word, diagram._offsets(word)), None) == (sites or [None])[0], word
         if not sites:
             seen["none"] += 1
         for m in sites:
@@ -129,24 +130,21 @@ def _decreasing_cases(words):
     return seen
 
 
-def test_decreasing_sites_come_in_sort_order_in_every_rotation():
-    # rotations put a site on the wrap from the last endpoint to the first
-    words = [
+def _every_rotation_words():
+    """All 32,175 rotations of the n <= 5 canonical words: rotations put
+    a site on the wrap from the last endpoint to the first."""
+    return [
         d.word[r:] + d.word[:r]
         for n in range(6)
         for d in enumerate_diagrams(n)
         for r in range(max(d.size, 1))
     ]
-    seen = _decreasing_cases(words)
-    assert seen["none"] > 1000 and seen["one arrow"] == 2, seen
-    for kind in ("fr1-remove", "fr2-remove"):
-        for where in ("wrap", "base 0", "base > 0"):
-            assert seen[(kind, where)] > 100, seen
 
 
-def test_decreasing_sites_come_in_sort_order_on_random_words():
-    """n = 6..16, each word also with one random bigon inserted, so that
-    FR2 sites are frequent enough to be checked."""
+def _random_words():
+    """6,000 seeded words, n = 6..16: a random word rotated, then the
+    same word with one random bigon inserted, so that FR2 sites are
+    frequent enough to be checked."""
     rng = random.Random(29)
     words = []
     for i in range(3000):
@@ -155,11 +153,51 @@ def test_decreasing_sites_come_in_sort_order_on_random_words():
         words.append(d.word[r:] + d.word[:r])
         gaps = (rng.randrange(d.size), rng.randrange(d.size))
         words.append(apply(d, Move("fr2-insert", rng.choice(FR2_VARIANTS), gaps)).word)
-    seen = _decreasing_cases(words)
+    return words
+
+
+def test_decreasing_sites_come_in_sort_order_in_every_rotation():
+    seen = _decreasing_cases(_every_rotation_words())
+    assert seen["none"] > 1000 and seen["one arrow"] == 2, seen
+    for kind in ("fr1-remove", "fr2-remove"):
+        for where in ("wrap", "base 0", "base > 0"):
+            assert seen[(kind, where)] > 100, seen
+
+
+def test_decreasing_sites_come_in_sort_order_on_random_words():
+    seen = _decreasing_cases(_random_words())
     assert seen["none"] > 500, seen
     for kind in ("fr1-remove", "fr2-remove"):
         for where in ("wrap", "base 0", "base > 0"):
             assert seen[(kind, where)] > 20, seen
+
+
+@pytest.mark.parametrize(
+    "words,count", [(_every_rotation_words, 32_175), (_random_words, 6000)], ids=["rotations", "random"]
+)
+def test_offset_sites_match_the_oracle(words, count):
+    """_decreasing_sites, reading partner offsets, yields exactly the
+    sites of the oracle that finds partners by position, in its order;
+    _canonical hands on the offsets of the word it returns; and
+    _perform's slices drop exactly a site's positions.  Every case of
+    the offset test must occur: FR1, and FR2 with d = back[a1] - back[a0]
+    equal to 0 (the second block repeats the arrow order) or 2."""
+    words = words()
+    assert len(words) == count
+    seen = collections.Counter()
+    for word in words:
+        back = diagram._offsets(word)
+        sites = list(_decreasing_sites(word, back))
+        assert sites == list(decreasing_sites_oracle(word)), word
+        canon = diagram._canonical(word)
+        assert canon[2] == diagram._offsets(canon[0]), word
+        for m in sites:
+            kept = tuple([t for p, t in enumerate(word) if p not in m.positions])
+            assert _perform(word, m) == kept, (word, m)
+            a0, a1 = m.positions[:2]
+            seen[m.kind if m.kind == FR1_REMOVE else (m.kind, back[a1] - back[a0])] += 1
+    assert set(seen) == {FR1_REMOVE, (FR2_REMOVE, 0), (FR2_REMOVE, 2)}, seen
+    assert min(seen.values()) > 20, seen
 
 
 def test_perform_then_relabel_is_apply():
