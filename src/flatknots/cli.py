@@ -116,6 +116,10 @@ def _cmd_equiv(args) -> int:
     return 0 if same else 1
 
 
+def _split_record(s) -> dict:
+    return {"gap_a": s.gap_a, "gap_b": s.gap_b, "sides": list(s.side_sizes)}
+
+
 def _cmd_prime(args) -> int:
     for code in _input_codes(args):
         v = is_composite(parse(code), args.limits)
@@ -127,19 +131,10 @@ def _cmd_prime(args) -> int:
                 "input": code,
                 "minimal": min_code,
                 "verdict": v.verdict,
-                "witness": None
-                if v.witness is None
-                else {
-                    "gap_a": v.witness.gap_a,
-                    "gap_b": v.witness.gap_b,
-                    "sides": list(v.witness.side_sizes),
-                },
+                "witness": None if v.witness is None else _split_record(v.witness),
             }
             if splits is not None:
-                obj["splits"] = [
-                    {"gap_a": s.gap_a, "gap_b": s.gap_b, "sides": list(s.side_sizes)}
-                    for s in splits
-                ]
+                obj["splits"] = [_split_record(s) for s in splits]
             _emit_json(obj)
         else:
             line = f"{v.verdict} minimal={min_code} cr={v.minimal.n}"

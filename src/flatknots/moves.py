@@ -103,41 +103,30 @@ def _relabel(word) -> GaussDiagram:
 
 
 # ---------------------------------------------------------------------------
-# FR1
+# FR1 and FR2 removals
 # ---------------------------------------------------------------------------
 
-def _fr1_at(word: tuple[int, ...], size: int, i: int) -> Move | None:
-    """FR1 removal of the arrow whose endpoints sit at i and i + 1, if any."""
-    j = (i + 1) % size
-    if word[j] != -word[i]:
-        return None
-    return Move(FR1_REMOVE, "th" if word[i] > 0 else "ht", (i, j))
+def _removal_at(word: tuple[int, ...], size: int, back: list[int], a0: int) -> Move | None:
+    """The removal whose first block starts at a0, if any: the FR1
+    removal when the block (a0, a1) holds one arrow's two endpoints, else
+    the legal FR2 removal; back holds word's partner offsets
+    (diagram._offsets).
 
-
-def enumerate_fr1_increasing(d: GaussDiagram) -> list[Move]:
-    """One kink insertion per gap and direction."""
-    gaps = max(d.size, 1)
-    return [Move(FR1_INSERT, v, (g,)) for g in range(gaps) for v in ("th", "ht")]
-
-
-# ---------------------------------------------------------------------------
-# FR2
-# ---------------------------------------------------------------------------
-
-def _fr2_at(word: tuple[int, ...], size: int, back: list[int], a0: int) -> Move | None:
-    """Legal FR2 removal whose first block starts at a0, if any; back
-    holds word's partner offsets (diagram._offsets).
-
-    The block's partners sit at ox = a0 - back[a0] and oy = a1 - back[a1]
-    (mod size), so with d = back[a1] - back[a0] they are adjacent as
-    (ox, oy) exactly when d == 0 modulo size, and as (oy, ox) exactly
-    when d == 2.  Offsets lie in 1..size - 1, so d == 0 modulo size is
-    d == 0; and d == 2 - size would need back[a0] == size - 1, which puts
-    a0's partner at a1, a block of one arrow."""
+    The block is one arrow exactly when a1's partner sits one position
+    back, back[a1] == 1.  Otherwise the block's partners sit at
+    ox = a0 - back[a0] and oy = a1 - back[a1] (mod size), so with
+    d = back[a1] - back[a0] they are adjacent as (ox, oy) exactly when
+    d == 0 modulo size, and as (oy, ox) exactly when d == 2.  Offsets
+    lie in 1..size - 1, so d == 0 modulo size is d == 0; and d == 2 - size
+    would need back[a0] == size - 1, which puts a0's partner at a1, the
+    FR1 case."""
     a1 = (a0 + 1) % size
-    ta, tb = word[a0], word[a1]
-    if (ta > 0) == (tb > 0) or ta == -tb:
-        return None  # the block must mix a tail and a head of two arrows
+    ta = word[a0]
+    if back[a1] == 1:
+        return Move(FR1_REMOVE, "th" if ta > 0 else "ht", (a0, a1))
+    tb = word[a1]
+    if (ta > 0) == (tb > 0):
+        return None  # the block must mix a tail and a head
     d = back[a1] - back[a0]
     if d == 0:
         b0 = a0 - back[a0]
@@ -150,6 +139,57 @@ def _fr2_at(word: tuple[int, ...], size: int, back: list[int], a0: int) -> Move 
     b0 %= size
     roles = ("t" if ta > 0 else "h") + ("t" if tb > 0 else "h")
     return Move(FR2_REMOVE, arrangement + roles, (a0, a1, b0, (b0 + 1) % size))
+
+
+def _decreasing_sites(word: tuple[int, ...], back: list[int]):
+    """Yield the decreasing FR1 and FR2 sites of word in Move.sort_key
+    order, building each only when it is asked for; back holds word's
+    partner offsets (diagram._offsets, or the third item of
+    diagram._canonical).
+
+    A start position holds at most one site, the one _removal_at finds
+    there.  A kept site's base (its least position) is its first block's
+    start, except for a block (size - 1, 0) that wraps, whose base is 0.
+    So the base-0 sites come from starts 0 and size - 1, and a base
+    b >= 1 site only from start b.  A block (b, b + 1) holds a site only
+    when back[b + 1] is 1 or back[b + 1] - back[b] is 0 or 2: one
+    subtraction rejects almost every start, with no call."""
+    size = len(word)
+    if size < 2:
+        return
+    last = size - 1
+    # both base-0 blocks hold position 0, so a site there is always kept;
+    # a lone arrow's two endpoints are adjacent both ways round: count it once
+    base0 = []
+    for a0, a1 in ((0, 1), (last, 0)) if size > 2 else ((0, 1),):
+        if (c := back[a1]) == 1 or (d := c - back[a0]) == 0 or d == 2:
+            m = _removal_at(word, size, back, a0)
+            if m is not None:
+                base0.append(m)
+    if len(base0) > 1:
+        base0.sort(key=Move.sort_key)
+    yield from base0
+    for b in range(1, last):
+        if (c := back[b + 1]) == 1 or (d := c - back[b]) == 0 or d == 2:
+            # a bigon is kept only from the block holding its least position
+            m = _removal_at(word, size, back, b)
+            if m is not None and min(m.positions) == b:
+                yield m
+
+
+def enumerate_decreasing(d: GaussDiagram) -> list[Move]:
+    """Decreasing FR1 and FR2 sites in deterministic tie-break order."""
+    return list(_decreasing_sites(d.word, _offsets(d.word)))
+
+
+# ---------------------------------------------------------------------------
+# FR1 and FR2 inserts
+# ---------------------------------------------------------------------------
+
+def enumerate_fr1_increasing(d: GaussDiagram) -> list[Move]:
+    """One kink insertion per gap and direction."""
+    gaps = max(d.size, 1)
+    return [Move(FR1_INSERT, v, (g,)) for g in range(gaps) for v in ("th", "ht")]
 
 
 def enumerate_fr2_increasing(d: GaussDiagram) -> list[Move]:
@@ -177,54 +217,6 @@ def _swap_ab_variant(variant: str) -> str:
         return variant
     flip = {"t": "h", "h": "t"}
     return "I" + flip[variant[1]] + flip[variant[2]]
-
-
-def _decreasing_sites(word: tuple[int, ...], back: list[int]):
-    """Yield the decreasing FR1 and FR2 sites of word in Move.sort_key
-    order, building each only when it is asked for; back holds word's
-    partner offsets (diagram._offsets, or the third item of
-    diagram._canonical).
-
-    A start position holds at most one site: its block is either one
-    arrow's two endpoints (FR1) or mixes two arrows (FR2).  A kept site's
-    base (its least position) is its first block's start, except for a
-    block (size - 1, 0) that wraps, whose base is 0.  So the base-0 sites
-    come from starts 0 and size - 1, and a base b >= 1 site only from
-    start b.  A block (b, b + 1) is an FR1 site exactly when
-    back[b + 1] == 1, and can be an FR2 site only when back[b + 1] -
-    back[b] is 0 or 2 (see _fr2_at): one subtraction rejects almost every
-    start, with no call."""
-    size = len(word)
-    if size < 2:
-        return
-    last = size - 1
-    # both base-0 blocks hold position 0, so a site there is always kept;
-    # a lone arrow's two endpoints are adjacent both ways round: count it once
-    base0 = []
-    for a0, a1 in ((0, 1), (last, 0)) if size > 2 else ((0, 1),):
-        if back[a1] == 1:
-            base0.append(Move(FR1_REMOVE, "th" if word[a0] > 0 else "ht", (a0, a1)))
-        elif (d := back[a1] - back[a0]) == 0 or d == 2:
-            m = _fr2_at(word, size, back, a0)
-            if m is not None:
-                base0.append(m)
-    if len(base0) > 1:
-        base0.sort(key=Move.sort_key)
-    yield from base0
-    for b in range(1, last):
-        c = back[b + 1]
-        if c == 1:
-            yield Move(FR1_REMOVE, "th" if word[b] > 0 else "ht", (b, b + 1))
-        elif (d := c - back[b]) == 0 or d == 2:
-            # kept only from the block holding the bigon's least position
-            m = _fr2_at(word, size, back, b)
-            if m is not None and min(m.positions) == b:
-                yield m
-
-
-def enumerate_decreasing(d: GaussDiagram) -> list[Move]:
-    """Decreasing FR1 and FR2 sites in deterministic tie-break order."""
-    return list(_decreasing_sites(d.word, _offsets(d.word)))
 
 
 def enumerate_increasing(d: GaussDiagram) -> list[Move]:
@@ -458,11 +450,12 @@ def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
     """Apply a move; labels are renormalized by first appearance.  The
     result is not validated again: a legal move keeps a valid word valid.
 
-    Every move given is checked first: a removal or FR3 move is legal
-    when its recognizer (_fr1_at, _fr2_at or _fr3_at, which reads
-    enumerate_fr3's shape table) finds exactly m at m's positions, and
-    an insert needs a known variant and gaps in range.
-    Then _perform makes the move."""
+    Every move given is checked first: an fr1-remove or fr2-remove is
+    legal when _removal_at, asked at m's first block, returns exactly m,
+    so a removal of the other kind than the block holds is rejected; an
+    FR3 move when _fr3_at, which reads enumerate_fr3's shape table,
+    returns exactly m at m's positions; and an insert needs a known
+    variant and gaps in range.  Then _perform makes the move."""
     word, size = d.word, d.size
     kind, positions = m.kind, m.positions
 
@@ -475,15 +468,13 @@ def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
         for s, p1 in zip(positions[0::2], positions[1::2]):
             if p1 != (s + 1) % size:
                 raise SiteMismatch("blocks are not cyclically consecutive")
-        if kind == FR1_REMOVE:
-            found = _fr1_at(word, size, positions[0])
-        elif kind == FR2_REMOVE:
-            found = _fr2_at(word, size, _offsets(word), positions[0])
-        else:
+        if kind == FR3:
             # Move equality would let True or 1.0 stand for catalog id 1
             if not isinstance(m.variant, int) or isinstance(m.variant, bool):
                 raise SiteMismatch(f"unknown fr3 catalog entry {m.variant!r}")
             found = _fr3_at(word, positions)
+        else:
+            found = _removal_at(word, size, _offsets(word), positions[0])
         if found != m:
             raise SiteMismatch(f"no {kind} site {m.variant!r} at the stated positions")
     elif kind == FR1_INSERT:

@@ -126,7 +126,7 @@ def replay_trace(trace: MoveTrace) -> GaussDiagram:
 # (_trace), and each link is written after its next word's entry.  Keying
 # by the budget means an entry found under one --max-orbit never answers a
 # call under another.  Values are pure, so racing writers are harmless.
-# Only _reduce_word writes entries; catalog.classify scans orbits itself
+# Only _reduce_word writes entries; catalog._records scans orbits itself
 # and leaves the memo as it found it.
 _memo: dict = {}
 
@@ -143,8 +143,9 @@ def _scan_orbit(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
     node's _canonical call returned.  Otherwise returns (pred, None, None)
     with pred covering the whole orbit.  The start word is not checked:
     both callers that look for a decreasing site already know it has
-    none (`_reduce_word` checks it first, `catalog.classify` scans only
-    words its enumeration filter passed).
+    none (`_reduce_word` checks it first, and `catalog._records` scans
+    only words that `enumerate_diagrams(n, reduced=True)` yields, each
+    with no decreasing site).
 
     The scan performs only moves its own enumerators found, so it skips
     apply's legality check: each FR3 neighbor is _perform's word,
@@ -182,11 +183,9 @@ def _scan_orbit(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
 
 def _full_orbit(word: tuple[int, ...], max_nodes: int) -> tuple:
     """FR3 orbit of the minimal diagram a canonical word reduces to,
-    sorted by canonical_sort_key: its first word is the class word."""
-    key = (word, max_nodes)
-    if key not in _memo:
-        _reduce_word(word, max_nodes)
-    return _memo[key][1]
+    sorted by canonical_sort_key: its first word is the class word.  The
+    word must have been reduced under max_nodes (_reduce_word)."""
+    return _memo[(word, max_nodes)][1]
 
 
 def _path_from_pred(pred: dict, target: tuple[int, ...]) -> tuple:

@@ -163,21 +163,29 @@ def fr2_oracle(d: GaussDiagram) -> list[Move]:
     return moves
 
 
+def fr1_at_oracle(word: tuple[int, ...], size: int, i: int) -> Move | None:
+    """Reference FR1 recognizer, the token test: the FR1 removal of the
+    arrow whose endpoints sit at i and i + 1, if any."""
+    j = (i + 1) % size
+    if word[j] != -word[i]:
+        return None
+    return Move(FR1_REMOVE, "th" if word[i] > 0 else "ht", (i, j))
+
+
 def decreasing_sites_oracle(word: tuple[int, ...]):
     """Reference for `moves._decreasing_sites`: the generator as it was
     before it read partner offsets.  Every start position's block goes
-    through the FR1 test and the FR2 recognizer `_fr2_block_move`, which
-    finds the partners by position; an FR2 site is kept only from the
-    block holding its least position.  The base-0 sites, from starts 0
-    and size - 1, come sorted first, then one start at a time."""
+    through the FR1 test `fr1_at_oracle` and the FR2 recognizer
+    `_fr2_block_move`, which finds the partners by position; an FR2 site
+    is kept only from the block holding its least position.  The base-0
+    sites, from starts 0 and size - 1, come sorted first, then one start
+    at a time."""
     size = len(word)
     if size < 2:
         return
 
     def site_at(a0):
-        if word[(a0 + 1) % size] == -word[a0]:
-            return Move(FR1_REMOVE, "th" if word[a0] > 0 else "ht", (a0, (a0 + 1) % size))
-        m = _fr2_block_move(word, size, a0)
+        m = fr1_at_oracle(word, size, a0) or _fr2_block_move(word, size, a0)
         return m if m is not None and min(m.positions) in m.positions[:2] else None
 
     # a lone arrow's two endpoints are adjacent both ways round; count it once

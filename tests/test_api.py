@@ -1,5 +1,5 @@
-"""The public names, the one-cache policy, and the hooks the benchmark's
-tracer relies on.
+"""The public names, the private names the docs cite, the one-cache
+policy, and the hooks the benchmark's tracer relies on.
 
 `perfbench/tracer.py` wraps functions by name and indexes span names in
 `layer_stats`; a refactor that renames or drops one of them would make
@@ -10,8 +10,10 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import io
 import pkgutil
 import re
+import tokenize
 from pathlib import Path
 
 import flatknots
@@ -58,6 +60,50 @@ def test_readme_documents_every_public_name():
     readme = (ROOT / "README.md").read_text()
     section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
     assert set(re.findall(r"`([^`]+)`", section)) == set(flatknots.__all__)
+
+
+def _cited_private_names():
+    """(file, module or None, name) for every `_name` and `module._name`
+    in a docstring or comment of src/flatknots, or in README.md."""
+    texts = [("README.md", (ROOT / "README.md").read_text())]
+    for path in sorted((ROOT / "src" / "flatknots").glob("*.py")):
+        source = path.read_text()
+        texts += [
+            (path.name, ast.get_docstring(node) or "")
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        ]
+        texts += [
+            (path.name, tok.string)
+            for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+            if tok.type == tokenize.COMMENT
+        ]
+    return {
+        (where, *m.groups())
+        for where, text in texts
+        for m in re.finditer(r"\b(?:(\w+)\.)?(_[A-Za-z]\w*)", text)
+    }
+
+
+def test_cited_private_names_exist():
+    """A private name the docs or comments cite names something in the
+    package: `module._name` in that module, a bare `_name` in some module,
+    so a renamed or deleted helper cannot live on in the prose."""
+    modules = {
+        info.name: importlib.import_module(f"flatknots.{info.name}")
+        for info in pkgutil.iter_modules(flatknots.__path__)
+    }
+    cited = _cited_private_names()
+    assert len(cited) > 20, cited
+    missing = [
+        (where, module, name)
+        for where, module, name in sorted(cited, key=str)
+        if not any(
+            hasattr(mod, name)
+            for mod in ([modules[module]] if module in modules else modules.values())
+        )
+    ]
+    assert not missing, missing
 
 
 def test_benchmark_tracer_hooks_exist():

@@ -37,11 +37,13 @@ from flatknots.moves import (
     canonical_pattern,
 )
 from conftest import (
+    _fr2_block_move,
     _fr3_blocks_at,
     _fr3_structural,
     all_legal_moves,
     apply_oracle,
     decreasing_sites_oracle,
+    fr1_at_oracle,
     fr1_oracle,
     fr2_oracle,
     fr3_before_index_oracle,
@@ -130,12 +132,13 @@ def _decreasing_cases(words):
     return seen
 
 
-def _every_rotation_words():
-    """All 32,175 rotations of the n <= 5 canonical words: rotations put
-    a site on the wrap from the last endpoint to the first."""
+def _every_rotation_words(max_n=5):
+    """All rotations of the n <= max_n canonical words, 32,175 for
+    max_n = 5: rotations put a site on the wrap from the last endpoint to
+    the first."""
     return [
         d.word[r:] + d.word[:r]
-        for n in range(6)
+        for n in range(max_n + 1)
         for d in enumerate_diagrams(n)
         for r in range(max(d.size, 1))
     ]
@@ -543,6 +546,46 @@ def test_apply_rejects_positions_past_the_end():
         apply(parse("+1 +2 -1 -2"), Move("fr2-remove", "Nth", (7, 0, 1, 2)))
     with pytest.raises(SiteMismatch):
         apply(parse("+1 +2 -1 -3 -2 +3"), Move("fr3", 0, (11, 0, 1, 2, 3, 4)))
+
+
+def test_apply_accepts_exactly_the_removals_the_old_rules_accept():
+    """On every rotation of every n <= 4 word, at every block start,
+    `apply` accepts an fr1-remove of either variant exactly when the
+    token test `fr1_at_oracle` finds it, and an fr2-remove of every
+    variant and second-block start exactly when the position-based
+    `_fr2_block_move` finds it, with the word that drops its endpoints.
+    It rejects the rest with the "no ... site" message, the kind-crossed
+    moves included: an fr2-remove at a one-arrow block, an fr1-remove at
+    a bigon's block."""
+    seen = collections.Counter()
+    for word in _every_rotation_words(4):
+        d, size = GaussDiagram(word), len(word)
+        for a0 in range(size):
+            a1 = (a0 + 1) % size
+            kink = fr1_at_oracle(word, size, a0)
+            bigon = _fr2_block_move(word, size, a0)
+            moves = [Move(FR1_REMOVE, v, (a0, a1)) for v in ("th", "ht")]
+            moves += [
+                Move(FR2_REMOVE, v, (a0, a1, b0, (b0 + 1) % size))
+                for v in FR2_VARIANTS
+                for b0 in range(size)
+            ]
+            for m in moves:
+                if len(set(m.positions)) < len(m.positions):
+                    want = f"{m.kind} takes {len(m.positions)} distinct positions"
+                elif m in (kink, bigon):
+                    want = diagram._first_appearance([t for p, t in enumerate(word) if p not in m.positions])
+                    seen[m.kind, "accepted"] += 1
+                else:
+                    want = f"no {m.kind} site {m.variant!r} at the stated positions"
+                    crossed = kink if m.kind == FR2_REMOVE else bigon
+                    seen[m.kind, "crossed" if crossed is not None else "rejected"] += 1
+                try:
+                    got = apply(d, m).word
+                except SiteMismatch as exc:
+                    got = str(exc)
+                assert got == want, (word, m)
+    assert len(seen) == 6 and min(seen.values()) > 2000, seen
 
 
 @pytest.mark.parametrize("variant", [True, 1.0])

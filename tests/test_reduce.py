@@ -392,8 +392,9 @@ def _check_reduce_against_oracle(diagrams, monkeypatch):
     """Same minimal word and trace bytes as reduce_oracle, the same
     _reduce_word answer on a cold memo, on the diagram's own entry, and
     on a memo warmed by every diagram before it, the orbit from
-    _full_orbit on a cold memo in fr3_orbit's order with the class code
-    first, and links in the warm memo that replay."""
+    _full_orbit after reducing the minimal word on a cold memo in
+    fr3_orbit's order with the class code first, and links in the warm
+    memo that replay."""
     wants = []
     for d in diagrams:
         start = canonical_word(d.word)
@@ -411,6 +412,7 @@ def _check_reduce_against_oracle(diagrams, monkeypatch):
         monkeypatch.setattr(reduce, "_memo", {})
         codes = fr3_orbit(minimal)
         orbit = tuple(parse(c).word for c in codes)
+        assert reduce._reduce_word(minimal.word, MAX_NODES) == minimal.word, serialize(d)
         assert reduce._full_orbit(minimal.word, MAX_NODES) == orbit, serialize(d)
         assert minimal_class_code(d) == codes[0], serialize(d)
     monkeypatch.setattr(reduce, "_memo", {})
