@@ -24,10 +24,10 @@ from .diagram import (
     BasedDiagram,
     GaussDiagram,
     Split,
+    _canonical,
     _first_split,
     _trusted,
     canonical_sort_key,
-    canonical_word,
     rebase,
     serialize,
 )
@@ -71,11 +71,15 @@ def _gap_pairs(d1: GaussDiagram, d2: GaussDiagram) -> list[tuple[int, int]]:
 
 
 def _sum_words(d1: GaussDiagram, d2: GaussDiagram, pairs) -> dict:
-    """Canonical word of each connected sum -> the gap pairs giving it."""
-    sources: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    """Canonical word of each connected sum -> (its partner offsets, the
+    gap pairs giving it).  Each sum is canonicalized once, by one
+    `_canonical` call, and the offsets it returns are kept for
+    `verify_superadditivity` to reduce the member from."""
+    sources: dict[tuple[int, ...], tuple[list[int], list[tuple[int, int]]]] = {}
     for g1, g2 in pairs:
         s = connected_sum(BasedDiagram(d1, g1), BasedDiagram(d2, g2))
-        sources.setdefault(canonical_word(s.word), []).append((g1, g2))
+        w, _, back = _canonical(s.word)
+        sources.setdefault(w, (back, []))[1].append((g1, g2))
     return sources
 
 
@@ -85,7 +89,7 @@ def permutant_set(d1: GaussDiagram, d2: GaussDiagram) -> PermutantSet:
     return PermutantSet(
         (serialize(d1), serialize(d2)),
         tuple(codes.values()),
-        {codes[w]: tuple(pairs) for w, pairs in sources.items()},
+        {codes[w]: tuple(pairs) for w, (_, pairs) in sources.items()},
     )
 
 
@@ -100,7 +104,7 @@ def is_composite(d: GaussDiagram, limits: OrbitLimits | None = None) -> Composit
     """Classify as trivial, prime, or composite by reducing and looking
     for a nontrivial split of the minimal diagram."""
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
-    min_word = _reduce_word(canonical_word(d.word), max_nodes)
+    min_word = _reduce_word(*d._canon, max_nodes)
     return _minimal_verdict(_trusted(min_word))
 
 
@@ -166,13 +170,14 @@ def verify_superadditivity(
         pairs = sorted(random.Random(seed).sample(pairs, sample_size))
     member_words = _sum_words(d1, d2, pairs)
 
-    # each member word is canonical already: one reduction gives its
-    # crossing number, and the first word of its minimal orbit its class
+    # each member word is canonical already, its offsets at hand: one
+    # reduction gives its crossing number, and the first word of its
+    # minimal orbit its class
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
     class_ids: dict[tuple[int, ...], int] = {}
     prelim = []
     for w in sorted(member_words, key=canonical_sort_key):
-        min_word = _reduce_word(w, max_nodes)
+        min_word = _reduce_word(w, member_words[w][0], max_nodes)
         cr = len(min_word) // 2
         cls = _full_orbit(min_word, max_nodes)[0]
         prelim.append((serialize(_trusted(w)), cr, cls, 2 * cr == len(w)))

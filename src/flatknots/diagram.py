@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 
 TAIL = 1
@@ -83,6 +84,17 @@ class GaussDiagram:
     @property
     def size(self) -> int:
         return len(self.word)
+
+    @cached_property
+    def _canon(self) -> tuple[tuple[int, ...], list[int]]:
+        """(canonical word, its partner offsets) from one `_canonical`
+        call, made the first time it is read; every public entry point
+        starts from it, so a diagram passed to several is canonicalized
+        once.  The word is an immutable tuple, so the pair is never stale.
+        It is not a field: equality, hash and repr ignore it.  Readers
+        must not change the offsets list."""
+        word, _, back = _canonical(self.word)
+        return word, back
 
     def arrow_endpoints(self, arrow: int) -> tuple[int, int]:
         """Positions (tail, head) of the given arrow."""
@@ -226,7 +238,7 @@ def canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:
 def canonical_form(d: GaussDiagram) -> str:
     """Canonical code text: equal for two diagrams iff they differ only by
     rotation of the cyclic word and relabeling of arrows."""
-    return serialize(_trusted(canonical_word(d.word)))
+    return serialize(_trusted(d._canon[0]))
 
 
 def canonical_sort_key(word: tuple[int, ...]) -> tuple[int, ...]:

@@ -20,7 +20,6 @@ from . import moves as mv
 from .diagram import (
     GaussDiagram,
     _canonical,
-    _offsets,
     _trusted,
     canonical_sort_key,
     canonical_word,
@@ -203,7 +202,7 @@ def fr3_orbit(d: GaussDiagram, limits: OrbitLimits | None = None) -> tuple[str, 
     """BFS closure of d under FR3 moves: the sorted tuple of canonical
     codes in the orbit."""
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
-    pred, _, _ = _scan_orbit(canonical_word(d.word), max_nodes, find_decreasing=False)
+    pred, _, _ = _scan_orbit(d._canon[0], max_nodes, find_decreasing=False)
     return tuple(serialize(_trusted(w)) for w in sorted(pred, key=canonical_sort_key))
 
 
@@ -211,30 +210,31 @@ def fr3_orbit(d: GaussDiagram, limits: OrbitLimits | None = None) -> tuple[str, 
 # monotone reduction
 # ---------------------------------------------------------------------------
 
-def _reduce_word(word: tuple[int, ...], max_nodes: int) -> tuple[int, ...]:
+def _reduce_word(word: tuple[int, ...], back: list[int], max_nodes: int) -> tuple[int, ...]:
     """Canonical word of a reached minimal diagram; its crossing number
     is half its length.
 
-    The one reduction loop.  ``word`` must already be canonical: each
-    public entry point canonicalizes its input once and passes the result
-    here.  Each step takes the current word's first decreasing site, or
+    The one reduction loop.  ``word`` must already be canonical and
+    ``back`` must hold its partner offsets: each public entry point reads
+    both from its input's `GaussDiagram._canon`, and
+    `verify_superadditivity` from the `_canonical` call that made each
+    member.  Each step takes the current word's first decreasing site, or
     when it has none, scans its FR3 orbit for the first node with one; a
     scan that finds none ends the reduction.  The sites are read from the
-    current word's partner offsets: the start word's come from
-    ``_offsets``, once and only if the memo misses it, and every later
-    word's from the ``_canonical`` call that made it.  A step whose site
-    lies on the current word links straight to the next word; one that
-    scanned links through the scan's FR3 path.  The step performs the
-    decreasing move with ``moves._perform``, without apply's legality
-    check: the move is one the enumerator found.  It stops at the first
-    memo entry it finds, then writes an entry for every word it left,
-    the last one first (see ``_memo``).
+    current word's partner offsets: the start word's are ``back``, and
+    every later word's come from the ``_canonical`` call that made it.
+    A step whose site lies on the current word links straight to the
+    next word; one that scanned links through the scan's FR3 path.  The
+    step performs the decreasing move with ``moves._perform``, without
+    apply's legality check: the move is one the enumerator found.  It
+    stops at the first memo entry it finds, then writes an entry for
+    every word it left, the last one first (see ``_memo``).
     """
-    cur, back = word, None  # back: cur's offsets, once a step has made cur
+    cur = word
     trail = []
     while (value := _memo.get((cur, max_nodes))) is None:
         node, path = cur, ()
-        m = next(mv._decreasing_sites(cur, back or _offsets(cur)), None)
+        m = next(mv._decreasing_sites(cur, back), None)
         if m is None:
             pred, node, m = _scan_orbit(cur, max_nodes, find_decreasing=True)
             if node is None:
@@ -259,21 +259,23 @@ def monotone_reduce(
     """Reduce to a minimal crossing diagram using only FR3 and decreasing
     FR1/FR2 moves; the trace replays start-to-end over canonical forms."""
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
-    start = canonical_word(d.word)
-    min_word = _reduce_word(start, max_nodes)
+    start, back = d._canon
+    min_word = _reduce_word(start, back, max_nodes)
     return _trusted(min_word), _trace(start, min_word, max_nodes)
 
 
 def crossing_number(d: GaussDiagram, limits: OrbitLimits | None = None) -> int:
+    """Least arrow count over the diagrams equivalent to d: half the
+    length of the minimal word d reduces to."""
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
-    return len(_reduce_word(canonical_word(d.word), max_nodes)) // 2
+    return len(_reduce_word(*d._canon, max_nodes)) // 2
 
 
 def minimal_class_code(d: GaussDiagram, limits: OrbitLimits | None = None) -> str:
     """Complete flat-knot invariant: the least canonical code over the FR3
     orbit of a reached minimal diagram."""
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
-    min_word = _reduce_word(canonical_word(d.word), max_nodes)
+    min_word = _reduce_word(*d._canon, max_nodes)
     return serialize(_trusted(_full_orbit(min_word, max_nodes)[0]))
 
 
@@ -331,9 +333,9 @@ def equivalent(
     (bool, MoveTrace | None); the certificate runs d1 -> minimal(d1) ->
     minimal(d2) -> d2."""
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
-    c1, c2 = canonical_word(d1.word), canonical_word(d2.word)
-    m1 = _reduce_word(c1, max_nodes)
-    m2 = _reduce_word(c2, max_nodes)
+    (c1, back1), (c2, back2) = d1._canon, d2._canon
+    m1 = _reduce_word(c1, back1, max_nodes)
+    m2 = _reduce_word(c2, back2, max_nodes)
     verdict = _full_orbit(m1, max_nodes)[0] == _full_orbit(m2, max_nodes)[0]
     if not with_certificate:
         return verdict

@@ -7,6 +7,7 @@ policy, and the hooks the benchmark's tracer relies on.
 layer.  The names are read from the tracer itself, not copied here.
 """
 import ast
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -87,20 +88,28 @@ def _cited_private_names():
 
 def test_cited_private_names_exist():
     """A private name the docs or comments cite names something in the
-    package: `module._name` in that module, a bare `_name` in some module,
-    so a renamed or deleted helper cannot live on in the prose."""
+    package: `module._name` in that module, `Class._name` on that class of
+    the package, a bare `_name` in some module, so a renamed or deleted
+    helper cannot live on in the prose."""
     modules = {
         info.name: importlib.import_module(f"flatknots.{info.name}")
         for info in pkgutil.iter_modules(flatknots.__path__)
     }
+    classes = {
+        name: obj
+        for mod in modules.values()
+        for name, obj in vars(mod).items()
+        if inspect.isclass(obj) and obj.__module__ == mod.__name__
+    }
+    owners = {**classes, **modules}
     cited = _cited_private_names()
     assert len(cited) > 20, cited
     missing = [
-        (where, module, name)
-        for where, module, name in sorted(cited, key=str)
+        (where, owner, name)
+        for where, owner, name in sorted(cited, key=str)
         if not any(
-            hasattr(mod, name)
-            for mod in ([modules[module]] if module in modules else modules.values())
+            hasattr(obj, name)
+            for obj in ([owners[owner]] if owner in owners else modules.values())
         )
     ]
     assert not missing, missing
@@ -183,9 +192,11 @@ def test_tracer_counts_the_engine_work(monkeypatch):
 
 
 def test_only_the_fr3_singletons_are_cached():
-    """`reduce._memo` is the library's one cache; the only memoized
-    functions are the two single-entry FR3 builders: the catalog and the
-    shape table."""
+    """`reduce._memo` is the library's one shared cache.  The only
+    memoized functions are the two single-entry FR3 builders, the catalog
+    and the shape table, and the one per-object cache is
+    `GaussDiagram._canon`: a diagram's canonical word and offsets, which
+    live and die with the diagram."""
     modules = [flatknots] + [
         importlib.import_module(f"flatknots.{info.name}")
         for info in pkgutil.iter_modules(flatknots.__path__)
@@ -196,7 +207,10 @@ def test_only_the_fr3_singletons_are_cached():
             for fn in vars(obj).values() if inspect.isclass(obj) else [obj]:
                 if hasattr(fn, "cache_info"):
                     cached.add(f"{fn.__module__}.{fn.__qualname__}")
+                elif isinstance(fn, functools.cached_property):
+                    cached.add(f"{obj.__module__}.{obj.__qualname__}.{fn.attrname}")
     assert cached == {
         "flatknots.moves.build_fr3_catalog",
         "flatknots.moves._fr3_shape_table",
+        "flatknots.diagram.GaussDiagram._canon",
     }

@@ -26,7 +26,7 @@ from flatknots import (
     serialize,
     verify_superadditivity,
 )
-from flatknots import compose, reduce
+from flatknots import compose, diagram, reduce
 from flatknots.moves import _relabel
 from conftest import random_diagram, strict
 
@@ -295,26 +295,36 @@ def test_superadditivity_sample_covering_every_pair_is_exhaustive():
 
 
 def test_superadditivity_reduces_each_member_once(monkeypatch, canonical_calls):
-    d1, d2 = parse(WITNESS_3), parse("+1 +2 +3 -1 -3 -2")
+    codes = WITNESS_3, "+1 +2 +3 -1 -3 -2"
     # warm the memo first, so the counted run's reductions are memo reads
     # that canonicalize nothing
-    members = len(verify_superadditivity(d1, d2).rows)
+    members = len(verify_superadditivity(*map(parse, codes)).rows)
+    # the sums' binding of _canonical goes through the spy too
+    monkeypatch.setattr(compose, "_canonical", diagram._canonical)
     canonical_calls.clear()
     reduce_calls = []
     reduce_word = reduce._reduce_word
 
-    def spy(word, max_nodes):
+    def spy(word, back, max_nodes):
         reduce_calls.append(word)
-        return reduce_word(word, max_nodes)
+        return reduce_word(word, back, max_nodes)
 
     monkeypatch.setattr(reduce, "_reduce_word", spy)
     monkeypatch.setattr(compose, "_reduce_word", spy)
+    # fresh diagrams, whose canonical forms are not computed yet
+    d1, d2 = map(parse, codes)
     report = verify_superadditivity(d1, d2)
     assert len(report.rows) == members == 36
     # one canonicalization per basepoint pair (6 x 6) and one per input
     assert sum(canonical_calls.values()) == d1.size * d2.size + 2
     # one reduction per member and one per input
     assert len(reduce_calls) == members + 2
+    # the same objects again: each keeps its canonical form, so only the
+    # sums are canonicalized
+    canonical_calls.clear()
+    assert verify_superadditivity(d1, d2) == report
+    assert (canonical_calls[id(d1.word)], canonical_calls[id(d2.word)]) == (0, 0)
+    assert sum(canonical_calls.values()) == d1.size * d2.size
 
 
 def test_superadditivity_rejects_sample_size_below_one():

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from flatknots import (
     serialize,
 )
 from flatknots.compose import _minimal_verdict
-from flatknots.diagram import _canonical
+from flatknots.diagram import _canonical, _offsets
 from conftest import (
     brute_force_splits,
     canonical_oracle,
@@ -259,6 +260,36 @@ def test_canonical_matches_oracle_small_n_every_rotation_and_relabeling():
                     _assert_matches_oracle(word)
                     count += 1
     assert count == 133_523
+
+
+def test_canon_holds_the_canonical_word_and_its_offsets():
+    """`GaussDiagram._canon` on every rotation of every n <= 5 word and
+    on seeded random words up to n = 16."""
+    words = [w for n in range(6) for d in enumerate_diagrams(n) for w in _rotations(d.word)]
+    assert len(words) == 32_175
+    rng = random.Random(25)
+    words += [random_diagram(rng, n).word for n in range(1, 17) for _ in range(20)]
+    for word in words:
+        canon = GaussDiagram(word)._canon
+        assert canon[0] == canonical_oracle(word)[0], word
+        assert canon[1] == _offsets(canon[0]), word
+
+
+def test_a_computed_canonical_form_is_not_part_of_the_value():
+    """A diagram keeps its canonical form once computed, and still
+    compares, hashes, prints and pickles as the plain word it is."""
+    code = "+2 +1 -2 -3 -1 +3"
+    d, fresh = parse(code), parse(code)
+    before = repr(d)
+    assert canonical_form(d) == "+1 +2 -1 -3 -2 +3"
+    assert "_canon" in vars(d) and "_canon" not in vars(fresh)
+    assert d == fresh and hash(d) == hash(fresh) and len({d, fresh}) == 1
+    assert repr(d) == before == repr(fresh)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for x in (d, fresh):
+            back = pickle.loads(pickle.dumps(x, protocol))
+            assert back == d and hash(back) == hash(d) and repr(back) == before
+            assert back._canon == d._canon
 
 
 def test_canonical_matches_oracle_random_words():

@@ -90,58 +90,22 @@ def test_fr1_remove_relabels():
     assert out.word == (1, -1)
 
 
-@pytest.mark.parametrize(
-    "kind, oracle, min_sites",
-    [(FR1_REMOVE, fr1_oracle, 80000), (FR2_REMOVE, fr2_oracle, 40000)],
-    ids=["fr1", "fr2"],
-)
-def test_decreasing_enumerators_match_oracles_in_every_rotation(kind, oracle, min_sites):
-    # rotations put a site on the wrap from the last endpoint to the first
-    rng = random.Random(32)
-    bases = [d for n in range(6) for d in enumerate_diagrams(n)]
-    bases += [random_diagram(rng, 1 + i % 16) for i in range(3000)]
-    words = [d.word[r:] + d.word[:r] for d in bases for r in range(max(d.size, 1))]
-    assert len(words) > 80000
-    sites = 0
-    for word in words:
-        d = GaussDiagram(word)
-        got = removals(d, kind)
-        assert got == oracle(d), word
-        sites += len(got)
-    assert sites > min_sites
-
-
-def _decreasing_cases(words):
-    """Check enumerate_decreasing, which lists moves._decreasing_sites,
-    against the FR1 and FR2 oracles sorted together, and the reduction's
-    first site against the list's first; count the kinds of site seen,
-    so no case passes unseen."""
-    seen = collections.Counter()
-    for word in words:
-        d = GaussDiagram(word)
-        sites = enumerate_decreasing(d)
-        assert sites == sorted(fr1_oracle(d) + fr2_oracle(d), key=Move.sort_key), word
-        assert next(_decreasing_sites(word, diagram._offsets(word)), None) == (sites or [None])[0], word
-        if not sites:
-            seen["none"] += 1
-        for m in sites:
-            base = min(m.positions)
-            wraps = m.positions[:2] == (d.size - 1, 0)
-            seen[(m.kind, "wrap" if wraps else "base 0" if base == 0 else "base > 0")] += 1
-        seen["one arrow"] += d.size == 2
-    return seen
+def _rotations(diagrams):
+    """Every rotation of each diagram's word: rotations put a site on the
+    wrap from the last endpoint to the first."""
+    return [d.word[r:] + d.word[:r] for d in diagrams for r in range(max(d.size, 1))]
 
 
 def _every_rotation_words(max_n=5):
     """All rotations of the n <= max_n canonical words, 32,175 for
-    max_n = 5: rotations put a site on the wrap from the last endpoint to
-    the first."""
-    return [
-        d.word[r:] + d.word[:r]
-        for n in range(max_n + 1)
-        for d in enumerate_diagrams(n)
-        for r in range(max(d.size, 1))
-    ]
+    max_n = 5."""
+    return _rotations(d for n in range(max_n + 1) for d in enumerate_diagrams(n))
+
+
+def _random_rotation_words():
+    """All rotations of 3,000 seeded random words, n = 1..16."""
+    rng = random.Random(32)
+    return _rotations([random_diagram(rng, 1 + i % 16) for i in range(3000)])
 
 
 def _random_words():
@@ -159,48 +123,89 @@ def _random_words():
     return words
 
 
-def test_decreasing_sites_come_in_sort_order_in_every_rotation():
-    seen = _decreasing_cases(_every_rotation_words())
-    assert seen["none"] > 1000 and seen["one arrow"] == 2, seen
-    for kind in ("fr1-remove", "fr2-remove"):
-        for where in ("wrap", "base 0", "base > 0"):
-            assert seen[(kind, where)] > 100, seen
+_WHERE = ("wrap", "base 0", "base > 0")
 
 
-def test_decreasing_sites_come_in_sort_order_on_random_words():
-    seen = _decreasing_cases(_random_words())
-    assert seen["none"] > 500, seen
-    for kind in ("fr1-remove", "fr2-remove"):
-        for where in ("wrap", "base 0", "base > 0"):
-            assert seen[(kind, where)] > 20, seen
+def _check_decreasing_sites(words):
+    """Check every word's decreasing sites against both references, and
+    count the cases seen, so that no case passes unseen.
 
+    enumerate_decreasing, which lists moves._decreasing_sites, gives the
+    FR1 and FR2 oracles' sites, each kind in its oracle's order and both
+    sorted together; reading partner offsets, it gives exactly the sites
+    of decreasing_sites_oracle, which finds partners by position, in its
+    order; the reduction's first site is the list's first; and
+    _perform's slices drop exactly a site's positions.
 
-@pytest.mark.parametrize(
-    "words,count", [(_every_rotation_words, 32_175), (_random_words, 6000)], ids=["rotations", "random"]
-)
-def test_offset_sites_match_the_oracle(words, count):
-    """_decreasing_sites, reading partner offsets, yields exactly the
-    sites of the oracle that finds partners by position, in its order;
-    _canonical hands on the offsets of the word it returns; and
-    _perform's slices drop exactly a site's positions.  Every case of
-    the offset test must occur: FR1, and FR2 with d = back[a1] - back[a0]
-    equal to 0 (the second block repeats the arrow order) or 2."""
-    words = words()
-    assert len(words) == count
-    seen = collections.Counter()
+    Returns two counters: `seen` counts words with no site, one-arrow
+    words, and the sites of each kind by where their base lies; `cases`
+    counts the cases of the offset test: FR1, and FR2 with
+    d = back[a1] - back[a0] equal to 0 (the second block repeats the
+    arrow order) or 2."""
+    seen, cases = collections.Counter(), collections.Counter()
     for word in words:
+        d = diagram._trusted(word)
         back = diagram._offsets(word)
-        sites = list(_decreasing_sites(word, back))
+        sites = enumerate_decreasing(d)
+        fr1, fr2 = fr1_oracle(d), fr2_oracle(d)
+        assert [m for m in sites if m.kind == FR1_REMOVE] == fr1, word
+        assert [m for m in sites if m.kind == FR2_REMOVE] == fr2, word
+        assert sites == sorted(fr1 + fr2, key=Move.sort_key), word
         assert sites == list(decreasing_sites_oracle(word)), word
-        canon = diagram._canonical(word)
-        assert canon[2] == diagram._offsets(canon[0]), word
+        assert next(_decreasing_sites(word, back), None) == (sites or [None])[0], word
+        if not sites:
+            seen["none"] += 1
+        seen["one arrow"] += d.size == 2
         for m in sites:
+            base = min(m.positions)
+            wraps = m.positions[:2] == (d.size - 1, 0)
+            seen[(m.kind, "wrap" if wraps else "base 0" if base == 0 else "base > 0")] += 1
             kept = tuple([t for p, t in enumerate(word) if p not in m.positions])
             assert _perform(word, m) == kept, (word, m)
             a0, a1 = m.positions[:2]
-            seen[m.kind if m.kind == FR1_REMOVE else (m.kind, back[a1] - back[a0])] += 1
-    assert set(seen) == {FR1_REMOVE, (FR2_REMOVE, 0), (FR2_REMOVE, 2)}, seen
-    assert min(seen.values()) > 20, seen
+            cases[m.kind if m.kind == FR1_REMOVE else (m.kind, back[a1] - back[a0])] += 1
+    return seen, cases
+
+
+def _check_canonical_offsets(words):
+    """_canonical hands on the offsets of the word it returns."""
+    for word in words:
+        canon = diagram._canonical(word)
+        assert canon[2] == diagram._offsets(canon[0]), word
+
+
+def _sites_of(seen, kind):
+    return sum(seen[(kind, where)] for where in _WHERE)
+
+
+def test_decreasing_sites_match_the_oracles_in_every_rotation():
+    small, large = _every_rotation_words(), _random_rotation_words()
+    assert len(small) == 32_175
+    assert len(small) + len(large) > 80000
+    seen, cases = _check_decreasing_sites(small)
+    assert seen["none"] > 1000 and seen["one arrow"] == 2, seen
+    for kind in (FR1_REMOVE, FR2_REMOVE):
+        for where in _WHERE:
+            assert seen[(kind, where)] > 100, seen
+    assert set(cases) == {FR1_REMOVE, (FR2_REMOVE, 0), (FR2_REMOVE, 2)}, cases
+    assert min(cases.values()) > 20, cases
+    _check_canonical_offsets(small)
+    seen += _check_decreasing_sites(large)[0]
+    assert _sites_of(seen, FR1_REMOVE) > 80000, seen
+    assert _sites_of(seen, FR2_REMOVE) > 40000, seen
+
+
+def test_decreasing_sites_match_the_oracles_on_random_words():
+    words = _random_words()
+    assert len(words) == 6000
+    seen, cases = _check_decreasing_sites(words)
+    assert seen["none"] > 500, seen
+    for kind in (FR1_REMOVE, FR2_REMOVE):
+        for where in _WHERE:
+            assert seen[(kind, where)] > 20, seen
+    assert set(cases) == {FR1_REMOVE, (FR2_REMOVE, 0), (FR2_REMOVE, 2)}, cases
+    assert min(cases.values()) > 20, cases
+    _check_canonical_offsets(words)
 
 
 def test_perform_then_relabel_is_apply():

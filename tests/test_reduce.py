@@ -26,8 +26,9 @@ from flatknots import (
     replay_trace,
     serialize,
     u_polynomial,
+    verify_superadditivity,
 )
-from flatknots import diagram, moves, reduce
+from flatknots import compose, diagram, moves, reduce
 from flatknots.cli import main
 from flatknots.diagram import canonical_word
 from flatknots.moves import KIND_DELTA
@@ -140,6 +141,61 @@ def test_equivalent_certificate_canonicalizes_each_input_once(canonical_calls):
     same, cert = equivalent(d1, d2, with_certificate=True)
     assert same and cert is not None
     assert (canonical_calls[id(d1.word)], canonical_calls[id(d2.word)]) == (1, 1)
+
+
+def test_a_diagram_is_canonicalized_once_across_every_entry_point(monkeypatch, canonical_calls):
+    """Every entry point starts from `GaussDiagram._canon`, so one diagram
+    object passed to all of them, and to `equivalent` on either side, is
+    canonicalized once; and none of them computes partner offsets outside
+    `_canonical`.  The memo starts cold, so the reductions, the orbit
+    scans and the certificates' FR3 bridge all run."""
+    monkeypatch.setattr(reduce, "_memo", {})
+    canonical, offsets = diagram._canonical, diagram._offsets
+    depth, outside = [0], []
+
+    def canonicalizing(word):
+        depth[0] += 1
+        try:
+            return canonical(word)
+        finally:
+            depth[0] -= 1
+
+    def offsetting(word):
+        if not depth[0]:
+            outside.append(word)
+        return offsets(word)
+
+    # every module's own binding goes through the spies
+    for mod in (diagram, moves, reduce, compose):
+        for name, spy in (("_canonical", canonicalizing), ("_offsets", offsetting)):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, spy)
+    # two kinked members of a two-node minimal FR3 orbit: a certificate
+    # between them needs a bridge
+    orbit = fr3_orbit(parse("+1 +2 -1 -2 +3 +4 -3 +5 -4 -5"))
+    d, d2 = (parse(f"+6 -6 {code} +7 -7") for code in orbit)
+    canonical_calls.clear()
+    outside.clear()
+    for _ in range(2):
+        minimal, trace = monotone_reduce(d)
+        assert trace.end == serialize(minimal)
+        assert crossing_number(d) == minimal.n == 5
+        assert minimal_class_code(d) == orbit[0]
+        assert equivalent(d, d2) and equivalent(d2, d)
+        for a, b in ((d, d2), (d2, d)):
+            same, cert = equivalent(a, b, with_certificate=True)
+            assert same and len(cert.steps) > 2
+        assert len(fr3_orbit(d)) == 2
+        assert canonical_form(d) == trace.start
+        assert is_composite(d).verdict == "composite"
+        assert verify_superadditivity(d, parse("+1 -1")).ok
+    assert canonical_calls[id(d.word)] == 1
+    assert canonical_calls[id(d2.word)] == 1
+    assert outside == []
+    # the spies are live
+    assert sum(canonical_calls.values()) > 2
+    enumerate_decreasing(d)
+    assert outside == [d.word]
 
 
 def test_engine_validates_only_words_from_outside(monkeypatch):
@@ -322,7 +378,7 @@ def test_reduction_step_checks_the_start_word_first(monkeypatch):
     monkeypatch.setattr(reduce, "_scan_orbit", scanning)
     for budget in (1, DEFAULT_LIMITS.max_nodes):
         monkeypatch.setattr(reduce, "_memo", {})
-        minimal = reduce._reduce_word(w, budget)
+        minimal = reduce._reduce_word(*d._canon, budget)
         # one step reaches the minimal word; the link holds the move and
         # its offset, and no FR3 path
         link = reduce._memo[(w, budget)][2:]
@@ -397,7 +453,7 @@ def _check_reduce_against_oracle(diagrams, monkeypatch):
     memo that replay."""
     wants = []
     for d in diagrams:
-        start = canonical_word(d.word)
+        start, back = d._canon
         minimal, trace = reduce_oracle(d)
         want = minimal.word
         wants.append((want, trace.to_json()))
@@ -407,17 +463,17 @@ def _check_reduce_against_oracle(diagrams, monkeypatch):
         # the trace is read from the links the reduction wrote
         assert reduce._memo[(start, MAX_NODES)][0] == minimal.word
         monkeypatch.setattr(reduce, "_memo", {})
-        assert reduce._reduce_word(start, MAX_NODES) == want, serialize(d)
-        assert reduce._reduce_word(start, MAX_NODES) == want, serialize(d)
+        assert reduce._reduce_word(start, back, MAX_NODES) == want, serialize(d)
+        assert reduce._reduce_word(start, back, MAX_NODES) == want, serialize(d)
         monkeypatch.setattr(reduce, "_memo", {})
         codes = fr3_orbit(minimal)
         orbit = tuple(parse(c).word for c in codes)
-        assert reduce._reduce_word(minimal.word, MAX_NODES) == minimal.word, serialize(d)
+        assert reduce._reduce_word(*minimal._canon, MAX_NODES) == minimal.word, serialize(d)
         assert reduce._full_orbit(minimal.word, MAX_NODES) == orbit, serialize(d)
         assert minimal_class_code(d) == codes[0], serialize(d)
     monkeypatch.setattr(reduce, "_memo", {})
     for d, (want, trace_json) in zip(diagrams, wants):
-        assert reduce._reduce_word(canonical_word(d.word), MAX_NODES) == want, serialize(d)
+        assert reduce._reduce_word(*d._canon, MAX_NODES) == want, serialize(d)
         assert monotone_reduce(d)[1].to_json() == trace_json, serialize(d)
     _check_links_replay()
 
