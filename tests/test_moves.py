@@ -1,4 +1,5 @@
 import collections
+import functools
 import random
 
 import pytest
@@ -178,31 +179,49 @@ def _sites_of(seen, kind):
     return sum(seen[(kind, where)] for where in _WHERE)
 
 
-def test_decreasing_sites_match_the_oracles_in_every_rotation():
-    small, large = _every_rotation_words(), _random_rotation_words()
-    assert len(small) == 32_175
+@functools.cache
+def _checked(words):
+    """Build the word set `words()` and run _check_decreasing_sites on it
+    once per session; the tests below assert on what it returns, (words,
+    seen, cases).  A failed check is not cached, so every test reading
+    that word set fails with it."""
+    words = words()
+    return (words, *_check_decreasing_sites(words))
+
+
+@pytest.mark.parametrize("kind, min_sites", [(FR1_REMOVE, 80000), (FR2_REMOVE, 40000)], ids=["fr1", "fr2"])
+def test_decreasing_enumerators_match_oracles_in_every_rotation(kind, min_sites):
+    small, seen, _ = _checked(_every_rotation_words)
+    large, more, _ = _checked(_random_rotation_words)
     assert len(small) + len(large) > 80000
-    seen, cases = _check_decreasing_sites(small)
+    assert _sites_of(seen + more, kind) > min_sites, seen + more
+
+
+def test_decreasing_sites_come_in_sort_order_in_every_rotation():
+    _, seen, _ = _checked(_every_rotation_words)
     assert seen["none"] > 1000 and seen["one arrow"] == 2, seen
     for kind in (FR1_REMOVE, FR2_REMOVE):
         for where in _WHERE:
             assert seen[(kind, where)] > 100, seen
-    assert set(cases) == {FR1_REMOVE, (FR2_REMOVE, 0), (FR2_REMOVE, 2)}, cases
-    assert min(cases.values()) > 20, cases
-    _check_canonical_offsets(small)
-    seen += _check_decreasing_sites(large)[0]
-    assert _sites_of(seen, FR1_REMOVE) > 80000, seen
-    assert _sites_of(seen, FR2_REMOVE) > 40000, seen
 
 
-def test_decreasing_sites_match_the_oracles_on_random_words():
-    words = _random_words()
-    assert len(words) == 6000
-    seen, cases = _check_decreasing_sites(words)
+def test_decreasing_sites_come_in_sort_order_on_random_words():
+    _, seen, _ = _checked(_random_words)
     assert seen["none"] > 500, seen
     for kind in (FR1_REMOVE, FR2_REMOVE):
         for where in _WHERE:
             assert seen[(kind, where)] > 20, seen
+
+
+@pytest.mark.parametrize(
+    "words, count", [(_every_rotation_words, 32_175), (_random_words, 6000)], ids=["rotations", "random"]
+)
+def test_offset_sites_match_the_oracle(words, count):
+    """Every case of the offset test occurs: FR1, and FR2 with
+    d = back[a1] - back[a0] equal to 0 or 2; and _canonical hands on the
+    offsets of the word it returns."""
+    words, _, cases = _checked(words)
+    assert len(words) == count
     assert set(cases) == {FR1_REMOVE, (FR2_REMOVE, 0), (FR2_REMOVE, 2)}, cases
     assert min(cases.values()) > 20, cases
     _check_canonical_offsets(words)
