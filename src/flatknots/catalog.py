@@ -24,11 +24,10 @@ and the file header says so.
 """
 from __future__ import annotations
 
-import contextlib
 import os
-import tempfile
+import stat
 from dataclasses import dataclass
-from typing import Iterator, TextIO
+from typing import Iterator
 
 from .compose import _minimal_verdict
 from .diagram import GaussDiagram, _trusted, canonical_sort_key, serialize
@@ -248,29 +247,26 @@ def _line(r: CatalogRecord) -> str:
     )
 
 
-@contextlib.contextmanager
-def _atomic_file(path: str) -> Iterator[TextIO]:
-    """A text file that replaces `path` only when the block completes:
-    written as a temp file in the same directory, then renamed.  On any
-    error the temp file is removed, and an OSError names the given path,
-    never the temp file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = None
+def write_catalog(records, path: str, n: int) -> None:
+    """Write a header line, then one line per record, taken from `records`
+    one at a time, to a temp file beside `path`, and rename it over `path`
+    after the last record.  A new file gets the mode `open(path, "w")`
+    would give (0o666 less the umask); a replaced file keeps its mode.  On
+    any error, from the writing or from `records`, the temp file is
+    removed, `path` is left as it was, and the error is re-raised; an
+    OSError names `path`, never the temp file."""
+    tmp = os.path.join(os.path.dirname(path), f".flatcat-{os.urandom(8).hex()}")
+    fd = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".flatcat-")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
+            fh.write(_header(n))
+            fh.writelines(map(_line, records))
+        if os.path.exists(path):
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc
     finally:
-        if tmp is not None and os.path.exists(tmp):
+        if fd is not None and os.path.exists(tmp):
             os.unlink(tmp)
-
-
-def write_catalog(records, path: str, n: int) -> None:
-    """Atomic write of a header line, then one line per record, taken
-    from `records` one at a time."""
-    with _atomic_file(path) as fh:
-        fh.write(_header(n))
-        fh.writelines(map(_line, records))

@@ -10,14 +10,13 @@ code argument is given.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import shutil
 import sys
 import tempfile
 
-from .catalog import _atomic_file, _header, _line, _records
+from .catalog import _header, _line, _records, write_catalog
 from .compose import is_composite, permutant_set, verify_superadditivity
 from .diagram import (
     BasedDiagram,
@@ -224,34 +223,37 @@ def _cmd_verify_superadd(args) -> int:
 
 
 def _cmd_tabulate(args) -> int:
-    # records stream into the --out temp file and into a temp file for
-    # stdout; stdout gets its copy only after the last record, so an orbit
-    # budget error leaves stdout empty and the --out file untouched.  The
-    # JSON form has sorted keys, so "records" comes last: its text is the
-    # object with no records up to the closing "]}", each record, "]}".
+    # write_catalog owns the --out file and renames it into place after the
+    # last record.  This command owns stdout: each record's stdout form goes
+    # to an anonymous temp file as the record passes on to write_catalog, and
+    # is copied to stdout only after the last record, so an orbit budget
+    # error leaves stdout empty and the --out file untouched.  The JSON form
+    # has sorted keys, so "records" comes last: its text is the object with
+    # no records up to the closing "]}", each record, "]}".
     as_json = args.format == "json"
-    header = _header(args.n)
-    saving = contextlib.nullcontext() if args.out is None else _atomic_file(args.out)
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as shown:
-        with saving as saved:
-            if saved is not None:
-                saved.write(header)
+
+        def shown_records():
             if as_json:
                 shown.write(_json_text({"n": args.n, "quotient": "oriented", "records": []})[:-2])
             else:
-                shown.write(header)
+                shown.write(_header(args.n))
             sep = ""
             for r in _records(args.n, args.limits):
-                line = _line(r)
-                if saved is not None:
-                    saved.write(line)
                 if as_json:
                     shown.write(sep + _json_text(_json_record(r)))
                     sep = ","
                 else:
-                    shown.write(line)
+                    shown.write(_line(r))
+                yield r
             if as_json:
                 shown.write("]}\n")
+
+        if args.out is None:
+            for _ in shown_records():
+                pass
+        else:
+            write_catalog(shown_records(), args.out, args.n)
         shown.seek(0)
         shutil.copyfileobj(shown, sys.stdout)
     return 0

@@ -155,18 +155,32 @@ def test_criterion_5_permutant_minimality():
     _report(5, "permutants of minimal diagrams stay minimal", ok, f"violations={len(failures)}")
 
 
+def _assert_sums_of_minimal_summands_are_minimal(a, b, summands, sums):
+    """Every sum of a minimal a-arrow diagram and a minimal b-arrow
+    diagram, over every basepoint pair: `summands` minimal diagrams on
+    each side, `sums` distinct sums, and each sum has crossing number
+    a + b."""
+    minimal_a, minimal_b = _minimal_diagrams(a), _minimal_diagrams(b)
+    assert (len(minimal_a), len(minimal_b)) == summands
+    members = {
+        code
+        for d1, d2 in itertools.product(minimal_a, minimal_b)
+        for code in permutant_set(d1, d2).members
+    }
+    assert len(members) == sums
+    assert {crossing_number(parse(code)) for code in members} == {a + b}
+
+
 def test_superadditivity_is_equality_for_minimal_3_and_4_arrow_summands():
     """Sums of two nontrivial minimal diagrams with 3 + 4 arrows: every
     permutant is itself minimal, so cr(sum) = cr(d1) + cr(d2) exactly."""
-    minimal3, minimal4 = _minimal_diagrams(3), _minimal_diagrams(4)
-    assert (len(minimal3), len(minimal4)) == (2, 30)
-    members = {
-        code
-        for d1, d2 in itertools.product(minimal3, minimal4)
-        for code in permutant_set(d1, d2).members
-    }
-    assert len(members) == 2784
-    assert {crossing_number(parse(code)) for code in members} == {7}
+    _assert_sums_of_minimal_summands_are_minimal(3, 4, (2, 30), 2784)
+
+
+def test_superadditivity_is_equality_for_minimal_4_and_4_arrow_summands():
+    """The same at eight crossings: every sum of two of the 30 minimal
+    4-arrow diagrams, in either order, over every basepoint pair."""
+    _assert_sums_of_minimal_summands_are_minimal(4, 4, (30, 30), 27_024)
 
 
 def test_criterion_6_split_preservation():

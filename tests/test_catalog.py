@@ -1,6 +1,8 @@
 import collections
 import hashlib
 import itertools
+import os
+import stat
 
 import pytest
 
@@ -249,6 +251,25 @@ def test_catalog_overwrite_leaves_no_temp_files(tmp_path):
     write_catalog([], str(path), 5)
     assert path.read_text() == "flatcat v1 n=5 quotient=oriented\n"
     assert [p.name for p in tmp_path.iterdir()] == ["keep.flatcat"]
+
+
+def test_catalog_file_gets_the_mode_of_a_plain_open(tmp_path):
+    """A new catalog file gets 0o666 less the umask, as `open(path, "w")`
+    gives it; a replaced file keeps the mode it had."""
+    fresh, kept, plain = (tmp_path / name for name in ("fresh", "kept", "plain"))
+    kept.write_bytes(b"old bytes\n")
+    kept.chmod(0o640)
+    old_umask = os.umask(0o022)
+    try:
+        write_catalog(classify(3), str(fresh), 3)
+        write_catalog(classify(3), str(kept), 3)
+        plain.open("w").close()
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(fresh.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode) == 0o644
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+    assert fresh.read_bytes() == kept.read_bytes() == CATALOG_3.encode("utf-8")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "kept", "plain"]
 
 
 def test_classify_never_canonicalizes_an_enumerated_word(monkeypatch, canonical_calls):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import flatknots
-from flatknots import monotone_reduce, serialize
+from flatknots import catalog, monotone_reduce, serialize
 from flatknots.cli import main
 from conftest import random_diagram
 from test_catalog import CATALOG_SHA256
@@ -400,9 +400,9 @@ def test_tabulate_budget_error_keeps_an_existing_out_file(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["keep.flatcat"]
 
 
-@pytest.mark.parametrize("n", range(6))
-def test_tabulate_json_streams_the_list_forms_bytes(n, classified):
-    want = {
+def _json_catalog(n, records):
+    """The `--format json tabulate n` stdout, built from the list form."""
+    obj = {
         "n": n,
         "quotient": "oriented",
         "records": [
@@ -414,12 +414,17 @@ def test_tabulate_json_streams_the_list_forms_bytes(n, classified):
                 "u": r.u_text,
                 "verdict": r.verdict,
             }
-            for r in classified(n)
+            for r in records
         ],
     }
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_tabulate_json_streams_the_list_forms_bytes(n, classified):
     code, out = run_cli(["--format", "json", "tabulate", str(n)])
     assert code == 0
-    assert out == json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n"
+    assert out == _json_catalog(n, classified(n))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -429,6 +434,41 @@ def test_tabulate_out_and_stdout_bytes_are_pinned(n, tmp_path):
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CATALOG_SHA256[n]
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CATALOG_SHA256[n]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_tabulate_json_with_out_writes_the_text_catalog_file(n, tmp_path, classified):
+    # the file is the text catalog whatever --format says; stdout is JSON
+    path = tmp_path / "catalog.flatcat"
+    code, out = run_cli(["--format", "json", "tabulate", str(n), "--out", str(path)])
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CATALOG_SHA256[n]
+    assert out == _json_catalog(n, classified(n))
+
+
+def test_tabulate_writes_its_out_file_through_write_catalog(tmp_path, monkeypatch):
+    """`write_catalog` is the one catalog file writer: `tabulate --out`
+    calls it once, and `tabulate` without `--out` not at all."""
+    calls = []
+    real = catalog.write_catalog
+
+    def spy(records, path, n):
+        calls.append((path, n))
+        return real(records, path, n)
+
+    # every flatknots module attribute bound to the writer, as the tracer does
+    for name, mod in list(sys.modules.items()):
+        if (name == "flatknots" or name.startswith("flatknots.")) and getattr(
+            mod, "write_catalog", None
+        ) is real:
+            monkeypatch.setattr(mod, "write_catalog", spy)
+    path = tmp_path / "three.flatcat"
+    code, out = run_cli(["tabulate", "3", "--out", str(path)])
+    assert (code, calls) == (0, [(str(path), 3)])
+    assert path.read_text() == out
+    calls.clear()
+    assert run_cli(["tabulate", "3"]) == (0, out)
+    assert calls == []
 
 
 @pytest.mark.parametrize(
