@@ -29,9 +29,8 @@ import stat
 from dataclasses import dataclass
 from typing import Iterator
 
-from .compose import _minimal_verdict
-from .diagram import GaussDiagram, _trusted, canonical_sort_key, serialize
-from .invariants import u_polynomial
+from .diagram import GaussDiagram, _first_split, _trusted, canonical_sort_key, serialize
+from .invariants import _terms_text, _u_terms
 from .reduce import DEFAULT_LIMITS, OrbitLimits, _scan_orbit
 
 
@@ -52,11 +51,13 @@ class CatalogRecord:
     orbit_size: int
 
 
-def _orderly_words(n: int, reduced: bool) -> Iterator[tuple[int, ...]]:
-    """Every n-arrow word equal to its own canonical form, in
-    `canonical_sort_key` order; with reduced=True, only those with no
-    decreasing FR1 or FR2 site.  No word is canonicalized or searched
-    for a site after it is built.
+def _orderly_words(n: int, reduced: bool) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """(word, its partner offsets) for every n-arrow word equal to its
+    own canonical form, in `canonical_sort_key` order; with reduced=True,
+    only those with no decreasing FR1 or FR2 site.  No word is
+    canonicalized or searched for a site after it is built.  The offsets
+    are those `diagram._offsets` gives, set two at a time as each arrow
+    closes, so a word's orbit scan needs no `_offsets` call.
 
     Each word is built left to right in first-appearance labels,
     starting with a tail.  A prefix is cut when some rotation starting at
@@ -71,13 +72,14 @@ def _orderly_words(n: int, reduced: bool) -> Iterator[tuple[int, ...]]:
     size = 2 * n
     word = [0] * size
     partner = [0] * size  # partner position of each closed endpoint
+    back = [0] * size  # partner offset of each closed endpoint
     opened = [0] * (n + 1)  # position of each label's first endpoint
     rank0 = [0] * size  # rotation 0's rank at each offset
 
     def extend(k, labels, open_labels, kept):
         if k == size:
             if _completes(word, partner, rank0, kept, reduced):
-                yield tuple(word)
+                yield tuple(word), back[:]
             return
         # (endpoint, partner position or -1 for a new arrow) in ascending
         # code order: returns by label, then a new tail, then a new head
@@ -118,6 +120,7 @@ def _orderly_words(n: int, reduced: bool) -> Iterator[tuple[int, ...]]:
                 rank0[k] = rank
                 if p >= 0:
                     partner[k], partner[p] = p, k
+                    back[k], back[p] = k - p, size - k + p
                     rest = [lab for lab in open_labels if lab != t and lab != -t]
                     yield from extend(k + 1, labels, rest, next_kept)
                 else:
@@ -125,7 +128,7 @@ def _orderly_words(n: int, reduced: bool) -> Iterator[tuple[int, ...]]:
                     yield from extend(k + 1, labels + 1, open_labels + [labels + 1], next_kept)
 
     if n == 0:
-        yield ()
+        yield (), []
         return
     word[0] = 1
     yield from extend(1, 1, [1], [])
@@ -164,6 +167,13 @@ def _completes(word, partner, rank0, kept, reduced) -> bool:
     return True
 
 
+def _check_arrow_count(n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"n must be an integer, not {n!r}")
+    if not 0 <= n <= _MAX_ARROWS:
+        raise ValueError(f"n must be between 0 and {_MAX_ARROWS}")
+
+
 def enumerate_diagrams(n: int, *, reduced: bool = False) -> Iterator[GaussDiagram]:
     """Every diagram with exactly n arrows, 0 <= n <= 12, once per
     rotation/relabel class (those whose word equals its own canonical
@@ -171,38 +181,44 @@ def enumerate_diagrams(n: int, *, reduced: bool = False) -> Iterator[GaussDiagra
 
     With reduced=True, only those with no decreasing FR1 or FR2 site,
     in the same order.  The generator builds exactly these words, so
-    none is canonicalized or searched for a site here."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, not {n!r}")
-    if not 0 <= n <= _MAX_ARROWS:
-        raise ValueError(f"n must be between 0 and {_MAX_ARROWS}")
+    none is canonicalized or searched for a site here; the partner
+    offsets it also hands on are dropped."""
+    _check_arrow_count(n)
     if not isinstance(reduced, bool):
         raise ValueError(f"reduced must be True or False, not {reduced!r}")
-    for wt in _orderly_words(n, reduced):
+    for wt, _ in _orderly_words(n, reduced):
         yield _trusted(wt)
 
 
 def _records(n: int, limits: OrbitLimits | None) -> Iterator[CatalogRecord]:
     """`classify`'s records, each yielded as soon as it is made.
 
-    Only the reached words the generator has not yielded yet are kept,
-    in `ahead`.  The generator yields each reduced canonical word once,
-    in `canonical_sort_key` order, and every word of a scan's `pred` but
-    the returned node is such a word: the start passed the generator,
-    and the scan checked each word it discovered.  A minimal orbit's
-    start is its least word, so the rest of the orbit is ahead of it; of
-    an orbit the scan stopped in, only the words above the start are.  A
-    word leaves `ahead` when the generator reaches it and is skipped
-    there, so the same scans run as if every reached word were kept."""
+    The words and their partner offsets come straight from
+    `_orderly_words(n, reduced=True)`, so a scan starts with no
+    `_offsets` call.  Only the reached words the generator has not
+    yielded yet are kept, in `ahead`.  The generator yields each reduced
+    canonical word once, in `canonical_sort_key` order, and every word of
+    a scan's `pred` but the returned node is such a word: the start
+    passed the generator, and the scan checked each word it discovered.
+    A minimal orbit's start is its least word, so the rest of the orbit
+    is ahead of it; of an orbit the scan stopped in, only the words above
+    the start are.  A word leaves `ahead` when the generator reaches it
+    and is skipped there, so the same scans run as if every reached word
+    were kept.
+
+    A record's fields are read off its class word directly: the u-text
+    from `invariants._u_terms`, formatted as `UPolynomial.__str__`
+    formats it, and the verdict from `diagram._first_split`, as
+    `compose._minimal_verdict` reads it."""
+    _check_arrow_count(n)
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
     ahead: set[tuple[int, ...]] = set()
     class_id = 0
-    for d in enumerate_diagrams(n, reduced=True):
-        start = d.word
+    for start, back in _orderly_words(n, True):
         if start in ahead:
             ahead.remove(start)
             continue
-        pred, node, _ = _scan_orbit(start, max_nodes, find_decreasing=True)
+        pred, node, _ = _scan_orbit(start, back, max_nodes, find_decreasing=True)
         if node is not None:
             key = canonical_sort_key(start)
             ahead.update(w for w in pred if w != node and canonical_sort_key(w) > key)
@@ -210,13 +226,10 @@ def _records(n: int, limits: OrbitLimits | None) -> Iterator[CatalogRecord]:
         ahead.update(pred)
         ahead.remove(start)
         class_id += 1
+        d = _trusted(start)
+        verdict = "T" if n == 0 else ("P" if _first_split(d) is None else "C")
         yield CatalogRecord(
-            class_id,
-            serialize(d),
-            n,
-            str(u_polynomial(d)),
-            _minimal_verdict(d).verdict[0].upper(),
-            len(pred),
+            class_id, serialize(d), n, _terms_text(_u_terms(start)), verdict, len(pred)
         )
 
 
@@ -230,7 +243,7 @@ def classify(n: int, limits: OrbitLimits | None = None) -> list[CatalogRecord]:
     The generator builds only words with no decreasing site, so the
     scan checks only the words it discovers.
     The record's u-polynomial and verdict each take one pass over the
-    class word (`u_polynomial`, `compose._minimal_verdict`).  The records
+    class word (`invariants._u_terms`, `diagram._first_split`).  The records
     are made one at a time by a generator that keeps only the reached
     words still ahead of it (`_records`); `tabulate` streams them."""
     return list(_records(n, limits))
@@ -250,18 +263,20 @@ def _line(r: CatalogRecord) -> str:
 def write_catalog(records, path: str, n: int) -> None:
     """Write a header line, then one line per record, taken from `records`
     one at a time, to a temp file beside `path`, and rename it over `path`
-    after the last record.  A new file gets the mode `open(path, "w")`
-    would give (0o666 less the umask); a replaced file keeps its mode.  On
-    any error, from the writing or from `records`, the temp file is
-    removed, `path` is left as it was, and the error is re-raised; an
-    OSError names `path`, never the temp file."""
+    after the last record.  An item is a `CatalogRecord` or its line as a
+    string (`tabulate` passes the lines it also prints).  A new file gets
+    the mode `open(path, "w")` would give (0o666 less the umask); a
+    replaced file keeps its mode.  On any error, from the writing or from
+    `records`, the temp file is removed, `path` is left as it was, and
+    the error is re-raised; an OSError names `path`, never the temp
+    file."""
     tmp = os.path.join(os.path.dirname(path), f".flatcat-{os.urandom(8).hex()}")
     fd = None
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_header(n))
-            fh.writelines(map(_line, records))
+            fh.writelines(r if isinstance(r, str) else _line(r) for r in records)
         if os.path.exists(path):
             os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)

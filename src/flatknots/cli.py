@@ -227,9 +227,11 @@ def _cmd_tabulate(args) -> int:
     # last record.  This command owns stdout: each record's stdout form goes
     # to an anonymous temp file as the record passes on to write_catalog, and
     # is copied to stdout only after the last record, so an orbit budget
-    # error leaves stdout empty and the --out file untouched.  The JSON form
-    # has sorted keys, so "records" comes last: its text is the object with
-    # no records up to the closing "]}", each record, "]}".
+    # error leaves stdout empty and the --out file untouched.  The text form
+    # is the catalog line itself, so write_catalog is handed the line built
+    # here, not the record.  The JSON form has sorted keys, so "records"
+    # comes last: its text is the object with no records up to the closing
+    # "]}", each record, "]}".
     as_json = args.format == "json"
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as shown:
 
@@ -243,9 +245,11 @@ def _cmd_tabulate(args) -> int:
                 if as_json:
                     shown.write(sep + _json_text(_json_record(r)))
                     sep = ","
+                    yield r
                 else:
-                    shown.write(_line(r))
-                yield r
+                    line = _line(r)
+                    shown.write(line)
+                    yield line
             if as_json:
                 shown.write("]}\n")
 

@@ -38,14 +38,19 @@ class UPolynomial:
         return not self.terms
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for k, c in self.terms:
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = "" if abs(c) == 1 else str(abs(c))
-            parts.append(f"{sign}{mag}t^{k}")
-        return "".join(parts)
+        return _terms_text(self.terms)
+
+
+def _terms_text(terms) -> str:
+    """Text of (exponent, coefficient) terms in ascending order, "0" when
+    there are none: `UPolynomial.__str__`, and the u-text of a catalog
+    record made without building a `UPolynomial`."""
+    parts = []
+    for k, c in terms:
+        sign = "-" if c < 0 else ("+" if parts else "")
+        mag = "" if abs(c) == 1 else str(abs(c))
+        parts.append(f"{sign}{mag}t^{k}")
+    return "".join(parts) or "0"
 
 
 def _indices(word: tuple[int, ...]) -> list[int]:
@@ -75,12 +80,20 @@ def arrow_index(d: GaussDiagram, arrow: int) -> int:
     return _indices(d.word)[arrow]
 
 
+def _u_terms(word: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The u-polynomial's terms, ascending, from one pass over the word
+    (see `_indices`).  An index lies in -(n - 1)..n - 1, so the
+    coefficients fit a list by exponent."""
+    idx = _indices(word)
+    coeffs = [0] * len(idx)
+    for i in idx:
+        if i > 0:
+            coeffs[i] += 1
+        elif i:
+            coeffs[-i] -= 1
+    return [(k, c) for k, c in enumerate(coeffs) if c]
+
+
 def u_polynomial(d: GaussDiagram) -> UPolynomial:
-    """sign(n(e)) * t^|n(e)| summed over the arrows, from one pass over
-    the word (see `_indices`)."""
-    coeffs: dict[int, int] = {}
-    for idx in _indices(d.word)[1:]:
-        if idx:
-            exp = abs(idx)
-            coeffs[exp] = coeffs.get(exp, 0) + (1 if idx > 0 else -1)
-    return UPolynomial.from_dict(coeffs)
+    """sign(n(e)) * t^|n(e)| summed over the arrows (see `_u_terms`)."""
+    return UPolynomial(tuple(_u_terms(d.word)))

@@ -326,7 +326,7 @@ def _fr3_key(tokens) -> int | None:
 @functools.lru_cache(maxsize=1)
 def _fr3_shape_table() -> tuple[int | None, ...]:
     """Catalog entry id, or None, for each of the 64 keys of _fr3_key,
-    set from every block rotation of every catalog before.  enumerate_fr3
+    set from every block rotation of every catalog before.  _fr3_sites
     computes the same key from partner positions for a candidate whose
     least block (s, s + 1) holds arrows a and b.  Bit 32: word[s] is a
     tail; 16: word[s + 1] is a tail; 8: the endpoint q of arrow c next to
@@ -350,23 +350,21 @@ def _fr3_at(word: tuple[int, ...], positions: tuple[int, ...]) -> Move | None:
     return None if entry is None else Move(FR3, entry, positions)
 
 
-def enumerate_fr3(d: GaussDiagram) -> list[Move]:
-    """All FR3 sites: three disjoint adjacent blocks, each holding two of
-    the three arrows, arrow pairs covered once, pattern in the catalog.
+def _fr3_sites(word: tuple[int, ...], back: list[int]) -> list[Move]:
+    """All FR3 sites of word, in Move.sort_key order; back holds word's
+    partner offsets (diagram._offsets, or the third item of
+    diagram._canonical).
 
     Each site is found once, from its least block (s, s + 1), which holds
     two arrows a and b.  a's other block holds a's partner p1 and one
     neighbour q of it, an endpoint of the third arrow c; b's other block
     must then hold b's partner p2 and the partner of q side by side.  So
     a block start has at most two candidates, and each is matched by one
-    lookup in _fr3_shape_table, with no relabeling: the work is linear in
-    the number of endpoints."""
-    if d.n < 3:
-        return []
-    word, size = d.word, d.size
+    lookup in _fr3_shape_table, with no relabeling.  A partner is read
+    only where it is needed, as q - back[q] modulo the size: the work is
+    linear in the number of endpoints."""
+    size = len(word)
     last = size - 1
-    where = dict(zip(word, range(size)))
-    partner = [where[-t] for t in word]
     shapes = _fr3_shape_table()
     moves = []
     for s in range(size - 4):
@@ -374,7 +372,11 @@ def enumerate_fr3(d: GaussDiagram) -> list[Move]:
         ta, tb = word[s], word[s1]
         if ta == -tb:
             continue
-        p1, p2 = partner[s], partner[s1]
+        p1, p2 = s - back[s], s1 - back[s1]
+        if p1 < 0:
+            p1 += size
+        if p2 < 0:
+            p2 += size
         before_p2 = p2 - 1 if p2 else last
         after_p2 = p2 + 1 if p2 < last else 0
         for a_side in (0, 4):
@@ -382,7 +384,9 @@ def enumerate_fr3(d: GaussDiagram) -> list[Move]:
                 a_start, q = p1, (p1 + 1 if p1 < last else 0)
             else:
                 a_start = q = p1 - 1 if p1 else last
-            r = partner[q]
+            r = q - back[q]
+            if r < 0:
+                r += size
             if r == after_p2:
                 b_start, b_side = p2, 0
             elif r == before_p2:
@@ -402,6 +406,13 @@ def enumerate_fr3(d: GaussDiagram) -> list[Move]:
             moves.append(Move(FR3, entry, (s, s1, lo, lo + 1, hi, hi + 1 if hi < last else 0)))
     moves.sort(key=Move.sort_key)
     return moves
+
+
+def enumerate_fr3(d: GaussDiagram) -> list[Move]:
+    """All FR3 sites: three disjoint adjacent blocks, each holding two of
+    the three arrows, arrow pairs covered once, pattern in the catalog;
+    `_fr3_sites` of the word and its offsets."""
+    return _fr3_sites(d.word, _offsets(d.word))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +464,7 @@ def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
     Every move given is checked first: an fr1-remove or fr2-remove is
     legal when _removal_at, asked at m's first block, returns exactly m,
     so a removal of the other kind than the block holds is rejected; an
-    FR3 move when _fr3_at, which reads enumerate_fr3's shape table,
+    FR3 move when _fr3_at, which reads _fr3_sites's _fr3_shape_table,
     returns exactly m at m's positions; and an insert needs a known
     variant and gaps in range.  Then _perform makes the move."""
     word, size = d.word, d.size

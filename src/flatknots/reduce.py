@@ -130,38 +130,58 @@ def replay_trace(trace: MoveTrace) -> GaussDiagram:
 _memo: dict = {}
 
 
-def _scan_orbit(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
-    """Deterministic BFS over FR3 neighbors keyed by canonical word.
+def _scan_orbit(start: tuple[int, ...], back: list[int], max_nodes: int, find_decreasing: bool):
+    """Deterministic BFS over FR3 neighbors keyed by canonical word;
+    ``back`` holds the start word's partner offsets.
 
     Each discovered word maps to (predecessor, move, offset): the move
     applies to the predecessor, and its result canonicalizes at that
     rotation offset.  With find_decreasing, every node but the start is
     checked on discovery, and the scan stops at the first node admitting
     a decreasing site, returning (pred, node, move) with move the first
-    of enumerate_decreasing(node), read from the partner offsets that
-    node's _canonical call returned.  Otherwise returns (pred, None, None)
+    of enumerate_decreasing(node).  Otherwise returns (pred, None, None)
     with pred covering the whole orbit.  The start word is not checked:
     both callers that look for a decreasing site already know it has
     none (`_reduce_word` checks it first, and `catalog._records` scans
-    only words that `enumerate_diagrams(n, reduced=True)` yields, each
+    only words that `catalog._orderly_words(n, reduced=True)` yields, each
     with no decreasing site).
 
-    The scan performs only moves its own enumerators found, so it skips
-    apply's legality check: each FR3 neighbor is _perform's word,
-    canonicalized once.
+    Every node's decreasing and FR3 sites (`moves._fr3_sites`) are read
+    from its partner offsets: the start's are ``back``, and every other
+    node's come from the ``_canonical`` call that discovered it.  A start
+    with no FR3 site is its whole orbit, returned at once.  A node's
+    expansion skips the site on the blocks of the move that discovered
+    it, mapped into its frame by its offset r as (p - r) % size: FR3
+    moves are involutions, so that site leads back to the predecessor,
+    already in pred.  The scan performs only moves its own enumerators
+    found, so it skips apply's legality check: each FR3 neighbor is
+    _perform's word, canonicalized once.
     """
+    start_sites = mv._fr3_sites(start, back)
     pred: dict = {start: None}
-    layer = [start]
+    if not start_sites:
+        return pred, None, None
+    size = len(start)
+    layer = [(start, back)]
     expanded = 0
     while layer:
         nxt = []
         if len(layer) > 1:
-            layer.sort(key=canonical_sort_key)
-        for w in layer:
-            rep = _trusted(w)
+            layer.sort(key=lambda node: canonical_sort_key(node[0]))
+        for w, w_back in layer:
             expanded += 1
-            for m in mv.enumerate_fr3(rep):
-                nw, r, back = _canonical(mv._perform(w, m))
+            link = pred[w]
+            if link is None:
+                sites, skip = start_sites, None
+            else:
+                _, via, r = link
+                a, b, c = sorted((p - r) % size for p in via.positions[0::2])
+                skip = (a, a + 1, b, b + 1, c, (c + 1) % size)
+                sites = mv._fr3_sites(w, w_back)
+            for m in sites:
+                if m.positions == skip:
+                    continue
+                nw, r, nw_back = _canonical(mv._perform(w, m))
                 if nw in pred:
                     continue
                 if len(pred) >= max_nodes:
@@ -171,9 +191,9 @@ def _scan_orbit(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
                         f"expanded: {expanded})"
                     )
                 pred[nw] = (w, m, r)
-                nxt.append(nw)
+                nxt.append((nw, nw_back))
                 if find_decreasing:
-                    dec = next(mv._decreasing_sites(nw, back), None)
+                    dec = next(mv._decreasing_sites(nw, nw_back), None)
                     if dec is not None:
                         return pred, nw, dec
         layer = nxt
@@ -202,7 +222,7 @@ def fr3_orbit(d: GaussDiagram, limits: OrbitLimits | None = None) -> tuple[str, 
     """BFS closure of d under FR3 moves: the sorted tuple of canonical
     codes in the orbit."""
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
-    pred, _, _ = _scan_orbit(d._canon[0], max_nodes, find_decreasing=False)
+    pred, _, _ = _scan_orbit(*d._canon, max_nodes, find_decreasing=False)
     return tuple(serialize(_trusted(w)) for w in sorted(pred, key=canonical_sort_key))
 
 
@@ -236,7 +256,7 @@ def _reduce_word(word: tuple[int, ...], back: list[int], max_nodes: int) -> tupl
         node, path = cur, ()
         m = next(mv._decreasing_sites(cur, back), None)
         if m is None:
-            pred, node, m = _scan_orbit(cur, max_nodes, find_decreasing=True)
+            pred, node, m = _scan_orbit(cur, back, max_nodes, find_decreasing=True)
             if node is None:
                 orbit = tuple(sorted(pred, key=canonical_sort_key))
                 for w in orbit:
@@ -317,7 +337,8 @@ def _trace(c1: tuple[int, ...], c2: tuple[int, ...], max_nodes: int) -> MoveTrac
     # equal minimal words need no bridge, and their orbit was scanned
     # under this budget when it was memoized, so no budget error is lost
     if m1 != m2:
-        pred, _, _ = _scan_orbit(m1, max_nodes, find_decreasing=False)
+        # m1 is canonical, so _canonical returns it with its offsets
+        pred, _, _ = _scan_orbit(m1, _canonical(m1)[2], max_nodes, find_decreasing=False)
         steps += _path_from_pred(pred, m2)[0::2]
     steps += _reversed_steps(links2)
     return MoveTrace(serialize(_trusted(c1)), tuple(steps), serialize(_trusted(c2)))

@@ -327,6 +327,52 @@ def fr3_oracle(d: GaussDiagram) -> list[Move]:
     return moves
 
 
+def fr3_partner_list_oracle(d: GaussDiagram) -> list[Move]:
+    """`enumerate_fr3` as it was before it read partner offsets: it builds
+    a `where` dict of every endpoint's position and a `partner` list of
+    every endpoint's partner position, then finds each site from its least
+    block as `moves._fr3_sites` does."""
+    if d.n < 3:
+        return []
+    word, size = d.word, d.size
+    last = size - 1
+    where = dict(zip(word, range(size)))
+    partner = [where[-t] for t in word]
+    shapes = moves._fr3_shape_table()
+    found = []
+    for s in range(size - 4):
+        s1 = s + 1
+        ta, tb = word[s], word[s1]
+        if ta == -tb:
+            continue
+        p1, p2 = partner[s], partner[s1]
+        before_p2 = p2 - 1 if p2 else last
+        after_p2 = p2 + 1 if p2 < last else 0
+        for a_side in (0, 4):
+            if a_side:
+                a_start, q = p1, (p1 + 1 if p1 < last else 0)
+            else:
+                a_start = q = p1 - 1 if p1 else last
+            r = partner[q]
+            if r == after_p2:
+                b_start, b_side = p2, 0
+            elif r == before_p2:
+                b_start, b_side = r, 2
+            else:
+                continue
+            if a_start <= s1 or b_start <= s1 or q == s:
+                continue
+            a_first = a_start < b_start
+            signs = (32 if ta > 0 else 0) + (16 if tb > 0 else 0) + (8 if word[q] > 0 else 0)
+            entry = shapes[signs + a_side + b_side + a_first]
+            if entry is None:
+                continue
+            lo, hi = (a_start, b_start) if a_first else (b_start, a_start)
+            found.append(Move(FR3, entry, (s, s1, lo, lo + 1, hi, hi + 1 if hi < last else 0)))
+    found.sort(key=Move.sort_key)
+    return found
+
+
 def _insert_blocks(word, inserts: list[tuple[int, list[int]]]) -> list[int]:
     """Insert blocks at gaps; for equal gaps, earlier-listed blocks come first."""
     out: list[int] = []
@@ -454,6 +500,44 @@ def scan_orbit_oracle(start: tuple[int, ...], max_nodes: int, find_decreasing: b
                     dec = enumerate_decreasing(GaussDiagram(nw))
                     if dec:
                         return pred, nw, dec[0]
+        layer = nxt
+    return pred, None, None
+
+
+def scan_every_site_oracle(start: tuple[int, ...], max_nodes: int, find_decreasing: bool):
+    """`reduce._scan_orbit` as it was before it read FR3 sites from partner
+    offsets: every node, the start included, is expanded through a
+    trusted diagram and `fr3_partner_list_oracle`, and every site is
+    performed and canonicalized, the one leading back to the node's
+    predecessor too.  pred maps each discovered word to (predecessor,
+    move, rotation offset), in discovery order.  Reads and writes no
+    memo."""
+    pred: dict = {start: None}
+    layer = [start]
+    expanded = 0
+    while layer:
+        nxt = []
+        if len(layer) > 1:
+            layer.sort(key=canonical_sort_key)
+        for w in layer:
+            rep = diagram._trusted(w)
+            expanded += 1
+            for m in fr3_partner_list_oracle(rep):
+                nw, r, back = diagram._canonical(moves._perform(w, m))
+                if nw in pred:
+                    continue
+                if len(pred) >= max_nodes:
+                    raise OrbitBudgetExceeded(
+                        f"FR3 orbit of {serialize(diagram._trusted(start))} exceeds the "
+                        f"{max_nodes}-node budget (nodes explored: {len(pred)}, "
+                        f"expanded: {expanded})"
+                    )
+                pred[nw] = (w, m, r)
+                nxt.append(nw)
+                if find_decreasing:
+                    dec = next(moves._decreasing_sites(nw, back), None)
+                    if dec is not None:
+                        return pred, nw, dec
         layer = nxt
     return pred, None, None
 
@@ -769,7 +853,9 @@ def classify_oracle(n: int, limits=None) -> list[CatalogRecord]:
     for d in enumerate_diagrams(n, reduced=True):
         if d.word in seen:
             continue
-        pred, node, _ = reduce._scan_orbit(d.word, max_nodes, find_decreasing=True)
+        pred, node, _ = reduce._scan_orbit(
+            d.word, diagram._offsets(d.word), max_nodes, find_decreasing=True
+        )
         seen.update(pred)
         if node is None:
             records.append(

@@ -146,7 +146,14 @@ def test_tracer_counts_the_engine_work(monkeypatch):
     calls under enumerate_diagrams, and the generator builds only
     canonical words, so none is made and the count reads 0.  A spy on
     catalog._completes, which runs once per complete word built, counts
-    them instead."""
+    them instead.
+
+    A third gap: the orbit scans find their FR3 sites with the private
+    moves._fr3_sites, which the tracer does not wrap, and the tracer
+    counts orbit nodes as enumerate_fr3 calls under reduce, so on this
+    path moves.enumerate_fr3.sites and reduce.orbit_nodes read 0.  A spy
+    on _fr3_sites counts those sites instead, and the tracer still sees
+    the scans as reduce._scan_orbit calls."""
     monkeypatch.setattr(flatknots.reduce, "_memo", {})
     # no decreasing site, so its reduction starts with an FR3 orbit step
     d = flatknots.parse("+1 +2 -1 +3 +4 -2 -3 +5 -4 -5")
@@ -171,6 +178,15 @@ def test_tracer_counts_the_engine_work(monkeypatch):
         return completes(*args)
 
     monkeypatch.setattr(flatknots.catalog, "_completes", completes_spy)
+    fr3_found = []
+    fr3_sites = flatknots.moves._fr3_sites
+
+    def fr3_spy(word, back):
+        found = fr3_sites(word, back)
+        fr3_found.extend(found)
+        return found
+
+    monkeypatch.setattr(flatknots.moves, "_fr3_sites", fr3_spy)
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
@@ -186,9 +202,8 @@ def test_tracer_counts_the_engine_work(monkeypatch):
     assert kinds == {"fr1-remove", "fr1-insert", "fr2-remove", "fr2-insert", "fr3"}
     for kind in kinds:
         assert stats[f"moves.apply.calls.{kind}"] > 0, kind
-    for name in ("moves.enumerate_fr3.sites", "reduce.orbit_nodes"):
-        assert stats[name] > 0, name
-    assert sites and completed
+    assert stats["reduce._scan_orbit.calls"] > 0
+    assert sites and completed and fr3_found
 
 
 def test_only_the_fr3_singletons_are_cached():

@@ -20,7 +20,13 @@ from flatknots import (
 )
 from flatknots import catalog, diagram, moves, reduce
 from flatknots.diagram import canonical_sort_key, canonical_word
-from conftest import catalog_text, classify_oracle, enumerate_oracle, orderly_filter_oracle
+from conftest import (
+    catalog_text,
+    classify_oracle,
+    enumerate_oracle,
+    orderly_filter_oracle,
+    scan_every_site_oracle,
+)
 
 # regression constants, frozen after brute-force dedup
 DIAGRAM_COUNTS = {0: 1, 1: 1, 2: 4, 3: 22, 4: 218, 5: 3028, 6: 55540}
@@ -272,18 +278,52 @@ def test_catalog_file_gets_the_mode_of_a_plain_open(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "kept", "plain"]
 
 
+@pytest.mark.parametrize("reduced", [False, True])
+def test_generator_offsets_are_the_words_offsets(reduced):
+    """`_orderly_words` sets an arrow's two partner offsets when it
+    closes; every word it yields comes with `diagram._offsets` of it."""
+    counts = REDUCED_COUNTS if reduced else DIAGRAM_COUNTS
+    seen = 0
+    for n in range(7):
+        for word, back in catalog._orderly_words(n, reduced):
+            assert back == diagram._offsets(word), word
+            seen += 1
+    assert seen == sum(counts[n] for n in range(7))
+
+
+def test_classify_scans_skip_the_move_back_to_each_predecessor(monkeypatch, classified):
+    """The scans of `classify(6)` make 1,742 `_canonical` calls.  Expanding
+    every FR3 site of every node, as `scan_every_site_oracle` does, makes
+    3,171 for the same records: 1,429 of them perform, on a node, the site
+    of the move that discovered it, which leads back to its predecessor."""
+    records = list(classified(6))
+    calls = _calls_of(monkeypatch, reduce, "_canonical")
+    assert classify(6) == records
+    assert len(calls) == 1742
+    every_site = _calls_of(monkeypatch, diagram, "_canonical")
+    monkeypatch.setattr(
+        catalog,
+        "_scan_orbit",
+        lambda start, back, max_nodes, find_decreasing: scan_every_site_oracle(
+            start, max_nodes, find_decreasing
+        ),
+    )
+    assert classify(6) == records
+    assert len(every_site) == 3171 and len(calls) == 1742
+
+
 def test_classify_never_canonicalizes_an_enumerated_word(monkeypatch, canonical_calls):
     """The generator builds only canonical words, so neither enumeration
     nor a scan canonicalizes a word it yields."""
     yielded = []
-    enumerate_all = catalog.enumerate_diagrams
+    orderly = catalog._orderly_words
 
-    def recording(n, **kwargs):
-        for d in enumerate_all(n, **kwargs):
-            yielded.append(d.word)
-            yield d
+    def recording(n, reduced):
+        for word, back in orderly(n, reduced):
+            yielded.append(word)
+            yield word, back
 
-    monkeypatch.setattr(catalog, "enumerate_diagrams", recording)
+    monkeypatch.setattr(catalog, "_orderly_words", recording)
     # the scans' own binding of _canonical goes through the spy too
     monkeypatch.setattr(reduce, "_canonical", diagram._canonical)
     assert len(classify(4)) == 26

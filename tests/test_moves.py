@@ -33,6 +33,7 @@ from flatknots.moves import (
     FR3,
     _decreasing_sites,
     _fr3_at,
+    _fr3_sites,
     _fr3_shape_table,
     _perform,
     canonical_pattern,
@@ -50,6 +51,7 @@ from conftest import (
     fr3_before_index_oracle,
     fr3_catalog_oracle,
     fr3_oracle,
+    fr3_partner_list_oracle,
     random_diagram,
 )
 
@@ -542,6 +544,29 @@ def test_fr3_index_matches_oracle_on_classified_orbits():
         members.extend(parse(c) for c in codes)
     assert len(members) >= 400
     assert _fr3_sites_checked(members) >= 100
+
+
+def _random_fr3_words():
+    """2,000 seeded random words, n = 6..16."""
+    rng = random.Random(34)
+    return [random_diagram(rng, 6 + i % 11).word for i in range(2000)]
+
+
+@pytest.mark.parametrize(
+    "words, count",
+    [(_every_rotation_words, 10_176), (_random_fr3_words, 674)],
+    ids=["rotations", "random"],
+)
+def test_fr3_sites_on_offsets_match_the_partner_list_oracle(words, count):
+    """`_fr3_sites` reads each partner it needs from the offsets and finds
+    the sites the enumerator with a `where` dict and a `partner` list
+    found, in the same order."""
+    total = 0
+    for w in words():
+        got = _fr3_sites(w, diagram._offsets(w))
+        assert got == fr3_partner_list_oracle(GaussDiagram(w)), w
+        total += len(got)
+    assert total == count
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import hashlib
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +41,7 @@ from conftest import (
     full_move_graph_classes,
     random_diagram,
     reduce_oracle,
+    scan_every_site_oracle,
 )
 
 # found by exhaustive tabulation at three arrows; irreducible, u = -2t+t^2
@@ -364,17 +367,17 @@ def test_reduction_step_checks_the_start_word_first(monkeypatch):
     d = parse("+1 +2 -1 -3 -2 +3 +4 -4")
     w = canonical_word(d.word)
     fr3_calls, scans = [], []
-    enumerate_fr3, scan_orbit = moves.enumerate_fr3, reduce._scan_orbit
+    fr3_sites, scan_orbit = moves._fr3_sites, reduce._scan_orbit
 
-    def spy(rep):
-        fr3_calls.append(rep.word)
-        return enumerate_fr3(rep)
+    def spy(word, back):
+        fr3_calls.append(word)
+        return fr3_sites(word, back)
 
     def scanning(start, *args, **kwargs):
         scans.append(start)
         return scan_orbit(start, *args, **kwargs)
 
-    monkeypatch.setattr(moves, "enumerate_fr3", spy)
+    monkeypatch.setattr(moves, "_fr3_sites", spy)
     monkeypatch.setattr(reduce, "_scan_orbit", scanning)
     for budget in (1, DEFAULT_LIMITS.max_nodes):
         monkeypatch.setattr(reduce, "_memo", {})
@@ -412,6 +415,83 @@ def test_reduction_performs_its_own_moves_without_apply(monkeypatch):
     assert [t.to_json() for t in got] + [cert.to_json()] == expected
     kinds = {m.kind for t in got + [cert] for m in t.steps}
     assert {"fr1-remove", "fr2-remove", "fr3"} <= kinds, kinds
+
+
+def _scan_matches_the_oracle(word, max_nodes, find_decreasing):
+    """`_scan_orbit` from the word's offsets against `scan_every_site_oracle`:
+    the same pred, items and insertion order, node and move, or the same
+    budget error text.  Returns the scan's pred."""
+    try:
+        want = scan_every_site_oracle(word, max_nodes, find_decreasing)
+    except OrbitBudgetExceeded as exc:
+        with pytest.raises(OrbitBudgetExceeded) as info:
+            reduce._scan_orbit(word, diagram._offsets(word), max_nodes, find_decreasing)
+        assert str(info.value) == str(exc)
+        return None
+    got = reduce._scan_orbit(word, diagram._offsets(word), max_nodes, find_decreasing)
+    assert list(got[0].items()) == list(want[0].items()), word
+    assert got[1:] == want[1:], word
+    return got[0]
+
+
+def test_scan_matches_the_every_site_oracle_on_reduced_words():
+    """Skipping the site back to each node's predecessor, and returning
+    at once from a start with no FR3 site, changes no scan: on every
+    reduced canonical word with n <= 6, in both modes."""
+    words = [d.word for n in range(7) for d in enumerate_diagrams(n, reduced=True)]
+    assert len(words) == 10_045
+    one_word = 0
+    for w in words:
+        for find_decreasing in (True, False):
+            pred = _scan_matches_the_oracle(w, DEFAULT_LIMITS.max_nodes, find_decreasing)
+        one_word += len(pred) == 1
+    # the one-word orbits are the starts with no FR3 site: 6,599 of the
+    # 9,522 words at n = 6, and 363 below
+    assert one_word == 6_599 + 363
+
+
+def _reduce_random_words(count: int):
+    """The first `count` inputs of the benchmark's reduce-random seed-1
+    stream (`perfbench/inputs.py`, which builds them without the library)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return list(itertools.islice(inputs.reduce_random_inputs(1), count))
+
+
+def test_scan_matches_the_every_site_oracle_on_reduced_random_words(monkeypatch):
+    """The minimal words the first 2,000 reduce-random seed-1 inputs
+    reduce to, n up to 16, in both modes: 544 of the 1,842 have an orbit
+    of more than one word."""
+    monkeypatch.setattr(reduce, "_memo", {})
+    minimal = {
+        reduce._reduce_word(*GaussDiagram(w)._canon, DEFAULT_LIMITS.max_nodes)
+        for w in _reduce_random_words(2000)
+    }
+    multi = 0
+    for w in minimal:
+        _scan_matches_the_oracle(w, DEFAULT_LIMITS.max_nodes, True)
+        multi += len(_scan_matches_the_oracle(w, DEFAULT_LIMITS.max_nodes, False)) > 1
+    assert (len(minimal), multi) == (1842, 544)
+
+
+def test_scan_budget_error_matches_the_oracle():
+    """At budgets 1..4 the scan fails where the oracle fails, with the
+    same text, on every reduced canonical word with n <= 5 and on the
+    n = 6 words whose orbit has more than four words."""
+    words = [d.word for n in range(6) for d in enumerate_diagrams(n, reduced=True)]
+    words += [
+        d.word
+        for d in enumerate_diagrams(6, reduced=True)
+        if len(fr3_orbit(d)) > 4
+    ]
+    raised = 0
+    for w in words:
+        for max_nodes in range(1, 5):
+            for find_decreasing in (True, False):
+                raised += _scan_matches_the_oracle(w, max_nodes, find_decreasing) is None
+    assert raised > 0
 
 
 def test_orbit_limits_validation():
