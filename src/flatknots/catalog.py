@@ -121,7 +121,8 @@ def _orderly_words(n: int, reduced: bool) -> Iterator[tuple[tuple[int, ...], lis
                 if p >= 0:
                     partner[k], partner[p] = p, k
                     back[k], back[p] = k - p, size - k + p
-                    rest = [lab for lab in open_labels if lab != t and lab != -t]
+                    rest = open_labels.copy()
+                    rest.remove(t if t > 0 else -t)
                     yield from extend(k + 1, labels, rest, next_kept)
                 else:
                     opened[labels + 1] = k

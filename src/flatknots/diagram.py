@@ -163,7 +163,7 @@ def serialize(d: GaussDiagram) -> str:
     """Render a diagram as a Gauss code; the empty diagram is "0"."""
     if not d.word:
         return "0"
-    return " ".join(f"+{t}" if t > 0 else f"-{-t}" for t in d.word)
+    return " ".join([f"+{t}" if t > 0 else f"-{-t}" for t in d.word])
 
 
 def _first_appearance(tokens) -> tuple[int, ...]:
@@ -210,10 +210,11 @@ def _canonical(word: tuple[int, ...]) -> tuple[tuple[int, ...], int, list[int]]:
     label), and an endpoint opening a new arrow ranks 0 as a tail, 1 as a
     head.  So every rotation starting at a tail is kept, then offset by
     offset only those of least rank; the survivor, or the smallest offset
-    of a tie, is relabeled once.  The scan reads the offsets and the word
-    doubled, so that a rotation's offset never wraps, and the canonical
-    word's offsets are one slice of them: the reduction reads its sites
-    there."""
+    of a tie, is relabeled once.  One pass per offset keeps the least rank
+    seen and the rotations, in offset order, that reach it.  The scan
+    reads the offsets and the word doubled, so that a rotation's offset
+    never wraps, and the canonical word's offsets are one slice of them:
+    the reduction reads its sites there."""
     length = len(word)
     if length == 0:
         return (), 0, []
@@ -221,12 +222,19 @@ def _canonical(word: tuple[int, ...]) -> tuple[tuple[int, ...], int, list[int]]:
     back += back
     doubled = word + word
     kept = [r for r, t in enumerate(word) if t > 0]
-    i = 1
-    while len(kept) > 1 and i < length:
-        ranks = [-b if (b := back[r + i]) <= i else doubled[r + i] < 0 for r in kept]
-        least = min(ranks)
-        kept = [r for r, k in zip(kept, ranks) if k == least]
-        i += 1
+    for i in range(1, length):
+        if len(kept) < 2:
+            break
+        least = 2  # above every rank
+        for r in kept:
+            b = back[r + i]
+            k = -b if b <= i else doubled[r + i] < 0
+            if k < least:
+                least = k
+                tied = [r]
+            elif k == least:
+                tied.append(r)
+        kept = tied
     r = kept[0]
     return _first_appearance(doubled[r : r + length]), r, back[r : r + length]
 

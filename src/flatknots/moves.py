@@ -372,6 +372,10 @@ def _fr3_sites(word: tuple[int, ...], back: list[int]) -> list[Move]:
         ta, tb = word[s], word[s1]
         if ta == -tb:
             continue
+        # a partner in 1..s puts its later block at or before s1; a
+        # partner at 0 may still head a block (last, 0) that wraps
+        if back[s] < s or back[s1] < s1:
+            continue
         p1, p2 = s - back[s], s1 - back[s1]
         if p1 < 0:
             p1 += size
@@ -507,7 +511,11 @@ def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
 
 
 def _kept_below(position: int, removed: tuple[int, ...]) -> int:
-    return position - sum(1 for r in removed if r < position)
+    kept = position
+    for r in removed:
+        if r < position:
+            kept -= 1
+    return kept
 
 
 def _vacated_gap(pair: tuple[int, int], removed: tuple[int, ...], pre_size: int) -> int:

@@ -321,7 +321,7 @@ def _reversed_steps(links) -> list[mv.Move]:
             inv = mv.inverse(link[i], size)
             if post:
                 r = link[i + 1]
-                inv = mv.Move(inv.kind, inv.variant, tuple((p - r) % post for p in inv.positions))
+                inv = mv.Move(inv.kind, inv.variant, tuple([(p - r) % post for p in inv.positions]))
             out.append(inv)
             post = size
     return out

@@ -20,7 +20,8 @@ from flatknots import (
     serialize,
 )
 from flatknots.compose import _minimal_verdict
-from flatknots.diagram import _canonical, _offsets
+from flatknots.diagram import _canonical, _first_appearance, _offsets
+from flatknots.moves import _decreasing_sites, _perform
 from conftest import (
     brute_force_splits,
     canonical_oracle,
@@ -239,7 +240,8 @@ def _rotations(word):
 
 
 def _assert_matches_oracle(word):
-    assert _canonical(word)[:2] == canonical_oracle(word), word
+    canon, r = canonical_oracle(word)
+    assert _canonical(word) == (canon, r, _offsets(canon)), word
 
 
 def test_canonical_matches_oracle_small_n_every_rotation_and_relabeling():
@@ -320,6 +322,54 @@ def test_canonical_matches_oracle_on_periodic_words():
             _assert_matches_oracle(rotated)
         # rotations that are themselves a minimal start
         assert sum(_canonical(rotated)[1] == 0 for rotated in rotations) >= k, word
+
+
+def test_canonical_matches_oracle_on_gapped_labels():
+    """Words whose labels are not 1..n, as `moves._perform` leaves them
+    before relabeling: every decreasing move along seeded random words'
+    reductions, and random words relabeled into sparse labels."""
+    rng = random.Random(28)
+    gapped = 0
+    for i in range(300):
+        word = random_diagram(rng, 3 + i % 12).word
+        while True:
+            moves = list(_decreasing_sites(word, _offsets(word)))
+            for m in moves:
+                out = _perform(word, m)
+                _assert_matches_oracle(out)
+                gapped += max(map(abs, out), default=0) > len(out) // 2
+            if not moves:
+                break
+            word = _perform(word, moves[0])
+        n = 1 + i % 16
+        labels = rng.sample(range(1, 5 * n), n)
+        sparse = _relabel(random_diagram(rng, n).word, labels)
+        _assert_matches_oracle(sparse)
+        gapped += max(labels) > n
+    assert gapped > 1000, gapped
+
+
+def test_canonical_matches_oracle_when_every_tail_rotation_ties():
+    """Words with a rotation symmetry carrying each tail to the next, so
+    every rotation starting at a tail relabels to the same word and the
+    scan keeps them all to the end: tails at the even positions, the
+    tail at 2j with its head at 2j + d (mod 2k) for every odd d, in every
+    rotation and under a seeded relabeling."""
+    rng = random.Random(29)
+    count = 0
+    for k in range(1, 11):
+        for d in range(1, 2 * k, 2):
+            word = [0] * (2 * k)
+            for j in range(k):
+                word[2 * j], word[(2 * j + d) % (2 * k)] = j + 1, -(j + 1)
+            labels = rng.sample(range(1, k + 1), k)
+            for w in (tuple(word), _relabel(tuple(word), labels)):
+                for rotated in _rotations(w):
+                    tails = [r for r, t in enumerate(rotated) if t > 0]
+                    assert len({_first_appearance(rotated[r:] + rotated[:r]) for r in tails}) == 1
+                    _assert_matches_oracle(rotated)
+                    count += 1
+    assert count == 2 * sum(k * 2 * k for k in range(1, 11))
 
 
 def test_canonical_matches_oracle_on_edge_words():

@@ -569,6 +569,29 @@ def test_fr3_sites_on_offsets_match_the_partner_list_oracle(words, count):
     assert total == count
 
 
+def test_fr3_sites_screen_matches_the_oracle_on_every_rotation():
+    """`_fr3_sites` passes over a block start s whose partners are not
+    both at or past it (back[s] < s or back[s + 1] < s + 1): on every
+    rotation of seeded random words with n = 6..12 it finds the oracle's
+    sites.  The screen is met at many starts, and sites are found whose
+    least block has a partner at position 0, the case the screen keeps
+    for blocks that wrap."""
+    rng = random.Random(28)
+    screened = wrapping = total = 0
+    for n in range(6, 13):
+        for _ in range(5):
+            word = random_diagram(rng, n).word
+            for r in range(len(word)):
+                w = word[r:] + word[:r]
+                back = diagram._offsets(w)
+                got = _fr3_sites(w, back)
+                assert got == fr3_oracle(GaussDiagram(w)), w
+                total += len(got)
+                screened += sum(back[s] < s or back[s + 1] < s + 1 for s in range(len(w) - 4))
+                wrapping += sum(0 in (s - back[s], s + 1 - back[s + 1]) for s, *_ in (m.positions for m in got))
+    assert total > 100 and wrapping > 10 and screened > 4000, (total, wrapping, screened)
+
+
 # ---------------------------------------------------------------------------
 # apply / inverse across all kinds
 # ---------------------------------------------------------------------------
