@@ -61,48 +61,45 @@ def _orderly_words(n: int, reduced: bool) -> Iterator[tuple[tuple[int, ...], lis
 
     Each word is built left to right in first-appearance labels,
     starting with a tail.  A prefix is cut when some rotation starting at
-    a tail already encodes below rotation 0 on the positions placed; the
-    comparison goes by rank (see `diagram._canonical`), so rotation 0's
-    ranks are stored and a rotation that encodes above rotation 0 is no
-    longer followed.  `_completes` finishes the comparison through the
-    word's end.  With reduced=True a prefix is also cut at an FR1 site
-    (an arrow closed right after its first endpoint, or arrow 1 closed at
-    the last position) and at an FR2 site between two blocks already
-    placed; `_completes` checks the one block no prefix holds, the wrap."""
+    a tail already encodes below rotation 0 on the positions placed.  The
+    comparison goes by `diagram._canonical`'s rank (-b for an endpoint
+    whose partner lies b positions back, else 0 for a tail, 1 for a
+    head), so rotation 0's ranks are stored and a rotation that ranks
+    above rotation 0 is no longer followed; `_completes` finishes the
+    comparison through the word's end.  With reduced=True a prefix is
+    also cut at an FR1 site (an arrow closed right after its first
+    endpoint, or arrow 1 closed at the last position) and at an FR2 site
+    between two blocks already placed: by `moves._removal_at`'s rule, a
+    block (a0, a1) of two returns that mixes a tail and a head is one
+    when back[a1] - back[a0] is 0 or 2.  `_completes` checks the one
+    block no prefix holds, the wrap."""
     size = 2 * n
     word = [0] * size
-    partner = [0] * size  # partner position of each closed endpoint
     back = [0] * size  # partner offset of each closed endpoint
-    opened = [0] * (n + 1)  # position of each label's first endpoint
     rank0 = [0] * size  # rotation 0's rank at each offset
 
-    def extend(k, labels, open_labels, kept):
+    def extend(k, labels, open_at, kept):
         if k == size:
-            if _completes(word, partner, rank0, kept, reduced):
+            if _completes(word, back, rank0, kept, reduced):
                 yield tuple(word), back[:]
             return
+        u = word[k - 1]
+        bu = -rank0[k - 1]  # u's partner offset when u returns, else at most 0
         # (endpoint, partner position or -1 for a new arrow) in ascending
-        # code order: returns by label, then a new tail, then a new head
+        # code order: returns by label, then a new tail, then a new head;
+        # open_at holds the open arrows' first positions, in label order
         choices = []
-        for lab in open_labels:
-            p = opened[lab]
+        for p in open_at:
             if reduced and (p == k - 1 or (p == 0 and k == size - 1)):
                 continue
+            if reduced and bu > 0 and (u > 0) != (word[p] < 0) and (k - p) - bu in (0, 2):
+                continue
             choices.append((-word[p], p))
-        if labels < n and len(open_labels) < size - k - 1:
+        if labels < n and len(open_at) < size - k - 1:
             choices.append((labels + 1, -1))
             choices.append((-labels - 1, -1))
-        u = word[k - 1]
-        q = opened[u if u > 0 else -u]
         for t, p in choices:
-            if p >= 0:
-                # a mixed block whose endpoints both return to adjacent
-                # partners is an FR2 removal site
-                if reduced and q != k - 1 and (u > 0) != (t > 0) and (q - p == 1 or p - q == 1):
-                    continue
-                rank = p - k
-            else:
-                rank = t < 0
+            rank = p - k if p >= 0 else t < 0
             # kept: tail positions r whose rotation encodes like rotation 0
             # so far; position k sits at its offset k - r
             next_kept = []
@@ -119,48 +116,40 @@ def _orderly_words(n: int, reduced: bool) -> Iterator[tuple[tuple[int, ...], lis
                 word[k] = t
                 rank0[k] = rank
                 if p >= 0:
-                    partner[k], partner[p] = p, k
                     back[k], back[p] = k - p, size - k + p
-                    rest = open_labels.copy()
-                    rest.remove(t if t > 0 else -t)
+                    rest = open_at.copy()
+                    rest.remove(p)
                     yield from extend(k + 1, labels, rest, next_kept)
                 else:
-                    opened[labels + 1] = k
-                    yield from extend(k + 1, labels + 1, open_labels + [labels + 1], next_kept)
+                    yield from extend(k + 1, labels + 1, open_at + [k], next_kept)
 
     if n == 0:
         yield (), []
         return
     word[0] = 1
-    yield from extend(1, 1, [1], [])
+    yield from extend(1, 1, [0], [])
 
 
-def _completes(word, partner, rank0, kept, reduced) -> bool:
+def _completes(word, back, rank0, kept, reduced) -> bool:
     """Whether a word `_orderly_words` has just completed is yielded.
 
     Each rotation r still in `kept` has encoded like rotation 0 on
-    positions r..size-1; positions j = 0..r-1 sit at its offsets
-    size - r + j.  Position j's partner p sits at offset p - r when
-    p >= r, else at size - r + p, so it lies back inside the rotation's
-    prefix when p >= r or p < j.  A rank below rotation 0's rejects the
-    word, a rank above drops r, and a rotation equal all the way through
-    is a symmetry of the word.  With reduced=True the wrap block
-    (size - 1, 0) must not be an FR2 site: word[0] is arrow 1's tail and
-    arrow 1 never closes at the last position, so the block mixes two
-    arrows exactly when word[-1] is a head."""
+    positions r..size-1; position j < r sits at its offset
+    i = size - r + j, and returns when its partner offset is at most i.
+    A rank below rotation 0's rejects the word, a rank above drops r, and
+    a rotation equal all the way through is a symmetry of the word.  With
+    reduced=True the wrap block (size - 1, 0) must not be an FR2 site:
+    word[0] is arrow 1's tail, which never closes at the last position,
+    so the block mixes two arrows exactly when word[-1] is a head."""
     size = len(word)
-    if reduced and word[-1] < 0 and abs(partner[-1] - partner[0]) == 1:
+    if reduced and word[-1] < 0 and back[0] - back[-1] in (0, 2):
         return False
     for r in kept:
         for j in range(r):
-            p = partner[j]
-            if p >= r:
-                rank = p - j - size
-            elif p < j:
-                rank = p - j
-            else:
-                rank = word[j] < 0
-            c = rank0[size - r + j]
+            b = back[j]
+            i = size - r + j
+            rank = -b if b <= i else word[j] < 0
+            c = rank0[i]
             if rank != c:
                 if rank < c:
                     return False

@@ -528,12 +528,19 @@ def _vacated_gap(pair: tuple[int, int], removed: tuple[int, ...], pre_size: int)
 
 def inverse(m: Move, pre_size: int) -> Move:
     """Move undoing m; pre_size is the endpoint count of m's pre-move
-    diagram.  Positions refer to the literal post-move word of apply."""
+    diagram.  Positions refer to the literal post-move word of apply.
+    m's positions must fit pre_size: endpoints 0..pre_size - 1 for a
+    removal or FR3, gaps 0..max(pre_size, 1) - 1 for an insert."""
+    if not isinstance(pre_size, int) or isinstance(pre_size, bool) or pre_size < 0 or pre_size % 2:
+        raise ValueError(f"pre_size must be a non-negative even integer, not {pre_size!r}")
     count = _POSITION_COUNT.get(m.kind)
     if count is None:
         raise ValueError(f"unknown move kind {m.kind!r}")
     if len(m.positions) != count:
         raise ValueError(f"{m.kind}: {len(m.positions)} positions given, {count} expected")
+    limit = max(pre_size, 1) if m.kind in (FR1_INSERT, FR2_INSERT) else pre_size
+    if min(m.positions) < 0 or max(m.positions) >= limit:
+        raise ValueError(f"{m.kind}: positions {list(m.positions)} do not all lie in range({limit})")
 
     if m.kind == FR1_INSERT:
         g = m.positions[0]

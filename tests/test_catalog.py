@@ -127,14 +127,16 @@ def test_enumerate_makes_no_canonical_or_site_call(reduced, monkeypatch):
     assert canonical and sites
 
 
-@pytest.mark.parametrize("reduced,built", [(False, 4184), (True, 920)])
-def test_enumerate_builds_few_words_at_five(reduced, built, monkeypatch):
-    # one _completes call per complete word built; every pairing times
-    # every tail-first direction assignment would build 15,120 and, skipping
-    # pairings with an adjacent chord, 4,688
+@pytest.mark.parametrize(
+    "n,reduced,built", [(5, False, 4184), (5, True, 920), (6, False, 77296), (6, True, 17600)]
+)
+def test_enumerate_builds_few_words(n, reduced, built, monkeypatch):
+    # one _completes call per complete word built; at n = 5 every pairing
+    # times every tail-first direction assignment would build 15,120 and,
+    # skipping pairings with an adjacent chord, 4,688
     completes = _calls_of(monkeypatch, catalog, "_completes")
     counts = REDUCED_COUNTS if reduced else DIAGRAM_COUNTS
-    assert sum(1 for _ in enumerate_diagrams(5, reduced=reduced)) == counts[5]
+    assert sum(1 for _ in enumerate_diagrams(n, reduced=reduced)) == counts[n]
     assert len(completes) == built
 
 

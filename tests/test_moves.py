@@ -841,6 +841,36 @@ def test_inverse_rejects_a_move_with_the_wrong_number_of_positions(move):
         inverse(move, 4)
 
 
+@pytest.mark.parametrize("pre_size", [-5, -2, 3, True, False, 4.0, "4", None], ids=repr)
+def test_inverse_rejects_a_pre_size_that_is_not_a_non_negative_even_int(pre_size):
+    with pytest.raises(ValueError, match="^pre_size must be a non-negative even integer") as info:
+        inverse(Move("fr1-insert", "th", (0,)), pre_size)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "move,pre_size,limit",
+    [
+        (Move("fr1-remove", "th", (7, 8)), 4, 4),
+        (Move("fr1-remove", "th", (-1, 0)), 4, 4),
+        (Move("fr1-remove", "th", (0, 1)), 0, 0),
+        (Move("fr2-remove", "Nth", (0, 1, 2, 4)), 4, 4),
+        (Move("fr3", 0, (0, 1, 2, 3, 4, 6)), 6, 6),
+        (Move("fr3", 0, (-1, 0, 1, 2, 3, 4)), 6, 6),
+        # an insert's gaps: one per endpoint, and gap 0 of the empty word
+        (Move("fr1-insert", "th", (5,)), 2, 2),
+        (Move("fr1-insert", "th", (1,)), 0, 1),
+        (Move("fr1-insert", "th", (-1,)), 4, 4),
+        (Move("fr2-insert", "Nth", (0, 4)), 4, 4),
+        (Move("fr2-insert", "Nth", (-1, 0)), 4, 4),
+    ],
+    ids=str,
+)
+def test_inverse_rejects_a_position_outside_the_pre_move_word(move, pre_size, limit):
+    with pytest.raises(ValueError, match=rf"^{move.kind}: positions .* range\({limit}\)$"):
+        inverse(move, pre_size)
+
+
 def test_insert_closure_reduces_back_to_empty():
     rng = random.Random(15)
     for _ in range(40):
