@@ -158,6 +158,8 @@ def verify_superadditivity(
     Basepoint pairs are enumerated exhaustively when there are at most
     256 of them or at most sample_size, otherwise a seeded uniform sample
     of sample_size pairs is used."""
+    if not isinstance(sample_size, int) or isinstance(sample_size, bool):
+        raise ValueError(f"sample_size must be an integer, not {sample_size!r}")
     if sample_size < 1:
         raise ValueError(f"sample_size must be >= 1, got {sample_size}")
     c1 = crossing_number(d1, limits)

@@ -423,13 +423,33 @@ def enumerate_fr3(d: GaussDiagram) -> list[Move]:
 # apply / inverse
 # ---------------------------------------------------------------------------
 
-def _check_gap(g: int, size: int):
-    if not 0 <= g < max(size, 1):
-        raise SiteMismatch(f"gap {g} out of range for {size} endpoints")
-
-
 _BLOCK_POSITIONS = {FR1_REMOVE: 2, FR2_REMOVE: 4, FR3: 6}
 _POSITION_COUNT = {**_BLOCK_POSITIONS, FR1_INSERT: 1, FR2_INSERT: 2}
+
+
+def _check_shape(m: Move, size: int, error: type[ValueError]) -> None:
+    """Raise error, with one line, unless m has the shape of a move on a
+    word of size endpoints: a known kind; a variant of that kind, "th" or
+    "ht" for FR1, one of FR2_VARIANTS for FR2, an int catalog id for FR3;
+    that kind's position count; and every position an int inside the
+    word, an endpoint 0..size - 1 for a removal or FR3 and a gap
+    0..max(size, 1) - 1 for an insert.  Whether the word holds m is not
+    asked."""
+    kind, variant, positions = m.kind, m.variant, m.positions
+    count = _POSITION_COUNT.get(kind)
+    if count is None:
+        raise error(f"unknown move kind {kind!r}")
+    if kind == FR3:
+        # Move equality would let True or 1.0 stand for catalog id 1
+        if type(variant) is not int or not 0 <= variant < len(build_fr3_catalog()):
+            raise error(f"unknown fr3 catalog entry {variant!r}")
+    elif variant not in (("th", "ht") if kind in (FR1_REMOVE, FR1_INSERT) else FR2_VARIANTS):
+        raise error(f"unknown {kind} variant {variant!r}")
+    if len(positions) != count:
+        raise error(f"{kind}: {len(positions)} positions given, {count} expected")
+    limit = size if kind in _BLOCK_POSITIONS else max(size, 1)
+    if not all(type(p) is int and 0 <= p < limit for p in positions):
+        raise error(f"{kind}: positions {list(positions)} are not all integers in range({limit})")
 
 
 def _perform(word: tuple[int, ...], m: Move) -> tuple[int, ...]:
@@ -465,48 +485,28 @@ def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
     """Apply a move; labels are renormalized by first appearance.  The
     result is not validated again: a legal move keeps a valid word valid.
 
-    Every move given is checked first: an fr1-remove or fr2-remove is
-    legal when _removal_at, asked at m's first block, returns exactly m,
-    so a removal of the other kind than the block holds is rejected; an
-    FR3 move when _fr3_at, which reads _fr3_sites's _fr3_shape_table,
-    returns exactly m at m's positions; and an insert needs a known
-    variant and gaps in range.  Then _perform makes the move."""
+    Every move given is checked first: its shape by _check_shape, which
+    is all an insert needs; then an fr1-remove or fr2-remove is legal
+    when its positions are distinct and _removal_at, asked at m's first
+    block, returns exactly m, so a removal of the other kind than the
+    block holds is rejected; and an FR3 move when _fr3_at, which reads
+    _fr3_sites's _fr3_shape_table, returns exactly m at m's positions.
+    Then _perform makes the move."""
     word, size = d.word, d.size
+    _check_shape(m, size, SiteMismatch)
     kind, positions = m.kind, m.positions
-
-    count = _BLOCK_POSITIONS.get(kind)
-    if count is not None:
-        if len(positions) != count or len(set(positions)) != count:
-            raise SiteMismatch(f"{kind} takes {count} distinct positions")
-        if min(positions) < 0 or max(positions) >= size:
-            raise SiteMismatch(f"positions out of range for {size} endpoints")
+    if kind in _BLOCK_POSITIONS:
+        if len(set(positions)) != len(positions):
+            raise SiteMismatch(f"{kind} takes {len(positions)} distinct positions")
         for s, p1 in zip(positions[0::2], positions[1::2]):
             if p1 != (s + 1) % size:
                 raise SiteMismatch("blocks are not cyclically consecutive")
         if kind == FR3:
-            # Move equality would let True or 1.0 stand for catalog id 1
-            if not isinstance(m.variant, int) or isinstance(m.variant, bool):
-                raise SiteMismatch(f"unknown fr3 catalog entry {m.variant!r}")
             found = _fr3_at(word, positions)
         else:
             found = _removal_at(word, size, _offsets(word), positions[0])
         if found != m:
             raise SiteMismatch(f"no {kind} site {m.variant!r} at the stated positions")
-    elif kind == FR1_INSERT:
-        if m.variant not in ("th", "ht"):
-            raise SiteMismatch(f"unknown fr1 variant {m.variant!r}")
-        if len(positions) != 1:
-            raise SiteMismatch("fr1-insert takes one gap")
-        _check_gap(positions[0], size)
-    elif kind == FR2_INSERT:
-        if m.variant not in FR2_VARIANTS:
-            raise SiteMismatch(f"unknown fr2 variant {m.variant!r}")
-        if len(positions) != 2:
-            raise SiteMismatch("fr2-insert takes two gaps")
-        _check_gap(positions[0], size)
-        _check_gap(positions[1], size)
-    else:
-        raise SiteMismatch(f"unknown move kind {kind!r}")
     return _relabel(_perform(word, m))
 
 
@@ -529,19 +529,17 @@ def _vacated_gap(pair: tuple[int, int], removed: tuple[int, ...], pre_size: int)
 def inverse(m: Move, pre_size: int) -> Move:
     """Move undoing m; pre_size is the endpoint count of m's pre-move
     diagram.  Positions refer to the literal post-move word of apply.
-    m's positions must fit pre_size: endpoints 0..pre_size - 1 for a
-    removal or FR3, gaps 0..max(pre_size, 1) - 1 for an insert."""
+    m must have the shape _check_shape asks for on pre_size endpoints;
+    whether the word holds m is not asked."""
     if not isinstance(pre_size, int) or isinstance(pre_size, bool) or pre_size < 0 or pre_size % 2:
         raise ValueError(f"pre_size must be a non-negative even integer, not {pre_size!r}")
-    count = _POSITION_COUNT.get(m.kind)
-    if count is None:
-        raise ValueError(f"unknown move kind {m.kind!r}")
-    if len(m.positions) != count:
-        raise ValueError(f"{m.kind}: {len(m.positions)} positions given, {count} expected")
-    limit = max(pre_size, 1) if m.kind in (FR1_INSERT, FR2_INSERT) else pre_size
-    if min(m.positions) < 0 or max(m.positions) >= limit:
-        raise ValueError(f"{m.kind}: positions {list(m.positions)} do not all lie in range({limit})")
+    _check_shape(m, pre_size, ValueError)
+    return _invert(m, pre_size)
 
+
+def _invert(m: Move, pre_size: int) -> Move:
+    """inverse without its checks, for a move already known legal on a
+    word of pre_size endpoints."""
     if m.kind == FR1_INSERT:
         g = m.positions[0]
         return Move(FR1_REMOVE, m.variant, (g, g + 1))
@@ -574,7 +572,4 @@ def inverse(m: Move, pre_size: int) -> Move:
         variant = m.variant if lead in (a0, a1) else _swap_ab_variant(m.variant)
         return Move(FR2_INSERT, variant, (gap_a, gap_b))
 
-    catalog, v = build_fr3_catalog(), m.variant
-    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < len(catalog):
-        raise ValueError(f"unknown fr3 catalog entry {v!r}")
-    return Move(FR3, catalog[v].inverse_id, m.positions)
+    return Move(FR3, build_fr3_catalog()[m.variant].inverse_id, m.positions)

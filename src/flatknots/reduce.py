@@ -20,6 +20,7 @@ from . import moves as mv
 from .diagram import (
     GaussDiagram,
     _canonical,
+    _offsets,
     _trusted,
     canonical_sort_key,
     canonical_word,
@@ -318,7 +319,7 @@ def _reversed_steps(links) -> list[mv.Move]:
         post = len(link[0])
         size = post - 2 * link[-2].delta  # every move of a link starts at this size
         for i in range(len(link) - 2, 0, -2):
-            inv = mv.inverse(link[i], size)
+            inv = mv._invert(link[i], size)
             if post:
                 r = link[i + 1]
                 inv = mv.Move(inv.kind, inv.variant, tuple([(p - r) % post for p in inv.positions]))
@@ -337,8 +338,7 @@ def _trace(c1: tuple[int, ...], c2: tuple[int, ...], max_nodes: int) -> MoveTrac
     # equal minimal words need no bridge, and their orbit was scanned
     # under this budget when it was memoized, so no budget error is lost
     if m1 != m2:
-        # m1 is canonical, so _canonical returns it with its offsets
-        pred, _, _ = _scan_orbit(m1, _canonical(m1)[2], max_nodes, find_decreasing=False)
+        pred, _, _ = _scan_orbit(m1, _offsets(m1), max_nodes, find_decreasing=False)
         steps += _path_from_pred(pred, m2)[0::2]
     steps += _reversed_steps(links2)
     return MoveTrace(serialize(_trusted(c1)), tuple(steps), serialize(_trusted(c2)))

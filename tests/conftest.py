@@ -48,7 +48,6 @@ from flatknots.moves import (
     FR3CatalogEntry,
     Move,
     SiteMismatch,
-    _check_gap,
     _fr2_blocks,
     _relabel,
     inverse,
@@ -383,6 +382,11 @@ def _insert_blocks(word, inserts: list[tuple[int, list[int]]]) -> list[int]:
         if i < len(word):
             out.append(word[i])
     return out
+
+
+def _check_gap(g: int, size: int):
+    if not 0 <= g < max(size, 1):
+        raise SiteMismatch(f"gap {g} out of range for {size} endpoints")
 
 
 def apply_oracle(d: GaussDiagram, m: Move) -> GaussDiagram:

@@ -333,6 +333,11 @@ def test_superadditivity_rejects_sample_size_below_one():
     for size in (0, -1):
         with pytest.raises(ValueError, match="sample_size must be >= 1"):
             verify_superadditivity(d, d, sample_size=size)
+    # a count that is not an int, though True and 2.5 pass a bare `< 1` check
+    for size in ("3", None, 2.5, True):
+        with pytest.raises(ValueError, match="^sample_size must be an integer") as info:
+            verify_superadditivity(d, d, sample_size=size)
+        assert "\n" not in str(info.value)
 
 
 def test_permutant_minimality_of_minimal_pairs_quick():

@@ -677,11 +677,28 @@ def test_apply_rejects_an_fr3_variant_equal_to_but_not_a_catalog_id(variant):
         Move("fr1-insert", "th", (0, 1)),
         Move("fr2-insert", "Nth", (0,)),
         Move("fr2-insert", "Nth", (0, 1, 2)),
+        Move("fr1-remove", "th", (0,)),
+        Move("fr2-remove", "Nth", (0, 1, 2)),
+        Move("fr3", 0, (0, 1, 2, 3, 4)),
+        # the right count, but positions or a variant no move of the kind has
+        Move("fr1-remove", "th", ("a", "b")),
+        Move("fr1-remove", "th", (0.5, 1)),
+        Move("fr1-insert", "th", (True,)),
+        Move("fr2-insert", "th", (0, 1)),
+        Move("fr1-insert", "zz", (0,)),
     ],
 )
 def test_apply_rejects_insert_with_wrong_position_count(move):
-    with pytest.raises(SiteMismatch):
-        apply(parse("+1 +2 -1 -2"), move)
+    """A move of any kind with the wrong position count or a malformed
+    position or variant: `apply` raises a SiteMismatch and `inverse` a
+    plain ValueError, each one line, from the one shape check."""
+    d = parse("+1 +2 -1 -2")
+    with pytest.raises(SiteMismatch) as info:
+        apply(d, move)
+    assert "\n" not in str(info.value)
+    with pytest.raises(ValueError) as info:
+        inverse(move, d.size)
+    assert type(info.value) is ValueError and "\n" not in str(info.value)
 
 
 _POSITION_COUNTS = {"fr1-remove": 2, "fr1-insert": 1, "fr2-remove": 4, "fr2-insert": 2, "fr3": 6}
@@ -863,6 +880,11 @@ def test_inverse_rejects_a_pre_size_that_is_not_a_non_negative_even_int(pre_size
         (Move("fr1-insert", "th", (-1,)), 4, 4),
         (Move("fr2-insert", "Nth", (0, 4)), 4, 4),
         (Move("fr2-insert", "Nth", (-1, 0)), 4, 4),
+        # a position that is not an int is not in the word either
+        (Move("fr1-remove", "th", ("a", "b")), 4, 4),
+        (Move("fr1-remove", "th", (0.5, 1)), 4, 4),
+        (Move("fr1-remove", "th", (True, 2)), 4, 4),
+        (Move("fr1-insert", "th", (True,)), 4, 4),
     ],
     ids=str,
 )

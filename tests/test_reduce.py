@@ -149,9 +149,10 @@ def test_equivalent_certificate_canonicalizes_each_input_once(canonical_calls):
 def test_a_diagram_is_canonicalized_once_across_every_entry_point(monkeypatch, canonical_calls):
     """Every entry point starts from `GaussDiagram._canon`, so one diagram
     object passed to all of them, and to `equivalent` on either side, is
-    canonicalized once; and none of them computes partner offsets outside
-    `_canonical`.  The memo starts cold, so the reductions, the orbit
-    scans and the certificates' FR3 bridge all run."""
+    canonicalized once; and only the certificates' FR3 bridge computes
+    partner offsets outside `_canonical`, those of its start, a minimal
+    word that is canonical already.  The memo starts cold, so the
+    reductions, the orbit scans and the bridge all run."""
     monkeypatch.setattr(reduce, "_memo", {})
     canonical, offsets = diagram._canonical, diagram._offsets
     depth, outside = [0], []
@@ -194,9 +195,11 @@ def test_a_diagram_is_canonicalized_once_across_every_entry_point(monkeypatch, c
         assert verify_superadditivity(d, parse("+1 -1")).ok
     assert canonical_calls[id(d.word)] == 1
     assert canonical_calls[id(d2.word)] == 1
-    assert outside == []
+    # each loop's certificate from d, then from d2, bridges from its minimal word
+    assert outside == [minimal.word, monotone_reduce(d2)[0].word] * 2
     # the spies are live
     assert sum(canonical_calls.values()) > 2
+    outside.clear()
     enumerate_decreasing(d)
     assert outside == [d.word]
 
