@@ -29,7 +29,9 @@ import stat
 from dataclasses import dataclass
 from typing import Iterator
 
-from .diagram import GaussDiagram, _first_split, _trusted, canonical_sort_key, serialize
+from .diagram import (
+    GaussDiagram, _check_flag, _check_int, _first_split, _trusted, canonical_sort_key, serialize
+)
 from .invariants import _terms_text, _u_terms
 from .reduce import DEFAULT_LIMITS, OrbitLimits, _scan_orbit
 
@@ -157,13 +159,6 @@ def _completes(word, back, rank0, kept, reduced) -> bool:
     return True
 
 
-def _check_arrow_count(n) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, not {n!r}")
-    if not 0 <= n <= _MAX_ARROWS:
-        raise ValueError(f"n must be between 0 and {_MAX_ARROWS}")
-
-
 def enumerate_diagrams(n: int, *, reduced: bool = False) -> Iterator[GaussDiagram]:
     """Every diagram with exactly n arrows, 0 <= n <= 12, once per
     rotation/relabel class (those whose word equals its own canonical
@@ -173,9 +168,8 @@ def enumerate_diagrams(n: int, *, reduced: bool = False) -> Iterator[GaussDiagra
     in the same order.  The generator builds exactly these words, so
     none is canonicalized or searched for a site here; the partner
     offsets it also hands on are dropped."""
-    _check_arrow_count(n)
-    if not isinstance(reduced, bool):
-        raise ValueError(f"reduced must be True or False, not {reduced!r}")
+    _check_int(n, "n", 0, _MAX_ARROWS)
+    _check_flag(reduced, "reduced")
     for wt, _ in _orderly_words(n, reduced):
         yield _trusted(wt)
 
@@ -200,7 +194,7 @@ def _records(n: int, limits: OrbitLimits | None) -> Iterator[CatalogRecord]:
     from `invariants._u_terms`, formatted as `UPolynomial.__str__`
     formats it, and the verdict from `diagram._first_split`, as
     `compose._minimal_verdict` reads it."""
-    _check_arrow_count(n)
+    _check_int(n, "n", 0, _MAX_ARROWS)
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
     ahead: set[tuple[int, ...]] = set()
     class_id = 0

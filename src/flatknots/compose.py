@@ -25,6 +25,7 @@ from .diagram import (
     GaussDiagram,
     Split,
     _canonical,
+    _check_int,
     _first_split,
     _trusted,
     canonical_sort_key,
@@ -158,10 +159,8 @@ def verify_superadditivity(
     Basepoint pairs are enumerated exhaustively when there are at most
     256 of them or at most sample_size, otherwise a seeded uniform sample
     of sample_size pairs is used."""
-    if not isinstance(sample_size, int) or isinstance(sample_size, bool):
-        raise ValueError(f"sample_size must be an integer, not {sample_size!r}")
-    if sample_size < 1:
-        raise ValueError(f"sample_size must be >= 1, got {sample_size}")
+    _check_int(sample_size, "sample_size", 1)
+    _check_int(seed, "seed")
     c1 = crossing_number(d1, limits)
     c2 = crossing_number(d2, limits)
     inputs_minimal = c1 == d1.n and c2 == d2.n

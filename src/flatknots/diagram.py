@@ -40,6 +40,22 @@ class NonContiguousLabels(GaussCodeError):
 _TOKEN = re.compile(r"^[+-][0-9]+$")
 
 
+def _check_int(value, name: str, lo: int | None = None, hi: int | None = None) -> None:
+    """A one-line ValueError unless value is an int, not a bool, in lo..hi (None: open)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        if lo is not None and hi is not None:
+            raise ValueError(f"{name} must be between {lo} and {hi}")
+        raise ValueError(f"{name} must be " + (f">= {lo}" if hi is None else f"<= {hi}"))
+
+
+def _check_flag(value, name: str) -> None:
+    """A one-line ValueError unless value is True or False."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be True or False, not {value!r}")
+
+
 def _validate_word(word: tuple[int, ...]) -> None:
     if len(word) % 2:
         raise LabelCountMismatch("word length must be even")
@@ -123,8 +139,7 @@ class BasedDiagram:
     base: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.base < max(self.diagram.size, 1):
-            raise ValueError(f"base gap {self.base} out of range")
+        _check_int(self.base, "base gap", 0, max(self.diagram.size, 1) - 1)
 
 
 @dataclass(frozen=True)
@@ -256,12 +271,7 @@ def canonical_sort_key(word: tuple[int, ...]) -> tuple[int, ...]:
 
 def rebase(d: GaussDiagram, g: int) -> GaussDiagram:
     """Rotate the word so endpoint g becomes index 0; labels untouched."""
-    if d.size == 0:
-        if g != 0:
-            raise ValueError("empty diagram has only gap 0")
-        return d
-    if not 0 <= g < d.size:
-        raise ValueError(f"gap {g} out of range")
+    _check_int(g, "gap", 0, max(d.size, 1) - 1)
     return _trusted(d.word[g:] + d.word[:g])
 
 
@@ -278,8 +288,7 @@ def find_splits(d: GaussDiagram, include_degenerate: bool = False) -> list[Split
     exactly when gaps ga and gb have equal masks.  One pass groups the
     gaps by mask, and every pair inside a group is a split.
     """
-    if not isinstance(include_degenerate, bool):
-        raise ValueError(f"include_degenerate must be True or False, not {include_degenerate!r}")
+    _check_flag(include_degenerate, "include_degenerate")
     n = d.n
     groups: dict[int, list[int]] = {}  # mask -> its gaps, in order
     mask = 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import GaussDiagram
+from .diagram import GaussDiagram, _check_int
 
 
 class UnknownArrow(ValueError):
@@ -28,10 +28,9 @@ class UPolynomial:
 
     @classmethod
     def from_dict(cls, coeffs: dict[int, int]) -> "UPolynomial":
-        terms = tuple(sorted((k, c) for k, c in coeffs.items() if c != 0))
-        if any(k < 1 for k, _ in terms):
-            raise ValueError("u-polynomial exponents must be >= 1")
-        return cls(terms)
+        for k in coeffs:
+            _check_int(k, "u-polynomial exponents", 1)
+        return cls(tuple(sorted((k, c) for k, c in coeffs.items() if c != 0)))
 
     @property
     def is_zero(self) -> bool:

@@ -20,6 +20,8 @@ from . import moves as mv
 from .diagram import (
     GaussDiagram,
     _canonical,
+    _check_flag,
+    _check_int,
     _offsets,
     _trusted,
     canonical_sort_key,
@@ -42,11 +44,7 @@ class OrbitLimits:
     max_nodes: int = 1_000_000
 
     def __post_init__(self):
-        m = self.max_nodes
-        if not isinstance(m, int) or isinstance(m, bool):
-            raise ValueError(f"max_nodes must be an integer, not {m!r}")
-        if m < 1:
-            raise ValueError("max_nodes must be >= 1")
+        _check_int(self.max_nodes, "max_nodes", 1)
 
 
 DEFAULT_LIMITS = OrbitLimits()
@@ -353,6 +351,7 @@ def equivalent(
     """Decide flat equivalence.  With with_certificate, returns
     (bool, MoveTrace | None); the certificate runs d1 -> minimal(d1) ->
     minimal(d2) -> d2."""
+    _check_flag(with_certificate, "with_certificate")
     max_nodes = (limits or DEFAULT_LIMITS).max_nodes
     (c1, back1), (c2, back2) = d1._canon, d2._canon
     m1 = _reduce_word(c1, back1, max_nodes)

@@ -340,6 +340,16 @@ def test_superadditivity_rejects_sample_size_below_one():
         assert "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize("seed", [None, True, 1.5, "1"])
+def test_superadditivity_rejects_a_seed_that_is_not_an_integer(seed):
+    # 18 x 18 = 324 basepoint pairs, so a sample is drawn: random.Random(None)
+    # seeds from the OS, and the "seeded" sample changed from run to run
+    d = parse(" ".join(f"+{k} -{k}" for k in range(1, 10)))
+    with pytest.raises(ValueError) as info:
+        verify_superadditivity(d, d, seed=seed, sample_size=5)
+    assert str(info.value) == f"seed must be an integer, not {seed!r}"
+
+
 def test_permutant_minimality_of_minimal_pairs_quick():
     reps = [parse(WITNESS_3), parse("+1 +2 +3 -1 -3 -2")]
     for d1, d2 in itertools.product(reps, repeat=2):

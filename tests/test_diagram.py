@@ -14,6 +14,7 @@ from flatknots import (
     canonical_form,
     connected_sum,
     enumerate_diagrams,
+    equivalent,
     find_splits,
     parse,
     rebase,
@@ -100,17 +101,35 @@ def test_rebase_examples():
     assert rebase(d, 0) == d
 
 
+# gaps out of range or not ints: 1.5 once reached a slice, and True made gap 1
+BAD_GAPS = [
+    (2, "must be between 0 and 1"),
+    (-1, "must be between 0 and 1"),
+    (1.5, "must be an integer, not 1.5"),
+    (True, "must be an integer, not True"),
+    ("1", "must be an integer, not '1'"),
+    (None, "must be an integer, not None"),
+]
+
+
 def test_rebase_out_of_range():
-    with pytest.raises(ValueError):
-        rebase(parse("+1 -1"), 2)
+    assert rebase(GaussDiagram(()), 0) == GaussDiagram(())
+    with pytest.raises(ValueError, match="^gap must be between 0 and 0$"):
+        rebase(GaussDiagram(()), 1)
+    for g, text in BAD_GAPS:
+        with pytest.raises(ValueError) as info:
+            rebase(parse("+1 -1"), g)
+        assert str(info.value) == f"gap {text}"
 
 
 def test_based_diagram_gap_bounds():
     BasedDiagram(GaussDiagram(()), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^base gap must be between 0 and 0$"):
         BasedDiagram(GaussDiagram(()), 1)
-    with pytest.raises(ValueError):
-        BasedDiagram(parse("+1 -1"), 2)
+    for g, text in BAD_GAPS:
+        with pytest.raises(ValueError) as info:
+            BasedDiagram(parse("+1 -1"), g)
+        assert str(info.value) == f"base gap {text}"
 
 
 def test_find_splits_disjoint_arcs():
@@ -140,6 +159,15 @@ def test_degenerate_splits_on_request():
 def test_find_splits_rejects_an_include_degenerate_that_is_not_a_bool(flag):
     with pytest.raises(ValueError, match="^include_degenerate must be True or False"):
         find_splits(parse("+1 -1 +2 -2"), include_degenerate=flag)
+
+
+@pytest.mark.parametrize("flag", ["no", 0, 1, None])
+def test_equivalent_rejects_a_with_certificate_that_is_not_a_bool(flag):
+    # "no" once returned a (bool, MoveTrace) pair
+    d = parse("+1 -1 +2 -2")
+    with pytest.raises(ValueError) as info:
+        equivalent(d, d, with_certificate=flag)
+    assert str(info.value) == f"with_certificate must be True or False, not {flag!r}"
 
 
 def test_find_splits_matches_brute_force():

@@ -67,8 +67,17 @@ def test_u_text_format():
 
 
 def test_u_rejects_nonpositive_exponents():
-    with pytest.raises(ValueError):
-        UPolynomial.from_dict({0: 3})
+    for exponent in (0, -1):
+        with pytest.raises(ValueError, match="^u-polynomial exponents must be >= 1$"):
+            UPolynomial.from_dict({exponent: 3})
+
+
+@pytest.mark.parametrize("exponent", [True, 1.5, "1", None])
+def test_u_rejects_an_exponent_that_is_not_an_integer(exponent):
+    # True once printed as t^True and 1.5 as t^1.5
+    with pytest.raises(ValueError) as info:
+        UPolynomial.from_dict({2: 1, exponent: 1})
+    assert str(info.value) == f"u-polynomial exponents must be an integer, not {exponent!r}"
 
 
 def test_u_known_nontrivial_witness():
