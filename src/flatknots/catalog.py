@@ -33,7 +33,7 @@ from .diagram import (
     GaussDiagram, _check_flag, _check_int, _first_split, _trusted, canonical_sort_key, serialize
 )
 from .invariants import _terms_text, _u_terms
-from .reduce import DEFAULT_LIMITS, OrbitLimits, _scan_orbit
+from .reduce import OrbitLimits, _max_nodes, _scan_orbit
 
 
 # there are about (2n - 1)!! 2^n / 2n diagrams, 5.4e13 at n = 12 (the
@@ -195,7 +195,7 @@ def _records(n: int, limits: OrbitLimits | None) -> Iterator[CatalogRecord]:
     formats it, and the verdict from `diagram._first_split`, as
     `compose._minimal_verdict` reads it."""
     _check_int(n, "n", 0, _MAX_ARROWS)
-    max_nodes = (limits or DEFAULT_LIMITS).max_nodes
+    max_nodes = _max_nodes(limits)
     ahead: set[tuple[int, ...]] = set()
     class_id = 0
     for start, back in _orderly_words(n, True):
@@ -254,6 +254,7 @@ def write_catalog(records, path: str, n: int) -> None:
     `records`, the temp file is removed, `path` is left as it was, and
     the error is re-raised; an OSError names `path`, never the temp
     file."""
+    _check_int(n, "n", 0, _MAX_ARROWS)
     tmp = os.path.join(os.path.dirname(path), f".flatcat-{os.urandom(8).hex()}")
     fd = None
     try:

@@ -34,10 +34,9 @@ from .diagram import (
 )
 from .reduce import (
     OrbitLimits,
-    crossing_number,
     _full_orbit,
+    _max_nodes,
     _reduce_word,
-    DEFAULT_LIMITS,
 )
 
 VERDICT_TRIVIAL = "trivial"
@@ -104,8 +103,7 @@ class CompositenessVerdict:
 def is_composite(d: GaussDiagram, limits: OrbitLimits | None = None) -> CompositenessVerdict:
     """Classify as trivial, prime, or composite by reducing and looking
     for a nontrivial split of the minimal diagram."""
-    max_nodes = (limits or DEFAULT_LIMITS).max_nodes
-    min_word = _reduce_word(*d._canon, max_nodes)
+    min_word = _reduce_word(*d._canon, _max_nodes(limits))
     return _minimal_verdict(_trusted(min_word))
 
 
@@ -161,8 +159,8 @@ def verify_superadditivity(
     of sample_size pairs is used."""
     _check_int(sample_size, "sample_size", 1)
     _check_int(seed, "seed")
-    c1 = crossing_number(d1, limits)
-    c2 = crossing_number(d2, limits)
+    max_nodes = _max_nodes(limits)
+    c1, c2 = (len(_reduce_word(*d._canon, max_nodes)) // 2 for d in (d1, d2))
     inputs_minimal = c1 == d1.n and c2 == d2.n
 
     pairs = _gap_pairs(d1, d2)
@@ -174,7 +172,6 @@ def verify_superadditivity(
     # each member word is canonical already, its offsets at hand: one
     # reduction gives its crossing number, and the first word of its
     # minimal orbit its class
-    max_nodes = (limits or DEFAULT_LIMITS).max_nodes
     class_ids: dict[tuple[int, ...], int] = {}
     prelim = []
     for w in sorted(member_words, key=canonical_sort_key):

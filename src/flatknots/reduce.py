@@ -41,6 +41,10 @@ class TraceMismatch(ValueError):
 
 @dataclass(frozen=True)
 class OrbitLimits:
+    """``max_nodes`` bounds the nodes one FR3 orbit scan may explore
+    (``len(pred)`` in `_scan_orbit`); memo entries are keyed by it.  Every
+    ``limits`` argument takes an OrbitLimits or None (`_max_nodes`)."""
+
     max_nodes: int = 1_000_000
 
     def __post_init__(self):
@@ -48,6 +52,13 @@ class OrbitLimits:
 
 
 DEFAULT_LIMITS = OrbitLimits()
+
+
+def _max_nodes(limits: OrbitLimits | None) -> int:
+    """``limits.max_nodes``, DEFAULT_LIMITS' for None; anything else is refused."""
+    if not isinstance(limits, (OrbitLimits, type(None))):
+        raise ValueError(f"limits must be an OrbitLimits or None, not {limits!r}")
+    return (DEFAULT_LIMITS if limits is None else limits).max_nodes
 
 
 @dataclass(frozen=True)
@@ -138,12 +149,13 @@ def _scan_orbit(start: tuple[int, ...], back: list[int], max_nodes: int, find_de
     rotation offset.  With find_decreasing, every node but the start is
     checked on discovery, and the scan stops at the first node admitting
     a decreasing site, returning (pred, node, move) with move the first
-    of enumerate_decreasing(node).  Otherwise returns (pred, None, None)
-    with pred covering the whole orbit.  The start word is not checked:
-    both callers that look for a decreasing site already know it has
-    none (`_reduce_word` checks it first, and `catalog._records` scans
-    only words that `catalog._orderly_words(n, reduced=True)` yields, each
-    with no decreasing site).
+    site `moves._decreasing_sites` finds on the node's offsets.
+    Otherwise returns (pred, None, None) with pred covering the whole
+    orbit.  The start word is not checked: both callers that look for a
+    decreasing site already know it has none (`_reduce_word` checks it
+    first, and `catalog._records` scans only words that
+    `catalog._orderly_words(n, reduced=True)` yields, each with no
+    decreasing site).
 
     Every node's decreasing and FR3 sites (`moves._fr3_sites`) are read
     from its partner offsets: the start's are ``back``, and every other
@@ -220,8 +232,7 @@ def _path_from_pred(pred: dict, target: tuple[int, ...]) -> tuple:
 def fr3_orbit(d: GaussDiagram, limits: OrbitLimits | None = None) -> tuple[str, ...]:
     """BFS closure of d under FR3 moves: the sorted tuple of canonical
     codes in the orbit."""
-    max_nodes = (limits or DEFAULT_LIMITS).max_nodes
-    pred, _, _ = _scan_orbit(*d._canon, max_nodes, find_decreasing=False)
+    pred, _, _ = _scan_orbit(*d._canon, _max_nodes(limits), find_decreasing=False)
     return tuple(serialize(_trusted(w)) for w in sorted(pred, key=canonical_sort_key))
 
 
@@ -277,7 +288,7 @@ def monotone_reduce(
 ) -> tuple[GaussDiagram, MoveTrace]:
     """Reduce to a minimal crossing diagram using only FR3 and decreasing
     FR1/FR2 moves; the trace replays start-to-end over canonical forms."""
-    max_nodes = (limits or DEFAULT_LIMITS).max_nodes
+    max_nodes = _max_nodes(limits)
     start, back = d._canon
     min_word = _reduce_word(start, back, max_nodes)
     return _trusted(min_word), _trace(start, min_word, max_nodes)
@@ -286,14 +297,13 @@ def monotone_reduce(
 def crossing_number(d: GaussDiagram, limits: OrbitLimits | None = None) -> int:
     """Least arrow count over the diagrams equivalent to d: half the
     length of the minimal word d reduces to."""
-    max_nodes = (limits or DEFAULT_LIMITS).max_nodes
-    return len(_reduce_word(*d._canon, max_nodes)) // 2
+    return len(_reduce_word(*d._canon, _max_nodes(limits))) // 2
 
 
 def minimal_class_code(d: GaussDiagram, limits: OrbitLimits | None = None) -> str:
     """Complete flat-knot invariant: the least canonical code over the FR3
     orbit of a reached minimal diagram."""
-    max_nodes = (limits or DEFAULT_LIMITS).max_nodes
+    max_nodes = _max_nodes(limits)
     min_word = _reduce_word(*d._canon, max_nodes)
     return serialize(_trusted(_full_orbit(min_word, max_nodes)[0]))
 
@@ -352,7 +362,7 @@ def equivalent(
     (bool, MoveTrace | None); the certificate runs d1 -> minimal(d1) ->
     minimal(d2) -> d2."""
     _check_flag(with_certificate, "with_certificate")
-    max_nodes = (limits or DEFAULT_LIMITS).max_nodes
+    max_nodes = _max_nodes(limits)
     (c1, back1), (c2, back2) = d1._canon, d2._canon
     m1 = _reduce_word(c1, back1, max_nodes)
     m2 = _reduce_word(c2, back2, max_nodes)

@@ -1,5 +1,6 @@
 """The public names, the private names the docs cite, the one-cache
-policy, and the hooks the benchmark's tracer relies on.
+policy, the one reader of every `limits` argument, and the hooks the
+benchmark's tracer relies on.
 
 `perfbench/tracer.py` wraps functions by name and indexes span names in
 `layer_stats`; a refactor that renames or drops one of them would make
@@ -16,8 +17,12 @@ import pkgutil
 import re
 import tokenize
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 import flatknots
+from flatknots import OrbitBudgetExceeded, OrbitLimits
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -229,3 +234,63 @@ def test_only_the_fr3_singletons_are_cached():
         "flatknots.moves._fr3_shape_table",
         "flatknots.diagram.GaussDiagram._canon",
     }
+
+
+# no decreasing site: its reduction starts with an FR3 orbit scan, and
+# its whole FR3 orbit has more than 3 nodes
+D = flatknots.parse("+1 +2 -1 +3 +4 -2 -3 +5 -4 -5")
+# every public entry point that takes `limits`, with its other arguments
+LIMITED = {
+    "fr3_orbit": (D,),
+    "monotone_reduce": (D,),
+    "crossing_number": (D,),
+    "minimal_class_code": (D,),
+    "equivalent": (D, D),
+    "is_composite": (D,),
+    "verify_superadditivity": (D, D),
+    "classify": (4,),
+}
+# the calls whose answer needs an orbit of more than 3 nodes
+OVER_3_NODES = {"fr3_orbit", "verify_superadditivity"}
+
+
+def _parameters(obj) -> set[str]:
+    try:
+        return set(inspect.signature(obj).parameters)
+    except (TypeError, ValueError):  # not callable, or a builtin type such as an exception
+        return set()
+
+
+def test_every_entry_point_that_takes_limits_is_listed():
+    """A new entry point with a `limits` parameter joins LIMITED, so it
+    cannot skip the checks below."""
+    takes_limits = {
+        name for name in flatknots.__all__ if "limits" in _parameters(getattr(flatknots, name))
+    }
+    assert takes_limits == set(LIMITED)
+
+
+@pytest.mark.parametrize("name", sorted(LIMITED))
+@pytest.mark.parametrize(
+    "limits",
+    [5, 0, "", {}, OrbitLimits, SimpleNamespace(max_nodes=-1)],
+    ids=["int", "zero", "empty-str", "empty-dict", "the-class", "duck-typed"],
+)
+def test_limits_that_is_not_an_orbit_limits_is_refused(name, limits):
+    # 5 raised an AttributeError, the falsy values and the class ran with
+    # the default budget, and a duck-typed budget skipped OrbitLimits' check
+    with pytest.raises(ValueError, match="^limits must be an OrbitLimits or None, not ") as info:
+        getattr(flatknots, name)(*LIMITED[name], limits=limits)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("name", sorted(LIMITED))
+def test_none_and_an_orbit_limits_give_the_default_answer(name):
+    fn, args = getattr(flatknots, name), LIMITED[name]
+    answer = fn(*args)
+    assert fn(*args, limits=None) == answer
+    if name in OVER_3_NODES:
+        with pytest.raises(OrbitBudgetExceeded, match="exceeds the 3-node budget"):
+            fn(*args, limits=OrbitLimits(max_nodes=3))
+    else:
+        assert fn(*args, limits=OrbitLimits(max_nodes=3)) == answer

@@ -261,6 +261,16 @@ def test_catalog_overwrite_leaves_no_temp_files(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["keep.flatcat"]
 
 
+@pytest.mark.parametrize("n", ["abc", True, -1, 13, 2.5])
+def test_write_catalog_rejects_n_that_is_not_an_arrow_count(tmp_path, n):
+    # each once wrote a file whose header read n=abc, n=True, n=-1 and so on
+    path = tmp_path / "bad.flatcat"
+    with pytest.raises(ValueError, match="^n must be ") as info:
+        write_catalog([], str(path), n)
+    assert "\n" not in str(info.value)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_catalog_file_gets_the_mode_of_a_plain_open(tmp_path):
     """A new catalog file gets 0o666 less the umask, as `open(path, "w")`
     gives it; a replaced file keeps the mode it had."""
