@@ -248,12 +248,12 @@ def write_catalog(records, path: str, n: int) -> None:
     """Write a header line, then one line per record, taken from `records`
     one at a time, to a temp file beside `path`, and rename it over `path`
     after the last record.  An item is a `CatalogRecord` or its line as a
-    string (`tabulate` passes the lines it also prints).  A new file gets
-    the mode `open(path, "w")` would give (0o666 less the umask); a
-    replaced file keeps its mode.  On any error, from the writing or from
-    `records`, the temp file is removed, `path` is left as it was, and
-    the error is re-raised; an OSError names `path`, never the temp
-    file."""
+    string (`tabulate` passes the lines it also prints); any other item
+    raises a ValueError.  A new file gets the mode `open(path, "w")` would
+    give (0o666 less the umask); a replaced file keeps its mode.  On any
+    error, from the writing or from `records`, the temp file is removed,
+    `path` is left as it was, and the error is re-raised; an OSError
+    names `path`, never the temp file."""
     _check_int(n, "n", 0, _MAX_ARROWS)
     tmp = os.path.join(os.path.dirname(path), f".flatcat-{os.urandom(8).hex()}")
     fd = None
@@ -261,7 +261,12 @@ def write_catalog(records, path: str, n: int) -> None:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_header(n))
-            fh.writelines(r if isinstance(r, str) else _line(r) for r in records)
+            for r in records:
+                if not isinstance(r, (str, CatalogRecord)):
+                    raise ValueError(
+                        f"a catalog item must be a CatalogRecord or a str, not {type(r).__name__}"
+                    )
+                fh.write(r if isinstance(r, str) else _line(r))
         if os.path.exists(path):
             os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)

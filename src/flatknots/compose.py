@@ -25,6 +25,7 @@ from .diagram import (
     GaussDiagram,
     Split,
     _canonical,
+    _check_diagram,
     _check_int,
     _first_split,
     _trusted,
@@ -103,6 +104,7 @@ class CompositenessVerdict:
 def is_composite(d: GaussDiagram, limits: OrbitLimits | None = None) -> CompositenessVerdict:
     """Classify as trivial, prime, or composite by reducing and looking
     for a nontrivial split of the minimal diagram."""
+    _check_diagram(d, "d")
     min_word = _reduce_word(*d._canon, _max_nodes(limits))
     return _minimal_verdict(_trusted(min_word))
 
@@ -157,6 +159,8 @@ def verify_superadditivity(
     Basepoint pairs are enumerated exhaustively when there are at most
     256 of them or at most sample_size, otherwise a seeded uniform sample
     of sample_size pairs is used."""
+    _check_diagram(d1, "d1")
+    _check_diagram(d2, "d2")
     _check_int(sample_size, "sample_size", 1)
     _check_int(seed, "seed")
     max_nodes = _max_nodes(limits)

@@ -56,6 +56,12 @@ def _check_flag(value, name: str) -> None:
         raise ValueError(f"{name} must be True or False, not {value!r}")
 
 
+def _check_diagram(value, name: str) -> None:
+    """A one-line ValueError unless value is a GaussDiagram."""
+    if not isinstance(value, GaussDiagram):
+        raise ValueError(f"{name} must be a GaussDiagram, not {value!r}")
+
+
 def _validate_word(word: tuple[int, ...]) -> None:
     if len(word) % 2:
         raise LabelCountMismatch("word length must be even")
@@ -261,6 +267,7 @@ def canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:
 def canonical_form(d: GaussDiagram) -> str:
     """Canonical code text: equal for two diagrams iff they differ only by
     rotation of the cyclic word and relabeling of arrows."""
+    _check_diagram(d, "d")
     return serialize(_trusted(d._canon[0]))
 
 

@@ -20,6 +20,7 @@ from . import moves as mv
 from .diagram import (
     GaussDiagram,
     _canonical,
+    _check_diagram,
     _check_flag,
     _check_int,
     _offsets,
@@ -42,8 +43,8 @@ class TraceMismatch(ValueError):
 @dataclass(frozen=True)
 class OrbitLimits:
     """``max_nodes`` bounds the nodes one FR3 orbit scan may explore
-    (``len(pred)`` in `_scan_orbit`); memo entries are keyed by it.  Every
-    ``limits`` argument takes an OrbitLimits or None (`_max_nodes`)."""
+    (``len(pred)`` in `_scan_orbit`); the memo keeps one dict per budget.
+    Every ``limits`` argument takes an OrbitLimits or None (`_max_nodes`)."""
 
     max_nodes: int = 1_000_000
 
@@ -120,7 +121,7 @@ def replay_trace(trace: MoveTrace) -> GaussDiagram:
 # FR3 orbit search
 # ---------------------------------------------------------------------------
 
-# The one memo: (canonical word, max_nodes) -> one flat tuple.  A word of
+# The one memo: max_nodes -> {canonical word: one flat tuple}.  A word of
 # a minimal diagram's FR3 orbit maps to (itself, the orbit), the orbit a
 # tuple sorted by canonical_sort_key, so its first word names the class.
 # Any other word w that a reduction passes through maps to (minimal word,
@@ -130,11 +131,13 @@ def replay_trace(trace: MoveTrace) -> GaussDiagram:
 # representative of its pre-move diagram and each result canonicalizing
 # at rotation offset r; the last result is the next word, the same tuple
 # as that word's key.  The path from a canonical word depends only on the
-# key, so a link is exact.  Policy: a reduction stops at the first entry
-# it finds; a trace or certificate is read afterwards from the stored links
-# (_trace), and each link is written after its next word's entry.  Keying
-# by the budget means an entry found under one --max-orbit never answers a
-# call under another.  Values are pure, so racing writers are harmless.
+# word and the budget, so a link is exact.  Policy: a reduction stops at
+# the first entry it finds; a trace or certificate is read afterwards
+# from the stored links (_trace), and each link is written after its next
+# word's entry.  One dict per budget means an entry found under one
+# --max-orbit never answers a call under another.  _reduce_word takes its
+# budget's dict once per call with setdefault, which is atomic, so racing
+# callers lose no writes; values are pure, so racing writers are harmless.
 # Only _reduce_word writes entries; catalog._records scans orbits itself
 # and leaves the memo as it found it.
 _memo: dict = {}
@@ -215,7 +218,7 @@ def _full_orbit(word: tuple[int, ...], max_nodes: int) -> tuple:
     """FR3 orbit of the minimal diagram a canonical word reduces to,
     sorted by canonical_sort_key: its first word is the class word.  The
     word must have been reduced under max_nodes (_reduce_word)."""
-    return _memo[(word, max_nodes)][1]
+    return _memo[max_nodes][word][1]
 
 
 def _path_from_pred(pred: dict, target: tuple[int, ...]) -> tuple:
@@ -232,6 +235,7 @@ def _path_from_pred(pred: dict, target: tuple[int, ...]) -> tuple:
 def fr3_orbit(d: GaussDiagram, limits: OrbitLimits | None = None) -> tuple[str, ...]:
     """BFS closure of d under FR3 moves: the sorted tuple of canonical
     codes in the orbit."""
+    _check_diagram(d, "d")
     pred, _, _ = _scan_orbit(*d._canon, _max_nodes(limits), find_decreasing=False)
     return tuple(serialize(_trusted(w)) for w in sorted(pred, key=canonical_sort_key))
 
@@ -260,9 +264,10 @@ def _reduce_word(word: tuple[int, ...], back: list[int], max_nodes: int) -> tupl
     stops at the first memo entry it finds, then writes an entry for
     every word it left, the last one first (see ``_memo``).
     """
+    memo = _memo.setdefault(max_nodes, {})
     cur = word
     trail = []
-    while (value := _memo.get((cur, max_nodes))) is None:
+    while (value := memo.get(cur)) is None:
         node, path = cur, ()
         m = next(mv._decreasing_sites(cur, back), None)
         if m is None:
@@ -270,8 +275,8 @@ def _reduce_word(word: tuple[int, ...], back: list[int], max_nodes: int) -> tupl
             if node is None:
                 orbit = tuple(sorted(pred, key=canonical_sort_key))
                 for w in orbit:
-                    _memo[(w, max_nodes)] = (w, orbit)
-                value = _memo[(cur, max_nodes)]
+                    memo[w] = (w, orbit)
+                value = memo[cur]
                 break
             path = _path_from_pred(pred, node)
         nxt, r, back = _canonical(mv._perform(node, m))
@@ -279,7 +284,7 @@ def _reduce_word(word: tuple[int, ...], back: list[int], max_nodes: int) -> tupl
         cur = nxt
     head = value[:2]
     for w, link in reversed(trail):
-        _memo[(w, max_nodes)] = head + link
+        memo[w] = head + link
     return value[0]
 
 
@@ -288,6 +293,7 @@ def monotone_reduce(
 ) -> tuple[GaussDiagram, MoveTrace]:
     """Reduce to a minimal crossing diagram using only FR3 and decreasing
     FR1/FR2 moves; the trace replays start-to-end over canonical forms."""
+    _check_diagram(d, "d")
     max_nodes = _max_nodes(limits)
     start, back = d._canon
     min_word = _reduce_word(start, back, max_nodes)
@@ -297,12 +303,14 @@ def monotone_reduce(
 def crossing_number(d: GaussDiagram, limits: OrbitLimits | None = None) -> int:
     """Least arrow count over the diagrams equivalent to d: half the
     length of the minimal word d reduces to."""
+    _check_diagram(d, "d")
     return len(_reduce_word(*d._canon, _max_nodes(limits))) // 2
 
 
 def minimal_class_code(d: GaussDiagram, limits: OrbitLimits | None = None) -> str:
     """Complete flat-knot invariant: the least canonical code over the FR3
     orbit of a reached minimal diagram."""
+    _check_diagram(d, "d")
     max_nodes = _max_nodes(limits)
     min_word = _reduce_word(*d._canon, max_nodes)
     return serialize(_trusted(_full_orbit(min_word, max_nodes)[0]))
@@ -311,10 +319,10 @@ def minimal_class_code(d: GaussDiagram, limits: OrbitLimits | None = None) -> st
 def _chain(word: tuple[int, ...], max_nodes: int):
     """(minimal word, stored links in order) of a reduced canonical word."""
     links = []
-    value = _memo[(word, max_nodes)]
+    value = _memo[max_nodes][word]
     while len(value) > 2:
         links.append(value[2:])
-        value = _memo[(value[2], max_nodes)]
+        value = _memo[max_nodes][value[2]]
     return value[0], links
 
 
@@ -361,6 +369,8 @@ def equivalent(
     """Decide flat equivalence.  With with_certificate, returns
     (bool, MoveTrace | None); the certificate runs d1 -> minimal(d1) ->
     minimal(d2) -> d2."""
+    _check_diagram(d1, "d1")
+    _check_diagram(d2, "d2")
     _check_flag(with_certificate, "with_certificate")
     max_nodes = _max_nodes(limits)
     (c1, back1), (c2, back2) = d1._canon, d2._canon

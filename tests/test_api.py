@@ -284,6 +284,29 @@ def test_limits_that_is_not_an_orbit_limits_is_refused(name, limits):
     assert "\n" not in str(info.value)
 
 
+# every public entry point that takes a diagram, with its arguments
+TAKES_DIAGRAM = {**LIMITED, "canonical_form": (D,)}
+DIAGRAM_ARGUMENTS = [
+    (name, i)
+    for name, args in sorted(TAKES_DIAGRAM.items())
+    for i, arg in enumerate(args)
+    if isinstance(arg, flatknots.GaussDiagram)
+]
+
+
+@pytest.mark.parametrize("name, position", DIAGRAM_ARGUMENTS)
+@pytest.mark.parametrize("value", ["+1 -1", None, (1, -1)], ids=["code", "none", "word"])
+def test_a_diagram_argument_that_is_not_a_gauss_diagram_is_refused(name, position, value):
+    # each raised AttributeError: ... object has no attribute '_canon'
+    fn = getattr(flatknots, name)
+    args = list(TAKES_DIAGRAM[name])
+    args[position] = value
+    param = list(inspect.signature(fn).parameters)[position]
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    assert str(info.value) == f"{param} must be a GaussDiagram, not {value!r}"
+
+
 @pytest.mark.parametrize("name", sorted(LIMITED))
 def test_none_and_an_orbit_limits_give_the_default_answer(name):
     fn, args = getattr(flatknots, name), LIMITED[name]

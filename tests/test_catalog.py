@@ -200,8 +200,8 @@ def test_classify_leaves_the_reduction_memo_as_it_found_it(monkeypatch):
     for rec in records:
         assert crossing_number(parse(rec.code)) == 4
     assert crossing_number(parse(records[0].code + " +5 -5")) == 4
-    warmed = dict(reduce._memo)
-    assert len(warmed) > len(records)
+    warmed = {budget: dict(memo) for budget, memo in reduce._memo.items()}
+    assert len(warmed[reduce.DEFAULT_LIMITS.max_nodes]) > len(records)
     assert classify(4) == records
     assert reduce._memo == warmed
 
@@ -269,6 +269,21 @@ def test_write_catalog_rejects_n_that_is_not_an_arrow_count(tmp_path, n):
         write_catalog([], str(path), n)
     assert "\n" not in str(info.value)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("item", [5, None, b"line\n"], ids=["int", "none", "bytes"])
+def test_write_catalog_refuses_an_item_that_is_not_a_record_or_a_line(tmp_path, item):
+    # an int raised AttributeError: 'int' object has no attribute 'class_id'
+    path = tmp_path / "kept.flatcat"
+    path.write_bytes(b"old bytes\n")
+    for records in ([item], [classify(3)[0], item]):
+        with pytest.raises(ValueError) as info:
+            write_catalog(records, str(path), 3)
+        assert str(info.value) == (
+            f"a catalog item must be a CatalogRecord or a str, not {type(item).__name__}"
+        )
+        assert path.read_bytes() == b"old bytes\n"
+        assert list(tmp_path.iterdir()) == [path]
 
 
 def test_catalog_file_gets_the_mode_of_a_plain_open(tmp_path):

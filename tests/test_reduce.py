@@ -387,7 +387,7 @@ def test_reduction_step_checks_the_start_word_first(monkeypatch):
         minimal = reduce._reduce_word(*d._canon, budget)
         # one step reaches the minimal word; the link holds the move and
         # its offset, and no FR3 path
-        link = reduce._memo[(w, budget)][2:]
+        link = reduce._memo[budget][w][2:]
         assert link[:2] == (minimal, enumerate_decreasing(GaussDiagram(w))[0])
         assert len(link) == 3
         assert w not in fr3_calls and w not in scans
@@ -544,7 +544,7 @@ def _check_reduce_against_oracle(diagrams, monkeypatch):
         got, got_trace = monotone_reduce(d)
         assert (got, got_trace.to_json()) == (minimal, trace.to_json()), serialize(d)
         # the trace is read from the links the reduction wrote
-        assert reduce._memo[(start, MAX_NODES)][0] == minimal.word
+        assert reduce._memo[MAX_NODES][start][0] == minimal.word
         monkeypatch.setattr(reduce, "_memo", {})
         assert reduce._reduce_word(start, back, MAX_NODES) == want, serialize(d)
         assert reduce._reduce_word(start, back, MAX_NODES) == want, serialize(d)
@@ -591,37 +591,39 @@ def _check_links_replay():
     at the stored offsets and end at the next entry's word.  Links with
     and without an FR3 path must both occur."""
     fr3_paths = set()
-    for (word, budget), value in reduce._memo.items():
-        min_word, orbit, link = value[0], value[1], value[2:]
-        if not link:
-            assert min_word == word and word in orbit
-            continue
-        nxt, moves, offsets = link[0], link[1::2], link[2::2]
-        fr3_paths.add(len(moves) > 1)
-        assert [m.kind == "fr3" for m in moves] == [True] * (len(moves) - 1) + [False]
-        assert moves[-1].delta < 0
-        cur = word
-        for m, r in zip(moves, offsets):
-            cur, got_r = diagram._canonical(apply(GaussDiagram(cur), m).word)[:2]
-            assert got_r == r, serialize(GaussDiagram(word))
-        assert cur == nxt, serialize(GaussDiagram(word))
-        assert reduce._memo[(nxt, budget)][:2] == (min_word, orbit)
+    for memo in reduce._memo.values():
+        for word, value in memo.items():
+            min_word, orbit, link = value[0], value[1], value[2:]
+            if not link:
+                assert min_word == word and word in orbit
+                continue
+            nxt, moves, offsets = link[0], link[1::2], link[2::2]
+            fr3_paths.add(len(moves) > 1)
+            assert [m.kind == "fr3" for m in moves] == [True] * (len(moves) - 1) + [False]
+            assert moves[-1].delta < 0
+            cur = word
+            for m, r in zip(moves, offsets):
+                cur, got_r = diagram._canonical(apply(GaussDiagram(cur), m).word)[:2]
+                assert got_r == r, serialize(GaussDiagram(word))
+            assert cur == nxt, serialize(GaussDiagram(word))
+            assert memo[nxt][:2] == (min_word, orbit)
     assert fr3_paths == {False, True}
 
 
 class _LinkCheckedMemo(dict):
-    """A memo that refuses a link whose next word has no entry yet."""
+    """One budget's memo dict that refuses a link whose next word has no
+    entry yet."""
 
-    def __setitem__(self, key, value):
+    def __setitem__(self, word, value):
         if len(value) > 2:
-            assert (value[2], key[1]) in self, serialize(GaussDiagram(key[0]))
-        super().__setitem__(key, value)
+            assert value[2] in self, serialize(GaussDiagram(word))
+        super().__setitem__(word, value)
 
 
 def test_memo_links_are_written_after_their_next_word(monkeypatch):
     # so a walk down the stored links never meets a missing entry, even
     # while another caller is still writing its trail
-    monkeypatch.setattr(reduce, "_memo", _LinkCheckedMemo())
+    monkeypatch.setattr(reduce, "_memo", {MAX_NODES: _LinkCheckedMemo()})
     rng = random.Random(14)
     for n in range(6, 12):
         d = random_diagram(rng, n)
@@ -636,14 +638,40 @@ def test_memo_links_are_written_after_their_next_word(monkeypatch):
         same, cert = equivalent(a, b, with_certificate=True)
         assert same and serialize(replay_trace(cert)) == canonical_form(b)
         assert cert.to_json() == certificate_oracle(a, b).to_json()
-    ends = {reduce._memo[(canonical_word(x.word), MAX_NODES)][0] for x in (d1, d2)}
+    # every entry went through the checked dict
+    (memo,) = reduce._memo.values()
+    assert isinstance(memo, _LinkCheckedMemo)
+    ends = {memo[canonical_word(x.word)][0] for x in (d1, d2)}
     assert len(ends) == 2
     # some trails were longer than one link, so their write order mattered
-    assert any(
-        len(reduce._memo[(v[2], budget)]) > 2
-        for (_, budget), v in reduce._memo.items()
-        if len(v) > 2
-    )
+    assert any(len(memo[v[2]]) > 2 for v in memo.values() if len(v) > 2)
+
+
+def test_the_memo_keeps_one_dict_of_canonical_words_per_budget(monkeypatch):
+    """`reduce._memo` maps each orbit budget to a dict keyed by canonical
+    word.  Entries written under the default budget never answer a call
+    under budget 3: a diagram whose orbit scan needs more than three
+    nodes still raises there, with the text a cold memo gives."""
+    kinked = parse("+6 -6 +1 +2 -1 -2 +3 +4 -3 +5 -4 -5")
+    # a minimal diagram whose FR3 orbit has four words
+    wide = parse("+1 +2 -1 -2 -3 -4 -5 +4 -6 +5 +6 +3")
+    tight = OrbitLimits(max_nodes=3)
+    monkeypatch.setattr(reduce, "_memo", {})
+    with pytest.raises(OrbitBudgetExceeded) as cold:
+        crossing_number(wide, tight)
+    monkeypatch.setattr(reduce, "_memo", {})
+    assert (crossing_number(kinked), crossing_number(wide)) == (5, 6)
+    default = dict(reduce._memo[MAX_NODES])
+    assert crossing_number(kinked, tight) == 5
+    with pytest.raises(OrbitBudgetExceeded) as warm:
+        crossing_number(wide, tight)
+    assert str(warm.value) == str(cold.value)
+    assert sorted(reduce._memo) == [3, MAX_NODES]
+    assert reduce._memo[MAX_NODES] == default
+    for memo in reduce._memo.values():
+        assert memo and all(canonical_word(w) == w for w in memo)
+    assert kinked._canon[0] in reduce._memo[3]
+    assert wide._canon[0] in default and wide._canon[0] not in reduce._memo[3]
 
 
 def test_reduce_matches_oracle_small_n_exhaustive(monkeypatch):
