@@ -247,9 +247,8 @@ def _line(r: CatalogRecord) -> str:
 def write_catalog(records, path: str, n: int) -> None:
     """Write a header line, then one line per record, taken from `records`
     one at a time, to a temp file beside `path`, and rename it over `path`
-    after the last record.  An item is a `CatalogRecord` or its line as a
-    string (`tabulate` passes the lines it also prints); any other item
-    raises a ValueError.  A new file gets the mode `open(path, "w")` would
+    after the last record.  An item that is not a `CatalogRecord` raises
+    a ValueError.  A new file gets the mode `open(path, "w")` would
     give (0o666 less the umask); a replaced file keeps its mode.  On any
     error, from the writing or from `records`, the temp file is removed,
     `path` is left as it was, and the error is re-raised; an OSError
@@ -262,11 +261,11 @@ def write_catalog(records, path: str, n: int) -> None:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_header(n))
             for r in records:
-                if not isinstance(r, (str, CatalogRecord)):
+                if not isinstance(r, CatalogRecord):
                     raise ValueError(
-                        f"a catalog item must be a CatalogRecord or a str, not {type(r).__name__}"
+                        f"a catalog item must be a CatalogRecord, not {type(r).__name__}"
                     )
-                fh.write(r if isinstance(r, str) else _line(r))
+                fh.write(_line(r))
         if os.path.exists(path):
             os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)

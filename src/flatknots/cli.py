@@ -115,35 +115,40 @@ def _cmd_equiv(args) -> int:
     return 0 if same else 1
 
 
-def _split_record(s) -> dict:
-    return {"gap_a": s.gap_a, "gap_b": s.gap_b, "sides": list(s.side_sizes)}
+def _split_record(gap_a, gap_b, sides) -> dict:
+    return {"gap_a": gap_a, "gap_b": gap_b, "sides": list(sides)}
 
 
 def _cmd_prime(args) -> int:
     for code in _input_codes(args):
         v = is_composite(parse(code), args.limits)
-        min_code = serialize(v.minimal)
-        splits = find_splits(v.minimal, include_degenerate=True) if args.all_splits else None
+        m, w = v.minimal, v.witness
+        min_code = serialize(m)
+        splits = None
+        if args.all_splits:
+            # the nontrivial splits, and a same-gap row (g, g) at every gap
+            splits = sorted(
+                [(s.gap_a, s.gap_b, s.side_sizes) for s in find_splits(m)]
+                + [(g, g, (0, m.n)) for g in range(max(m.size, 1))]
+            )
         if args.format == "json":
             obj = {
-                "cr": v.minimal.n,
+                "cr": m.n,
                 "input": code,
                 "minimal": min_code,
                 "verdict": v.verdict,
-                "witness": None if v.witness is None else _split_record(v.witness),
+                "witness": None if w is None else _split_record(w.gap_a, w.gap_b, w.side_sizes),
             }
             if splits is not None:
-                obj["splits"] = [_split_record(s) for s in splits]
+                obj["splits"] = [_split_record(*s) for s in splits]
             _emit_json(obj)
         else:
-            line = f"{v.verdict} minimal={min_code} cr={v.minimal.n}"
-            if v.witness is not None:
-                w = v.witness
+            line = f"{v.verdict} minimal={min_code} cr={m.n}"
+            if w is not None:
                 line += f" split=({w.gap_a},{w.gap_b}) sides={w.side_sizes[0]},{w.side_sizes[1]}"
             print(line)
-            if splits is not None:
-                for s in splits:
-                    print(f"split gap_a={s.gap_a} gap_b={s.gap_b} sides={s.side_sizes[0]},{s.side_sizes[1]}")
+            for ga, gb, sides in splits or ():
+                print(f"split gap_a={ga} gap_b={gb} sides={sides[0]},{sides[1]}")
     return 0
 
 
@@ -228,10 +233,9 @@ def _cmd_tabulate(args) -> int:
     # to an anonymous temp file as the record passes on to write_catalog, and
     # is copied to stdout only after the last record, so an orbit budget
     # error leaves stdout empty and the --out file untouched.  The text form
-    # is the catalog line itself, so write_catalog is handed the line built
-    # here, not the record.  The JSON form has sorted keys, so "records"
-    # comes last: its text is the object with no records up to the closing
-    # "]}", each record, "]}".
+    # is the catalog line itself.  The JSON form has sorted keys, so
+    # "records" comes last: its text is the object with no records up to
+    # the closing "]}", each record, "]}".
     as_json = args.format == "json"
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as shown:
 
@@ -245,11 +249,9 @@ def _cmd_tabulate(args) -> int:
                 if as_json:
                     shown.write(sep + _json_text(_json_record(r)))
                     sep = ","
-                    yield r
                 else:
-                    line = _line(r)
-                    shown.write(line)
-                    yield line
+                    shown.write(_line(r))
+                yield r
             if as_json:
                 shown.write("]}\n")
 

@@ -85,6 +85,8 @@ def _sum_words(d1: GaussDiagram, d2: GaussDiagram, pairs) -> dict:
 
 
 def permutant_set(d1: GaussDiagram, d2: GaussDiagram) -> PermutantSet:
+    _check_diagram(d1, "d1")
+    _check_diagram(d2, "d2")
     sources = _sum_words(d1, d2, _gap_pairs(d1, d2))
     codes = {w: serialize(_trusted(w)) for w in sorted(sources, key=canonical_sort_key)}
     return PermutantSet(

@@ -17,10 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 
-TAIL = 1
-HEAD = -1
-
-
 class GaussCodeError(ValueError):
     """Base class for Gauss-code parsing and validation failures."""
 
@@ -118,10 +114,6 @@ class GaussDiagram:
         word, _, back = _canonical(self.word)
         return word, back
 
-    def arrow_endpoints(self, arrow: int) -> tuple[int, int]:
-        """Positions (tail, head) of the given arrow."""
-        return self.word.index(arrow), self.word.index(-arrow)
-
     def __str__(self) -> str:
         return serialize(self)
 
@@ -145,6 +137,7 @@ class BasedDiagram:
     base: int = 0
 
     def __post_init__(self):
+        _check_diagram(self.diagram, "diagram")
         _check_int(self.base, "base gap", 0, max(self.diagram.size, 1) - 1)
 
 
@@ -152,9 +145,8 @@ class BasedDiagram:
 class Split:
     """Two gaps whose arcs are each closed under the arrow pairing.
 
-    ``gap_a <= gap_b``; side_sizes counts arrows on the arc [gap_a, gap_b)
-    and on the complementary arc.  A degenerate split has gap_a == gap_b
-    and an empty first side.
+    ``gap_a < gap_b``; side_sizes counts arrows on the arc [gap_a, gap_b)
+    and on the complementary arc, and neither side is empty.
     """
 
     gap_a: int
@@ -182,6 +174,7 @@ def parse(text: str) -> GaussDiagram:
 
 def serialize(d: GaussDiagram) -> str:
     """Render a diagram as a Gauss code; the empty diagram is "0"."""
+    _check_diagram(d, "d")
     if not d.word:
         return "0"
     return " ".join([f"+{t}" if t > 0 else f"-{-t}" for t in d.word])
@@ -278,24 +271,22 @@ def canonical_sort_key(word: tuple[int, ...]) -> tuple[int, ...]:
 
 def rebase(d: GaussDiagram, g: int) -> GaussDiagram:
     """Rotate the word so endpoint g becomes index 0; labels untouched."""
+    _check_diagram(d, "d")
     _check_int(g, "gap", 0, max(d.size, 1) - 1)
     return _trusted(d.word[g:] + d.word[:g])
 
 
-def find_splits(d: GaussDiagram, include_degenerate: bool = False) -> list[Split]:
-    """All gap pairs whose two arcs are closed under the arrow pairing.
-
-    By default only nontrivial splits (each side holding at least one
-    arrow) are returned; with include_degenerate the same-gap pairs
-    (g, g), whose first side is empty, are included as well.  The list
-    is in (gap_a, gap_b) order.
+def find_splits(d: GaussDiagram) -> list[Split]:
+    """Every nontrivial split: the gap pairs ga < gb whose two arcs are
+    closed under the arrow pairing, so each side holds at least one
+    arrow, in (gap_a, gap_b) order.
 
     The mask of gap g is the XOR of 1 << arrow over the endpoints before
     g, so the arc [ga, gb) holds both endpoints or neither of every arrow
     exactly when gaps ga and gb have equal masks.  One pass groups the
     gaps by mask, and every pair inside a group is a split.
     """
-    _check_flag(include_degenerate, "include_degenerate")
+    _check_diagram(d, "d")
     n = d.n
     groups: dict[int, list[int]] = {}  # mask -> its gaps, in order
     mask = 0
@@ -309,8 +300,6 @@ def find_splits(d: GaussDiagram, include_degenerate: bool = False) -> list[Split
         for i, ga in enumerate(group)
         for gb in group[i + 1 :]
     ]
-    if include_degenerate:
-        pairs += [(g, g) for g in range(max(d.size, 1))]
     pairs.sort()
     return [Split(ga, gb, ((gb - ga) // 2, n - (gb - ga) // 2)) for ga, gb in pairs]
 

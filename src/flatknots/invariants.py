@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import GaussDiagram, _check_int
+from .diagram import GaussDiagram, _check_diagram, _check_int
 
 
 class UnknownArrow(ValueError):
@@ -31,10 +31,6 @@ class UPolynomial:
         for k in coeffs:
             _check_int(k, "u-polynomial exponents", 1)
         return cls(tuple(sorted((k, c) for k, c in coeffs.items() if c != 0)))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __str__(self) -> str:
         return _terms_text(self.terms)
@@ -74,6 +70,7 @@ def _indices(word: tuple[int, ...]) -> list[int]:
 
 def arrow_index(d: GaussDiagram, arrow: int) -> int:
     """Signed count of arrows interlaced with the given arrow."""
+    _check_diagram(d, "d")
     if not isinstance(arrow, int) or isinstance(arrow, bool) or not 1 <= arrow <= d.n:
         raise UnknownArrow(f"no arrow {arrow!r} in this diagram")
     return _indices(d.word)[arrow]
@@ -95,4 +92,5 @@ def _u_terms(word: tuple[int, ...]) -> list[tuple[int, int]]:
 
 def u_polynomial(d: GaussDiagram) -> UPolynomial:
     """sign(n(e)) * t^|n(e)| summed over the arrows (see `_u_terms`)."""
+    _check_diagram(d, "d")
     return UPolynomial(tuple(_u_terms(d.word)))

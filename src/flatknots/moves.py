@@ -25,7 +25,15 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .diagram import GaussDiagram, _first_appearance, _offsets, _trusted, canonical_sort_key
+from .diagram import (
+    GaussDiagram,
+    _check_diagram,
+    _check_int,
+    _first_appearance,
+    _offsets,
+    _trusted,
+    canonical_sort_key,
+)
 
 FR1_REMOVE = "fr1-remove"
 FR1_INSERT = "fr1-insert"
@@ -96,10 +104,6 @@ class Move:
     def __str__(self) -> str:
         pos = ",".join(str(p) for p in self.positions)
         return f"{self.kind} {self.variant} [{pos}]"
-
-
-def _relabel(word) -> GaussDiagram:
-    return _trusted(_first_appearance(word))
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +183,7 @@ def _decreasing_sites(word: tuple[int, ...], back: list[int]):
 
 def enumerate_decreasing(d: GaussDiagram) -> list[Move]:
     """Decreasing FR1 and FR2 sites in deterministic tie-break order."""
+    _check_diagram(d, "d")
     return list(_decreasing_sites(d.word, _offsets(d.word)))
 
 
@@ -188,12 +193,14 @@ def enumerate_decreasing(d: GaussDiagram) -> list[Move]:
 
 def enumerate_fr1_increasing(d: GaussDiagram) -> list[Move]:
     """One kink insertion per gap and direction."""
+    _check_diagram(d, "d")
     gaps = max(d.size, 1)
     return [Move(FR1_INSERT, v, (g,)) for g in range(gaps) for v in ("th", "ht")]
 
 
 def enumerate_fr2_increasing(d: GaussDiagram) -> list[Move]:
     """One bigon insertion per gap pair ga <= gb and variant."""
+    _check_diagram(d, "d")
     gaps = max(d.size, 1)
     return [
         Move(FR2_INSERT, v, (ga, gb))
@@ -416,6 +423,7 @@ def enumerate_fr3(d: GaussDiagram) -> list[Move]:
     """All FR3 sites: three disjoint adjacent blocks, each holding two of
     the three arrows, arrow pairs covered once, pattern in the catalog;
     `_fr3_sites` of the word and its offsets."""
+    _check_diagram(d, "d")
     return _fr3_sites(d.word, _offsets(d.word))
 
 
@@ -492,6 +500,7 @@ def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
     block holds is rejected; and an FR3 move when _fr3_at, which reads
     _fr3_sites's _fr3_shape_table, returns exactly m at m's positions.
     Then _perform makes the move."""
+    _check_diagram(d, "d")
     word, size = d.word, d.size
     _check_shape(m, size, SiteMismatch)
     kind, positions = m.kind, m.positions
@@ -507,7 +516,7 @@ def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
             found = _removal_at(word, size, _offsets(word), positions[0])
         if found != m:
             raise SiteMismatch(f"no {kind} site {m.variant!r} at the stated positions")
-    return _relabel(_perform(word, m))
+    return _trusted(_first_appearance(_perform(word, m)))
 
 
 def _kept_below(position: int, removed: tuple[int, ...]) -> int:
@@ -531,8 +540,9 @@ def inverse(m: Move, pre_size: int) -> Move:
     diagram.  Positions refer to the literal post-move word of apply.
     m must have the shape _check_shape asks for on pre_size endpoints;
     whether the word holds m is not asked."""
-    if not isinstance(pre_size, int) or isinstance(pre_size, bool) or pre_size < 0 or pre_size % 2:
-        raise ValueError(f"pre_size must be a non-negative even integer, not {pre_size!r}")
+    _check_int(pre_size, "pre_size", 0)
+    if pre_size % 2:
+        raise ValueError(f"pre_size must be even, not {pre_size}")
     _check_shape(m, pre_size, ValueError)
     return _invert(m, pre_size)
 

@@ -29,8 +29,6 @@ from flatknots import diagram, moves, reduce
 from flatknots.catalog import CatalogRecord
 from flatknots.compose import _minimal_verdict
 from flatknots.diagram import (
-    HEAD,
-    TAIL,
     Split,
     _first_appearance,
     canonical_sort_key,
@@ -49,10 +47,13 @@ from flatknots.moves import (
     Move,
     SiteMismatch,
     _fr2_blocks,
-    _relabel,
     inverse,
 )
 from flatknots.reduce import DEFAULT_LIMITS, OrbitBudgetExceeded
+
+
+# endpoint roles: a word holds +k at the tail of arrow k and -k at its head
+TAIL, HEAD = 1, -1
 
 
 def random_diagram(rng: random.Random, n: int) -> GaussDiagram:
@@ -67,6 +68,22 @@ def random_diagram(rng: random.Random, n: int) -> GaussDiagram:
         else:
             word[p], word[q] = -label, label
     return GaussDiagram(tuple(word))
+
+
+def random_split_prone_diagrams(rng: random.Random, count: int):
+    """count random diagrams with up to 16 arrows; every odd-numbered one
+    with at least two arrows is two random words joined end to end and
+    rotated, so it splits."""
+    for i in range(count):
+        n = rng.randint(0, 16)
+        if n >= 2 and i % 2:
+            k = rng.randint(1, n - 1)
+            w2 = random_diagram(rng, n - k).word
+            word = random_diagram(rng, k).word + tuple(t + k if t > 0 else t - k for t in w2)
+            r = rng.randrange(2 * n)
+            yield GaussDiagram(word[r:] + word[:r])
+        else:
+            yield random_diagram(rng, n)
 
 
 def canonical_oracle(word: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -407,7 +424,7 @@ def apply_oracle(d: GaussDiagram, m: Move) -> GaussDiagram:
         if m.variant != ("th" if word[i] > 0 else "ht"):
             raise SiteMismatch("arrow direction does not match the variant")
         keep = [t for p, t in enumerate(word) if p not in (i, j)]
-        return _relabel(keep)
+        return GaussDiagram(_first_appearance(keep))
 
     if kind == FR1_INSERT:
         if m.variant not in ("th", "ht"):
@@ -418,7 +435,7 @@ def apply_oracle(d: GaussDiagram, m: Move) -> GaussDiagram:
         _check_gap(g, size)
         fresh = d.n + 1
         block = [fresh, -fresh] if m.variant == "th" else [-fresh, fresh]
-        return _relabel(_insert_blocks(word, [(g, block)]))
+        return GaussDiagram(_first_appearance(_insert_blocks(word, [(g, block)])))
 
     if kind == FR2_REMOVE:
         if m.variant not in FR2_VARIANTS:
@@ -434,7 +451,7 @@ def apply_oracle(d: GaussDiagram, m: Move) -> GaussDiagram:
         if probe is None or probe.positions != m.positions or probe.variant != m.variant:
             raise SiteMismatch("no matching bigon at the stated positions")
         keep = [t for p, t in enumerate(word) if p not in m.positions]
-        return _relabel(keep)
+        return GaussDiagram(_first_appearance(keep))
 
     if kind == FR2_INSERT:
         if m.variant not in FR2_VARIANTS:
@@ -446,7 +463,7 @@ def apply_oracle(d: GaussDiagram, m: Move) -> GaussDiagram:
         _check_gap(gb, size)
         x, y = d.n + 1, d.n + 2
         block_a, block_b = _fr2_blocks(m.variant, x, y)
-        return _relabel(_insert_blocks(word, [(ga, block_a), (gb, block_b)]))
+        return GaussDiagram(_first_appearance(_insert_blocks(word, [(ga, block_a), (gb, block_b)])))
 
     if kind == FR3:
         if len(m.positions) != 6 or len(set(m.positions)) != 6:
@@ -469,7 +486,7 @@ def apply_oracle(d: GaussDiagram, m: Move) -> GaussDiagram:
         for s in starts:
             p1 = (s + 1) % size
             out[s], out[p1] = out[p1], out[s]
-        return _relabel(out)
+        return GaussDiagram(_first_appearance(out))
 
     raise SiteMismatch(f"unknown move kind {kind!r}")
 
@@ -638,7 +655,7 @@ def brute_force_splits(
     order, as (ga, gb, side sizes) with the sides read off the arc length;
     with include_degenerate, also (g, g, (0, n)) for every gap g."""
     size = d.size
-    ends = [d.arrow_endpoints(arrow) for arrow in range(1, d.n + 1)]
+    ends = [(d.word.index(arrow), d.word.index(-arrow)) for arrow in range(1, d.n + 1)]
     found = []
     for ga in range(max(size, 1)):
         if include_degenerate:
@@ -650,15 +667,13 @@ def brute_force_splits(
     return found
 
 
-def find_splits_oracle(d: GaussDiagram, include_degenerate: bool = False) -> list[Split]:
+def find_splits_oracle(d: GaussDiagram) -> list[Split]:
     """Reference find_splits: widen the arc [ga, gb) from every gap ga one
     endpoint at a time, counting arrows with one endpoint inside; O(n^2)."""
     size = d.size
     splits = []
     arrows = [abs(t) for t in d.word]
     for ga in range(max(size, 1)):
-        if include_degenerate:
-            splits.append(Split(ga, ga, (0, d.n)))
         open_count = 0
         inside = [False] * (d.n + 1)
         for gb in range(ga + 1, size):
@@ -679,7 +694,7 @@ def arrow_index_oracle(d: GaussDiagram, arrow: int) -> int:
     arrow's head to its tail, counting +1 per tail and -1 per head of the
     arrows with exactly one endpoint there."""
     word = d.word
-    tail, head = d.arrow_endpoints(arrow)
+    tail, head = d.word.index(arrow), d.word.index(-arrow)
     arc = set(word[head + 1 : tail] if head < tail else word[head + 1 :] + word[:tail])
     return sum(1 if t > 0 else -1 for t in arc if -t not in arc)
 
@@ -813,6 +828,22 @@ def diagram_strategy(draw, max_n: int = 5):
         else:
             word[p], word[q] = label, -label
     return GaussDiagram(tuple(word))
+
+
+def random_split_prone_diagrams(rng: random.Random, count: int):
+    """count random diagrams with up to 16 arrows; every odd-numbered one
+    with at least two arrows is two random words joined end to end and
+    rotated, so it splits."""
+    for i in range(count):
+        n = rng.randint(0, 16)
+        if n >= 2 and i % 2:
+            k = rng.randint(1, n - 1)
+            w2 = random_diagram(rng, n - k).word
+            word = random_diagram(rng, k).word + tuple(t + k if t > 0 else t - k for t in w2)
+            r = rng.randrange(2 * n)
+            yield GaussDiagram(word[r:] + word[:r])
+        else:
+            yield random_diagram(rng, n)
 
 
 def full_move_graph_classes(ceiling: int):

@@ -254,6 +254,12 @@ LIMITED = {
 OVER_3_NODES = {"fr3_orbit", "verify_superadditivity"}
 
 
+def _annotations(obj) -> list:
+    """The resolved annotations of obj's parameters."""
+    params = inspect.signature(obj, eval_str=True).parameters.values()
+    return [p.annotation for p in params]
+
+
 def _parameters(obj) -> set[str]:
     try:
         return set(inspect.signature(obj).parameters)
@@ -284,22 +290,53 @@ def test_limits_that_is_not_an_orbit_limits_is_refused(name, limits):
     assert "\n" not in str(info.value)
 
 
-# every public entry point that takes a diagram, with its arguments
-TAKES_DIAGRAM = {**LIMITED, "canonical_form": (D,)}
+# the required arguments, other than diagrams, of the public functions
+# that take one
+OTHER_ARGUMENTS = {"m": flatknots.Move("fr1-insert", "th", (0,)), "arrow": 1, "g": 0}
+
+
+def _required_arguments(fn) -> list:
+    """fn's required arguments: D for a parameter annotated GaussDiagram,
+    else its entry in OTHER_ARGUMENTS."""
+    return [
+        D if p.annotation is flatknots.GaussDiagram else OTHER_ARGUMENTS[p.name]
+        for p in inspect.signature(fn, eval_str=True).parameters.values()
+        if p.default is p.empty
+    ]
+
+
+# every public function (not class) with a parameter annotated
+# GaussDiagram, and the BasedDiagram constructor, with their required
+# arguments; a new one cannot skip the diagram check
+TAKES_DIAGRAM = {
+    name: _required_arguments(obj)
+    for name in flatknots.__all__
+    if callable(obj := getattr(flatknots, name))
+    and (name == "BasedDiagram" or not inspect.isclass(obj))
+    and flatknots.GaussDiagram in _annotations(obj)
+}
 DIAGRAM_ARGUMENTS = [
     (name, i)
     for name, args in sorted(TAKES_DIAGRAM.items())
     for i, arg in enumerate(args)
-    if isinstance(arg, flatknots.GaussDiagram)
+    if arg is D
 ]
+
+
+def test_every_function_that_takes_a_diagram_is_discovered():
+    assert len(TAKES_DIAGRAM) == 21 and "BasedDiagram" in TAKES_DIAGRAM
+    assert set(LIMITED) - {"classify"} < set(TAKES_DIAGRAM)
+    assert "CompositenessVerdict" not in TAKES_DIAGRAM
 
 
 @pytest.mark.parametrize("name, position", DIAGRAM_ARGUMENTS)
 @pytest.mark.parametrize("value", ["+1 -1", None, (1, -1)], ids=["code", "none", "word"])
 def test_a_diagram_argument_that_is_not_a_gauss_diagram_is_refused(name, position, value):
     # each raised AttributeError: ... object has no attribute '_canon'
+    # (or 'word', 'n', 'size')
     fn = getattr(flatknots, name)
     args = list(TAKES_DIAGRAM[name])
+    assert fn(*args) is not None  # the other arguments are valid
     args[position] = value
     param = list(inspect.signature(fn).parameters)[position]
     with pytest.raises(ValueError) as info:

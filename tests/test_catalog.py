@@ -271,16 +271,21 @@ def test_write_catalog_rejects_n_that_is_not_an_arrow_count(tmp_path, n):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("item", [5, None, b"line\n"], ids=["int", "none", "bytes"])
+@pytest.mark.parametrize(
+    "item",
+    [5, None, b"line\n", "class=1 code=+1 +2 -1 -3 -2 +3 cr=3 u=-2t^1+t^2 verdict=P orbit=1\n"],
+    ids=["int", "none", "bytes", "str"],
+)
 def test_write_catalog_refuses_an_item_that_is_not_a_record_or_a_line(tmp_path, item):
-    # an int raised AttributeError: 'int' object has no attribute 'class_id'
+    # an int raised AttributeError: 'int' object has no attribute 'class_id';
+    # a str, even a catalog line, is refused like any item but a record
     path = tmp_path / "kept.flatcat"
     path.write_bytes(b"old bytes\n")
     for records in ([item], [classify(3)[0], item]):
         with pytest.raises(ValueError) as info:
             write_catalog(records, str(path), 3)
         assert str(info.value) == (
-            f"a catalog item must be a CatalogRecord or a str, not {type(item).__name__}"
+            f"a catalog item must be a CatalogRecord, not {type(item).__name__}"
         )
         assert path.read_bytes() == b"old bytes\n"
         assert list(tmp_path.iterdir()) == [path]

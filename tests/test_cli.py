@@ -14,7 +14,7 @@ import pytest
 import flatknots
 from flatknots import catalog, monotone_reduce, serialize
 from flatknots.cli import main
-from conftest import random_diagram
+from conftest import brute_force_splits, random_diagram, random_split_prone_diagrams
 from test_catalog import CATALOG_SHA256
 
 
@@ -78,6 +78,51 @@ def test_prime_all_splits():
     code, out = run_cli(["prime", "--all-splits", "+1 -2 +2 -1"])
     assert code == 0
     assert "split gap_a=0" in out  # degenerate splits of the empty diagram
+
+
+# sha256 of `prime --all-splits` on every canonical word with n <= 5
+# (3,274 codes, one per line on stdin), text and JSON
+ALL_SPLITS_SHA256 = {
+    "text": "cca123a1afee1bd430772f797f8509aad2c447fd8c57b6f3faf4d2c638fc4a26",
+    "json": "49ec4b7645c10a5d3e100fba6c4256567586f0ba236f2ecd4eb9c0b664f7fea0",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(ALL_SPLITS_SHA256))
+def test_prime_all_splits_bytes_are_pinned(fmt):
+    codes = [serialize(d) for n in range(6) for d in flatknots.enumerate_diagrams(n)]
+    assert len(codes) == 3274
+    code, out = run_cli(["prime", "--all-splits", "--format", fmt], "".join(c + "\n" for c in codes))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ALL_SPLITS_SHA256[fmt]
+
+
+def test_prime_all_splits_rows_match_the_oracle_on_random_words():
+    """The rows of `prime --all-splits` are the minimal diagram's splits
+    with a same-gap row at every gap, as the brute-force oracle lists
+    them with include_degenerate, on 4,000 of the random words
+    `test_find_splits_matches_oracle_on_random_words` draws: two in ten,
+    one a random word and one two words joined, which splits."""
+    words = [
+        serialize(d)
+        for i, d in enumerate(random_split_prone_diagrams(random.Random(71), 20000))
+        if i % 10 < 2
+    ]
+    code, out = run_cli(["prime", "--all-splits", "--format", "json"], "\n".join(words) + "\n")
+    assert code == 0
+    lines = out.splitlines()
+    assert [json.loads(line)["input"] for line in lines] == words
+    composite = 0
+    for line in lines:
+        obj = json.loads(line)
+        rows = [(r["gap_a"], r["gap_b"], tuple(r["sides"])) for r in obj["splits"]]
+        minimal = flatknots.parse(obj["minimal"])
+        assert rows == brute_force_splits(minimal, include_degenerate=True), obj["input"]
+        w = obj["witness"]
+        witness = None if w is None else (w["gap_a"], w["gap_b"], tuple(w["sides"]))
+        assert witness == next((r for r in rows if r[0] < r[1]), None), obj["input"]
+        composite += obj["verdict"] == "composite"
+    assert composite > 400
 
 
 def test_csum_example():

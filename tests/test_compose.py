@@ -27,7 +27,7 @@ from flatknots import (
     verify_superadditivity,
 )
 from flatknots import compose, diagram, reduce
-from flatknots.moves import _relabel
+from flatknots.diagram import _first_appearance
 from conftest import random_diagram, strict
 
 WITNESS_3 = "+1 +2 -1 -3 -2 +3"
@@ -139,7 +139,9 @@ def _closed_side_crossing_numbers(d, split):
     diagram of its own, smaller first."""
     inside = d.word[split.gap_a : split.gap_b]
     outside = d.word[split.gap_b :] + d.word[: split.gap_a]
-    return tuple(sorted(crossing_number(_relabel(w)) for w in (inside, outside)))
+    return tuple(
+        sorted(crossing_number(GaussDiagram(_first_appearance(w))) for w in (inside, outside))
+    )
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,9 @@ from conftest import (
     diagram_strategy,
     find_splits_oracle,
     random_diagram,
+    random_split_prone_diagrams,
 )
+from test_cli import run_cli
 
 
 def test_parse_smallest_code():
@@ -148,17 +150,22 @@ def test_no_nontrivial_split_below_two_arrows():
 
 
 def test_degenerate_splits_on_request():
-    d = parse("+1 -1")
-    degenerate = [s for s in find_splits(d, include_degenerate=True) if s.gap_a == s.gap_b]
-    assert [(s.gap_a, s.side_sizes) for s in degenerate] == [(0, (0, 1)), (1, (0, 1))]
-    empty = find_splits(GaussDiagram(()), include_degenerate=True)
-    assert [(s.gap_a, s.gap_b) for s in empty] == [(0, 0)]
-
-
-@pytest.mark.parametrize("flag", ["no", 0, 1, None])
-def test_find_splits_rejects_an_include_degenerate_that_is_not_a_bool(flag):
-    with pytest.raises(ValueError, match="^include_degenerate must be True or False"):
-        find_splits(parse("+1 -1 +2 -2"), include_degenerate=flag)
+    """`find_splits` lists no same-gap pair; `prime --all-splits` adds
+    one row (g, g) per gap of the minimal diagram, whose first side is
+    empty, in (gap_a, gap_b) order with the nontrivial splits."""
+    assert [s for s in find_splits(parse("+1 -1")) if s.gap_a == s.gap_b] == []
+    for code in ("+1 -1", "0"):
+        assert run_cli(["prime", "--all-splits", code]) == (
+            0,
+            "trivial minimal=0 cr=0\nsplit gap_a=0 gap_b=0 sides=0,0\n",
+        )
+    code, out = run_cli(["prime", "--all-splits", "+1 +2 -1 -2 +3 +4 -3 -4"])
+    assert code == 0
+    assert out.splitlines() == [
+        "composite minimal=+1 +2 -1 -2 +3 +4 -3 -4 cr=4 split=(0,4) sides=2,2",
+        "split gap_a=0 gap_b=0 sides=0,4",
+        "split gap_a=0 gap_b=4 sides=2,2",
+    ] + [f"split gap_a={g} gap_b={g} sides=0,4" for g in range(1, 8)]
 
 
 @pytest.mark.parametrize("flag", ["no", 0, 1, None])
@@ -171,9 +178,8 @@ def test_equivalent_rejects_a_with_certificate_that_is_not_a_bool(flag):
 
 
 def test_find_splits_matches_brute_force():
-    """Gaps, side sizes and order, with and without the degenerate splits,
-    on random diagrams up to 16 arrows and on connected sums, which always
-    split."""
+    """Gaps, side sizes and order on random diagrams up to 16 arrows and
+    on connected sums, which always split."""
     rng = random.Random(42)
     diagrams = [random_diagram(rng, rng.randint(0, 6)) for _ in range(300)]
     diagrams += [random_diagram(rng, rng.randint(7, 16)) for _ in range(300)]
@@ -188,26 +194,18 @@ def test_find_splits_matches_brute_force():
         )
     nontrivial = 0
     for d in diagrams:
-        for degenerate in (False, True):
-            got = [
-                (s.gap_a, s.gap_b, s.side_sizes)
-                for s in find_splits(d, include_degenerate=degenerate)
-            ]
-            assert got == brute_force_splits(d, include_degenerate=degenerate)
-            if not degenerate:
-                nontrivial += len(got)
+        got = [(s.gap_a, s.gap_b, s.side_sizes) for s in find_splits(d)]
+        assert got == brute_force_splits(d)
+        nontrivial += len(got)
     assert nontrivial >= 1000
 
 
 def test_find_splits_matches_oracle_in_every_rotation_small_n():
-    """Every n <= 5 word in every rotation, and with the degenerate
-    splits in its canonical rotation.  A verdict's witness, found without
-    listing the splits, is the first split listed."""
+    """Every n <= 5 word in every rotation.  A verdict's witness, found
+    without listing the splits, is the first split listed."""
     nontrivial = 0
     for n in range(6):
         for d in enumerate_diagrams(n):
-            got = find_splits(d, include_degenerate=True)
-            assert got == find_splits_oracle(d, include_degenerate=True), d.word
             for r in range(d.size):
                 rotated = GaussDiagram(d.word[r:] + d.word[:r])
                 got = find_splits(rotated)
@@ -218,27 +216,14 @@ def test_find_splits_matches_oracle_in_every_rotation_small_n():
 
 
 def test_find_splits_matches_oracle_on_random_words():
-    """20,000 seeded random words with up to 16 arrows, every tenth with
-    the degenerate splits too.  Half of them are two random words joined
-    end to end and rotated, so they split.  A verdict's witness is the
-    first nontrivial split listed."""
-    rng = random.Random(71)
+    """20,000 seeded random words with up to 16 arrows.  Half of them are
+    two random words joined end to end and rotated, so they split.  A
+    verdict's witness is the first split listed."""
     nontrivial = 0
-    for i in range(20000):
-        n = rng.randint(0, 16)
-        if n >= 2 and i % 2:
-            k = rng.randint(1, n - 1)
-            w2 = random_diagram(rng, n - k).word
-            word = random_diagram(rng, k).word + tuple(t + k if t > 0 else t - k for t in w2)
-            r = rng.randrange(2 * n)
-            d = GaussDiagram(word[r:] + word[:r])
-        else:
-            d = random_diagram(rng, n)
-        degenerate = i % 10 == 0
-        got = find_splits(d, include_degenerate=degenerate)
-        assert got == find_splits_oracle(d, include_degenerate=degenerate), d.word
-        first = next((s for s in got if s.gap_a < s.gap_b), None)
-        assert _minimal_verdict(d).witness == first, d.word
+    for d in random_split_prone_diagrams(random.Random(71), 20000):
+        got = find_splits(d)
+        assert got == find_splits_oracle(d), d.word
+        assert _minimal_verdict(d).witness == (got[0] if got else None), d.word
         nontrivial += len(got)
     assert nontrivial > 20000
 

@@ -25,7 +25,7 @@ from flatknots import (
     serialize,
 )
 from flatknots import diagram
-from flatknots.diagram import HEAD, TAIL, canonical_word
+from flatknots.diagram import canonical_word
 from flatknots.moves import (
     FR1_REMOVE,
     FR2_REMOVE,
@@ -39,6 +39,8 @@ from flatknots.moves import (
     canonical_pattern,
 )
 from conftest import (
+    HEAD,
+    TAIL,
     _fr2_block_move,
     _fr3_blocks_at,
     _fr3_structural,
@@ -860,9 +862,14 @@ def test_inverse_rejects_a_move_with_the_wrong_number_of_positions(move):
 
 @pytest.mark.parametrize("pre_size", [-5, -2, 3, True, False, 4.0, "4", None], ids=repr)
 def test_inverse_rejects_a_pre_size_that_is_not_a_non_negative_even_int(pre_size):
-    with pytest.raises(ValueError, match="^pre_size must be a non-negative even integer") as info:
+    with pytest.raises(ValueError) as info:
         inverse(Move("fr1-insert", "th", (0,)), pre_size)
-    assert "\n" not in str(info.value)
+    if type(pre_size) is not int:
+        assert str(info.value) == f"pre_size must be an integer, not {pre_size!r}"
+    elif pre_size < 0:
+        assert str(info.value) == "pre_size must be >= 0"
+    else:
+        assert str(info.value) == f"pre_size must be even, not {pre_size}"
 
 
 @pytest.mark.parametrize(
