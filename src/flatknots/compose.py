@@ -27,6 +27,7 @@ from .diagram import (
     _canonical,
     _check_diagram,
     _check_int,
+    _check_type,
     _first_split,
     _trusted,
     canonical_sort_key,
@@ -50,6 +51,8 @@ def connected_sum(b1: BasedDiagram, b2: BasedDiagram) -> GaussDiagram:
 
     Both words are read counterclockwise, so orientations match by
     construction; crossing counts add."""
+    _check_type(b1, "b1", BasedDiagram)
+    _check_type(b2, "b2", BasedDiagram)
     w1 = rebase(b1.diagram, b1.base).word
     w2 = rebase(b2.diagram, b2.base).word
     n1 = b1.diagram.n

@@ -52,10 +52,15 @@ def _check_flag(value, name: str) -> None:
         raise ValueError(f"{name} must be True or False, not {value!r}")
 
 
+def _check_type(value, name: str, kind: type) -> None:
+    """A one-line ValueError unless value is an instance of kind."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, not {value!r}")
+
+
 def _check_diagram(value, name: str) -> None:
     """A one-line ValueError unless value is a GaussDiagram."""
-    if not isinstance(value, GaussDiagram):
-        raise ValueError(f"{name} must be a GaussDiagram, not {value!r}")
+    _check_type(value, name, GaussDiagram)
 
 
 def _validate_word(word: tuple[int, ...]) -> None:
@@ -156,6 +161,7 @@ class Split:
 
 def parse(text: str) -> GaussDiagram:
     """Parse a Gauss code: whitespace-separated ``+k``/``-k`` tokens, or "0"."""
+    _check_type(text, "text", str)
     tokens = text.split()
     if not tokens:
         raise MalformedToken("empty Gauss code")
@@ -180,8 +186,23 @@ def serialize(d: GaussDiagram) -> str:
     return " ".join([f"+{t}" if t > 0 else f"-{-t}" for t in d.word])
 
 
+# _NEG[k] is -k: one shared int per head label, so the canonical words
+# the memo keeps share their heads instead of each holding fresh ints
+# (CPython caches only -5..256).  It grows only by rebinding the name to
+# a longer tuple that starts with the old one, never in place, so a
+# reader always holds a whole table; two threads growing it at once may
+# leave a few labels unshared, never wrong.
+_NEG: tuple[int, ...] = tuple(-k for k in range(257))
+
+
 def _first_appearance(tokens) -> tuple[int, ...]:
-    """tokens with their arrows relabeled 1, 2, ... by first appearance."""
+    """tokens with their arrows relabeled 1, 2, ... by first appearance;
+    each head label is read from _NEG."""
+    global _NEG
+    neg = _NEG
+    if len(tokens) >= len(neg):  # no label exceeds the token count
+        grown = range(len(neg), max(2 * len(neg), len(tokens) + 1))
+        neg = _NEG = neg + tuple([-k for k in grown])
     relab: dict[int, int] = {}
     out = []
     for t in tokens:
@@ -189,7 +210,7 @@ def _first_appearance(tokens) -> tuple[int, ...]:
         lab = relab.get(a)
         if lab is None:
             lab = relab[a] = len(relab) + 1
-        out.append(lab if t > 0 else -lab)
+        out.append(lab if t > 0 else neg[lab])
     return tuple(out)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import GaussDiagram, _check_diagram, _check_int
+from .diagram import GaussDiagram, _check_diagram, _check_int, _check_type
 
 
 class UnknownArrow(ValueError):
@@ -28,6 +28,7 @@ class UPolynomial:
 
     @classmethod
     def from_dict(cls, coeffs: dict[int, int]) -> "UPolynomial":
+        _check_type(coeffs, "coeffs", dict)
         for k in coeffs:
             _check_int(k, "u-polynomial exponents", 1)
         return cls(tuple(sorted((k, c) for k, c in coeffs.items() if c != 0)))

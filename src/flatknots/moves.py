@@ -29,6 +29,7 @@ from .diagram import (
     GaussDiagram,
     _check_diagram,
     _check_int,
+    _check_type,
     _first_appearance,
     _offsets,
     _trusted,
@@ -106,6 +107,32 @@ class Move:
         return f"{self.kind} {self.variant} [{pos}]"
 
 
+# One Move per FR1/FR2 value: (kind, variant, positions) -> its Move.
+# Memo links and certificates hold the same few removals and inserts many
+# times over, so they share one object each instead of holding copies.
+_SHARED: dict[tuple, Move] = {}
+
+
+def _move(kind: str, variant: str | int, positions: tuple[int, ...]) -> Move:
+    """The Move of these fields: the one shared object for an FR1 or FR2
+    removal or insert, a new object for an FR3 move.
+
+    A move's positions lie below the size S of the word it applies to, so
+    the moves on words of S endpoints fill at most 2S FR1 removals, 2S
+    FR1 inserts, 4S^2 FR2 removals and 4S^2 FR2 inserts of the table: it
+    grows as O(S^2) in the largest word size, whatever the number of
+    words.  FR3 moves are not shared: there are O(S^3) of them, and the
+    orbit scans drop each one at once.  setdefault is atomic, so racing
+    callers get the same object."""
+    if kind == FR3:
+        return Move(kind, variant, positions)
+    key = (kind, variant, positions)
+    m = _SHARED.get(key)
+    if m is None:
+        m = _SHARED.setdefault(key, Move(kind, variant, positions))
+    return m
+
+
 # ---------------------------------------------------------------------------
 # FR1 and FR2 removals
 # ---------------------------------------------------------------------------
@@ -127,7 +154,7 @@ def _removal_at(word: tuple[int, ...], size: int, back: list[int], a0: int) -> M
     a1 = (a0 + 1) % size
     ta = word[a0]
     if back[a1] == 1:
-        return Move(FR1_REMOVE, "th" if ta > 0 else "ht", (a0, a1))
+        return _move(FR1_REMOVE, "th" if ta > 0 else "ht", (a0, a1))
     tb = word[a1]
     if (ta > 0) == (tb > 0):
         return None  # the block must mix a tail and a head
@@ -142,7 +169,7 @@ def _removal_at(word: tuple[int, ...], size: int, back: list[int], a0: int) -> M
         return None
     b0 %= size
     roles = ("t" if ta > 0 else "h") + ("t" if tb > 0 else "h")
-    return Move(FR2_REMOVE, arrangement + roles, (a0, a1, b0, (b0 + 1) % size))
+    return _move(FR2_REMOVE, arrangement + roles, (a0, a1, b0, (b0 + 1) % size))
 
 
 def _decreasing_sites(word: tuple[int, ...], back: list[int]):
@@ -501,6 +528,7 @@ def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
     _fr3_sites's _fr3_shape_table, returns exactly m at m's positions.
     Then _perform makes the move."""
     _check_diagram(d, "d")
+    _check_type(m, "m", Move)
     word, size = d.word, d.size
     _check_shape(m, size, SiteMismatch)
     kind, positions = m.kind, m.positions
@@ -540,6 +568,7 @@ def inverse(m: Move, pre_size: int) -> Move:
     diagram.  Positions refer to the literal post-move word of apply.
     m must have the shape _check_shape asks for on pre_size endpoints;
     whether the word holds m is not asked."""
+    _check_type(m, "m", Move)
     _check_int(pre_size, "pre_size", 0)
     if pre_size % 2:
         raise ValueError(f"pre_size must be even, not {pre_size}")
@@ -549,27 +578,27 @@ def inverse(m: Move, pre_size: int) -> Move:
 
 def _invert(m: Move, pre_size: int) -> Move:
     """inverse without its checks, for a move already known legal on a
-    word of pre_size endpoints."""
+    word of pre_size endpoints; FR1 and FR2 results are shared (_move)."""
     if m.kind == FR1_INSERT:
         g = m.positions[0]
-        return Move(FR1_REMOVE, m.variant, (g, g + 1))
+        return _move(FR1_REMOVE, m.variant, (g, g + 1))
 
     if m.kind == FR1_REMOVE:
         gap = _vacated_gap((m.positions[0], m.positions[1]), m.positions, pre_size)
-        return Move(FR1_INSERT, m.variant, (gap,))
+        return _move(FR1_INSERT, m.variant, (gap,))
 
     if m.kind == FR2_INSERT:
         ga, gb = m.positions
         if ga <= gb:
-            return Move(FR2_REMOVE, m.variant, (ga, ga + 1, gb + 2, gb + 3))
-        return Move(FR2_REMOVE, _swap_ab_variant(m.variant), (gb, gb + 1, ga + 2, ga + 3))
+            return _move(FR2_REMOVE, m.variant, (ga, ga + 1, gb + 2, gb + 3))
+        return _move(FR2_REMOVE, _swap_ab_variant(m.variant), (gb, gb + 1, ga + 2, ga + 3))
 
     if m.kind == FR2_REMOVE:
         a0, a1, b0, b1 = m.positions
         gap_a = _vacated_gap((a0, a1), m.positions, pre_size)
         gap_b = _vacated_gap((b0, b1), m.positions, pre_size)
         if gap_a != gap_b:
-            return Move(FR2_INSERT, m.variant, (gap_a, gap_b))
+            return _move(FR2_INSERT, m.variant, (gap_a, gap_b))
         # the two blocks collapsed into one gap: the reconstruction lists
         # first whichever block led the removed run
         removed = set(m.positions)
@@ -580,6 +609,6 @@ def _invert(m: Move, pre_size: int) -> Move:
             wrapped = [p0 for p0, p1 in ((a0, a1), (b0, b1)) if p1 < p0]
             lead = wrapped[0] if wrapped else 0
         variant = m.variant if lead in (a0, a1) else _swap_ab_variant(m.variant)
-        return Move(FR2_INSERT, variant, (gap_a, gap_b))
+        return _move(FR2_INSERT, variant, (gap_a, gap_b))
 
     return Move(FR3, build_fr3_catalog()[m.variant].inverse_id, m.positions)

@@ -23,6 +23,7 @@ from .diagram import (
     _check_diagram,
     _check_flag,
     _check_int,
+    _check_type,
     _offsets,
     _trusted,
     canonical_sort_key,
@@ -107,6 +108,7 @@ class MoveTrace:
 def replay_trace(trace: MoveTrace) -> GaussDiagram:
     """Replay steps from the start code, canonicalizing between steps;
     raises SiteMismatch on a bad step and TraceMismatch on a bad end."""
+    _check_type(trace, "trace", MoveTrace)
     cur = canonical_word(parse(trace.start).word)
     for m in trace.steps:
         nxt = mv.apply(_trusted(cur), m)
@@ -130,14 +132,18 @@ def replay_trace(trace: MoveTrace) -> GaussDiagram:
 # empty, then one decreasing move), each applying to the canonical
 # representative of its pre-move diagram and each result canonicalizing
 # at rotation offset r; the last result is the next word, the same tuple
-# as that word's key.  The path from a canonical word depends only on the
-# word and the budget, so a link is exact.  Policy: a reduction stops at
-# the first entry it finds; a trace or certificate is read afterwards
-# from the stored links (_trace), and each link is written after its next
-# word's entry.  One dict per budget means an entry found under one
-# --max-orbit never answers a call under another.  _reduce_word takes its
-# budget's dict once per call with setdefault, which is atomic, so racing
-# callers lose no writes; values are pure, so racing writers are harmless.
+# as that word's key.  Entries hold shared objects, not copies: each head
+# label of a word is diagram._NEG's int, and each FR1/FR2 move of a link
+# (or of a certificate) is the one Move that moves._move hands out for its
+# value; only the FR3 moves of a scanned path are their own objects.  The
+# path from a canonical word depends only on the word and the budget, so
+# a link is exact.  Policy: a reduction stops at the first entry it finds;
+# a trace or certificate is read afterwards from the stored links
+# (_trace), and each link is written after its next word's entry.  One
+# dict per budget means an entry found under one --max-orbit never
+# answers a call under another.  _reduce_word takes its budget's dict
+# once per call with setdefault, which is atomic, so racing callers lose
+# no writes; values are pure, so racing writers are harmless.
 # Only _reduce_word writes entries; catalog._records scans orbits itself
 # and leaves the memo as it found it.
 _memo: dict = {}
@@ -329,16 +335,18 @@ def _chain(word: tuple[int, ...], max_nodes: int):
 def _reversed_steps(links) -> list[mv.Move]:
     """Inverse steps of stored links, in reverse order, with positions
     translated into the canonical frame replay uses.  Each move's pre-move
-    size, result size and offset are known, so nothing is applied."""
+    size, result size and offset are known, so nothing is applied.  FR1
+    and FR2 steps are the shared moves of `moves._move`."""
     out = []
     for link in reversed(links):
         post = len(link[0])
         size = post - 2 * link[-2].delta  # every move of a link starts at this size
         for i in range(len(link) - 2, 0, -2):
             inv = mv._invert(link[i], size)
-            if post:
-                r = link[i + 1]
-                inv = mv.Move(inv.kind, inv.variant, tuple([(p - r) % post for p in inv.positions]))
+            r = link[i + 1]
+            if r:  # an inverse's positions already lie in 0..post - 1
+                positions = tuple([(p - r) % post for p in inv.positions])
+                inv = mv._move(inv.kind, inv.variant, positions)
             out.append(inv)
             post = size
     return out

@@ -344,6 +344,45 @@ def test_a_diagram_argument_that_is_not_a_gauss_diagram_is_refused(name, positio
     assert str(info.value) == f"{param} must be a GaussDiagram, not {value!r}"
 
 
+# one argument of each public function that takes a based diagram, a
+# trace, a move, a code or a coefficient dict: the call, a good value and
+# a bad one; each bad value raised an AttributeError (... has no
+# attribute 'diagram', 'start', 'kind', 'split' or 'items')
+_MOVE = flatknots.Move("fr1-insert", "th", (0,))
+WRONG_TYPES = {
+    "connected_sum": (
+        lambda b: flatknots.connected_sum(b, flatknots.BasedDiagram(D)),
+        flatknots.BasedDiagram(D),
+        "+1 -1",
+        "b1 must be a BasedDiagram, not '+1 -1'",
+    ),
+    "replay_trace": (
+        flatknots.replay_trace,
+        flatknots.MoveTrace("0", (_MOVE,), "+1 -1"),
+        "x",
+        "trace must be a MoveTrace, not 'x'",
+    ),
+    "inverse": (lambda m: flatknots.inverse(m, 2), _MOVE, "x", "m must be a Move, not 'x'"),
+    "apply": (lambda m: flatknots.apply(D, m), _MOVE, "x", "m must be a Move, not 'x'"),
+    "parse": (flatknots.parse, "+1 -1", None, "text must be a str, not None"),
+    "UPolynomial.from_dict": (
+        flatknots.UPolynomial.from_dict,
+        {1: 2},
+        [1],
+        "coeffs must be a dict, not [1]",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TYPES))
+def test_an_argument_of_the_wrong_type_is_refused_in_one_line(name):
+    call, good, bad, text = WRONG_TYPES[name]
+    call(good)
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    assert str(info.value) == text
+
+
 @pytest.mark.parametrize("name", sorted(LIMITED))
 def test_none_and_an_orbit_limits_give_the_default_answer(name):
     fn, args = getattr(flatknots, name), LIMITED[name]

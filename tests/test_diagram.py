@@ -1,6 +1,8 @@
 import itertools
 import pickle
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from flatknots import (
     rebase,
     serialize,
 )
+from flatknots import diagram, moves
 from flatknots.compose import _minimal_verdict
 from flatknots.diagram import _canonical, _first_appearance, _offsets
 from flatknots.moves import _decreasing_sites, _perform
@@ -288,6 +291,91 @@ def test_canon_holds_the_canonical_word_and_its_offsets():
         canon = GaussDiagram(word)._canon
         assert canon[0] == canonical_oracle(word)[0], word
         assert canon[1] == _offsets(canon[0]), word
+
+
+def test_canonical_reads_every_head_label_from_the_shared_table(monkeypatch):
+    """_canonical matches the oracle on seeded random words, some with
+    arbitrary distinct labels as a move leaves them, and on one word of
+    300 arrows.  Started from a table of eight labels, diagram._NEG grows
+    by rebinding to a longer tuple that keeps its old objects, and every
+    head label of every result is the final table's object."""
+    old = diagram._NEG[:8]
+    monkeypatch.setattr(diagram, "_NEG", old)
+    rng = random.Random(35)
+    words = []
+    for _ in range(200):
+        word = random_diagram(rng, rng.randint(1, 20)).word
+        if rng.random() < 0.5:
+            labels = rng.sample(range(1, 10**6), len(word) // 2)
+            word = tuple(labels[t - 1] if t > 0 else -labels[-t - 1] for t in word)
+        words.append(word)
+    words.append(random_diagram(rng, 300).word)
+    results = []
+    for word in words:
+        _assert_matches_oracle(word)
+        results.append(_canonical(word)[0])
+    table = diagram._NEG
+    assert len(table) > 300 and all(table[k] is old[k] for k in range(8))
+    assert all(t is table[-t] for canon in results for t in canon if t < 0)
+    assert any(t < -256 for t in results[-1])  # past CPython's small ints
+
+
+def test_shared_tables_stay_whole_when_threads_grow_them(monkeypatch):
+    """Eight threads, switching every microsecond, canonicalize words that
+    grow diagram._NEG from eight labels to past 400, 30 times over from a
+    common start, and ask moves._move for the same 420 FR2 inserts, none
+    of them shared yet.  Every word canonicalizes as it does on one
+    thread, the table reads _NEG[k] == -k at every k after every round,
+    and all threads get one object per move."""
+    rng = random.Random(36)
+    words = [random_diagram(rng, n).word for n in range(4, 210, 6)]
+    want = [_canonical(w)[0] for w in words]
+    fields = [
+        (moves.FR2_INSERT, v, (ga, gb))
+        for v in moves.FR2_VARIANTS
+        for ga in range(10**6, 10**6 + 14)
+        for gb in range(ga, 10**6 + 14)
+    ]
+    assert len(fields) == 420 and not any(f in moves._SHARED for f in fields)
+    start = diagram._NEG[:8]
+    tables = []
+
+    def next_round():  # run by one thread while the others wait
+        tables.append(diagram._NEG)
+        monkeypatch.setattr(diagram, "_NEG", start)
+
+    rounds = 30
+    barrier = threading.Barrier(8, action=next_round, timeout=60)
+    results, errors = {}, []
+
+    def work(i):
+        try:
+            shared = [moves._move(*f) for f in fields]
+            for _ in range(rounds):
+                barrier.wait()
+                got = [_canonical(w)[0] for w in words]
+                assert got == want
+            barrier.wait()
+            results[i] = shared
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads) and len(results) == 8
+    assert len(tables) == rounds + 1
+    for table in tables[1:]:
+        assert len(table) > 400 and all(table[k] == -k for k in range(len(table)))
+    for j in range(len(fields)):
+        assert len({id(shared[j]) for shared in results.values()}) == 1
 
 
 def test_a_computed_canonical_form_is_not_part_of_the_value():

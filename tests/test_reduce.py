@@ -674,6 +674,46 @@ def test_the_memo_keeps_one_dict_of_canonical_words_per_budget(monkeypatch):
     assert wide._canon[0] in default and wide._canon[0] not in reduce._memo[3]
 
 
+def _scrambled(rng: random.Random, d: GaussDiagram) -> GaussDiagram:
+    """d after a few random FR1/FR2 inserts and FR3 moves."""
+    for _ in range(rng.randint(1, 4)):
+        sites = moves.enumerate_fr3(d) if rng.random() < 0.3 else []
+        d = apply(d, rng.choice(sites or enumerate_increasing(d)))
+    return d
+
+
+def test_certified_equivalences_share_their_fr1_fr2_moves_and_head_labels(monkeypatch):
+    """After 80 seeded certified equivalences, each FR1/FR2 move value in
+    the memo links and the certificates is one object, the one
+    `moves._SHARED` holds; each head label of a memo key is
+    `diagram._NEG`'s object; and the shared table holds no FR3 move,
+    though the links and certificates hold some."""
+    monkeypatch.setattr(reduce, "_memo", {})
+    rng = random.Random(35)
+    pairs = []
+    for _ in range(80):
+        base = random_diagram(rng, rng.randint(3, 7))
+        pairs.append((_scrambled(rng, base), _scrambled(rng, base)))
+    # two kinked members of a two-node minimal FR3 orbit need a bridge
+    orbit = fr3_orbit(parse("+1 +2 -1 -2 +3 +4 -3 +5 -4 -5"))
+    pairs.append(tuple(parse(f"+6 -6 {code} +7 -7") for code in orbit))
+    held = []
+    for d1, d2 in pairs:
+        same, cert = equivalent(d1, d2, with_certificate=True)
+        assert same
+        held += cert.steps
+    (memo,) = reduce._memo.values()
+    held += [m for value in memo.values() if len(value) > 2 for m in value[3::2]]
+    fr3 = [m for m in held if m.kind == moves.FR3]
+    shared = [m for m in held if m.kind != moves.FR3]
+    assert fr3 and len(shared) > len({(m.kind, m.variant, m.positions) for m in shared})
+    assert all(moves._SHARED[m.kind, m.variant, m.positions] is m for m in shared)
+    assert all(m.kind != moves.FR3 for m in moves._SHARED.values())
+    heads = [t for w in memo for t in w if t < 0]
+    assert min(heads) < -5  # past CPython's small ints
+    assert all(t is diagram._NEG[-t] for t in heads)
+
+
 def test_reduce_matches_oracle_small_n_exhaustive(monkeypatch):
     diagrams = [d for n in range(6) for d in enumerate_diagrams(n)]
     assert len(diagrams) == 3274
