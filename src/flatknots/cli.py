@@ -229,14 +229,22 @@ def _cmd_verify_superadd(args) -> int:
 
 def _cmd_tabulate(args) -> int:
     # write_catalog owns the --out file and renames it into place after the
-    # last record.  This command owns stdout: each record's stdout form goes
-    # to an anonymous temp file as the record passes on to write_catalog, and
-    # is copied to stdout only after the last record, so an orbit budget
-    # error leaves stdout empty and the --out file untouched.  The text form
-    # is the catalog line itself.  The JSON form has sorted keys, so
-    # "records" comes last: its text is the object with no records up to
-    # the closing "]}", each record, "]}".
+    # last record.  This command owns stdout, and writes nothing there
+    # until the last record is made, so an orbit budget error leaves stdout
+    # empty and the --out file untouched.  The text form is the catalog
+    # itself: with --out it is copied from the file once write_catalog has
+    # put it in place, so each line is built once; without, each line goes
+    # to an anonymous temp file, copied to stdout after the last record.
+    # The JSON form goes to that temp file, record by record as each passes
+    # on to write_catalog.  It has sorted keys, so "records" comes last:
+    # its text is the object with no records up to the closing "]}", each
+    # record, "]}".
     as_json = args.format == "json"
+    if args.out is not None and not as_json:
+        write_catalog(_records(args.n, args.limits), args.out, args.n)
+        with open(args.out, encoding="utf-8", newline="\n") as fh:
+            shutil.copyfileobj(fh, sys.stdout)
+        return 0
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as shown:
 
         def shown_records():

@@ -29,6 +29,7 @@ from .diagram import (
     _check_int,
     _check_type,
     _first_split,
+    _key,
     _trusted,
     canonical_sort_key,
     rebase,
@@ -36,7 +37,6 @@ from .diagram import (
 )
 from .reduce import (
     OrbitLimits,
-    _full_orbit,
     _max_nodes,
     _reduce_word,
 )
@@ -110,7 +110,7 @@ def is_composite(d: GaussDiagram, limits: OrbitLimits | None = None) -> Composit
     """Classify as trivial, prime, or composite by reducing and looking
     for a nontrivial split of the minimal diagram."""
     _check_diagram(d, "d")
-    min_word = _reduce_word(*d._canon, _max_nodes(limits))
+    min_word = _reduce_word(*d._canon, _max_nodes(limits))[0]
     return _minimal_verdict(_trusted(min_word))
 
 
@@ -169,7 +169,7 @@ def verify_superadditivity(
     _check_int(sample_size, "sample_size", 1)
     _check_int(seed, "seed")
     max_nodes = _max_nodes(limits)
-    c1, c2 = (len(_reduce_word(*d._canon, max_nodes)) // 2 for d in (d1, d2))
+    c1, c2 = (len(_reduce_word(*d._canon, max_nodes)[0]) // 2 for d in (d1, d2))
     inputs_minimal = c1 == d1.n and c2 == d2.n
 
     pairs = _gap_pairs(d1, d2)
@@ -184,9 +184,10 @@ def verify_superadditivity(
     class_ids: dict[tuple[int, ...], int] = {}
     prelim = []
     for w in sorted(member_words, key=canonical_sort_key):
-        min_word = _reduce_word(w, member_words[w][0], max_nodes)
+        back = member_words[w][0]
+        min_word, orbit = _reduce_word(w, back, _key(w, back), max_nodes)
         cr = len(min_word) // 2
-        cls = _full_orbit(min_word, max_nodes)[0]
+        cls = orbit[0]
         prelim.append((serialize(_trusted(w)), cr, cls, 2 * cr == len(w)))
         class_ids.setdefault(cls, 0)
     for i, cls in enumerate(sorted(class_ids, key=canonical_sort_key), start=1):

@@ -109,15 +109,15 @@ class GaussDiagram:
         return len(self.word)
 
     @cached_property
-    def _canon(self) -> tuple[tuple[int, ...], list[int]]:
-        """(canonical word, its partner offsets) from one `_canonical`
-        call, made the first time it is read; every public entry point
-        starts from it, so a diagram passed to several is canonicalized
-        once.  The word is an immutable tuple, so the pair is never stale.
-        It is not a field: equality, hash and repr ignore it.  Readers
-        must not change the offsets list."""
+    def _canon(self) -> tuple[tuple[int, ...], list[int], bytes]:
+        """(canonical word, its partner offsets, its memo key `_key`) from
+        one `_canonical` call, made the first time it is read; every
+        public entry point starts from it, so a diagram passed to several
+        is canonicalized and keyed once.  The word is an immutable tuple,
+        so the triple is never stale.  It is not a field: equality, hash
+        and repr ignore it.  Readers must not change the offsets list."""
         word, _, back = _canonical(self.word)
-        return word, back
+        return word, back, _key(word, back)
 
     def __str__(self) -> str:
         return serialize(self)
@@ -186,12 +186,12 @@ def serialize(d: GaussDiagram) -> str:
     return " ".join([f"+{t}" if t > 0 else f"-{-t}" for t in d.word])
 
 
-# _NEG[k] is -k: one shared int per head label, so the canonical words
-# the memo keeps share their heads instead of each holding fresh ints
-# (CPython caches only -5..256).  It grows only by rebinding the name to
-# a longer tuple that starts with the old one, never in place, so a
-# reader always holds a whole table; two threads growing it at once may
-# leave a few labels unshared, never wrong.
+# _NEG[k] is -k: one shared int per head label, so the labeled words the
+# memo keeps, the words of minimal orbits, share their heads instead of
+# each holding fresh ints (CPython caches only -5..256).  It grows only by
+# rebinding the name to a longer tuple that starts with the old one, never
+# in place, so a reader always holds a whole table; two threads growing it
+# at once may leave a few labels unshared, never wrong.
 _NEG: tuple[int, ...] = tuple(-k for k in range(257))
 
 
@@ -232,12 +232,12 @@ def _offsets(word: tuple[int, ...]) -> list[int]:
     return back
 
 
-def _canonical(word: tuple[int, ...]) -> tuple[tuple[int, ...], int, list[int]]:
-    """Canonical rotation of a word: relabel each rotation by first
-    appearance, encode tail < head, and keep the lexicographic minimum.
-    Returns (canonical word, smallest rotation offset achieving it, the
-    canonical word's _offsets).  The word may carry any distinct nonzero
-    arrow labels, as a move leaves them before relabeling.
+def _least_rotation(word: tuple[int, ...]) -> tuple[tuple[int, ...], int, list[int]]:
+    """The rank scan of `_canonical`: (the rotation of word that relabels
+    to the canonical word, its labels as given; the smallest offset r of
+    such a rotation; the rotation's _offsets).  The offsets and the signs
+    of the rotation do not depend on its labels, so they pin the
+    canonical word without a relabel (`_key`).
 
     Two rotations whose relabeled prefixes agree compare at the next
     offset by rank alone: an endpoint whose partner lies b positions back
@@ -245,11 +245,11 @@ def _canonical(word: tuple[int, ...]) -> tuple[tuple[int, ...], int, list[int]]:
     label), and an endpoint opening a new arrow ranks 0 as a tail, 1 as a
     head.  So every rotation starting at a tail is kept, then offset by
     offset only those of least rank; the survivor, or the smallest offset
-    of a tie, is relabeled once.  One pass per offset keeps the least rank
-    seen and the rotations, in offset order, that reach it.  The scan
-    reads the offsets and the word doubled, so that a rotation's offset
-    never wraps, and the canonical word's offsets are one slice of them:
-    the reduction reads its sites there."""
+    of a tie, wins.  One pass per offset keeps the least rank seen and the
+    rotations, in offset order, that reach it.  The scan reads the offsets
+    and the word doubled, so that a rotation's offset never wraps, and the
+    winner and its offsets are one slice of them: the reduction reads its
+    sites there."""
     length = len(word)
     if length == 0:
         return (), 0, []
@@ -271,7 +271,37 @@ def _canonical(word: tuple[int, ...]) -> tuple[tuple[int, ...], int, list[int]]:
                 tied.append(r)
         kept = tied
     r = kept[0]
-    return _first_appearance(doubled[r : r + length]), r, back[r : r + length]
+    return doubled[r : r + length], r, back[r : r + length]
+
+
+def _canonical(word: tuple[int, ...]) -> tuple[tuple[int, ...], int, list[int]]:
+    """Canonical rotation of a word: relabel each rotation by first
+    appearance, encode tail < head, and keep the lexicographic minimum.
+    Returns (canonical word, smallest rotation offset achieving it, the
+    canonical word's _offsets).  The word may carry any distinct nonzero
+    arrow labels, as a move leaves them before relabeling.  The rotation
+    comes from `_least_rotation`, and only it is relabeled."""
+    rotation, r, back = _least_rotation(word)
+    return _first_appearance(rotation), r, back
+
+
+def _key(word: tuple[int, ...], back: list[int]) -> bytes:
+    """The key of a canonical rotation and its partner offsets in the
+    reduction memo (`reduce._memo`): the offsets, then one byte per
+    endpoint, 1 for a head and 0 for a tail.
+
+    The offsets and signs do not depend on labels, and they give the
+    canonical word back: reading left to right, an endpoint whose partner
+    offset reaches no further back than position 0 closes the arrow
+    opened there, and any other opens the next label.  So two canonical
+    rotations have one key exactly when they relabel to one word.  A word
+    of L <= 256 endpoints has offsets below 256, one byte each, and a key
+    of 2L <= 512 bytes; a longer one takes four bytes per offset, a key of
+    5L > 1,280 bytes, so the two widths never meet."""
+    signs = bytes([t < 0 for t in word])
+    if len(word) <= 256:
+        return bytes(back) + signs
+    return b"".join([b.to_bytes(4, "little") for b in back]) + signs
 
 
 def canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:

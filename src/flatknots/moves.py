@@ -176,7 +176,8 @@ def _decreasing_sites(word: tuple[int, ...], back: list[int]):
     """Yield the decreasing FR1 and FR2 sites of word in Move.sort_key
     order, building each only when it is asked for; back holds word's
     partner offsets (diagram._offsets, or the third item of
-    diagram._canonical).
+    diagram._least_rotation or diagram._canonical).  Only the signs of
+    word are read, so its labels may be any.
 
     A start position holds at most one site, the one _removal_at finds
     there.  A kept site's base (its least position) is its first block's
@@ -491,7 +492,9 @@ def _perform(word: tuple[int, ...], m: Move) -> tuple[int, ...]:
     """The word a legal move m leaves, labels not renormalized: removals
     slice their endpoints out (an FR1 block (size - 1, 0) that wraps
     leaves word[1:-1]), FR3 swaps the two endpoints of each block, and
-    inserts add fresh arrows n + 1 (and n + 2).  m is not checked."""
+    inserts add fresh arrows n + 1 (and n + 2).  m is not checked.
+    Removals and FR3 read no label, so they take a word in any labels;
+    an insert needs labels 1..n."""
     kind, positions = m.kind, m.positions
     if kind == FR3:
         out = list(word)

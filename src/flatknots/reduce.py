@@ -24,6 +24,9 @@ from .diagram import (
     _check_flag,
     _check_int,
     _check_type,
+    _first_appearance,
+    _key,
+    _least_rotation,
     _offsets,
     _trusted,
     canonical_sort_key,
@@ -123,44 +126,50 @@ def replay_trace(trace: MoveTrace) -> GaussDiagram:
 # FR3 orbit search
 # ---------------------------------------------------------------------------
 
-# The one memo: max_nodes -> {canonical word: one flat tuple}.  A word of
-# a minimal diagram's FR3 orbit maps to (itself, the orbit), the orbit a
-# tuple sorted by canonical_sort_key, so its first word names the class.
-# Any other word w that a reduction passes through maps to (minimal word,
-# orbit, next word, m1, r1, ..., mk, rk).  Everything after the orbit is
-# w's link: the moves the reduction takes from w (an FR3 path, possibly
-# empty, then one decreasing move), each applying to the canonical
-# representative of its pre-move diagram and each result canonicalizing
-# at rotation offset r; the last result is the next word, the same tuple
-# as that word's key.  Entries hold shared objects, not copies: each head
-# label of a word is diagram._NEG's int, and each FR1/FR2 move of a link
-# (or of a certificate) is the one Move that moves._move hands out for its
-# value; only the FR3 moves of a scanned path are their own objects.  The
-# path from a canonical word depends only on the word and the budget, so
-# a link is exact.  Policy: a reduction stops at the first entry it finds;
-# a trace or certificate is read afterwards from the stored links
-# (_trace), and each link is written after its next word's entry.  One
-# dict per budget means an entry found under one --max-orbit never
-# answers a call under another.  _reduce_word takes its budget's dict
-# once per call with setdefault, which is atomic, so racing callers lose
-# no writes; values are pure, so racing writers are harmless.
-# Only _reduce_word writes entries; catalog._records scans orbits itself
-# and leaves the memo as it found it.
+# The one memo: max_nodes -> {key: one flat tuple}, the key of a word
+# being diagram._key of its canonical rotation.  A word of a minimal
+# diagram's FR3 orbit maps to (itself, the orbit): the word labeled as
+# its canonical code reads, and the orbit a tuple of such words sorted by
+# canonical_sort_key, so its first word names the class.  These are the
+# only labeled words the memo holds.  Any other word w that a reduction
+# passes through maps to (minimal word, orbit, next key, m1, r1, ...,
+# mk, rk).  Everything after the orbit is w's link: the moves the
+# reduction takes from w (an FR3 path, possibly empty, then one
+# decreasing move), each applying to the canonical rotation of its
+# pre-move diagram and each result canonicalizing at rotation offset r;
+# the last result is the next word, stored as its key, the same bytes
+# object as that word's dict key.  Entries hold shared objects, not
+# copies: each head label of an orbit word is diagram._NEG's int, and
+# each FR1/FR2 move of a link (or of a certificate) is the one Move that
+# moves._move hands out for its value; only the FR3 moves of a scanned
+# path are their own objects.  The path from a canonical word depends
+# only on the word and the budget, so a link is exact.  Policy: a
+# reduction stops at the first entry it finds; a trace or certificate is
+# read afterwards from the stored links (_chain), and each link is
+# written after its next word's entry.  One dict per budget means an
+# entry found under one --max-orbit never answers a call under another.
+# _reduce_word takes its budget's dict once per call with setdefault,
+# which is atomic, so racing callers lose no writes; values are pure, so
+# racing writers are harmless.  Only _reduce_word writes entries;
+# catalog._records scans orbits itself and leaves the memo as it found
+# it.
 _memo: dict = {}
 
 
 def _scan_orbit(start: tuple[int, ...], back: list[int], max_nodes: int, find_decreasing: bool):
     """Deterministic BFS over FR3 neighbors keyed by canonical word;
-    ``back`` holds the start word's partner offsets.
+    ``start`` must be a canonical word, labeled, and ``back`` holds its
+    partner offsets.
 
-    Each discovered word maps to (predecessor, move, offset): the move
-    applies to the predecessor, and its result canonicalizes at that
-    rotation offset.  With find_decreasing, every node but the start is
-    checked on discovery, and the scan stops at the first node admitting
-    a decreasing site, returning (pred, node, move) with move the first
-    site `moves._decreasing_sites` finds on the node's offsets.
-    Otherwise returns (pred, None, None) with pred covering the whole
-    orbit.  The start word is not checked: both callers that look for a
+    Each discovered word maps to (predecessor, move, offset, offsets):
+    the move applies to the predecessor, its result canonicalizes at that
+    rotation offset, and the last item is the word's partner offsets.
+    With find_decreasing, every node but the start is checked on
+    discovery, and the scan stops at the first node admitting a
+    decreasing site, returning (pred, node, move) with move the first site
+    `moves._decreasing_sites` finds on the node's offsets.  Otherwise
+    returns (pred, None, None) with pred covering the whole orbit.  The
+    start word is not checked: both callers that look for a
     decreasing site already know it has none (`_reduce_word` checks it
     first, and `catalog._records` scans only words that
     `catalog._orderly_words(n, reduced=True)` yields, each with no
@@ -182,19 +191,19 @@ def _scan_orbit(start: tuple[int, ...], back: list[int], max_nodes: int, find_de
     if not start_sites:
         return pred, None, None
     size = len(start)
-    layer = [(start, back)]
+    layer = [start]
     expanded = 0
     while layer:
         nxt = []
         if len(layer) > 1:
-            layer.sort(key=lambda node: canonical_sort_key(node[0]))
-        for w, w_back in layer:
+            layer.sort(key=canonical_sort_key)
+        for w in layer:
             expanded += 1
             link = pred[w]
             if link is None:
                 sites, skip = start_sites, None
             else:
-                _, via, r = link
+                _, via, r, w_back = link
                 a, b, c = sorted((p - r) % size for p in via.positions[0::2])
                 skip = (a, a + 1, b, b + 1, c, (c + 1) % size)
                 sites = mv._fr3_sites(w, w_back)
@@ -210,8 +219,8 @@ def _scan_orbit(start: tuple[int, ...], back: list[int], max_nodes: int, find_de
                         f"{max_nodes}-node budget (nodes explored: {len(pred)}, "
                         f"expanded: {expanded})"
                     )
-                pred[nw] = (w, m, r)
-                nxt.append((nw, nw_back))
+                pred[nw] = (w, m, r, nw_back)
+                nxt.append(nw)
                 if find_decreasing:
                     dec = next(mv._decreasing_sites(nw, nw_back), None)
                     if dec is not None:
@@ -220,19 +229,12 @@ def _scan_orbit(start: tuple[int, ...], back: list[int], max_nodes: int, find_de
     return pred, None, None
 
 
-def _full_orbit(word: tuple[int, ...], max_nodes: int) -> tuple:
-    """FR3 orbit of the minimal diagram a canonical word reduces to,
-    sorted by canonical_sort_key: its first word is the class word.  The
-    word must have been reduced under max_nodes (_reduce_word)."""
-    return _memo[max_nodes][word][1]
-
-
 def _path_from_pred(pred: dict, target: tuple[int, ...]) -> tuple:
     """The BFS path to target as one flat tuple (m1, r1, ..., mk, rk)."""
     path = []
     w = target
     while pred[w] is not None:
-        w, m, r = pred[w]
+        w, m, r, _ = pred[w]
         path += (r, m)
     path.reverse()
     return tuple(path)
@@ -242,7 +244,8 @@ def fr3_orbit(d: GaussDiagram, limits: OrbitLimits | None = None) -> tuple[str, 
     """BFS closure of d under FR3 moves: the sorted tuple of canonical
     codes in the orbit."""
     _check_diagram(d, "d")
-    pred, _, _ = _scan_orbit(*d._canon, _max_nodes(limits), find_decreasing=False)
+    start, back, _ = d._canon
+    pred, _, _ = _scan_orbit(start, back, _max_nodes(limits), find_decreasing=False)
     return tuple(serialize(_trusted(w)) for w in sorted(pred, key=canonical_sort_key))
 
 
@@ -250,48 +253,57 @@ def fr3_orbit(d: GaussDiagram, limits: OrbitLimits | None = None) -> tuple[str, 
 # monotone reduction
 # ---------------------------------------------------------------------------
 
-def _reduce_word(word: tuple[int, ...], back: list[int], max_nodes: int) -> tuple[int, ...]:
-    """Canonical word of a reached minimal diagram; its crossing number
-    is half its length.
+def _reduce_word(word: tuple[int, ...], back: list[int], key: bytes, max_nodes: int) -> tuple:
+    """(minimal word, its FR3 orbit), the head of the memo entry of the
+    word: the canonical word of a reached minimal diagram, whose crossing
+    number is half its length, and the orbit, whose first word names the
+    class.
 
-    The one reduction loop.  ``word`` must already be canonical and
-    ``back`` must hold its partner offsets: each public entry point reads
-    both from its input's `GaussDiagram._canon`, and
-    `verify_superadditivity` from the `_canonical` call that made each
-    member.  Each step takes the current word's first decreasing site, or
-    when it has none, scans its FR3 orbit for the first node with one; a
-    scan that finds none ends the reduction.  The sites are read from the
-    current word's partner offsets: the start word's are ``back``, and
-    every later word's come from the ``_canonical`` call that made it.
-    A step whose site lies on the current word links straight to the
-    next word; one that scanned links through the scan's FR3 path.  The
+    The one reduction loop.  ``word`` must be a canonical rotation, in any
+    labels, ``back`` must hold its partner offsets and ``key`` must be
+    their `diagram._key`: each public entry point reads all three from
+    its input's `GaussDiagram._canon`, and `verify_superadditivity` the
+    word and offsets from the `_canonical` call that made each member.
+    Each step takes the current word's first decreasing site, or when it
+    has none, scans its FR3 orbit for the first node with one; a scan
+    that finds none ends the reduction.  The working word is never
+    relabeled: its sites are read from its signs and partner offsets, the
     step performs the decreasing move with ``moves._perform``, without
-    apply's legality check: the move is one the enumerator found.  It
-    stops at the first memo entry it finds, then writes an entry for
-    every word it left, the last one first (see ``_memo``).
+    apply's legality check (the move is one the enumerator found), and the
+    result's canonical rotation and offsets come from
+    `diagram._least_rotation`.  Every word is looked up by its key.  Only
+    a scan's start is relabeled, by `diagram._first_appearance`, since the
+    scan orders its nodes by `canonical_sort_key`; the words of a minimal
+    orbit are entered labeled, each keyed by the offsets the scan found
+    it with.  A step whose site lies on the current word links straight
+    to the next word's key; one that scanned links through the scan's FR3
+    path.  It stops at the first memo entry it finds, then writes an entry
+    for every word it left, the last one first (see ``_memo``).
     """
     memo = _memo.setdefault(max_nodes, {})
-    cur = word
     trail = []
-    while (value := memo.get(cur)) is None:
-        node, path = cur, ()
-        m = next(mv._decreasing_sites(cur, back), None)
+    while (value := memo.get(key)) is None:
+        node, path = word, ()
+        m = next(mv._decreasing_sites(word, back), None)
         if m is None:
-            pred, node, m = _scan_orbit(cur, back, max_nodes, find_decreasing=True)
+            start = _first_appearance(word)
+            pred, node, m = _scan_orbit(start, back, max_nodes, find_decreasing=True)
             if node is None:
                 orbit = tuple(sorted(pred, key=canonical_sort_key))
                 for w in orbit:
-                    memo[w] = (w, orbit)
-                value = memo[cur]
+                    link = pred[w]
+                    memo[key if link is None else _key(w, link[3])] = (w, orbit)
+                value = memo[key]
                 break
             path = _path_from_pred(pred, node)
-        nxt, r, back = _canonical(mv._perform(node, m))
-        trail.append((cur, (nxt, *path, m, r)))
-        cur = nxt
+        word, r, back = _least_rotation(mv._perform(node, m))
+        nxt = _key(word, back)
+        trail.append((key, (nxt, *path, m, r)))
+        key = nxt
     head = value[:2]
-    for w, link in reversed(trail):
-        memo[w] = head + link
-    return value[0]
+    for k, link in reversed(trail):
+        memo[k] = head + link
+    return head
 
 
 def monotone_reduce(
@@ -301,45 +313,52 @@ def monotone_reduce(
     FR1/FR2 moves; the trace replays start-to-end over canonical forms."""
     _check_diagram(d, "d")
     max_nodes = _max_nodes(limits)
-    start, back = d._canon
-    min_word = _reduce_word(start, back, max_nodes)
-    return _trusted(min_word), _trace(start, min_word, max_nodes)
+    start, back, key = d._canon
+    min_word = _reduce_word(start, back, key, max_nodes)[0]
+    _, links = _chain(key, max_nodes)
+    steps = tuple(m for link in links for m in link[1::2])
+    return _trusted(min_word), MoveTrace(
+        serialize(_trusted(start)), steps, serialize(_trusted(min_word))
+    )
 
 
 def crossing_number(d: GaussDiagram, limits: OrbitLimits | None = None) -> int:
     """Least arrow count over the diagrams equivalent to d: half the
     length of the minimal word d reduces to."""
     _check_diagram(d, "d")
-    return len(_reduce_word(*d._canon, _max_nodes(limits))) // 2
+    return len(_reduce_word(*d._canon, _max_nodes(limits))[0]) // 2
 
 
 def minimal_class_code(d: GaussDiagram, limits: OrbitLimits | None = None) -> str:
     """Complete flat-knot invariant: the least canonical code over the FR3
     orbit of a reached minimal diagram."""
     _check_diagram(d, "d")
-    max_nodes = _max_nodes(limits)
-    min_word = _reduce_word(*d._canon, max_nodes)
-    return serialize(_trusted(_full_orbit(min_word, max_nodes)[0]))
+    orbit = _reduce_word(*d._canon, _max_nodes(limits))[1]
+    return serialize(_trusted(orbit[0]))
 
 
-def _chain(word: tuple[int, ...], max_nodes: int):
-    """(minimal word, stored links in order) of a reduced canonical word."""
+def _chain(key: bytes, max_nodes: int):
+    """(minimal word, stored links in order) of the key of a word
+    reduced under max_nodes."""
+    memo = _memo[max_nodes]
     links = []
-    value = _memo[max_nodes][word]
+    value = memo[key]
     while len(value) > 2:
         links.append(value[2:])
-        value = _memo[max_nodes][value[2]]
+        value = memo[value[2]]
     return value[0], links
 
 
-def _reversed_steps(links) -> list[mv.Move]:
+def _reversed_steps(links, post: int) -> list[mv.Move]:
     """Inverse steps of stored links, in reverse order, with positions
-    translated into the canonical frame replay uses.  Each move's pre-move
-    size, result size and offset are known, so nothing is applied.  FR1
-    and FR2 steps are the shared moves of `moves._move`."""
+    translated into the canonical frame replay uses; ``post`` is the size
+    of the word the links end at.  A link's moves all start at the size
+    of its word, which is its next word's size less twice its decreasing
+    move's delta, and the next word of the link before is that word; so
+    with each move's offset, nothing is applied.  FR1 and FR2 steps are
+    the shared moves of `moves._move`."""
     out = []
     for link in reversed(links):
-        post = len(link[0])
         size = post - 2 * link[-2].delta  # every move of a link starts at this size
         for i in range(len(link) - 2, 0, -2):
             inv = mv._invert(link[i], size)
@@ -352,20 +371,21 @@ def _reversed_steps(links) -> list[mv.Move]:
     return out
 
 
-def _trace(c1: tuple[int, ...], c2: tuple[int, ...], max_nodes: int) -> MoveTrace:
-    """Moves from canonical word c1 to c2, two words of one class already
-    reduced under max_nodes: c1's stored links down to its minimal word,
-    an FR3 path to c2's minimal word, and c2's links inverted."""
-    m1, links1 = _chain(c1, max_nodes)
-    m2, links2 = _chain(c2, max_nodes)
+def _trace(k1: bytes, k2: bytes, max_nodes: int) -> tuple[mv.Move, ...]:
+    """Moves from the canonical word of key k1 to that of k2, two words of
+    one class already reduced under max_nodes: k1's stored links down to
+    its minimal word, an FR3 path to k2's minimal word, and k2's links
+    inverted."""
+    m1, links1 = _chain(k1, max_nodes)
+    m2, links2 = _chain(k2, max_nodes)
     steps = [m for link in links1 for m in link[1::2]]
     # equal minimal words need no bridge, and their orbit was scanned
     # under this budget when it was memoized, so no budget error is lost
     if m1 != m2:
         pred, _, _ = _scan_orbit(m1, _offsets(m1), max_nodes, find_decreasing=False)
         steps += _path_from_pred(pred, m2)[0::2]
-    steps += _reversed_steps(links2)
-    return MoveTrace(serialize(_trusted(c1)), tuple(steps), serialize(_trusted(c2)))
+    steps += _reversed_steps(links2, len(m2))
+    return tuple(steps)
 
 
 def equivalent(
@@ -381,10 +401,13 @@ def equivalent(
     _check_diagram(d2, "d2")
     _check_flag(with_certificate, "with_certificate")
     max_nodes = _max_nodes(limits)
-    (c1, back1), (c2, back2) = d1._canon, d2._canon
-    m1 = _reduce_word(c1, back1, max_nodes)
-    m2 = _reduce_word(c2, back2, max_nodes)
-    verdict = _full_orbit(m1, max_nodes)[0] == _full_orbit(m2, max_nodes)[0]
+    (c1, back1, k1), (c2, back2, k2) = d1._canon, d2._canon
+    orbit1 = _reduce_word(c1, back1, k1, max_nodes)[1]
+    orbit2 = _reduce_word(c2, back2, k2, max_nodes)[1]
+    verdict = orbit1[0] == orbit2[0]
     if not with_certificate:
         return verdict
-    return verdict, (_trace(c1, c2, max_nodes) if verdict else None)
+    if not verdict:
+        return verdict, None
+    steps = _trace(k1, k2, max_nodes)
+    return verdict, MoveTrace(serialize(_trusted(c1)), steps, serialize(_trusted(c2)))

@@ -531,8 +531,8 @@ def scan_every_site_oracle(start: tuple[int, ...], max_nodes: int, find_decreasi
     trusted diagram and `fr3_partner_list_oracle`, and every site is
     performed and canonicalized, the one leading back to the node's
     predecessor too.  pred maps each discovered word to (predecessor,
-    move, rotation offset), in discovery order.  Reads and writes no
-    memo."""
+    move, rotation offset, partner offsets), in discovery order.  Reads
+    and writes no memo."""
     pred: dict = {start: None}
     layer = [start]
     expanded = 0
@@ -553,7 +553,7 @@ def scan_every_site_oracle(start: tuple[int, ...], max_nodes: int, find_decreasi
                         f"{max_nodes}-node budget (nodes explored: {len(pred)}, "
                         f"expanded: {expanded})"
                     )
-                pred[nw] = (w, m, r)
+                pred[nw] = (w, m, r, back)
                 nxt.append(nw)
                 if find_decreasing:
                     dec = next(moves._decreasing_sites(nw, back), None)
@@ -619,6 +619,26 @@ def reduce_oracle(d: GaussDiagram) -> tuple[GaussDiagram, MoveTrace]:
     minimal = GaussDiagram(cur)
     trace = MoveTrace(serialize(GaussDiagram(start)), tuple(steps), serialize(minimal))
     return minimal, trace
+
+
+def word_of_key(key: bytes) -> tuple[int, ...]:
+    """The canonical word a `diagram._key` encodes, decoded on its own: L
+    partner offsets, one byte each for a key of at most 512 bytes (L <=
+    256) and four little-endian bytes each for a longer one, then L sign
+    bytes, 1 for a head.  Read left to right, an endpoint whose partner
+    lies behind it closes that arrow, and any other opens the next
+    label."""
+    width = 1 if len(key) <= 512 else 4
+    length = len(key) // (width + 1)
+    back = [int.from_bytes(key[q : q + width], "little") for q in range(0, width * length, width)]
+    signs = key[width * length :]
+    labels: dict[int, int] = {}
+    word = []
+    for q in range(length):
+        p = q - back[q]
+        lab = labels[p] if p >= 0 else labels.setdefault(q, len(labels) + 1)
+        word.append(-lab if signs[q] else lab)
+    return tuple(word)
 
 
 def certificate_oracle(d1: GaussDiagram, d2: GaussDiagram) -> MoveTrace:

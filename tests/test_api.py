@@ -120,17 +120,28 @@ def test_cited_private_names_exist():
     assert not missing, missing
 
 
+# private names the tracer still lists that the engine no longer has:
+# reduce._full_orbit, a memo read that _reduce_word's returned head made
+# unneeded; the tracer skips a missing name, and its metrics read 0
+RETIRED_HOOKS = {"reduce._full_orbit"}
+
+
 def test_benchmark_tracer_hooks_exist():
     tracer = _load_tracer()
     for short, names in tracer.PRIVATE.items():
         mod = importlib.import_module(f"flatknots.{short}")
         for name in names:
-            assert callable(getattr(mod, name, None)), f"flatknots.{short}.{name}"
+            hook = getattr(mod, name, None)
+            if f"{short}.{name}" in RETIRED_HOOKS:
+                assert hook is None, f"flatknots.{short}.{name} is back: unretire it"
+            else:
+                assert callable(hook), f"flatknots.{short}.{name}"
     wrapped = {name for name, _ in tracer._targets()}
     indexed = _indexed_span_names()
     assert indexed, "no span names found in Tracer.layer_stats"
     needed = indexed | set(tracer.SITE_COUNTERS) | {"moves.apply"}
     needed |= {f"{short}.{name}" for short, names in tracer.PRIVATE.items() for name in names}
+    needed -= RETIRED_HOOKS
     assert needed <= wrapped, sorted(needed - wrapped)
 
 

@@ -156,6 +156,29 @@ def test_tabulate_text_and_file(tmp_path):
     assert path.read_text() == out
 
 
+@pytest.mark.parametrize("out", [False, True])
+def test_tabulate_builds_each_text_line_once(out, tmp_path, monkeypatch, classified):
+    """Text stdout and the --out file hold the same bytes, but each
+    catalog line is built once: by write_catalog with --out, whose file
+    is then copied to stdout, and by the command without."""
+    built = []
+    line = catalog._line
+
+    def spy(record):
+        built.append(record)
+        return line(record)
+
+    monkeypatch.setattr(catalog, "_line", spy)
+    monkeypatch.setattr(flatknots.cli, "_line", spy)
+    path = tmp_path / "five.flatcat"
+    code, text = run_cli(["tabulate", "5"] + (["--out", str(path)] if out else []))
+    assert code == 0
+    assert built == list(classified(5))
+    assert text.count("\n") == len(built) + 1
+    if out:
+        assert path.read_text() == text
+
+
 def test_tabulate_out_error_names_the_given_path(tmp_path, capsys):
     # a missing directory, and an existing directory given as the file
     target = tmp_path / "dir"

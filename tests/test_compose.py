@@ -307,9 +307,9 @@ def test_superadditivity_reduces_each_member_once(monkeypatch, canonical_calls):
     reduce_calls = []
     reduce_word = reduce._reduce_word
 
-    def spy(word, back, max_nodes):
+    def spy(word, back, key, max_nodes):
         reduce_calls.append(word)
-        return reduce_word(word, back, max_nodes)
+        return reduce_word(word, back, key, max_nodes)
 
     monkeypatch.setattr(reduce, "_reduce_word", spy)
     monkeypatch.setattr(compose, "_reduce_word", spy)

@@ -24,7 +24,7 @@ from flatknots import (
 )
 from flatknots import diagram, moves
 from flatknots.compose import _minimal_verdict
-from flatknots.diagram import _canonical, _first_appearance, _offsets
+from flatknots.diagram import _canonical, _first_appearance, _key, _offsets
 from flatknots.moves import _decreasing_sites, _perform
 from conftest import (
     brute_force_splits,
@@ -33,6 +33,7 @@ from conftest import (
     find_splits_oracle,
     random_diagram,
     random_split_prone_diagrams,
+    word_of_key,
 )
 from test_cli import run_cli
 
@@ -282,7 +283,8 @@ def test_canonical_matches_oracle_small_n_every_rotation_and_relabeling():
 
 def test_canon_holds_the_canonical_word_and_its_offsets():
     """`GaussDiagram._canon` on every rotation of every n <= 5 word and
-    on seeded random words up to n = 16."""
+    on seeded random words up to n = 16; its third item is the memo key
+    of the first two, which decodes to the canonical word."""
     words = [w for n in range(6) for d in enumerate_diagrams(n) for w in _rotations(d.word)]
     assert len(words) == 32_175
     rng = random.Random(25)
@@ -291,6 +293,8 @@ def test_canon_holds_the_canonical_word_and_its_offsets():
         canon = GaussDiagram(word)._canon
         assert canon[0] == canonical_oracle(word)[0], word
         assert canon[1] == _offsets(canon[0]), word
+        assert canon[2] == _key(canon[0], canon[1]), word
+        assert word_of_key(canon[2]) == canon[0], word
 
 
 def test_canonical_reads_every_head_label_from_the_shared_table(monkeypatch):

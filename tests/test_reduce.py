@@ -30,7 +30,7 @@ from flatknots import (
     u_polynomial,
     verify_superadditivity,
 )
-from flatknots import compose, diagram, moves, reduce
+from flatknots import catalog, compose, diagram, moves, reduce
 from flatknots.cli import main
 from flatknots.diagram import canonical_word
 from flatknots.moves import KIND_DELTA
@@ -42,6 +42,7 @@ from conftest import (
     random_diagram,
     reduce_oracle,
     scan_every_site_oracle,
+    word_of_key,
 )
 
 # found by exhaustive tabulation at three arrows; irreducible, u = -2t+t^2
@@ -150,28 +151,39 @@ def test_a_diagram_is_canonicalized_once_across_every_entry_point(monkeypatch, c
     """Every entry point starts from `GaussDiagram._canon`, so one diagram
     object passed to all of them, and to `equivalent` on either side, is
     canonicalized once; and only the certificates' FR3 bridge computes
-    partner offsets outside `_canonical`, those of its start, a minimal
-    word that is canonical already.  The memo starts cold, so the
-    reductions, the orbit scans and the bridge all run."""
+    partner offsets outside the canonicalizer (`_canonical` and the rank
+    scan `_least_rotation` it shares with the reduction), those of its
+    start, a minimal word that is canonical already: the memo keys of
+    orbit words are built from the offsets the scan found them with.  The
+    memo starts cold, so the reductions, the orbit scans and the bridge
+    all run."""
     monkeypatch.setattr(reduce, "_memo", {})
-    canonical, offsets = diagram._canonical, diagram._offsets
+    offsets = diagram._offsets
     depth, outside = [0], []
 
-    def canonicalizing(word):
-        depth[0] += 1
-        try:
-            return canonical(word)
-        finally:
-            depth[0] -= 1
+    def canonicalizing(canonicalizer):
+        def spy(word):
+            depth[0] += 1
+            try:
+                return canonicalizer(word)
+            finally:
+                depth[0] -= 1
+
+        return spy
 
     def offsetting(word):
         if not depth[0]:
             outside.append(word)
         return offsets(word)
 
+    spies = {
+        "_canonical": canonicalizing(diagram._canonical),
+        "_least_rotation": canonicalizing(diagram._least_rotation),
+        "_offsets": offsetting,
+    }
     # every module's own binding goes through the spies
     for mod in (diagram, moves, reduce, compose):
-        for name, spy in (("_canonical", canonicalizing), ("_offsets", offsetting)):
+        for name, spy in spies.items():
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, spy)
     # two kinked members of a two-node minimal FR3 orbit: a certificate
@@ -384,11 +396,12 @@ def test_reduction_step_checks_the_start_word_first(monkeypatch):
     monkeypatch.setattr(reduce, "_scan_orbit", scanning)
     for budget in (1, DEFAULT_LIMITS.max_nodes):
         monkeypatch.setattr(reduce, "_memo", {})
-        minimal = reduce._reduce_word(*d._canon, budget)
-        # one step reaches the minimal word; the link holds the move and
-        # its offset, and no FR3 path
-        link = reduce._memo[budget][w][2:]
-        assert link[:2] == (minimal, enumerate_decreasing(GaussDiagram(w))[0])
+        minimal = reduce._reduce_word(*d._canon, budget)[0]
+        # one step reaches the minimal word; the link holds its key, the
+        # move and its offset, and no FR3 path
+        link = reduce._memo[budget][d._canon[2]][2:]
+        next_key = diagram._key(minimal, diagram._offsets(minimal))
+        assert link[:2] == (next_key, enumerate_decreasing(GaussDiagram(w))[0])
         assert len(link) == 3
         assert w not in fr3_calls and w not in scans
     # the 3-crossing word it reaches has no decreasing site: its orbit is
@@ -469,7 +482,7 @@ def test_scan_matches_the_every_site_oracle_on_reduced_random_words(monkeypatch)
     of more than one word."""
     monkeypatch.setattr(reduce, "_memo", {})
     minimal = {
-        reduce._reduce_word(*GaussDiagram(w)._canon, DEFAULT_LIMITS.max_nodes)
+        reduce._reduce_word(*GaussDiagram(w)._canon, DEFAULT_LIMITS.max_nodes)[0]
         for w in _reduce_random_words(2000)
     }
     multi = 0
@@ -530,13 +543,13 @@ MAX_NODES = DEFAULT_LIMITS.max_nodes
 def _check_reduce_against_oracle(diagrams, monkeypatch):
     """Same minimal word and trace bytes as reduce_oracle, the same
     _reduce_word answer on a cold memo, on the diagram's own entry, and
-    on a memo warmed by every diagram before it, the orbit from
-    _full_orbit after reducing the minimal word on a cold memo in
+    on a memo warmed by every diagram before it, the orbit in the head
+    _reduce_word returns for the minimal word on a cold memo in
     fr3_orbit's order with the class code first, and links in the warm
     memo that replay."""
     wants = []
     for d in diagrams:
-        start, back = d._canon
+        start, back, key = d._canon
         minimal, trace = reduce_oracle(d)
         want = minimal.word
         wants.append((want, trace.to_json()))
@@ -544,19 +557,19 @@ def _check_reduce_against_oracle(diagrams, monkeypatch):
         got, got_trace = monotone_reduce(d)
         assert (got, got_trace.to_json()) == (minimal, trace.to_json()), serialize(d)
         # the trace is read from the links the reduction wrote
-        assert reduce._memo[MAX_NODES][start][0] == minimal.word
+        assert reduce._memo[MAX_NODES][key][0] == minimal.word
         monkeypatch.setattr(reduce, "_memo", {})
-        assert reduce._reduce_word(start, back, MAX_NODES) == want, serialize(d)
-        assert reduce._reduce_word(start, back, MAX_NODES) == want, serialize(d)
+        assert reduce._reduce_word(start, back, key, MAX_NODES)[0] == want, serialize(d)
+        assert reduce._reduce_word(start, back, key, MAX_NODES)[0] == want, serialize(d)
         monkeypatch.setattr(reduce, "_memo", {})
         codes = fr3_orbit(minimal)
         orbit = tuple(parse(c).word for c in codes)
-        assert reduce._reduce_word(*minimal._canon, MAX_NODES) == minimal.word, serialize(d)
-        assert reduce._full_orbit(minimal.word, MAX_NODES) == orbit, serialize(d)
+        head = reduce._reduce_word(*minimal._canon, MAX_NODES)
+        assert head == (minimal.word, orbit), serialize(d)
         assert minimal_class_code(d) == codes[0], serialize(d)
     monkeypatch.setattr(reduce, "_memo", {})
     for d, (want, trace_json) in zip(diagrams, wants):
-        assert reduce._reduce_word(*d._canon, MAX_NODES) == want, serialize(d)
+        assert reduce._reduce_word(*d._canon, MAX_NODES)[0] == want, serialize(d)
         assert monotone_reduce(d)[1].to_json() == trace_json, serialize(d)
     _check_links_replay()
 
@@ -588,11 +601,13 @@ def _check_links_replay():
     """Every memo entry is (word, orbit) for a member of its own minimal
     orbit, or holds a link: FR3 moves and then one decreasing move, each
     applied to the canonical word before it, whose results canonicalize
-    at the stored offsets and end at the next entry's word.  Links with
-    and without an FR3 path must both occur."""
+    at the stored offsets and end at the word of the next entry's key.
+    Each entry's word is the one its key encodes (`word_of_key`).  Links
+    with and without an FR3 path must both occur."""
     fr3_paths = set()
     for memo in reduce._memo.values():
-        for word, value in memo.items():
+        for key, value in memo.items():
+            word = word_of_key(key)
             min_word, orbit, link = value[0], value[1], value[2:]
             if not link:
                 assert min_word == word and word in orbit
@@ -605,7 +620,7 @@ def _check_links_replay():
             for m, r in zip(moves, offsets):
                 cur, got_r = diagram._canonical(apply(GaussDiagram(cur), m).word)[:2]
                 assert got_r == r, serialize(GaussDiagram(word))
-            assert cur == nxt, serialize(GaussDiagram(word))
+            assert cur == word_of_key(nxt), serialize(GaussDiagram(word))
             assert memo[nxt][:2] == (min_word, orbit)
     assert fr3_paths == {False, True}
 
@@ -641,17 +656,18 @@ def test_memo_links_are_written_after_their_next_word(monkeypatch):
     # every entry went through the checked dict
     (memo,) = reduce._memo.values()
     assert isinstance(memo, _LinkCheckedMemo)
-    ends = {memo[canonical_word(x.word)][0] for x in (d1, d2)}
+    ends = {memo[x._canon[2]][0] for x in (d1, d2)}
     assert len(ends) == 2
     # some trails were longer than one link, so their write order mattered
     assert any(len(memo[v[2]]) > 2 for v in memo.values() if len(v) > 2)
 
 
 def test_the_memo_keeps_one_dict_of_canonical_words_per_budget(monkeypatch):
-    """`reduce._memo` maps each orbit budget to a dict keyed by canonical
-    word.  Entries written under the default budget never answer a call
-    under budget 3: a diagram whose orbit scan needs more than three
-    nodes still raises there, with the text a cold memo gives."""
+    """`reduce._memo` maps each orbit budget to a dict keyed by the
+    `_key` of each canonical word.  Entries written under the default
+    budget never answer a call under budget 3: a diagram whose orbit scan
+    needs more than three nodes still raises there, with the text a cold
+    memo gives."""
     kinked = parse("+6 -6 +1 +2 -1 -2 +3 +4 -3 +5 -4 -5")
     # a minimal diagram whose FR3 orbit has four words
     wide = parse("+1 +2 -1 -2 -3 -4 -5 +4 -6 +5 +6 +3")
@@ -669,9 +685,94 @@ def test_the_memo_keeps_one_dict_of_canonical_words_per_budget(monkeypatch):
     assert sorted(reduce._memo) == [3, MAX_NODES]
     assert reduce._memo[MAX_NODES] == default
     for memo in reduce._memo.values():
-        assert memo and all(canonical_word(w) == w for w in memo)
-    assert kinked._canon[0] in reduce._memo[3]
-    assert wide._canon[0] in default and wide._canon[0] not in reduce._memo[3]
+        assert memo and all(canonical_word(word_of_key(k)) == word_of_key(k) for k in memo)
+        assert all(GaussDiagram(word_of_key(k))._canon[2] == k for k in memo)
+    kinked_key, wide_key = kinked._canon[2], wide._canon[2]
+    assert kinked_key in reduce._memo[3]
+    assert wide_key in default and wide_key not in reduce._memo[3]
+
+
+def test_keys_are_exact_on_every_canonical_word_up_to_six_arrows():
+    """`diagram._key` tells every canonical word apart: over all 58,814
+    words `catalog._orderly_words(n, False)` yields for n <= 6, each with
+    the offsets it yields beside it, no two keys agree, each key has two
+    bytes per endpoint, and each decodes to its own word."""
+    keys = set()
+    count = 0
+    for n in range(7):
+        for word, back in catalog._orderly_words(n, False):
+            key = diagram._key(word, back)
+            assert len(key) == 2 * len(word) and word_of_key(key) == word, word
+            keys.add(key)
+            count += 1
+    assert count == len(keys) == 58_814
+
+
+def test_every_rotation_and_relabeling_gives_the_key_of_the_canonical_form():
+    """The rank scan's rotation of any rotation of a word, in any labels,
+    has the key of the word's canonical form, and relabels to that form:
+    on seeded random words up to 14 arrows, as drawn and with each arrow
+    given an arbitrary distinct label, some far past 256."""
+    rng = random.Random(36)
+    checked = 0
+    for _ in range(150):
+        d = random_diagram(rng, rng.randint(0, 14))
+        canon = canonical_word(d.word)
+        want = diagram._key(canon, diagram._offsets(canon))
+        labels = rng.sample(range(1, 10**9), d.n)
+        relabeled = tuple(labels[t - 1] if t > 0 else -labels[-t - 1] for t in d.word)
+        for word in (d.word, relabeled):
+            for g in range(max(len(word), 1)):
+                rotation, _, back = diagram._least_rotation(word[g:] + word[:g])
+                assert diagram._key(rotation, back) == want, word
+                assert diagram._first_appearance(rotation) == canon, word
+                checked += 1
+    assert checked > 2000
+
+
+def _grown(rng: random.Random, d: GaussDiagram, size: int) -> GaussDiagram:
+    """d after seeded random FR1 and FR2 inserts, until it has more than
+    size endpoints."""
+    while d.size <= size:
+        gaps = max(d.size, 1)
+        if rng.random() < 0.3:
+            m = moves.Move("fr1-insert", rng.choice(("th", "ht")), (rng.randrange(gaps),))
+        else:
+            ga, gb = sorted(rng.randrange(gaps) for _ in range(2))
+            m = moves.Move("fr2-insert", rng.choice(moves.FR2_VARIANTS), (ga, gb))
+        d = apply(d, m)
+    return d
+
+
+def test_a_word_over_256_endpoints_reduces_and_certifies_with_wide_keys(monkeypatch):
+    """Past 256 endpoints a partner offset needs more than a byte, so the
+    keys switch to four bytes per offset.  Two words grown from a minimal
+    diagram to more than 256 endpoints reduce with the oracle's trace
+    bytes and certify with its certificate bytes; both replay; every key
+    of a word that long is the wide one, and every shorter word's the
+    narrow one, each decoding to its own word."""
+    monkeypatch.setattr(reduce, "_memo", {})
+    rng = random.Random(256)
+    base = parse(WITNESS_3)
+    d1, d2 = _grown(rng, base, 256), _grown(rng, base, 256)
+    for d in (d1, d2):
+        minimal, trace = monotone_reduce(d)
+        want_minimal, want_trace = reduce_oracle(d)
+        assert (minimal, trace.to_json()) == (want_minimal, want_trace.to_json())
+        assert replay_trace(trace) == minimal and minimal.n == 3
+    same, cert = equivalent(d1, d2, with_certificate=True)
+    assert same and cert.to_json() == certificate_oracle(d1, d2).to_json()
+    assert serialize(replay_trace(cert)) == canonical_form(d2)
+    (memo,) = reduce._memo.values()
+    wide_width = 5
+    widths = set()
+    for key in memo:
+        word = word_of_key(key)
+        width = wide_width if len(word) > 256 else 2
+        assert len(key) == width * len(word)
+        widths.add(width)
+    assert widths == {2, wide_width}
+    assert len(d1._canon[2]) == wide_width * d1.size
 
 
 def _scrambled(rng: random.Random, d: GaussDiagram) -> GaussDiagram:
@@ -685,9 +786,10 @@ def _scrambled(rng: random.Random, d: GaussDiagram) -> GaussDiagram:
 def test_certified_equivalences_share_their_fr1_fr2_moves_and_head_labels(monkeypatch):
     """After 80 seeded certified equivalences, each FR1/FR2 move value in
     the memo links and the certificates is one object, the one
-    `moves._SHARED` holds; each head label of a memo key is
-    `diagram._NEG`'s object; and the shared table holds no FR3 move,
-    though the links and certificates hold some."""
+    `moves._SHARED` holds; each head label of a labeled memo word, the
+    minimal words and orbits of the entry heads, is `diagram._NEG`'s
+    object; and the shared table holds no FR3 move, though the links and
+    certificates hold some."""
     monkeypatch.setattr(reduce, "_memo", {})
     rng = random.Random(35)
     pairs = []
@@ -709,7 +811,8 @@ def test_certified_equivalences_share_their_fr1_fr2_moves_and_head_labels(monkey
     assert fr3 and len(shared) > len({(m.kind, m.variant, m.positions) for m in shared})
     assert all(moves._SHARED[m.kind, m.variant, m.positions] is m for m in shared)
     assert all(m.kind != moves.FR3 for m in moves._SHARED.values())
-    heads = [t for w in memo for t in w if t < 0]
+    labeled = [w for value in memo.values() for w in (value[0], *value[1])]
+    heads = [t for w in labeled for t in w if t < 0]
     assert min(heads) < -5  # past CPython's small ints
     assert all(t is diagram._NEG[-t] for t in heads)
 
