@@ -110,7 +110,7 @@ def is_composite(d: GaussDiagram, limits: OrbitLimits | None = None) -> Composit
     """Classify as trivial, prime, or composite by reducing and looking
     for a nontrivial split of the minimal diagram."""
     _check_diagram(d, "d")
-    min_word = _reduce_word(*d._canon, _max_nodes(limits))[0]
+    (min_word, _), _ = _reduce_word(*d._canon, _max_nodes(limits))
     return _minimal_verdict(_trusted(min_word))
 
 
@@ -169,7 +169,7 @@ def verify_superadditivity(
     _check_int(sample_size, "sample_size", 1)
     _check_int(seed, "seed")
     max_nodes = _max_nodes(limits)
-    c1, c2 = (len(_reduce_word(*d._canon, max_nodes)[0]) // 2 for d in (d1, d2))
+    c1, c2 = (len(_reduce_word(*d._canon, max_nodes)[0][0]) // 2 for d in (d1, d2))
     inputs_minimal = c1 == d1.n and c2 == d2.n
 
     pairs = _gap_pairs(d1, d2)
@@ -185,7 +185,7 @@ def verify_superadditivity(
     prelim = []
     for w in sorted(member_words, key=canonical_sort_key):
         back = member_words[w][0]
-        min_word, orbit = _reduce_word(w, back, _key(w, back), max_nodes)
+        (min_word, orbit), _ = _reduce_word(w, back, _key(w, back), max_nodes)
         cr = len(min_word) // 2
         cls = orbit[0]
         prelim.append((serialize(_trusted(w)), cr, cls, 2 * cr == len(w)))

@@ -188,21 +188,16 @@ def serialize(d: GaussDiagram) -> str:
 
 # _NEG[k] is -k: one shared int per head label, so the labeled words the
 # memo keeps, the words of minimal orbits, share their heads instead of
-# each holding fresh ints (CPython caches only -5..256).  It grows only by
-# rebinding the name to a longer tuple that starts with the old one, never
-# in place, so a reader always holds a whole table; two threads growing it
-# at once may leave a few labels unshared, never wrong.
+# each holding fresh ints (CPython caches only -5..256).  A word of more
+# than 256 endpoints takes its head labels from a range and shares none.
 _NEG: tuple[int, ...] = tuple(-k for k in range(257))
 
 
 def _first_appearance(tokens) -> tuple[int, ...]:
-    """tokens with their arrows relabeled 1, 2, ... by first appearance;
-    each head label is read from _NEG."""
-    global _NEG
-    neg = _NEG
-    if len(tokens) >= len(neg):  # no label exceeds the token count
-        grown = range(len(neg), max(2 * len(neg), len(tokens) + 1))
-        neg = _NEG = neg + tuple([-k for k in grown])
+    """tokens with their arrows relabeled 1, 2, ... by first appearance.
+    No label exceeds the token count, so up to 256 tokens read each head
+    label from _NEG."""
+    neg = _NEG if len(tokens) <= 256 else range(0, -len(tokens) - 1, -1)
     relab: dict[int, int] = {}
     out = []
     for t in tokens:

@@ -334,54 +334,45 @@ def build_fr3_catalog() -> tuple[FR3CatalogEntry, ...]:
     return tuple(entries)
 
 
-def _fr3_key(tokens) -> int | None:
-    """The _fr3_shape_table key of six distinct endpoint tokens read as
-    three blocks, the first holding arrows a and b, or None unless one
-    later block holds -a and an endpoint c of a third arrow and the other
-    holds -b and -c.  A key names its six tokens up to relabeling."""
-    ta, tb, t2, t3, t4, t5 = tokens
-    if -ta in (t2, t3):
-        a_first, (x, y), b_block = 1, (t2, t3), (t4, t5)
-    elif -ta in (t4, t5):
-        a_first, (x, y), b_block = 0, (t4, t5), (t2, t3)
-    else:
-        return None
-    a_side, tc = (4, y) if x == -ta else (0, x)
-    # the tokens are distinct, so c is neither a nor b once b's block holds -c
-    if b_block == (-tb, -tc):
-        b_side = 0
-    elif b_block == (-tc, -tb):
-        b_side = 2
-    else:
-        return None
-    signs = (32 if ta > 0 else 0) + (16 if tb > 0 else 0) + (8 if tc > 0 else 0)
-    return signs + a_side + b_side + a_first
+@functools.lru_cache(maxsize=1)
+def _fr3_befores() -> dict[Pattern, int]:
+    """Each block rotation of each catalog before, relabeled by first
+    appearance, -> its entry id: 16 keys, shared, so callers only read it.
+    Six tokens read as three blocks match an entry exactly when they
+    relabel to one of its keys."""
+    return {
+        _first_appearance(e.before[r:] + e.before[:r]): e.id
+        for e in build_fr3_catalog()
+        for r in (0, 2, 4)
+    }
 
 
 @functools.lru_cache(maxsize=1)
 def _fr3_shape_table() -> tuple[int | None, ...]:
-    """Catalog entry id, or None, for each of the 64 keys of _fr3_key,
-    set from every block rotation of every catalog before.  _fr3_sites
-    computes the same key from partner positions for a candidate whose
-    least block (s, s + 1) holds arrows a and b.  Bit 32: word[s] is a
-    tail; 16: word[s + 1] is a tail; 8: the endpoint q of arrow c next to
-    a's partner p1 is a tail; 4: a's block is (p1, q), not (q, p1); 2:
-    b's block ends, not starts, at b's partner p2; 1: a's block comes
-    before b's."""
-    table: list[int | None] = [None] * 64
-    for e in build_fr3_catalog():
-        for r in (0, 2, 4):
-            table[_fr3_key(e.before[r:] + e.before[:r])] = e.id
+    """Catalog entry id, or None, for each 6-bit key that _fr3_sites
+    computes from partner positions for a candidate whose least block
+    (s, s + 1) holds arrows a and b.  Bit 32: word[s] is a tail; 16:
+    word[s + 1] is a tail; 8: the endpoint q of arrow c next to a's
+    partner p1 is a tail; 4: a's block is (p1, q), not (q, p1); 2: b's
+    block ends, not starts, at b's partner p2; 1: a's block comes before
+    b's.  The table spells each key's six tokens from its bits, a, b and
+    c labeled 1, 2 and 3, and looks them up in _fr3_befores."""
+    table = []
+    for key in range(64):
+        a, b, c = (1 if key & 32 else -1), (2 if key & 16 else -2), (3 if key & 8 else -3)
+        a_block = (-a, c) if key & 4 else (c, -a)
+        b_block = (-c, -b) if key & 2 else (-b, -c)
+        tokens = (a, b) + (a_block + b_block if key & 1 else b_block + a_block)
+        table.append(_fr3_befores().get(_first_appearance(tokens)))
     return tuple(table)
 
 
 def _fr3_at(word: tuple[int, ...], positions: tuple[int, ...]) -> Move | None:
     """FR3 move on the blocks (positions[0], positions[1]), ... if their
-    pattern is in the catalog: the _fr3_key of their tokens, read in the
-    order given, names an entry of _fr3_shape_table.  The table holds
+    pattern is in the catalog: their tokens, read in the order given and
+    relabeled by first appearance, are a key of `_fr3_befores`.  It holds
     every block rotation, so any of the three blocks may be listed first."""
-    key = _fr3_key([word[p] for p in positions])
-    entry = None if key is None else _fr3_shape_table()[key]
+    entry = _fr3_befores().get(_first_appearance([word[p] for p in positions]))
     return None if entry is None else Move(FR3, entry, positions)
 
 
@@ -528,7 +519,7 @@ def apply(d: GaussDiagram, m: Move) -> GaussDiagram:
     when its positions are distinct and _removal_at, asked at m's first
     block, returns exactly m, so a removal of the other kind than the
     block holds is rejected; and an FR3 move when _fr3_at, which reads
-    _fr3_sites's _fr3_shape_table, returns exactly m at m's positions.
+    _fr3_befores, returns exactly m at m's positions.
     Then _perform makes the move."""
     _check_diagram(d, "d")
     _check_type(m, "m", Move)

@@ -95,6 +95,8 @@ class MoveTrace:
             obj = json.loads(text)
         except RecursionError:
             raise TraceMismatch("trace JSON is nested too deeply") from None
+        except json.JSONDecodeError as exc:
+            raise TraceMismatch(f"trace is not JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise TraceMismatch(f"a trace must be a JSON object, not {type(obj).__name__}")
         if obj.get("format") != "flatknots-trace v1":
@@ -127,32 +129,30 @@ def replay_trace(trace: MoveTrace) -> GaussDiagram:
 # ---------------------------------------------------------------------------
 
 # The one memo: max_nodes -> {key: one flat tuple}, the key of a word
-# being diagram._key of its canonical rotation.  A word of a minimal
-# diagram's FR3 orbit maps to (itself, the orbit): the word labeled as
-# its canonical code reads, and the orbit a tuple of such words sorted by
-# canonical_sort_key, so its first word names the class.  These are the
-# only labeled words the memo holds.  Any other word w that a reduction
-# passes through maps to (minimal word, orbit, next key, m1, r1, ...,
-# mk, rk).  Everything after the orbit is w's link: the moves the
-# reduction takes from w (an FR3 path, possibly empty, then one
-# decreasing move), each applying to the canonical rotation of its
-# pre-move diagram and each result canonicalizing at rotation offset r;
-# the last result is the next word, stored as its key, the same bytes
-# object as that word's dict key.  Entries hold shared objects, not
-# copies: each head label of an orbit word is diagram._NEG's int, and
-# each FR1/FR2 move of a link (or of a certificate) is the one Move that
-# moves._move hands out for its value; only the FR3 moves of a scanned
-# path are their own objects.  The path from a canonical word depends
-# only on the word and the budget, so a link is exact.  Policy: a
-# reduction stops at the first entry it finds; a trace or certificate is
-# read afterwards from the stored links (_chain), and each link is
-# written after its next word's entry.  One dict per budget means an
-# entry found under one --max-orbit never answers a call under another.
-# _reduce_word takes its budget's dict once per call with setdefault,
-# which is atomic, so racing callers lose no writes; values are pure, so
-# racing writers are harmless.  Only _reduce_word writes entries;
-# catalog._records scans orbits itself and leaves the memo as it found
-# it.
+# being diagram._key of its canonical rotation.  An entry is a head or a
+# link, never both.  A word of a minimal diagram's FR3 orbit maps to its
+# head (itself, the orbit): the word labeled as its canonical code reads,
+# and the orbit a tuple of such words sorted by canonical_sort_key, so
+# its first word names the class.  These are the only labeled words the
+# memo holds.  Any other word w that a reduction passes through maps to
+# its link (next key, m1, r1, ..., mk, rk): the moves the reduction takes
+# from w (an FR3 path, possibly empty, then one decreasing move), each
+# applying to the canonical rotation of its pre-move diagram and each
+# result canonicalizing at rotation offset r; the next key, the same
+# bytes object as its dict key, is the last result's.  Entries hold
+# shared objects, not copies: each head label of an orbit word is
+# diagram._NEG's int, and each FR1/FR2 move of a link (or of a
+# certificate) is the one Move that moves._move hands out for its value.
+# The path from a canonical word depends only on the word and the
+# budget, so a link is exact.  Policy: a reduction stops at the first
+# entry it finds, writes each link after its next word's entry, and
+# reads its head and links back with _chain, the one reader that follows
+# links.  Only _reduce_word reads or writes entries; catalog._records
+# scans orbits itself and leaves the memo as it found it.  One dict per
+# budget means an entry found under one --max-orbit never answers a call
+# under another.  _reduce_word takes its budget's dict once per call with
+# setdefault, which is atomic, so racing callers lose no writes; values
+# are pure, so racing writers are harmless.
 _memo: dict = {}
 
 
@@ -254,10 +254,11 @@ def fr3_orbit(d: GaussDiagram, limits: OrbitLimits | None = None) -> tuple[str, 
 # ---------------------------------------------------------------------------
 
 def _reduce_word(word: tuple[int, ...], back: list[int], key: bytes, max_nodes: int) -> tuple:
-    """(minimal word, its FR3 orbit), the head of the memo entry of the
-    word: the canonical word of a reached minimal diagram, whose crossing
-    number is half its length, and the orbit, whose first word names the
-    class.
+    """(head, links) of the word (`_chain`): the head is (minimal word,
+    its FR3 orbit), the canonical word of a reached minimal diagram, whose
+    crossing number is half its length, and the orbit, whose first word
+    names the class; the links are the memo's, in order, from the word
+    down to the minimal word.
 
     The one reduction loop.  ``word`` must be a canonical rotation, in any
     labels, ``back`` must hold its partner offsets and ``key`` must be
@@ -277,12 +278,14 @@ def _reduce_word(word: tuple[int, ...], back: list[int], key: bytes, max_nodes: 
     orbit are entered labeled, each keyed by the offsets the scan found
     it with.  A step whose site lies on the current word links straight
     to the next word's key; one that scanned links through the scan's FR3
-    path.  It stops at the first memo entry it finds, then writes an entry
-    for every word it left, the last one first (see ``_memo``).
+    path.  It stops at the first memo entry it finds, writes the link of
+    every word it left, the last one first (see ``_memo``), and reads the
+    answer back from the start key.
     """
     memo = _memo.setdefault(max_nodes, {})
+    start_key = key
     trail = []
-    while (value := memo.get(key)) is None:
+    while key not in memo:
         node, path = word, ()
         m = next(mv._decreasing_sites(word, back), None)
         if m is None:
@@ -293,17 +296,27 @@ def _reduce_word(word: tuple[int, ...], back: list[int], key: bytes, max_nodes: 
                 for w in orbit:
                     link = pred[w]
                     memo[key if link is None else _key(w, link[3])] = (w, orbit)
-                value = memo[key]
                 break
             path = _path_from_pred(pred, node)
         word, r, back = _least_rotation(mv._perform(node, m))
         nxt = _key(word, back)
         trail.append((key, (nxt, *path, m, r)))
         key = nxt
-    head = value[:2]
     for k, link in reversed(trail):
-        memo[k] = head + link
-    return head
+        memo[k] = link
+    return _chain(memo, start_key)
+
+
+def _chain(memo: dict, key: bytes) -> tuple:
+    """(head, links) of key in one budget's memo dict: the links stored
+    from key on, in order, and the head (minimal word, orbit) of the
+    entry the last one leads to."""
+    links = []
+    value = memo[key]
+    while len(value) > 2:  # a link holds a move; a head is two items
+        links.append(value)
+        value = memo[value[0]]
+    return value, links
 
 
 def monotone_reduce(
@@ -314,8 +327,7 @@ def monotone_reduce(
     _check_diagram(d, "d")
     max_nodes = _max_nodes(limits)
     start, back, key = d._canon
-    min_word = _reduce_word(start, back, key, max_nodes)[0]
-    _, links = _chain(key, max_nodes)
+    (min_word, _), links = _reduce_word(start, back, key, max_nodes)
     steps = tuple(m for link in links for m in link[1::2])
     return _trusted(min_word), MoveTrace(
         serialize(_trusted(start)), steps, serialize(_trusted(min_word))
@@ -326,27 +338,15 @@ def crossing_number(d: GaussDiagram, limits: OrbitLimits | None = None) -> int:
     """Least arrow count over the diagrams equivalent to d: half the
     length of the minimal word d reduces to."""
     _check_diagram(d, "d")
-    return len(_reduce_word(*d._canon, _max_nodes(limits))[0]) // 2
+    return len(_reduce_word(*d._canon, _max_nodes(limits))[0][0]) // 2
 
 
 def minimal_class_code(d: GaussDiagram, limits: OrbitLimits | None = None) -> str:
     """Complete flat-knot invariant: the least canonical code over the FR3
     orbit of a reached minimal diagram."""
     _check_diagram(d, "d")
-    orbit = _reduce_word(*d._canon, _max_nodes(limits))[1]
+    (_, orbit), _ = _reduce_word(*d._canon, _max_nodes(limits))
     return serialize(_trusted(orbit[0]))
-
-
-def _chain(key: bytes, max_nodes: int):
-    """(minimal word, stored links in order) of the key of a word
-    reduced under max_nodes."""
-    memo = _memo[max_nodes]
-    links = []
-    value = memo[key]
-    while len(value) > 2:
-        links.append(value[2:])
-        value = memo[value[2]]
-    return value[0], links
 
 
 def _reversed_steps(links, post: int) -> list[mv.Move]:
@@ -371,13 +371,11 @@ def _reversed_steps(links, post: int) -> list[mv.Move]:
     return out
 
 
-def _trace(k1: bytes, k2: bytes, max_nodes: int) -> tuple[mv.Move, ...]:
-    """Moves from the canonical word of key k1 to that of k2, two words of
-    one class already reduced under max_nodes: k1's stored links down to
-    its minimal word, an FR3 path to k2's minimal word, and k2's links
-    inverted."""
-    m1, links1 = _chain(k1, max_nodes)
-    m2, links2 = _chain(k2, max_nodes)
+def _trace(m1, links1, m2, links2, max_nodes: int) -> tuple[mv.Move, ...]:
+    """Moves from the canonical word of one input to that of another of
+    the same class, from the (minimal word, links) `_reduce_word` gave
+    each under max_nodes: the first's links down to m1, an FR3 path from
+    m1 to m2, and the second's links inverted."""
     steps = [m for link in links1 for m in link[1::2]]
     # equal minimal words need no bridge, and their orbit was scanned
     # under this budget when it was memoized, so no budget error is lost
@@ -402,12 +400,12 @@ def equivalent(
     _check_flag(with_certificate, "with_certificate")
     max_nodes = _max_nodes(limits)
     (c1, back1, k1), (c2, back2, k2) = d1._canon, d2._canon
-    orbit1 = _reduce_word(c1, back1, k1, max_nodes)[1]
-    orbit2 = _reduce_word(c2, back2, k2, max_nodes)[1]
+    (m1, orbit1), links1 = _reduce_word(c1, back1, k1, max_nodes)
+    (m2, orbit2), links2 = _reduce_word(c2, back2, k2, max_nodes)
     verdict = orbit1[0] == orbit2[0]
     if not with_certificate:
         return verdict
     if not verdict:
         return verdict, None
-    steps = _trace(k1, k2, max_nodes)
+    steps = _trace(m1, links1, m2, links2, max_nodes)
     return verdict, MoveTrace(serialize(_trusted(c1)), steps, serialize(_trusted(c2)))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import hashlib
 import itertools
 import random
 
@@ -23,6 +24,12 @@ from flatknots import (
     enumerate_fr1_increasing,
     enumerate_fr2_increasing,
     enumerate_fr3,
+    enumerate_increasing,
+    equivalent,
+    fr3_orbit,
+    monotone_reduce,
+    parse,
+    replay_trace,
     u_polynomial,
 )
 from flatknots import diagram, moves, reduce
@@ -656,6 +663,38 @@ def certificate_oracle(d1: GaussDiagram, d2: GaussDiagram) -> MoveTrace:
     )
 
 
+def bridge_digest(records_by_n, top: int) -> tuple[int, int, str]:
+    """(pairs, bridged, sha256) of certified equivalences across FR3 orbits.
+
+    For each record of records_by_n(n), n = 3..top, whose minimal orbit
+    has at least two words, the orbit's first word a is paired with its
+    last word b after two seeded random inserts (one Random(5) for the
+    whole run).  Each certified `equivalent(a, b)` must hold and replay;
+    the digest covers each certificate's JSON, then the JSON of b's
+    `monotone_reduce` trace.  A pair is bridged when b reduces to another
+    word than a, so its certificate crosses the orbit by FR3 moves."""
+    rng = random.Random(5)
+    digest = hashlib.sha256()
+    pairs = bridged = 0
+    for n in range(3, top + 1):
+        for rec in records_by_n(n):
+            if rec.orbit_size < 2:
+                continue
+            codes = fr3_orbit(parse(rec.code))
+            a, b = parse(codes[0]), parse(codes[-1])
+            for _ in range(2):
+                b = apply(b, rng.choice(enumerate_increasing(b)))
+            same, cert = equivalent(a, b, with_certificate=True)
+            assert same is True, (rec.code, serialize(b))
+            replay_trace(cert)
+            minimal, trace = monotone_reduce(b)
+            digest.update(cert.to_json().encode())
+            digest.update(trace.to_json().encode())
+            pairs += 1
+            bridged += minimal != a
+    return pairs, bridged, digest.hexdigest()
+
+
 def all_legal_moves(d: GaussDiagram, max_arrows: int | None = None):
     """Every legal move at d; inserts only if the result stays within
     max_arrows (no cap when None)."""
@@ -848,22 +887,6 @@ def diagram_strategy(draw, max_n: int = 5):
         else:
             word[p], word[q] = label, -label
     return GaussDiagram(tuple(word))
-
-
-def random_split_prone_diagrams(rng: random.Random, count: int):
-    """count random diagrams with up to 16 arrows; every odd-numbered one
-    with at least two arrows is two random words joined end to end and
-    rotated, so it splits."""
-    for i in range(count):
-        n = rng.randint(0, 16)
-        if n >= 2 and i % 2:
-            k = rng.randint(1, n - 1)
-            w2 = random_diagram(rng, n - k).word
-            word = random_diagram(rng, k).word + tuple(t + k if t > 0 else t - k for t in w2)
-            r = rng.randrange(2 * n)
-            yield GaussDiagram(word[r:] + word[:r])
-        else:
-            yield random_diagram(rng, n)
 
 
 def full_move_graph_classes(ceiling: int):

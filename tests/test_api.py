@@ -224,8 +224,9 @@ def test_tracer_counts_the_engine_work(monkeypatch):
 
 def test_only_the_fr3_singletons_are_cached():
     """`reduce._memo` is the library's one shared cache.  The only
-    memoized functions are the two single-entry FR3 builders, the catalog
-    and the shape table, and the one per-object cache is
+    memoized functions are the three single-entry FR3 builders, the
+    catalog, its before index and the shape table, and the one
+    per-object cache is
     `GaussDiagram._canon`: a diagram's canonical word and offsets, which
     live and die with the diagram."""
     modules = [flatknots] + [
@@ -242,6 +243,7 @@ def test_only_the_fr3_singletons_are_cached():
                     cached.add(f"{obj.__module__}.{obj.__qualname__}.{fn.attrname}")
     assert cached == {
         "flatknots.moves.build_fr3_catalog",
+        "flatknots.moves._fr3_befores",
         "flatknots.moves._fr3_shape_table",
         "flatknots.diagram.GaussDiagram._canon",
     }

@@ -259,6 +259,19 @@ def test_replay_top_level_list_exit_2(tmp_path, capsys):
     _assert_input_error(*_replay_malformed(tmp_path, capsys, []))
 
 
+def test_replay_trace_that_is_not_json_exit_2(tmp_path, capsys):
+    # the one error line says it was the trace that would not parse
+    cases = (("", "line 1 column 1 (char 0)"), ('{"format"', "line 1 column 10 (char 9)"))
+    for text, where in cases:
+        trace_file = tmp_path / "not.json"
+        trace_file.write_text(text)
+        capsys.readouterr()
+        code, out = run_cli(["replay", "+1 -1", str(trace_file)])
+        err = capsys.readouterr().err
+        _assert_input_error(code, out, err)
+        assert err.startswith("error: trace is not JSON: ") and err.endswith(f" {where}\n")
+
+
 def test_replay_deeply_nested_json_exit_2(tmp_path, capsys):
     trace_file = tmp_path / "deep.json"
     trace_file.write_text("[" * 200_000 + "]" * 200_000)

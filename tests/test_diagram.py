@@ -297,14 +297,12 @@ def test_canon_holds_the_canonical_word_and_its_offsets():
         assert word_of_key(canon[2]) == canon[0], word
 
 
-def test_canonical_reads_every_head_label_from_the_shared_table(monkeypatch):
+def test_canonical_reads_every_head_label_from_the_shared_table():
     """_canonical matches the oracle on seeded random words, some with
     arbitrary distinct labels as a move leaves them, and on one word of
-    300 arrows.  Started from a table of eight labels, diagram._NEG grows
-    by rebinding to a longer tuple that keeps its old objects, and every
-    head label of every result is the final table's object."""
-    old = diagram._NEG[:8]
-    monkeypatch.setattr(diagram, "_NEG", old)
+    300 arrows.  Every head label of a result of at most 256 endpoints is
+    diagram._NEG's object; the longer word's labels reach past 256, and
+    the table stays as it was."""
     rng = random.Random(35)
     words = []
     for _ in range(200):
@@ -319,18 +317,18 @@ def test_canonical_reads_every_head_label_from_the_shared_table(monkeypatch):
         _assert_matches_oracle(word)
         results.append(_canonical(word)[0])
     table = diagram._NEG
-    assert len(table) > 300 and all(table[k] is old[k] for k in range(8))
-    assert all(t is table[-t] for canon in results for t in canon if t < 0)
+    assert len(table) == 257 and all(table[k] == -k for k in range(257))
+    short = [canon for canon in results if len(canon) <= 256]
+    assert len(short) == 200
+    assert all(t is table[-t] for canon in short for t in canon if t < 0)
     assert any(t < -256 for t in results[-1])  # past CPython's small ints
 
 
-def test_shared_tables_stay_whole_when_threads_grow_them(monkeypatch):
-    """Eight threads, switching every microsecond, canonicalize words that
-    grow diagram._NEG from eight labels to past 400, 30 times over from a
-    common start, and ask moves._move for the same 420 FR2 inserts, none
-    of them shared yet.  Every word canonicalizes as it does on one
-    thread, the table reads _NEG[k] == -k at every k after every round,
-    and all threads get one object per move."""
+def test_shared_tables_stay_whole_when_threads_grow_them():
+    """Eight threads, switching every microsecond, canonicalize words of
+    up to 204 arrows 30 times over and ask moves._move for the same 420
+    FR2 inserts, none of them shared yet.  Every word canonicalizes as it
+    does on one thread, and all threads get one object per move."""
     rng = random.Random(36)
     words = [random_diagram(rng, n).word for n in range(4, 210, 6)]
     want = [_canonical(w)[0] for w in words]
@@ -341,15 +339,8 @@ def test_shared_tables_stay_whole_when_threads_grow_them(monkeypatch):
         for gb in range(ga, 10**6 + 14)
     ]
     assert len(fields) == 420 and not any(f in moves._SHARED for f in fields)
-    start = diagram._NEG[:8]
-    tables = []
-
-    def next_round():  # run by one thread while the others wait
-        tables.append(diagram._NEG)
-        monkeypatch.setattr(diagram, "_NEG", start)
-
     rounds = 30
-    barrier = threading.Barrier(8, action=next_round, timeout=60)
+    barrier = threading.Barrier(8, timeout=60)
     results, errors = {}, []
 
     def work(i):
@@ -375,9 +366,6 @@ def test_shared_tables_stay_whole_when_threads_grow_them(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not errors and not any(t.is_alive() for t in threads) and len(results) == 8
-    assert len(tables) == rounds + 1
-    for table in tables[1:]:
-        assert len(table) > 400 and all(table[k] == -k for k in range(len(table)))
     for j in range(len(fields)):
         assert len({id(shared[j]) for shared in results.values()}) == 1
 

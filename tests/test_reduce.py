@@ -37,6 +37,7 @@ from flatknots.moves import KIND_DELTA
 from flatknots.reduce import DEFAULT_LIMITS
 from conftest import (
     all_legal_moves,
+    bridge_digest,
     certificate_oracle,
     full_move_graph_classes,
     random_diagram,
@@ -123,6 +124,18 @@ def test_trace_and_certificate_bytes_are_pinned():
     assert fr3_ids == {0, 1, 2, 4, 5, 6, 7}
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     assert digest == "ec95d24bb2d764a7931a9c68763337f3d42fc2bec13c64922befb97167273c41"
+
+
+def test_bridge_certificates_are_pinned(classified):
+    """Certificates from the first word of each minimal FR3 orbit of two
+    or more words at n = 3..6 to its last word after two random inserts,
+    hashed with each scrambled word's reduction trace (`bridge_digest`).
+    Every one crosses its orbit through an FR3 bridge."""
+    assert bridge_digest(classified, 6) == (
+        1292,
+        1292,
+        "3ad94d3dc27e0c0dda2b3003502c0ad8fca5d70858ab538e6514dcc894f3ec3f",
+    )
 
 
 def test_minimality_examples():
@@ -396,10 +409,11 @@ def test_reduction_step_checks_the_start_word_first(monkeypatch):
     monkeypatch.setattr(reduce, "_scan_orbit", scanning)
     for budget in (1, DEFAULT_LIMITS.max_nodes):
         monkeypatch.setattr(reduce, "_memo", {})
-        minimal = reduce._reduce_word(*d._canon, budget)[0]
+        (minimal, _), links = reduce._reduce_word(*d._canon, budget)
         # one step reaches the minimal word; the link holds its key, the
         # move and its offset, and no FR3 path
-        link = reduce._memo[budget][d._canon[2]][2:]
+        (link,) = links
+        assert reduce._memo[budget][d._canon[2]] == link
         next_key = diagram._key(minimal, diagram._offsets(minimal))
         assert link[:2] == (next_key, enumerate_decreasing(GaussDiagram(w))[0])
         assert len(link) == 3
@@ -482,7 +496,7 @@ def test_scan_matches_the_every_site_oracle_on_reduced_random_words(monkeypatch)
     of more than one word."""
     monkeypatch.setattr(reduce, "_memo", {})
     minimal = {
-        reduce._reduce_word(*GaussDiagram(w)._canon, DEFAULT_LIMITS.max_nodes)[0]
+        reduce._reduce_word(*GaussDiagram(w)._canon, DEFAULT_LIMITS.max_nodes)[0][0]
         for w in _reduce_random_words(2000)
     }
     multi = 0
@@ -542,11 +556,11 @@ MAX_NODES = DEFAULT_LIMITS.max_nodes
 
 def _check_reduce_against_oracle(diagrams, monkeypatch):
     """Same minimal word and trace bytes as reduce_oracle, the same
-    _reduce_word answer on a cold memo, on the diagram's own entry, and
-    on a memo warmed by every diagram before it, the orbit in the head
-    _reduce_word returns for the minimal word on a cold memo in
-    fr3_orbit's order with the class code first, and links in the warm
-    memo that replay."""
+    minimal word in the head _reduce_word returns on a cold memo, on the
+    diagram's own entry, and on a memo warmed by every diagram before
+    it, the orbit in the head _reduce_word returns for the minimal word
+    on a cold memo in fr3_orbit's order with the class code first and no
+    links, and links in the warm memo that replay."""
     wants = []
     for d in diagrams:
         start, back, key = d._canon
@@ -557,19 +571,19 @@ def _check_reduce_against_oracle(diagrams, monkeypatch):
         got, got_trace = monotone_reduce(d)
         assert (got, got_trace.to_json()) == (minimal, trace.to_json()), serialize(d)
         # the trace is read from the links the reduction wrote
-        assert reduce._memo[MAX_NODES][key][0] == minimal.word
+        assert reduce._chain(reduce._memo[MAX_NODES], key)[0][0] == minimal.word
         monkeypatch.setattr(reduce, "_memo", {})
-        assert reduce._reduce_word(start, back, key, MAX_NODES)[0] == want, serialize(d)
-        assert reduce._reduce_word(start, back, key, MAX_NODES)[0] == want, serialize(d)
+        assert reduce._reduce_word(start, back, key, MAX_NODES)[0][0] == want, serialize(d)
+        assert reduce._reduce_word(start, back, key, MAX_NODES)[0][0] == want, serialize(d)
         monkeypatch.setattr(reduce, "_memo", {})
         codes = fr3_orbit(minimal)
         orbit = tuple(parse(c).word for c in codes)
-        head = reduce._reduce_word(*minimal._canon, MAX_NODES)
-        assert head == (minimal.word, orbit), serialize(d)
+        head, links = reduce._reduce_word(*minimal._canon, MAX_NODES)
+        assert (head, links) == ((minimal.word, orbit), []), serialize(d)
         assert minimal_class_code(d) == codes[0], serialize(d)
     monkeypatch.setattr(reduce, "_memo", {})
     for d, (want, trace_json) in zip(diagrams, wants):
-        assert reduce._reduce_word(*d._canon, MAX_NODES)[0] == want, serialize(d)
+        assert reduce._reduce_word(*d._canon, MAX_NODES)[0][0] == want, serialize(d)
         assert monotone_reduce(d)[1].to_json() == trace_json, serialize(d)
     _check_links_replay()
 
@@ -598,21 +612,22 @@ def _check_certificates_against_oracle(pairs, monkeypatch):
 
 
 def _check_links_replay():
-    """Every memo entry is (word, orbit) for a member of its own minimal
-    orbit, or holds a link: FR3 moves and then one decreasing move, each
-    applied to the canonical word before it, whose results canonicalize
-    at the stored offsets and end at the word of the next entry's key.
-    Each entry's word is the one its key encodes (`word_of_key`).  Links
-    with and without an FR3 path must both occur."""
+    """Every memo entry is a head (word, orbit) for a member of its own
+    minimal orbit, or a link and nothing else: the key of a word that has
+    an entry, then FR3 moves and one decreasing move, each applied to the
+    canonical word before it, whose results canonicalize at the stored
+    offsets and end at that next word.  Each entry's word is the one its
+    key encodes (`word_of_key`).  Links with and without an FR3 path must
+    both occur."""
     fr3_paths = set()
     for memo in reduce._memo.values():
         for key, value in memo.items():
             word = word_of_key(key)
-            min_word, orbit, link = value[0], value[1], value[2:]
-            if not link:
+            if len(value) == 2:
+                min_word, orbit = value
                 assert min_word == word and word in orbit
                 continue
-            nxt, moves, offsets = link[0], link[1::2], link[2::2]
+            nxt, moves, offsets = value[0], value[1::2], value[2::2]
             fr3_paths.add(len(moves) > 1)
             assert [m.kind == "fr3" for m in moves] == [True] * (len(moves) - 1) + [False]
             assert moves[-1].delta < 0
@@ -621,7 +636,7 @@ def _check_links_replay():
                 cur, got_r = diagram._canonical(apply(GaussDiagram(cur), m).word)[:2]
                 assert got_r == r, serialize(GaussDiagram(word))
             assert cur == word_of_key(nxt), serialize(GaussDiagram(word))
-            assert memo[nxt][:2] == (min_word, orbit)
+            assert nxt in memo
     assert fr3_paths == {False, True}
 
 
@@ -631,7 +646,7 @@ class _LinkCheckedMemo(dict):
 
     def __setitem__(self, word, value):
         if len(value) > 2:
-            assert value[2] in self, serialize(GaussDiagram(word))
+            assert value[0] in self, serialize(GaussDiagram(word))
         super().__setitem__(word, value)
 
 
@@ -656,10 +671,10 @@ def test_memo_links_are_written_after_their_next_word(monkeypatch):
     # every entry went through the checked dict
     (memo,) = reduce._memo.values()
     assert isinstance(memo, _LinkCheckedMemo)
-    ends = {memo[x._canon[2]][0] for x in (d1, d2)}
+    ends = {reduce._chain(memo, x._canon[2])[0][0] for x in (d1, d2)}
     assert len(ends) == 2
     # some trails were longer than one link, so their write order mattered
-    assert any(len(memo[v[2]]) > 2 for v in memo.values() if len(v) > 2)
+    assert any(len(memo[v[0]]) > 2 for v in memo.values() if len(v) > 2)
 
 
 def test_the_memo_keeps_one_dict_of_canonical_words_per_budget(monkeypatch):
@@ -805,13 +820,13 @@ def test_certified_equivalences_share_their_fr1_fr2_moves_and_head_labels(monkey
         assert same
         held += cert.steps
     (memo,) = reduce._memo.values()
-    held += [m for value in memo.values() if len(value) > 2 for m in value[3::2]]
+    held += [m for value in memo.values() if len(value) > 2 for m in value[1::2]]
     fr3 = [m for m in held if m.kind == moves.FR3]
     shared = [m for m in held if m.kind != moves.FR3]
     assert fr3 and len(shared) > len({(m.kind, m.variant, m.positions) for m in shared})
     assert all(moves._SHARED[m.kind, m.variant, m.positions] is m for m in shared)
     assert all(m.kind != moves.FR3 for m in moves._SHARED.values())
-    labeled = [w for value in memo.values() for w in (value[0], *value[1])]
+    labeled = [w for value in memo.values() if len(value) == 2 for w in (value[0], *value[1])]
     heads = [t for w in labeled for t in w if t < 0]
     assert min(heads) < -5  # past CPython's small ints
     assert all(t is diagram._NEG[-t] for t in heads)
