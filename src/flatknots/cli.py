@@ -17,7 +17,7 @@ import sys
 import tempfile
 
 from .catalog import _header, _line, _records, write_catalog
-from .compose import is_composite, permutant_set, verify_superadditivity
+from .compose import connected_sum, is_composite, permutant_set, verify_superadditivity
 from .diagram import (
     BasedDiagram,
     canonical_form,
@@ -25,7 +25,6 @@ from .diagram import (
     parse,
     serialize,
 )
-from .compose import connected_sum
 from .invariants import u_polynomial
 from .moves import SiteMismatch
 from .reduce import (
@@ -44,8 +43,10 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _emit_json(obj) -> None:
-    print(_json_text(obj))
+def _emit(args, obj, text: str) -> None:
+    """Print a command's answer: `obj` as one JSON line under --format
+    json, else `text`, which may run over several lines."""
+    print(_json_text(obj) if args.format == "json" else text)
 
 
 def _json_record(r) -> dict:
@@ -68,10 +69,7 @@ def _input_codes(args) -> list[str]:
 def _cmd_canon(args) -> int:
     for code in _input_codes(args):
         canon = canonical_form(parse(code))
-        if args.format == "json":
-            _emit_json({"canonical": canon, "input": code})
-        else:
-            print(canon)
+        _emit(args, {"canonical": canon, "input": code}, canon)
     return 0
 
 
@@ -84,18 +82,15 @@ def _cmd_reduce(args) -> int:
         if args.trace:
             with open(args.trace, "w", encoding="utf-8") as fh:
                 fh.write(trace.to_json() + "\n")
-        if args.format == "json":
-            _emit_json(
-                {
-                    "cr": minimal.n,
-                    "input": code,
-                    "minimal": serialize(minimal),
-                    "steps": len(trace.steps),
-                    "u": str(u_polynomial(minimal)),
-                }
-            )
-        else:
-            print(f"{serialize(minimal)} cr={minimal.n}")
+        min_code = serialize(minimal)
+        obj = {
+            "cr": minimal.n,
+            "input": code,
+            "minimal": min_code,
+            "steps": len(trace.steps),
+            "u": str(u_polynomial(minimal)),
+        }
+        _emit(args, obj, f"{min_code} cr={minimal.n}")
     return 0
 
 
@@ -108,10 +103,8 @@ def _cmd_equiv(args) -> int:
                 fh.write(cert.to_json() + "\n")
     else:
         same = equivalent(d1, d2, args.limits)
-    if args.format == "json":
-        _emit_json({"equivalent": same, "inputs": [args.code1, args.code2]})
-    else:
-        print("equivalent" if same else "not-equivalent")
+    obj = {"equivalent": same, "inputs": [args.code1, args.code2]}
+    _emit(args, obj, "equivalent" if same else "not-equivalent")
     return 0 if same else 1
 
 
@@ -124,31 +117,26 @@ def _cmd_prime(args) -> int:
         v = is_composite(parse(code), args.limits)
         m, w = v.minimal, v.witness
         min_code = serialize(m)
-        splits = None
+        obj = {
+            "cr": m.n,
+            "input": code,
+            "minimal": min_code,
+            "verdict": v.verdict,
+            "witness": None if w is None else _split_record(w.gap_a, w.gap_b, w.side_sizes),
+        }
+        text = f"{v.verdict} minimal={min_code} cr={m.n}"
+        if w is not None:
+            text += f" split=({w.gap_a},{w.gap_b}) sides={w.side_sizes[0]},{w.side_sizes[1]}"
         if args.all_splits:
             # the nontrivial splits, and a same-gap row (g, g) at every gap
             splits = sorted(
                 [(s.gap_a, s.gap_b, s.side_sizes) for s in find_splits(m)]
                 + [(g, g, (0, m.n)) for g in range(max(m.size, 1))]
             )
-        if args.format == "json":
-            obj = {
-                "cr": m.n,
-                "input": code,
-                "minimal": min_code,
-                "verdict": v.verdict,
-                "witness": None if w is None else _split_record(w.gap_a, w.gap_b, w.side_sizes),
-            }
-            if splits is not None:
-                obj["splits"] = [_split_record(*s) for s in splits]
-            _emit_json(obj)
-        else:
-            line = f"{v.verdict} minimal={min_code} cr={m.n}"
-            if w is not None:
-                line += f" split=({w.gap_a},{w.gap_b}) sides={w.side_sizes[0]},{w.side_sizes[1]}"
-            print(line)
-            for ga, gb, sides in splits or ():
-                print(f"split gap_a={ga} gap_b={gb} sides={sides[0]},{sides[1]}")
+            obj["splits"] = [_split_record(*s) for s in splits]
+            for ga, gb, sides in splits:
+                text += f"\nsplit gap_a={ga} gap_b={gb} sides={sides[0]},{sides[1]}"
+        _emit(args, obj, text)
     return 0
 
 
@@ -157,28 +145,23 @@ def _cmd_csum(args) -> int:
         BasedDiagram(parse(args.code1), args.gap1),
         BasedDiagram(parse(args.code2), args.gap2),
     )
-    if args.format == "json":
-        _emit_json({"code": serialize(s), "canonical": canonical_form(s)})
-    else:
-        print(serialize(s))
+    code = serialize(s)
+    _emit(args, {"code": code, "canonical": canonical_form(s)}, code)
     return 0
 
 
 def _cmd_permutants(args) -> int:
     ps = permutant_set(parse(args.code1), parse(args.code2))
-    if args.format == "json":
-        _emit_json(
-            {
-                "inputs": list(ps.input_codes),
-                "members": list(ps.members),
-                "sources": {c: [list(p) for p in pairs] for c, pairs in ps.sources.items()},
-            }
-        )
-    else:
-        print(f"members={len(ps.members)}")
-        for code in ps.members:
-            src = ";".join(f"{g1},{g2}" for g1, g2 in ps.sources[code])
-            print(f"{code} from={src}")
+    obj = {
+        "inputs": list(ps.input_codes),
+        "members": list(ps.members),
+        "sources": {c: [list(p) for p in pairs] for c, pairs in ps.sources.items()},
+    }
+    lines = [f"members={len(ps.members)}"]
+    for code in ps.members:
+        src = ";".join(f"{g1},{g2}" for g1, g2 in ps.sources[code])
+        lines.append(f"{code} from={src}")
+    _emit(args, obj, "\n".join(lines))
     return 0
 
 
@@ -190,61 +173,48 @@ def _cmd_verify_superadd(args) -> int:
         seed=args.seed,
         sample_size=args.sample_size,
     )
-    if args.format == "json":
-        _emit_json(
-            {
-                "cr1": report.cr1,
-                "cr2": report.cr2,
-                "distinct_classes": report.distinct_classes,
-                "equality_violations": list(report.equality_violations),
-                "exhaustive": report.exhaustive,
-                "inequality_violations": list(report.inequality_violations),
-                "inputs": list(report.input_codes),
-                "inputs_minimal": report.inputs_minimal,
-                "members": [
-                    {"class": r.class_id, "code": r.code, "cr": r.cr, "minimal": r.minimal}
-                    for r in report.rows
-                ],
-                "ok": report.ok,
-            }
+    obj = {
+        "cr1": report.cr1,
+        "cr2": report.cr2,
+        "distinct_classes": report.distinct_classes,
+        "equality_violations": list(report.equality_violations),
+        "exhaustive": report.exhaustive,
+        "inequality_violations": list(report.inequality_violations),
+        "inputs": list(report.input_codes),
+        "inputs_minimal": report.inputs_minimal,
+        "members": [
+            {"class": r.class_id, "code": r.code, "cr": r.cr, "minimal": r.minimal}
+            for r in report.rows
+        ],
+        "ok": report.ok,
+    }
+    lines = [
+        f"cr1={report.cr1} cr2={report.cr2} "
+        f"inputs-minimal={str(report.inputs_minimal).lower()} "
+        f"exhaustive={str(report.exhaustive).lower()}"
+    ]
+    for r in report.rows:
+        lines.append(
+            f"member code={r.code} cr={r.cr} class={r.class_id} "
+            f"minimal={str(r.minimal).lower()}"
         )
-    else:
-        print(
-            f"cr1={report.cr1} cr2={report.cr2} "
-            f"inputs-minimal={str(report.inputs_minimal).lower()} "
-            f"exhaustive={str(report.exhaustive).lower()}"
-        )
-        for r in report.rows:
-            print(
-                f"member code={r.code} cr={r.cr} class={r.class_id} "
-                f"minimal={str(r.minimal).lower()}"
-            )
-        print(
-            f"classes={report.distinct_classes} "
-            f"inequality-violations={len(report.inequality_violations)} "
-            f"equality-violations={len(report.equality_violations)}"
-        )
+    lines.append(
+        f"classes={report.distinct_classes} "
+        f"inequality-violations={len(report.inequality_violations)} "
+        f"equality-violations={len(report.equality_violations)}"
+    )
+    _emit(args, obj, "\n".join(lines))
     return 0 if report.ok else 1
 
 
 def _cmd_tabulate(args) -> int:
-    # write_catalog owns the --out file and renames it into place after the
-    # last record.  This command owns stdout, and writes nothing there
-    # until the last record is made, so an orbit budget error leaves stdout
-    # empty and the --out file untouched.  The text form is the catalog
-    # itself: with --out it is copied from the file once write_catalog has
-    # put it in place, so each line is built once; without, each line goes
-    # to an anonymous temp file, copied to stdout after the last record.
-    # The JSON form goes to that temp file, record by record as each passes
-    # on to write_catalog.  It has sorted keys, so "records" comes last:
-    # its text is the object with no records up to the closing "]}", each
-    # record, "]}".
+    # Each record's stdout form goes to an anonymous temp file, copied to
+    # stdout after the last record, so an orbit budget error leaves stdout
+    # empty; with --out the records pass on to write_catalog, which renames
+    # its file into place after the last one.  The JSON form has sorted
+    # keys, so "records" comes last: the object with no records up to the
+    # closing "]}", each record, "]}".
     as_json = args.format == "json"
-    if args.out is not None and not as_json:
-        write_catalog(_records(args.n, args.limits), args.out, args.n)
-        with open(args.out, encoding="utf-8", newline="\n") as fh:
-            shutil.copyfileobj(fh, sys.stdout)
-        return 0
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as shown:
 
         def shown_records():
@@ -285,10 +255,8 @@ def _cmd_replay(args) -> int:
     except (SiteMismatch, TraceMismatch) as exc:
         print(f"replay failed: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        _emit_json({"end": serialize(result), "steps": len(trace.steps)})
-    else:
-        print(serialize(result))
+    end = serialize(result)
+    _emit(args, {"end": end, "steps": len(trace.steps)}, end)
     return 0
 
 

@@ -102,10 +102,6 @@ class Move:
             raise ValueError(f"move positions must be a list of integers, not {positions!r}")
         return cls(kind, variant, tuple(positions))
 
-    def __str__(self) -> str:
-        pos = ",".join(str(p) for p in self.positions)
-        return f"{self.kind} {self.variant} [{pos}]"
-
 
 # One Move per FR1/FR2 value: (kind, variant, positions) -> its Move.
 # Memo links and certificates hold the same few removals and inserts many

@@ -158,9 +158,9 @@ def test_tabulate_text_and_file(tmp_path):
 
 @pytest.mark.parametrize("out", [False, True])
 def test_tabulate_builds_each_text_line_once(out, tmp_path, monkeypatch, classified):
-    """Text stdout and the --out file hold the same bytes, but each
-    catalog line is built once: by write_catalog with --out, whose file
-    is then copied to stdout, and by the command without."""
+    """Each catalog line is built once for each output it goes to: by
+    the command for stdout, and with --out by write_catalog too, right
+    after, for a file that holds stdout's bytes."""
     built = []
     line = catalog._line
 
@@ -173,8 +173,8 @@ def test_tabulate_builds_each_text_line_once(out, tmp_path, monkeypatch, classif
     path = tmp_path / "five.flatcat"
     code, text = run_cli(["tabulate", "5"] + (["--out", str(path)] if out else []))
     assert code == 0
-    assert built == list(classified(5))
-    assert text.count("\n") == len(built) + 1
+    assert built == [r for r in classified(5) for _ in range(1 + out)]
+    assert text.count("\n") == len(classified(5)) + 1
     if out:
         assert path.read_text() == text
 
@@ -568,3 +568,55 @@ def test_empty_file_name_is_an_input_error(argv, tmp_path, monkeypatch, capsys):
     _assert_input_error(code, out, err)
     assert "empty file name" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def _every_command_digest(fmt, tmp_path, capsys) -> str:
+    """sha256 over the exit code, stdout and stderr of a fixed run of
+    every command under `--format fmt`, and of each --out file written."""
+    h = hashlib.sha256()
+
+    def run(argv, stdin_text=None):
+        capsys.readouterr()
+        code, out = run_cli(["--format", fmt] + argv, stdin_text)
+        h.update(json.dumps([code, out, capsys.readouterr().err]).encode())
+
+    codes = "".join(
+        serialize(d) + "\n" for n in range(4) for d in flatknots.enumerate_diagrams(n)
+    )
+    for argv in (["canon"], ["reduce"], ["prime"], ["prime", "--all-splits"]):
+        run(argv, codes)
+    rng = random.Random(39)
+    for _ in range(60):
+        d1 = random_diagram(rng, rng.randint(0, 4))
+        d2 = random_diagram(rng, rng.randint(0, 4))
+        c1, c2 = serialize(d1), serialize(d2)
+        g1 = rng.randrange(max(d1.size, 1))
+        g2 = rng.randrange(max(d2.size, 1))
+        run(["equiv", c1, c2])
+        run(["csum", c1, str(g1), c2, str(g2)])
+        run(["permutants", c1, c2])
+        run(["verify-superadd", c1, c2, "--sample-size", "5", "--seed", "3"])
+    start = serialize(random_diagram(rng, 6))
+    trace = tmp_path / "trace.json"
+    run(["reduce", start, "--trace", str(trace)])
+    run(["replay", start, str(trace)])
+    path = tmp_path / "catalog.flatcat"
+    for n in range(5):
+        run(["tabulate", str(n)])
+        run(["tabulate", str(n), "--out", str(path)])
+        h.update(path.read_bytes())
+    run(["tabulate", "5", "--max-orbit", "1"])
+    run(["canon", "+1 +1"])
+    return h.hexdigest()
+
+
+# _every_command_digest in each format
+EVERY_COMMAND_SHA256 = {
+    "text": "c113abd7cd7745b5d9b9206843ccc9395e0ee1a940a1e8fc727cee14561ea249",
+    "json": "f3b28f54e6e583f6afd586392c10dd49530032092d194192a5f096d21d16a8a8",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(EVERY_COMMAND_SHA256))
+def test_every_commands_bytes_are_pinned(fmt, tmp_path, capsys):
+    assert _every_command_digest(fmt, tmp_path, capsys) == EVERY_COMMAND_SHA256[fmt]
