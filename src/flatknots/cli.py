@@ -43,10 +43,11 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(args, obj, text: str) -> None:
-    """Print a command's answer: `obj` as one JSON line under --format
-    json, else `text`, which may run over several lines."""
-    print(_json_text(obj) if args.format == "json" else text)
+def _emit(args, text: str, build) -> None:
+    """Print a command's answer: `text`, which may run over several
+    lines, or under --format json the dict `build()` returns, as one JSON
+    line; `build` runs only then, so text computes no JSON-only field."""
+    print(_json_text(build()) if args.format == "json" else text)
 
 
 def _json_record(r) -> dict:
@@ -69,7 +70,7 @@ def _input_codes(args) -> list[str]:
 def _cmd_canon(args) -> int:
     for code in _input_codes(args):
         canon = canonical_form(parse(code))
-        _emit(args, {"canonical": canon, "input": code}, canon)
+        _emit(args, canon, lambda: {"canonical": canon, "input": code})
     return 0
 
 
@@ -83,14 +84,13 @@ def _cmd_reduce(args) -> int:
             with open(args.trace, "w", encoding="utf-8") as fh:
                 fh.write(trace.to_json() + "\n")
         min_code = serialize(minimal)
-        obj = {
+        _emit(args, f"{min_code} cr={minimal.n}", lambda: {
             "cr": minimal.n,
             "input": code,
             "minimal": min_code,
             "steps": len(trace.steps),
             "u": str(u_polynomial(minimal)),
-        }
-        _emit(args, obj, f"{min_code} cr={minimal.n}")
+        })
     return 0
 
 
@@ -103,8 +103,8 @@ def _cmd_equiv(args) -> int:
                 fh.write(cert.to_json() + "\n")
     else:
         same = equivalent(d1, d2, args.limits)
-    obj = {"equivalent": same, "inputs": [args.code1, args.code2]}
-    _emit(args, obj, "equivalent" if same else "not-equivalent")
+    text = "equivalent" if same else "not-equivalent"
+    _emit(args, text, lambda: {"equivalent": same, "inputs": [args.code1, args.code2]})
     return 0 if same else 1
 
 
@@ -117,13 +117,6 @@ def _cmd_prime(args) -> int:
         v = is_composite(parse(code), args.limits)
         m, w = v.minimal, v.witness
         min_code = serialize(m)
-        obj = {
-            "cr": m.n,
-            "input": code,
-            "minimal": min_code,
-            "verdict": v.verdict,
-            "witness": None if w is None else _split_record(w.gap_a, w.gap_b, w.side_sizes),
-        }
         text = f"{v.verdict} minimal={min_code} cr={m.n}"
         if w is not None:
             text += f" split=({w.gap_a},{w.gap_b}) sides={w.side_sizes[0]},{w.side_sizes[1]}"
@@ -133,10 +126,16 @@ def _cmd_prime(args) -> int:
                 [(s.gap_a, s.gap_b, s.side_sizes) for s in find_splits(m)]
                 + [(g, g, (0, m.n)) for g in range(max(m.size, 1))]
             )
-            obj["splits"] = [_split_record(*s) for s in splits]
             for ga, gb, sides in splits:
                 text += f"\nsplit gap_a={ga} gap_b={gb} sides={sides[0]},{sides[1]}"
-        _emit(args, obj, text)
+        _emit(args, text, lambda: {
+            "cr": m.n,
+            "input": code,
+            "minimal": min_code,
+            "verdict": v.verdict,
+            "witness": None if w is None else _split_record(w.gap_a, w.gap_b, w.side_sizes),
+            **({"splits": [_split_record(*s) for s in splits]} if args.all_splits else {}),
+        })
     return 0
 
 
@@ -146,22 +145,21 @@ def _cmd_csum(args) -> int:
         BasedDiagram(parse(args.code2), args.gap2),
     )
     code = serialize(s)
-    _emit(args, {"code": code, "canonical": canonical_form(s)}, code)
+    _emit(args, code, lambda: {"code": code, "canonical": canonical_form(s)})
     return 0
 
 
 def _cmd_permutants(args) -> int:
     ps = permutant_set(parse(args.code1), parse(args.code2))
-    obj = {
-        "inputs": list(ps.input_codes),
-        "members": list(ps.members),
-        "sources": {c: [list(p) for p in pairs] for c, pairs in ps.sources.items()},
-    }
     lines = [f"members={len(ps.members)}"]
     for code in ps.members:
         src = ";".join(f"{g1},{g2}" for g1, g2 in ps.sources[code])
         lines.append(f"{code} from={src}")
-    _emit(args, obj, "\n".join(lines))
+    _emit(args, "\n".join(lines), lambda: {
+        "inputs": list(ps.input_codes),
+        "members": list(ps.members),
+        "sources": {c: [list(p) for p in pairs] for c, pairs in ps.sources.items()},
+    })
     return 0
 
 
@@ -173,21 +171,6 @@ def _cmd_verify_superadd(args) -> int:
         seed=args.seed,
         sample_size=args.sample_size,
     )
-    obj = {
-        "cr1": report.cr1,
-        "cr2": report.cr2,
-        "distinct_classes": report.distinct_classes,
-        "equality_violations": list(report.equality_violations),
-        "exhaustive": report.exhaustive,
-        "inequality_violations": list(report.inequality_violations),
-        "inputs": list(report.input_codes),
-        "inputs_minimal": report.inputs_minimal,
-        "members": [
-            {"class": r.class_id, "code": r.code, "cr": r.cr, "minimal": r.minimal}
-            for r in report.rows
-        ],
-        "ok": report.ok,
-    }
     lines = [
         f"cr1={report.cr1} cr2={report.cr2} "
         f"inputs-minimal={str(report.inputs_minimal).lower()} "
@@ -203,7 +186,21 @@ def _cmd_verify_superadd(args) -> int:
         f"inequality-violations={len(report.inequality_violations)} "
         f"equality-violations={len(report.equality_violations)}"
     )
-    _emit(args, obj, "\n".join(lines))
+    _emit(args, "\n".join(lines), lambda: {
+        "cr1": report.cr1,
+        "cr2": report.cr2,
+        "distinct_classes": report.distinct_classes,
+        "equality_violations": list(report.equality_violations),
+        "exhaustive": report.exhaustive,
+        "inequality_violations": list(report.inequality_violations),
+        "inputs": list(report.input_codes),
+        "inputs_minimal": report.inputs_minimal,
+        "members": [
+            {"class": r.class_id, "code": r.code, "cr": r.cr, "minimal": r.minimal}
+            for r in report.rows
+        ],
+        "ok": report.ok,
+    })
     return 0 if report.ok else 1
 
 
@@ -256,7 +253,7 @@ def _cmd_replay(args) -> int:
         print(f"replay failed: {exc}", file=sys.stderr)
         return 1
     end = serialize(result)
-    _emit(args, {"end": end, "steps": len(trace.steps)}, end)
+    _emit(args, end, lambda: {"end": end, "steps": len(trace.steps)})
     return 0
 
 

@@ -24,12 +24,10 @@ from .diagram import (
     BasedDiagram,
     GaussDiagram,
     Split,
-    _canonical,
     _check_diagram,
     _check_int,
     _check_type,
     _first_split,
-    _key,
     _trusted,
     canonical_sort_key,
     rebase,
@@ -75,15 +73,14 @@ def _gap_pairs(d1: GaussDiagram, d2: GaussDiagram) -> list[tuple[int, int]]:
 
 
 def _sum_words(d1: GaussDiagram, d2: GaussDiagram, pairs) -> dict:
-    """Canonical word of each connected sum -> (its partner offsets, the
-    gap pairs giving it).  Each sum is canonicalized once, by one
-    `_canonical` call, and the offsets it returns are kept for
+    """Canonical word of each connected sum -> (the first sum diagram
+    with it, the gap pairs giving it).  Each sum is canonicalized once,
+    by its `GaussDiagram._canon`, and the first one's is kept for
     `verify_superadditivity` to reduce the member from."""
-    sources: dict[tuple[int, ...], tuple[list[int], list[tuple[int, int]]]] = {}
+    sources: dict[tuple[int, ...], tuple[GaussDiagram, list[tuple[int, int]]]] = {}
     for g1, g2 in pairs:
         s = connected_sum(BasedDiagram(d1, g1), BasedDiagram(d2, g2))
-        w, _, back = _canonical(s.word)
-        sources.setdefault(w, (back, []))[1].append((g1, g2))
+        sources.setdefault(s._canon[0], (s, []))[1].append((g1, g2))
     return sources
 
 
@@ -110,8 +107,7 @@ def is_composite(d: GaussDiagram, limits: OrbitLimits | None = None) -> Composit
     """Classify as trivial, prime, or composite by reducing and looking
     for a nontrivial split of the minimal diagram."""
     _check_diagram(d, "d")
-    (min_word, _), _ = _reduce_word(*d._canon, _max_nodes(limits))
-    return _minimal_verdict(_trusted(min_word))
+    return _minimal_verdict(_trusted(_reduce_word(d, _max_nodes(limits))[0]))
 
 
 def _minimal_verdict(minimal: GaussDiagram) -> CompositenessVerdict:
@@ -169,7 +165,7 @@ def verify_superadditivity(
     _check_int(sample_size, "sample_size", 1)
     _check_int(seed, "seed")
     max_nodes = _max_nodes(limits)
-    c1, c2 = (len(_reduce_word(*d._canon, max_nodes)[0][0]) // 2 for d in (d1, d2))
+    c1, c2 = (len(_reduce_word(d, max_nodes)[0]) // 2 for d in (d1, d2))
     inputs_minimal = c1 == d1.n and c2 == d2.n
 
     pairs = _gap_pairs(d1, d2)
@@ -178,16 +174,13 @@ def verify_superadditivity(
         pairs = sorted(random.Random(seed).sample(pairs, sample_size))
     member_words = _sum_words(d1, d2, pairs)
 
-    # each member word is canonical already, its offsets at hand: one
-    # reduction gives its crossing number, and the first word of its
-    # minimal orbit its class
+    # each member's sum diagram holds its canonical form already: one
+    # reduction gives its crossing number and its class word
     class_ids: dict[tuple[int, ...], int] = {}
     prelim = []
     for w in sorted(member_words, key=canonical_sort_key):
-        back = member_words[w][0]
-        (min_word, orbit), _ = _reduce_word(w, back, _key(w, back), max_nodes)
+        min_word, cls, _ = _reduce_word(member_words[w][0], max_nodes)
         cr = len(min_word) // 2
-        cls = orbit[0]
         prelim.append((serialize(_trusted(w)), cr, cls, 2 * cr == len(w)))
         class_ids.setdefault(cls, 0)
     for i, cls in enumerate(sorted(class_ids, key=canonical_sort_key), start=1):

@@ -29,6 +29,7 @@ from .diagram import (
     _least_rotation,
     _offsets,
     _trusted,
+    canonical_form,
     canonical_sort_key,
     canonical_word,
     parse,
@@ -131,26 +132,27 @@ def replay_trace(trace: MoveTrace) -> GaussDiagram:
 # The one memo: max_nodes -> {key: one flat tuple}, the key of a word
 # being diagram._key of its canonical rotation.  An entry is a head or a
 # link, never both.  A word of a minimal diagram's FR3 orbit maps to its
-# head (itself, the orbit): the word labeled as its canonical code reads,
-# and the orbit a tuple of such words sorted by canonical_sort_key, so
-# its first word names the class.  These are the only labeled words the
-# memo holds.  Any other word w that a reduction passes through maps to
-# its link (next key, m1, r1, ..., mk, rk): the moves the reduction takes
-# from w (an FR3 path, possibly empty, then one decreasing move), each
-# applying to the canonical rotation of its pre-move diagram and each
-# result canonicalizing at rotation offset r; the next key, the same
-# bytes object as its dict key, is the last result's.  Entries hold
-# shared objects, not copies: each head label of an orbit word is
-# diagram._NEG's int, and each FR1/FR2 move of a link (or of a
-# certificate) is the one Move that moves._move hands out for its value.
-# The path from a canonical word depends only on the word and the
-# budget, so a link is exact.  Policy: a reduction stops at the first
-# entry it finds, writes each link after its next word's entry, and
-# reads its head and links back with _chain, the one reader that follows
-# links.  Only _reduce_word reads or writes entries; catalog._records
-# scans orbits itself and leaves the memo as it found it.  One dict per
-# budget means an entry found under one --max-orbit never answers a call
-# under another.  _reduce_word takes its budget's dict once per call with
+# head (itself, class word): the word labeled as its canonical code
+# reads, and the orbit's least word by canonical_sort_key, which names
+# the class.  These are the only labeled words the memo holds.  Any
+# other word w that a reduction passes through maps to its link (next
+# key, m1, r1, ..., mk, rk): the moves the reduction takes from w (an
+# FR3 path, possibly empty, then one decreasing move), each applying to
+# the canonical rotation of its pre-move diagram and each result
+# canonicalizing at rotation offset r; the next key, the same bytes
+# object as its dict key, is the last result's.  Entries hold shared
+# objects, not copies: each head label of an orbit word is
+# diagram._NEG's int, the class word is the one object every head of
+# its orbit holds, and each FR1/FR2 move of a link (or of a certificate)
+# is the one Move that moves._move hands out for its value.  The path
+# from a canonical word depends only on the word and the budget, so a
+# link is exact.  Policy: a reduction stops at the first entry it finds,
+# writes each link after its next word's entry, and reads its head and
+# links back with _chain, the one reader that follows links.  Only
+# _reduce_word reads or writes entries; catalog._records scans orbits
+# itself and leaves the memo as it found it.  One dict per budget means
+# an entry found under one --max-orbit never answers a call under
+# another.  _reduce_word takes its budget's dict once per call with
 # setdefault, which is atomic, so racing callers lose no writes; values
 # are pure, so racing writers are harmless.
 _memo: dict = {}
@@ -253,18 +255,15 @@ def fr3_orbit(d: GaussDiagram, limits: OrbitLimits | None = None) -> tuple[str, 
 # monotone reduction
 # ---------------------------------------------------------------------------
 
-def _reduce_word(word: tuple[int, ...], back: list[int], key: bytes, max_nodes: int) -> tuple:
-    """(head, links) of the word (`_chain`): the head is (minimal word,
-    its FR3 orbit), the canonical word of a reached minimal diagram, whose
-    crossing number is half its length, and the orbit, whose first word
-    names the class; the links are the memo's, in order, from the word
-    down to the minimal word.
+def _reduce_word(d: GaussDiagram, max_nodes: int) -> tuple:
+    """(minimal word, class word, links) of d (`_chain`): the canonical
+    word of a reached minimal diagram, whose crossing number is half its
+    length, the least word of its FR3 orbit, which names the class, and
+    the memo's links, in order, from d's canonical word down to the
+    minimal word.
 
-    The one reduction loop.  ``word`` must be a canonical rotation, in any
-    labels, ``back`` must hold its partner offsets and ``key`` must be
-    their `diagram._key`: each public entry point reads all three from
-    its input's `GaussDiagram._canon`, and `verify_superadditivity` the
-    word and offsets from the `_canonical` call that made each member.
+    The one reduction loop.  It starts from d's canonical word, its
+    partner offsets and its key, all three read from `GaussDiagram._canon`.
     Each step takes the current word's first decreasing site, or when it
     has none, scans its FR3 orbit for the first node with one; a scan
     that finds none ends the reduction.  The working word is never
@@ -283,6 +282,7 @@ def _reduce_word(word: tuple[int, ...], back: list[int], key: bytes, max_nodes: 
     answer back from the start key.
     """
     memo = _memo.setdefault(max_nodes, {})
+    word, back, key = d._canon
     start_key = key
     trail = []
     while key not in memo:
@@ -292,10 +292,9 @@ def _reduce_word(word: tuple[int, ...], back: list[int], key: bytes, max_nodes: 
             start = _first_appearance(word)
             pred, node, m = _scan_orbit(start, back, max_nodes, find_decreasing=True)
             if node is None:
-                orbit = tuple(sorted(pred, key=canonical_sort_key))
-                for w in orbit:
-                    link = pred[w]
-                    memo[key if link is None else _key(w, link[3])] = (w, orbit)
+                cls = min(pred, key=canonical_sort_key)
+                for w, link in pred.items():
+                    memo[key if link is None else _key(w, link[3])] = (w, cls)
                 break
             path = _path_from_pred(pred, node)
         word, r, back = _least_rotation(mv._perform(node, m))
@@ -308,15 +307,15 @@ def _reduce_word(word: tuple[int, ...], back: list[int], key: bytes, max_nodes: 
 
 
 def _chain(memo: dict, key: bytes) -> tuple:
-    """(head, links) of key in one budget's memo dict: the links stored
-    from key on, in order, and the head (minimal word, orbit) of the
+    """(minimal word, class word, links) of key in one budget's memo
+    dict: the links stored from key on, in order, and the head of the
     entry the last one leads to."""
     links = []
     value = memo[key]
     while len(value) > 2:  # a link holds a move; a head is two items
         links.append(value)
         value = memo[value[0]]
-    return value, links
+    return *value, links
 
 
 def monotone_reduce(
@@ -325,28 +324,24 @@ def monotone_reduce(
     """Reduce to a minimal crossing diagram using only FR3 and decreasing
     FR1/FR2 moves; the trace replays start-to-end over canonical forms."""
     _check_diagram(d, "d")
-    max_nodes = _max_nodes(limits)
-    start, back, key = d._canon
-    (min_word, _), links = _reduce_word(start, back, key, max_nodes)
+    min_word, _, links = _reduce_word(d, _max_nodes(limits))
     steps = tuple(m for link in links for m in link[1::2])
-    return _trusted(min_word), MoveTrace(
-        serialize(_trusted(start)), steps, serialize(_trusted(min_word))
-    )
+    minimal = _trusted(min_word)
+    return minimal, MoveTrace(canonical_form(d), steps, serialize(minimal))
 
 
 def crossing_number(d: GaussDiagram, limits: OrbitLimits | None = None) -> int:
     """Least arrow count over the diagrams equivalent to d: half the
     length of the minimal word d reduces to."""
     _check_diagram(d, "d")
-    return len(_reduce_word(*d._canon, _max_nodes(limits))[0][0]) // 2
+    return len(_reduce_word(d, _max_nodes(limits))[0]) // 2
 
 
 def minimal_class_code(d: GaussDiagram, limits: OrbitLimits | None = None) -> str:
     """Complete flat-knot invariant: the least canonical code over the FR3
     orbit of a reached minimal diagram."""
     _check_diagram(d, "d")
-    (_, orbit), _ = _reduce_word(*d._canon, _max_nodes(limits))
-    return serialize(_trusted(orbit[0]))
+    return serialize(_trusted(_reduce_word(d, _max_nodes(limits))[1]))
 
 
 def _reversed_steps(links, post: int) -> list[mv.Move]:
@@ -373,7 +368,7 @@ def _reversed_steps(links, post: int) -> list[mv.Move]:
 
 def _trace(m1, links1, m2, links2, max_nodes: int) -> tuple[mv.Move, ...]:
     """Moves from the canonical word of one input to that of another of
-    the same class, from the (minimal word, links) `_reduce_word` gave
+    the same class, from the minimal word and links `_reduce_word` gave
     each under max_nodes: the first's links down to m1, an FR3 path from
     m1 to m2, and the second's links inverted."""
     steps = [m for link in links1 for m in link[1::2]]
@@ -399,13 +394,12 @@ def equivalent(
     _check_diagram(d2, "d2")
     _check_flag(with_certificate, "with_certificate")
     max_nodes = _max_nodes(limits)
-    (c1, back1, k1), (c2, back2, k2) = d1._canon, d2._canon
-    (m1, orbit1), links1 = _reduce_word(c1, back1, k1, max_nodes)
-    (m2, orbit2), links2 = _reduce_word(c2, back2, k2, max_nodes)
-    verdict = orbit1[0] == orbit2[0]
+    m1, cls1, links1 = _reduce_word(d1, max_nodes)
+    m2, cls2, links2 = _reduce_word(d2, max_nodes)
+    verdict = cls1 == cls2
     if not with_certificate:
         return verdict
     if not verdict:
         return verdict, None
     steps = _trace(m1, links1, m2, links2, max_nodes)
-    return verdict, MoveTrace(serialize(_trusted(c1)), steps, serialize(_trusted(c2)))
+    return verdict, MoveTrace(canonical_form(d1), steps, canonical_form(d2))

@@ -1,6 +1,6 @@
-"""The public names, the private names the docs cite, the one-cache
-policy, the one reader of every `limits` argument, and the hooks the
-benchmark's tracer relies on.
+"""The public names, the private names the docs cite, the imports each
+module reads, the one-cache policy, the one reader of every `limits`
+argument, and the hooks the benchmark's tracer relies on.
 
 `perfbench/tracer.py` wraps functions by name and indexes span names in
 `layer_stats`; a refactor that renames or drops one of them would make
@@ -118,6 +118,44 @@ def test_cited_private_names_exist():
         )
     ]
     assert not missing, missing
+
+
+def _unread_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each name a module-level import in source binds
+    and the module never reads; `from __future__` imports bind none."""
+    tree = ast.parse(source)
+    bound = [
+        (node.lineno, alias.asname or alias.name.split(".")[0])
+        for node in tree.body
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_unread_imports_are_found():
+    source = "from __future__ import annotations\nimport os.path\nimport re as regex\n"
+    source += "from json import dumps, loads\n\ndef f():\n    return os, loads\n"
+    assert _unread_imports(source) == [(3, "regex"), (4, "dumps")]
+
+
+def test_no_module_keeps_an_import_it_never_reads():
+    """Every name a module-level import of a `flatknots` module binds is
+    read in that module; `__init__` imports to re-export, so it is left
+    out."""
+    unread = [
+        (path.name, line, name)
+        for path in sorted(Path(flatknots.__file__).parent.glob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in _unread_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert unread == []
 
 
 # private names the tracer still lists that the engine no longer has:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import flatknots
-from flatknots import catalog, monotone_reduce, serialize
+from flatknots import catalog, cli, monotone_reduce, serialize
 from flatknots.cli import main
 from conftest import brute_force_splits, random_diagram, random_split_prone_diagrams
 from test_catalog import CATALOG_SHA256
@@ -129,6 +129,37 @@ def test_csum_example():
     assert run_cli(["csum", "+1 -1", "0", "+1 -1", "0"]) == (0, "+1 -1 +2 -2\n")
     code, out = run_cli(["csum", "0", "0", "+1 -1 +2 -2", "2"])
     assert code == 0 and out == "+2 -2 +1 -1\n"
+
+
+def test_text_output_computes_no_json_only_field(monkeypatch):
+    """Text `reduce` prints no u-polynomial and text `csum` no canonical
+    form of the sum, so neither computes one; JSON computes each once per
+    code."""
+    calls = {"u_polynomial": 0, "canonical_form": 0}
+    for name in calls:
+
+        def spy(d, name=name, real=getattr(cli, name)):
+            calls[name] += 1
+            return real(d)
+
+        monkeypatch.setattr(cli, name, spy)
+    codes = [serialize(d) for n in range(4) for d in flatknots.enumerate_diagrams(n)]
+    rng = random.Random(91)
+    sums = []
+    for _ in range(8):
+        d1 = random_diagram(rng, rng.randint(0, 3))
+        d2 = random_diagram(rng, rng.randint(0, 3))
+        g1, g2 = rng.randrange(max(d1.size, 1)), rng.randrange(max(d2.size, 1))
+        sums.append([serialize(d1), str(g1), serialize(d2), str(g2)])
+    for fmt, per_code in (("text", 0), ("json", 1)):
+        for name in calls:
+            calls[name] = 0
+        status, out = run_cli(["--format", fmt, "reduce"], "".join(c + "\n" for c in codes))
+        assert status == 0 and len(out.splitlines()) == len(codes)
+        for argv in sums:
+            assert run_cli(["--format", fmt, "csum", *argv])[0] == 0
+        want = {"u_polynomial": per_code * len(codes), "canonical_form": per_code * len(sums)}
+        assert calls == want, fmt
 
 
 def test_permutants_output():

@@ -26,7 +26,7 @@ from flatknots import (
     serialize,
     verify_superadditivity,
 )
-from flatknots import compose, diagram, reduce
+from flatknots import compose, reduce
 from flatknots.diagram import _first_appearance
 from conftest import random_diagram, strict
 
@@ -301,15 +301,13 @@ def test_superadditivity_reduces_each_member_once(monkeypatch, canonical_calls):
     # warm the memo first, so the counted run's reductions are memo reads
     # that canonicalize nothing
     members = len(verify_superadditivity(*map(parse, codes)).rows)
-    # the sums' binding of _canonical goes through the spy too
-    monkeypatch.setattr(compose, "_canonical", diagram._canonical)
     canonical_calls.clear()
     reduce_calls = []
     reduce_word = reduce._reduce_word
 
-    def spy(word, back, key, max_nodes):
-        reduce_calls.append(word)
-        return reduce_word(word, back, key, max_nodes)
+    def spy(d, max_nodes):
+        reduce_calls.append(d)
+        return reduce_word(d, max_nodes)
 
     monkeypatch.setattr(reduce, "_reduce_word", spy)
     monkeypatch.setattr(compose, "_reduce_word", spy)

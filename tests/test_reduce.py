@@ -409,7 +409,7 @@ def test_reduction_step_checks_the_start_word_first(monkeypatch):
     monkeypatch.setattr(reduce, "_scan_orbit", scanning)
     for budget in (1, DEFAULT_LIMITS.max_nodes):
         monkeypatch.setattr(reduce, "_memo", {})
-        (minimal, _), links = reduce._reduce_word(*d._canon, budget)
+        minimal, _, links = reduce._reduce_word(d, budget)
         # one step reaches the minimal word; the link holds its key, the
         # move and its offset, and no FR3 path
         (link,) = links
@@ -496,7 +496,7 @@ def test_scan_matches_the_every_site_oracle_on_reduced_random_words(monkeypatch)
     of more than one word."""
     monkeypatch.setattr(reduce, "_memo", {})
     minimal = {
-        reduce._reduce_word(*GaussDiagram(w)._canon, DEFAULT_LIMITS.max_nodes)[0][0]
+        reduce._reduce_word(GaussDiagram(w), DEFAULT_LIMITS.max_nodes)[0]
         for w in _reduce_random_words(2000)
     }
     multi = 0
@@ -556,14 +556,13 @@ MAX_NODES = DEFAULT_LIMITS.max_nodes
 
 def _check_reduce_against_oracle(diagrams, monkeypatch):
     """Same minimal word and trace bytes as reduce_oracle, the same
-    minimal word in the head _reduce_word returns on a cold memo, on the
+    minimal word as the one _reduce_word returns on a cold memo, on the
     diagram's own entry, and on a memo warmed by every diagram before
-    it, the orbit in the head _reduce_word returns for the minimal word
-    on a cold memo in fr3_orbit's order with the class code first and no
-    links, and links in the warm memo that replay."""
+    it, the first word of fr3_orbit as the class word _reduce_word
+    returns for the minimal word on a cold memo, with no links, and links
+    in the warm memo that replay."""
     wants = []
     for d in diagrams:
-        start, back, key = d._canon
         minimal, trace = reduce_oracle(d)
         want = minimal.word
         wants.append((want, trace.to_json()))
@@ -571,19 +570,18 @@ def _check_reduce_against_oracle(diagrams, monkeypatch):
         got, got_trace = monotone_reduce(d)
         assert (got, got_trace.to_json()) == (minimal, trace.to_json()), serialize(d)
         # the trace is read from the links the reduction wrote
-        assert reduce._chain(reduce._memo[MAX_NODES], key)[0][0] == minimal.word
+        assert reduce._chain(reduce._memo[MAX_NODES], d._canon[2])[0] == minimal.word
         monkeypatch.setattr(reduce, "_memo", {})
-        assert reduce._reduce_word(start, back, key, MAX_NODES)[0][0] == want, serialize(d)
-        assert reduce._reduce_word(start, back, key, MAX_NODES)[0][0] == want, serialize(d)
+        assert reduce._reduce_word(d, MAX_NODES)[0] == want, serialize(d)
+        assert reduce._reduce_word(d, MAX_NODES)[0] == want, serialize(d)
         monkeypatch.setattr(reduce, "_memo", {})
         codes = fr3_orbit(minimal)
-        orbit = tuple(parse(c).word for c in codes)
-        head, links = reduce._reduce_word(*minimal._canon, MAX_NODES)
-        assert (head, links) == ((minimal.word, orbit), []), serialize(d)
+        got = reduce._reduce_word(minimal, MAX_NODES)
+        assert got == (minimal.word, parse(codes[0]).word, []), serialize(d)
         assert minimal_class_code(d) == codes[0], serialize(d)
     monkeypatch.setattr(reduce, "_memo", {})
     for d, (want, trace_json) in zip(diagrams, wants):
-        assert reduce._reduce_word(*d._canon, MAX_NODES)[0][0] == want, serialize(d)
+        assert reduce._reduce_word(d, MAX_NODES)[0] == want, serialize(d)
         assert monotone_reduce(d)[1].to_json() == trace_json, serialize(d)
     _check_links_replay()
 
@@ -612,8 +610,9 @@ def _check_certificates_against_oracle(pairs, monkeypatch):
 
 
 def _check_links_replay():
-    """Every memo entry is a head (word, orbit) for a member of its own
-    minimal orbit, or a link and nothing else: the key of a word that has
+    """Every memo entry is a head (word, class word) for a member of a
+    minimal orbit, the class word the orbit's first word in fr3_orbit, or
+    a link and nothing else: the key of a word that has
     an entry, then FR3 moves and one decreasing move, each applied to the
     canonical word before it, whose results canonicalize at the stored
     offsets and end at that next word.  Each entry's word is the one its
@@ -624,8 +623,9 @@ def _check_links_replay():
         for key, value in memo.items():
             word = word_of_key(key)
             if len(value) == 2:
-                min_word, orbit = value
-                assert min_word == word and word in orbit
+                min_word, cls = value
+                assert min_word == word
+                assert cls == parse(fr3_orbit(GaussDiagram(word))[0]).word
                 continue
             nxt, moves, offsets = value[0], value[1::2], value[2::2]
             fr3_paths.add(len(moves) > 1)
@@ -671,7 +671,7 @@ def test_memo_links_are_written_after_their_next_word(monkeypatch):
     # every entry went through the checked dict
     (memo,) = reduce._memo.values()
     assert isinstance(memo, _LinkCheckedMemo)
-    ends = {reduce._chain(memo, x._canon[2])[0][0] for x in (d1, d2)}
+    ends = {reduce._chain(memo, x._canon[2])[0] for x in (d1, d2)}
     assert len(ends) == 2
     # some trails were longer than one link, so their write order mattered
     assert any(len(memo[v[0]]) > 2 for v in memo.values() if len(v) > 2)
@@ -802,7 +802,7 @@ def test_certified_equivalences_share_their_fr1_fr2_moves_and_head_labels(monkey
     """After 80 seeded certified equivalences, each FR1/FR2 move value in
     the memo links and the certificates is one object, the one
     `moves._SHARED` holds; each head label of a labeled memo word, the
-    minimal words and orbits of the entry heads, is `diagram._NEG`'s
+    minimal words and class words of the entry heads, is `diagram._NEG`'s
     object; and the shared table holds no FR3 move, though the links and
     certificates hold some."""
     monkeypatch.setattr(reduce, "_memo", {})
@@ -826,7 +826,7 @@ def test_certified_equivalences_share_their_fr1_fr2_moves_and_head_labels(monkey
     assert fr3 and len(shared) > len({(m.kind, m.variant, m.positions) for m in shared})
     assert all(moves._SHARED[m.kind, m.variant, m.positions] is m for m in shared)
     assert all(m.kind != moves.FR3 for m in moves._SHARED.values())
-    labeled = [w for value in memo.values() if len(value) == 2 for w in (value[0], *value[1])]
+    labeled = [w for value in memo.values() if len(value) == 2 for w in value]
     heads = [t for w in labeled for t in w if t < 0]
     assert min(heads) < -5  # past CPython's small ints
     assert all(t is diagram._NEG[-t] for t in heads)
