@@ -110,14 +110,14 @@ class GaussDiagram:
 
     @cached_property
     def _canon(self) -> tuple[tuple[int, ...], list[int], bytes]:
-        """(canonical word, its partner offsets, its memo key `_key`) from
-        one `_canonical` call, made the first time it is read; every
+        """(canonical word, its partner offsets, its memo key) from one
+        `_canonical` call, made the first time it is read; every
         public entry point starts from it, so a diagram passed to several
         is canonicalized and keyed once.  The word is an immutable tuple,
         so the triple is never stale.  It is not a field: equality, hash
         and repr ignore it.  Readers must not change the offsets list."""
-        word, _, back = _canonical(self.word)
-        return word, back, _key(word, back)
+        word, _, back, key = _canonical(self.word)
+        return word, back, key
 
     def __str__(self) -> str:
         return serialize(self)
@@ -212,7 +212,9 @@ def _first_appearance(tokens) -> tuple[int, ...]:
 def _offsets(word: tuple[int, ...]) -> list[int]:
     """Partner offsets of a word: entry q counts the positions from q
     back to its partner, cyclically, so it lies in 1..len(word) - 1.
-    Offsets do not depend on labels, and rotating the word rotates them."""
+    Offsets do not depend on labels, and rotating the word rotates them.
+    `_least_rotation` pairs endpoints in a loop of its own, which also
+    keeps the tails and signs its scan and key read."""
     length = len(word)
     back = [0] * length
     first: dict[int, int] = {}
@@ -227,31 +229,58 @@ def _offsets(word: tuple[int, ...]) -> list[int]:
     return back
 
 
-def _least_rotation(word: tuple[int, ...]) -> tuple[tuple[int, ...], int, list[int]]:
+def _least_rotation(word: tuple[int, ...]) -> tuple[tuple[int, ...], int, list[int], bytes]:
     """The rank scan of `_canonical`: (the rotation of word that relabels
     to the canonical word, its labels as given; the smallest offset r of
-    such a rotation; the rotation's _offsets).  The offsets and the signs
-    of the rotation do not depend on its labels, so they pin the
-    canonical word without a relabel (`_key`).
+    such a rotation; the rotation's _offsets; the canonical word's key in
+    the reduction memo, `reduce._memo`).
 
-    Two rotations whose relabeled prefixes agree compare at the next
-    offset by rank alone: an endpoint whose partner lies b positions back
-    inside the prefix ranks -b (an earlier first appearance, so a lower
-    label), and an endpoint opening a new arrow ranks 0 as a tail, 1 as a
-    head.  So every rotation starting at a tail is kept, then offset by
-    offset only those of least rank; the survivor, or the smallest offset
-    of a tie, wins.  One pass per offset keeps the least rank seen and the
-    rotations, in offset order, that reach it.  The scan reads the offsets
-    and the word doubled, so that a rotation's offset never wraps, and the
-    winner and its offsets are one slice of them: the reduction reads its
-    sites there."""
+    One loop over the word pairs its endpoints as `_offsets` does, keeps
+    the positions of its tails and writes one sign byte per endpoint, 1
+    for a head and 0 for a tail.  Two rotations whose relabeled prefixes
+    agree compare at the next offset by rank alone: an endpoint whose
+    partner lies b positions back inside the prefix ranks -b (an earlier
+    first appearance, so a lower label), and an endpoint opening a new
+    arrow ranks 0 as a tail, 1 as a head.  So every rotation starting at
+    a tail is kept, then offset by offset only those of least rank; the
+    survivor, or the smallest offset of a tie, wins.  One pass per offset
+    keeps the least rank seen and the rotations, in offset order, that
+    reach it.  The scan reads the offsets and the word doubled, so that a
+    rotation's offset never wraps, and the winner and its offsets are one
+    slice of them: the reduction reads its sites there.
+
+    The key is the winner's offsets, then its sign bytes (the signs
+    rotated by r).  Offsets and signs do not depend on labels, and they
+    give the canonical word back: reading left to right, an endpoint
+    whose partner offset reaches no further back than position 0 closes
+    the arrow opened there, and any other opens the next label.  So two
+    words have one key exactly when they have one canonical word, and no
+    relabel is needed to key a word.  A word of L <= 256 endpoints has
+    offsets below 256, one byte each, and a key of 2L <= 512 bytes; a
+    longer one takes four little-endian bytes per offset, a key of
+    5L > 1,280 bytes, so the two widths never meet."""
     length = len(word)
     if length == 0:
-        return (), 0, []
-    back = _offsets(word)
+        return (), 0, [], b""
+    back = [0] * length
+    signs = bytearray(length)
+    kept = []
+    first: dict[int, int] = {}
+    for q, t in enumerate(word):
+        if t > 0:
+            a = t
+            kept.append(q)
+        else:
+            a = -t
+            signs[q] = 1
+        p = first.pop(a, None)
+        if p is None:
+            first[a] = q
+        else:
+            back[q] = q - p
+            back[p] = length - q + p
     back += back
     doubled = word + word
-    kept = [r for r, t in enumerate(word) if t > 0]
     for i in range(1, length):
         if len(kept) < 2:
             break
@@ -266,37 +295,24 @@ def _least_rotation(word: tuple[int, ...]) -> tuple[tuple[int, ...], int, list[i
                 tied.append(r)
         kept = tied
     r = kept[0]
-    return doubled[r : r + length], r, back[r : r + length]
+    offsets = back[r : r + length]
+    if length <= 256:
+        key = bytes(offsets)
+    else:
+        key = b"".join([b.to_bytes(4, "little") for b in offsets])
+    return doubled[r : r + length], r, offsets, key + signs[r:] + signs[:r]
 
 
-def _canonical(word: tuple[int, ...]) -> tuple[tuple[int, ...], int, list[int]]:
+def _canonical(word: tuple[int, ...]) -> tuple[tuple[int, ...], int, list[int], bytes]:
     """Canonical rotation of a word: relabel each rotation by first
     appearance, encode tail < head, and keep the lexicographic minimum.
     Returns (canonical word, smallest rotation offset achieving it, the
-    canonical word's _offsets).  The word may carry any distinct nonzero
-    arrow labels, as a move leaves them before relabeling.  The rotation
-    comes from `_least_rotation`, and only it is relabeled."""
-    rotation, r, back = _least_rotation(word)
-    return _first_appearance(rotation), r, back
-
-
-def _key(word: tuple[int, ...], back: list[int]) -> bytes:
-    """The key of a canonical rotation and its partner offsets in the
-    reduction memo (`reduce._memo`): the offsets, then one byte per
-    endpoint, 1 for a head and 0 for a tail.
-
-    The offsets and signs do not depend on labels, and they give the
-    canonical word back: reading left to right, an endpoint whose partner
-    offset reaches no further back than position 0 closes the arrow
-    opened there, and any other opens the next label.  So two canonical
-    rotations have one key exactly when they relabel to one word.  A word
-    of L <= 256 endpoints has offsets below 256, one byte each, and a key
-    of 2L <= 512 bytes; a longer one takes four bytes per offset, a key of
-    5L > 1,280 bytes, so the two widths never meet."""
-    signs = bytes([t < 0 for t in word])
-    if len(word) <= 256:
-        return bytes(back) + signs
-    return b"".join([b.to_bytes(4, "little") for b in back]) + signs
+    canonical word's _offsets, its memo key).  The word may carry any
+    distinct nonzero arrow labels, as a move leaves them before
+    relabeling.  The rotation, its offsets and its key come from
+    `_least_rotation`, and only the rotation is relabeled."""
+    rotation, r, back, key = _least_rotation(word)
+    return _first_appearance(rotation), r, back, key
 
 
 def canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:

@@ -25,7 +25,6 @@ from .diagram import (
     _check_int,
     _check_type,
     _first_appearance,
-    _key,
     _least_rotation,
     _offsets,
     _trusted,
@@ -130,11 +129,13 @@ def replay_trace(trace: MoveTrace) -> GaussDiagram:
 # ---------------------------------------------------------------------------
 
 # The one memo: max_nodes -> {key: one flat tuple}, the key of a word
-# being diagram._key of its canonical rotation.  An entry is a head or a
-# link, never both.  A word of a minimal diagram's FR3 orbit maps to its
-# head (itself, class word): the word labeled as its canonical code
-# reads, and the orbit's least word by canonical_sort_key, which names
-# the class.  These are the only labeled words the memo holds.  Any
+# being the one diagram._least_rotation builds in its rank scan: the
+# canonical rotation's partner offsets, then its sign bytes.  An entry
+# is a head or a link, never both.  A word of a minimal diagram's FR3
+# orbit maps to its head (itself, class word): the word labeled as its
+# canonical code reads, and the orbit's least word by
+# canonical_sort_key, which names the class.  These are the only
+# labeled words the memo holds.  Any
 # other word w that a reduction passes through maps to its link (next
 # key, m1, r1, ..., mk, rk): the moves the reduction takes from w (an
 # FR3 path, possibly empty, then one decreasing move), each applying to
@@ -163,9 +164,11 @@ def _scan_orbit(start: tuple[int, ...], back: list[int], max_nodes: int, find_de
     ``start`` must be a canonical word, labeled, and ``back`` holds its
     partner offsets.
 
-    Each discovered word maps to (predecessor, move, offset, offsets):
-    the move applies to the predecessor, its result canonicalizes at that
-    rotation offset, and the last item is the word's partner offsets.
+    Each discovered word maps to (predecessor, move, offset, offsets,
+    key): the move applies to the predecessor, its result canonicalizes
+    at that rotation offset, and the last two items are the word's
+    partner offsets and memo key, both from the ``_canonical`` call that
+    discovered it.
     With find_decreasing, every node but the start is checked on
     discovery, and the scan stops at the first node admitting a
     decreasing site, returning (pred, node, move) with move the first site
@@ -205,14 +208,14 @@ def _scan_orbit(start: tuple[int, ...], back: list[int], max_nodes: int, find_de
             if link is None:
                 sites, skip = start_sites, None
             else:
-                _, via, r, w_back = link
+                _, via, r, w_back, _ = link
                 a, b, c = sorted((p - r) % size for p in via.positions[0::2])
                 skip = (a, a + 1, b, b + 1, c, (c + 1) % size)
                 sites = mv._fr3_sites(w, w_back)
             for m in sites:
                 if m.positions == skip:
                     continue
-                nw, r, nw_back = _canonical(mv._perform(w, m))
+                nw, r, nw_back, nw_key = _canonical(mv._perform(w, m))
                 if nw in pred:
                     continue
                 if len(pred) >= max_nodes:
@@ -221,7 +224,7 @@ def _scan_orbit(start: tuple[int, ...], back: list[int], max_nodes: int, find_de
                         f"{max_nodes}-node budget (nodes explored: {len(pred)}, "
                         f"expanded: {expanded})"
                     )
-                pred[nw] = (w, m, r, nw_back)
+                pred[nw] = (w, m, r, nw_back, nw_key)
                 nxt.append(nw)
                 if find_decreasing:
                     dec = next(mv._decreasing_sites(nw, nw_back), None)
@@ -236,7 +239,7 @@ def _path_from_pred(pred: dict, target: tuple[int, ...]) -> tuple:
     path = []
     w = target
     while pred[w] is not None:
-        w, m, r, _ = pred[w]
+        w, m, r = pred[w][:3]
         path += (r, m)
     path.reverse()
     return tuple(path)
@@ -270,14 +273,15 @@ def _reduce_word(d: GaussDiagram, max_nodes: int) -> tuple:
     relabeled: its sites are read from its signs and partner offsets, the
     step performs the decreasing move with ``moves._perform``, without
     apply's legality check (the move is one the enumerator found), and the
-    result's canonical rotation and offsets come from
-    `diagram._least_rotation`.  Every word is looked up by its key.  Only
-    a scan's start is relabeled, by `diagram._first_appearance`, since the
-    scan orders its nodes by `canonical_sort_key`; the words of a minimal
-    orbit are entered labeled, each keyed by the offsets the scan found
-    it with.  A step whose site lies on the current word links straight
-    to the next word's key; one that scanned links through the scan's FR3
-    path.  It stops at the first memo entry it finds, writes the link of
+    result's canonical rotation, offsets and key come from one
+    `diagram._least_rotation` call.  Every word is looked up by its key.
+    Only a scan's start is relabeled, by `diagram._first_appearance`,
+    since the scan orders its nodes by `canonical_sort_key`, and d's
+    canonical word is relabeled already, so a scan from it relabels
+    nothing; the words of a minimal orbit are entered labeled, each under
+    the key the scan found it with.  A step whose site lies on the
+    current word links straight to the next word's key; one that scanned
+    links through the scan's FR3 path.  It stops at the first memo entry it finds, writes the link of
     every word it left, the last one first (see ``_memo``), and reads the
     answer back from the start key.
     """
@@ -289,16 +293,15 @@ def _reduce_word(d: GaussDiagram, max_nodes: int) -> tuple:
         node, path = word, ()
         m = next(mv._decreasing_sites(word, back), None)
         if m is None:
-            start = _first_appearance(word)
+            start = _first_appearance(word) if trail else word
             pred, node, m = _scan_orbit(start, back, max_nodes, find_decreasing=True)
             if node is None:
                 cls = min(pred, key=canonical_sort_key)
                 for w, link in pred.items():
-                    memo[key if link is None else _key(w, link[3])] = (w, cls)
+                    memo[key if link is None else link[4]] = (w, cls)
                 break
             path = _path_from_pred(pred, node)
-        word, r, back = _least_rotation(mv._perform(node, m))
-        nxt = _key(word, back)
+        word, r, back, nxt = _least_rotation(mv._perform(node, m))
         trail.append((key, (nxt, *path, m, r)))
         key = nxt
     for k, link in reversed(trail):

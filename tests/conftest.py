@@ -538,8 +538,8 @@ def scan_every_site_oracle(start: tuple[int, ...], max_nodes: int, find_decreasi
     trusted diagram and `fr3_partner_list_oracle`, and every site is
     performed and canonicalized, the one leading back to the node's
     predecessor too.  pred maps each discovered word to (predecessor,
-    move, rotation offset, partner offsets), in discovery order.  Reads
-    and writes no memo."""
+    move, rotation offset, partner offsets, key_oracle of the word), in
+    discovery order.  Reads and writes no memo."""
     pred: dict = {start: None}
     layer = [start]
     expanded = 0
@@ -551,7 +551,7 @@ def scan_every_site_oracle(start: tuple[int, ...], max_nodes: int, find_decreasi
             rep = diagram._trusted(w)
             expanded += 1
             for m in fr3_partner_list_oracle(rep):
-                nw, r, back = diagram._canonical(moves._perform(w, m))
+                nw, r, back, _ = diagram._canonical(moves._perform(w, m))
                 if nw in pred:
                     continue
                 if len(pred) >= max_nodes:
@@ -560,7 +560,7 @@ def scan_every_site_oracle(start: tuple[int, ...], max_nodes: int, find_decreasi
                         f"{max_nodes}-node budget (nodes explored: {len(pred)}, "
                         f"expanded: {expanded})"
                     )
-                pred[nw] = (w, m, r, back)
+                pred[nw] = (w, m, r, back, key_oracle(nw, back))
                 nxt.append(nw)
                 if find_decreasing:
                     dec = next(moves._decreasing_sites(nw, back), None)
@@ -628,13 +628,25 @@ def reduce_oracle(d: GaussDiagram) -> tuple[GaussDiagram, MoveTrace]:
     return minimal, trace
 
 
+def key_oracle(word: tuple[int, ...], back: list[int]) -> bytes:
+    """The memo key of a canonical rotation and its partner offsets, built
+    from the two alone, to check the key `diagram._least_rotation` builds
+    inside its scan: the offsets, one byte each for a word of at most 256
+    endpoints and four little-endian bytes each for a longer one, then
+    one byte per endpoint, 1 for a head and 0 for a tail."""
+    signs = bytes([t < 0 for t in word])
+    if len(word) <= 256:
+        return bytes(back) + signs
+    return b"".join([b.to_bytes(4, "little") for b in back]) + signs
+
+
 def word_of_key(key: bytes) -> tuple[int, ...]:
-    """The canonical word a `diagram._key` encodes, decoded on its own: L
-    partner offsets, one byte each for a key of at most 512 bytes (L <=
-    256) and four little-endian bytes each for a longer one, then L sign
-    bytes, 1 for a head.  Read left to right, an endpoint whose partner
-    lies behind it closes that arrow, and any other opens the next
-    label."""
+    """The canonical word a memo key (`key_oracle`) encodes, decoded on
+    its own: L partner offsets, one byte each for a key of at most 512
+    bytes (L <= 256) and four little-endian bytes each for a longer one,
+    then L sign bytes, 1 for a head.  Read left to right, an endpoint
+    whose partner lies behind it closes that arrow, and any other opens
+    the next label."""
     width = 1 if len(key) <= 512 else 4
     length = len(key) // (width + 1)
     back = [int.from_bytes(key[q : q + width], "little") for q in range(0, width * length, width)]

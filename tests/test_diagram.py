@@ -24,13 +24,14 @@ from flatknots import (
 )
 from flatknots import diagram, moves
 from flatknots.compose import _minimal_verdict
-from flatknots.diagram import _canonical, _first_appearance, _key, _offsets
+from flatknots.diagram import _canonical, _first_appearance, _offsets
 from flatknots.moves import _decreasing_sites, _perform
 from conftest import (
     brute_force_splits,
     canonical_oracle,
     diagram_strategy,
     find_splits_oracle,
+    key_oracle,
     random_diagram,
     random_split_prone_diagrams,
     word_of_key,
@@ -258,7 +259,8 @@ def _rotations(word):
 
 def _assert_matches_oracle(word):
     canon, r = canonical_oracle(word)
-    assert _canonical(word) == (canon, r, _offsets(canon)), word
+    back = _offsets(canon)
+    assert _canonical(word) == (canon, r, back, key_oracle(canon, back)), word
 
 
 def test_canonical_matches_oracle_small_n_every_rotation_and_relabeling():
@@ -293,7 +295,7 @@ def test_canon_holds_the_canonical_word_and_its_offsets():
         canon = GaussDiagram(word)._canon
         assert canon[0] == canonical_oracle(word)[0], word
         assert canon[1] == _offsets(canon[0]), word
-        assert canon[2] == _key(canon[0], canon[1]), word
+        assert canon[2] == key_oracle(canon[0], canon[1]), word
         assert word_of_key(canon[2]) == canon[0], word
 
 

@@ -40,6 +40,7 @@ from conftest import (
     bridge_digest,
     certificate_oracle,
     full_move_graph_classes,
+    key_oracle,
     random_diagram,
     reduce_oracle,
     scan_every_site_oracle,
@@ -414,7 +415,7 @@ def test_reduction_step_checks_the_start_word_first(monkeypatch):
         # move and its offset, and no FR3 path
         (link,) = links
         assert reduce._memo[budget][d._canon[2]] == link
-        next_key = diagram._key(minimal, diagram._offsets(minimal))
+        next_key = key_oracle(minimal, diagram._offsets(minimal))
         assert link[:2] == (next_key, enumerate_decreasing(GaussDiagram(w))[0])
         assert len(link) == 3
         assert w not in fr3_calls and w not in scans
@@ -679,7 +680,7 @@ def test_memo_links_are_written_after_their_next_word(monkeypatch):
 
 def test_the_memo_keeps_one_dict_of_canonical_words_per_budget(monkeypatch):
     """`reduce._memo` maps each orbit budget to a dict keyed by the
-    `_key` of each canonical word.  Entries written under the default
+    key of each canonical word.  Entries written under the default
     budget never answer a call under budget 3: a diagram whose orbit scan
     needs more than three nodes still raises there, with the text a cold
     memo gives."""
@@ -708,15 +709,18 @@ def test_the_memo_keeps_one_dict_of_canonical_words_per_budget(monkeypatch):
 
 
 def test_keys_are_exact_on_every_canonical_word_up_to_six_arrows():
-    """`diagram._key` tells every canonical word apart: over all 58,814
-    words `catalog._orderly_words(n, False)` yields for n <= 6, each with
-    the offsets it yields beside it, no two keys agree, each key has two
-    bytes per endpoint, and each decodes to its own word."""
+    """The key `diagram._least_rotation` builds tells every canonical word
+    apart: over all 58,814 words `catalog._orderly_words(n, False)` yields
+    for n <= 6, each canonical at offset 0, with the offsets the
+    generator yields beside it and the key `key_oracle` builds from the
+    two, no two keys agree, each key has two bytes per endpoint, and each
+    decodes to its own word."""
     keys = set()
     count = 0
     for n in range(7):
         for word, back in catalog._orderly_words(n, False):
-            key = diagram._key(word, back)
+            rotation, r, offsets, key = diagram._least_rotation(word)
+            assert (rotation, r, offsets, key) == (word, 0, back, key_oracle(word, back)), word
             assert len(key) == 2 * len(word) and word_of_key(key) == word, word
             keys.add(key)
             count += 1
@@ -725,24 +729,28 @@ def test_keys_are_exact_on_every_canonical_word_up_to_six_arrows():
 
 def test_every_rotation_and_relabeling_gives_the_key_of_the_canonical_form():
     """The rank scan's rotation of any rotation of a word, in any labels,
-    has the key of the word's canonical form, and relabels to that form:
-    on seeded random words up to 14 arrows, as drawn and with each arrow
-    given an arbitrary distinct label, some far past 256."""
+    has the key of the word's canonical form (`key_oracle`), and relabels
+    to that form: on seeded random words up to 14 arrows, and on a few
+    of 129 to 160 arrows, past 256 endpoints, whose keys take four bytes
+    per offset, as drawn and with each arrow given an arbitrary distinct
+    label, some far past 256."""
     rng = random.Random(36)
-    checked = 0
-    for _ in range(150):
-        d = random_diagram(rng, rng.randint(0, 14))
+    checked = wide = 0
+    for arrows in [(0, 14)] * 150 + [(129, 160)] * 3:
+        d = random_diagram(rng, rng.randint(*arrows))
         canon = canonical_word(d.word)
-        want = diagram._key(canon, diagram._offsets(canon))
+        want = key_oracle(canon, diagram._offsets(canon))
+        assert word_of_key(want) == canon
         labels = rng.sample(range(1, 10**9), d.n)
         relabeled = tuple(labels[t - 1] if t > 0 else -labels[-t - 1] for t in d.word)
         for word in (d.word, relabeled):
             for g in range(max(len(word), 1)):
-                rotation, _, back = diagram._least_rotation(word[g:] + word[:g])
-                assert diagram._key(rotation, back) == want, word
+                rotation, _, back, key = diagram._least_rotation(word[g:] + word[:g])
+                assert key == want == key_oracle(rotation, back), word
                 assert diagram._first_appearance(rotation) == canon, word
                 checked += 1
-    assert checked > 2000
+                wide += len(word) > 256
+    assert checked > 2000 and wide > 1500
 
 
 def _grown(rng: random.Random, d: GaussDiagram, size: int) -> GaussDiagram:
