@@ -13,12 +13,15 @@ wrap block is an FR2 site, so it yields exactly the diagrams with no
 decreasing move.  Classification scans the FR3 orbits of only those: a
 diagram with a decreasing move has crossing number below n and can
 never give a record.  One record per orbit with no decreasing site; the
-reduction memo is left untouched.  Records stream: each is yielded as
-soon as it is made, and of the words the scans reach only those the
-generator has not yielded yet are kept, so memory does not grow with
-the class count.  Each record costs one pass over its word per
-question: the u-polynomial from prefix sums of endpoint signs, the
-verdict from the first split of the prefix XOR masks.  Classes are
+reduction memo is left untouched.  Records stream in batches: the
+words are scanned `_BATCH` at a time, then the batch's records are made
+and yielded, since going back and forth between the generator's deep
+chain of `yield from` and the scans for every single word slows both.
+Of the words the scans reach only those the generator has not yielded
+yet are kept, so memory grows with one batch, not with the class count.
+Each record costs one pass over its word per question: the
+u-polynomial from prefix sums of endpoint signs, the verdict from the
+first split of the prefix XOR masks.  Classes are
 oriented flat knot classes: no mirror or reversal quotient is applied,
 and the file header says so.
 """
@@ -27,6 +30,7 @@ from __future__ import annotations
 import os
 import stat
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 from .diagram import (
@@ -41,6 +45,9 @@ from .reduce import OrbitLimits, _max_nodes, _scan_orbit
 # could finish; the bound makes a mistyped n an input error, not a run
 # that never ends
 _MAX_ARROWS = 12
+
+# words `_records` takes from the generator at a time (see there)
+_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -175,7 +182,13 @@ def enumerate_diagrams(n: int, *, reduced: bool = False) -> Iterator[GaussDiagra
 
 
 def _records(n: int, limits: OrbitLimits | None) -> Iterator[CatalogRecord]:
-    """`classify`'s records, each yielded as soon as it is made.
+    """`classify`'s records, made a batch at a time: `_BATCH` words are
+    taken from the generator and scanned in order, then the records of
+    the batch's minimal orbits are made and yielded.  Going back and
+    forth between the generator's chain of `yield from`, one level per
+    position, and the other stages for every single word slows the scans
+    and the records alike, so the words come in batches; memory grows
+    with one batch, not with the class count.
 
     The words and their partner offsets come straight from
     `_orderly_words(n, reduced=True)`, so a scan starts with no
@@ -187,34 +200,45 @@ def _records(n: int, limits: OrbitLimits | None) -> Iterator[CatalogRecord]:
     A minimal orbit's start is its least word, so the rest of the orbit
     is ahead of it; of an orbit the scan stopped in, only the words above
     the start are.  A word leaves `ahead` when the generator reaches it
-    and is skipped there, so the same scans run as if every reached word
-    were kept.
+    and is skipped there, so the same scans run, from the same starts and
+    in the same order, as if every reached word were kept.  A scan over
+    budget raises from inside its batch, before the batch's records are
+    yielded: the same scan raises the same error as one word at a time.
 
     A record's fields are read off its class word directly: the u-text
     from `invariants._u_terms`, formatted as `UPolynomial.__str__`
-    formats it, and the verdict from `diagram._first_split`, as
-    `compose._minimal_verdict` reads it."""
+    formats it once per distinct term tuple, and the verdict from
+    `diagram._first_split`, as `compose._minimal_verdict` reads it."""
     _check_int(n, "n", 0, _MAX_ARROWS)
     max_nodes = _max_nodes(limits)
     ahead: set[tuple[int, ...]] = set()
+    u_texts: dict[tuple[tuple[int, int], ...], str] = {}
     class_id = 0
-    for start, back in _orderly_words(n, True):
-        if start in ahead:
-            ahead.remove(start)
-            continue
-        pred, node, _ = _scan_orbit(start, back, max_nodes, find_decreasing=True)
-        if node is not None:
-            key = canonical_sort_key(start)
-            ahead.update(w for w in pred if w != node and canonical_sort_key(w) > key)
-            continue
-        ahead.update(pred)
-        ahead.remove(start)
-        class_id += 1
-        d = _trusted(start)
-        verdict = "T" if n == 0 else ("P" if _first_split(d) is None else "C")
-        yield CatalogRecord(
-            class_id, serialize(d), n, _terms_text(_u_terms(start)), verdict, len(pred)
-        )
+    words = _orderly_words(n, True)
+    while batch := list(islice(words, _BATCH)):
+        minimal = []  # (class word, orbit size) of the batch's minimal orbits
+        for start, back in batch:
+            if start in ahead:
+                ahead.remove(start)
+                continue
+            pred, node, _ = _scan_orbit(start, back, max_nodes, find_decreasing=True)
+            if node is not None:
+                key = canonical_sort_key(start)
+                ahead.update(w for w in pred if w != node and canonical_sort_key(w) > key)
+                continue
+            if len(pred) > 1:
+                ahead.update(pred)
+                ahead.remove(start)
+            minimal.append((start, len(pred)))
+        for start, size in minimal:
+            class_id += 1
+            d = _trusted(start)
+            terms = tuple(_u_terms(start))
+            u_text = u_texts.get(terms)
+            if u_text is None:
+                u_text = u_texts[terms] = _terms_text(terms)
+            verdict = "T" if n == 0 else ("P" if _first_split(d) is None else "C")
+            yield CatalogRecord(class_id, serialize(d), n, u_text, verdict, size)
 
 
 def classify(n: int, limits: OrbitLimits | None = None) -> list[CatalogRecord]:
@@ -228,8 +252,10 @@ def classify(n: int, limits: OrbitLimits | None = None) -> list[CatalogRecord]:
     scan checks only the words it discovers.
     The record's u-polynomial and verdict each take one pass over the
     class word (`invariants._u_terms`, `diagram._first_split`).  The records
-    are made one at a time by a generator that keeps only the reached
-    words still ahead of it (`_records`); `tabulate` streams them."""
+    are made by a generator that keeps only the reached words still ahead
+    of it and scans `_BATCH` words before it makes their records
+    (`_records`); `tabulate` streams them.  A budget error comes from the
+    same scan as it would one word at a time."""
     return list(_records(n, limits))
 
 

@@ -178,12 +178,22 @@ def parse(text: str) -> GaussDiagram:
     return GaussDiagram(tuple(word))
 
 
+# _TEXT[t] is the token text of endpoint t, "+k" or "-k", for labels
+# 1..256: a word of up to 512 endpoints is joined from it without
+# formatting an int.  A longer word is formatted token by token, so the
+# table stays fixed in size.
+_TEXT: dict[int, str] = {s * k: f"{'+-'[s < 0]}{k}" for k in range(1, 257) for s in (1, -1)}
+
+
 def serialize(d: GaussDiagram) -> str:
     """Render a diagram as a Gauss code; the empty diagram is "0"."""
     _check_diagram(d, "d")
-    if not d.word:
+    word = d.word
+    if not word:
         return "0"
-    return " ".join([f"+{t}" if t > 0 else f"-{-t}" for t in d.word])
+    if len(word) <= 512:
+        return " ".join(map(_TEXT.__getitem__, word))
+    return " ".join([f"+{t}" if t > 0 else f"-{-t}" for t in word])
 
 
 # _NEG[k] is -k: one shared int per head label, so the labeled words the

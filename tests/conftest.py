@@ -93,6 +93,14 @@ def random_split_prone_diagrams(rng: random.Random, count: int):
             yield random_diagram(rng, n)
 
 
+def serialize_oracle(d: GaussDiagram) -> str:
+    """`serialize` formatting each token on its own: "+k" for a tail, "-k"
+    for a head, joined by spaces; the empty diagram is "0"."""
+    if not d.word:
+        return "0"
+    return " ".join([f"+{t}" if t > 0 else f"-{-t}" for t in d.word])
+
+
 def canonical_oracle(word: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Reference canonicalizer: relabel every rotation by first appearance,
     encode tail < head, and keep the lexicographic minimum.  Returns

@@ -412,3 +412,46 @@ def test_classify_scans_the_oracles_orbits_at_six(monkeypatch, classified):
     # 8,079 scans: 7,825 minimal orbits and 254 that stop at a decreasing site
     assert len(streamed) == 8079 and len(records) == 7825
     assert [args[0] for args in streamed] == [args[0] for args in kept_all]
+
+
+def test_records_stream_one_batch_of_words_at_a_time(monkeypatch):
+    """`_records` takes `_BATCH` words from the generator at a time, so
+    its first record comes after at most one batch of words, and after
+    k records the generator has run at most one batch past the word of
+    the k-th record: memory grows with one batch, not with the class
+    count."""
+    pulled = []
+    orderly = catalog._orderly_words
+
+    def counting(n, reduced):
+        for word, back in orderly(n, reduced):
+            pulled.append(word)
+            yield word, back
+
+    monkeypatch.setattr(catalog, "_orderly_words", counting)
+    position = {}  # pulled word -> its 1-based place among the pulled words
+    records = catalog._records(7, None)
+    for k, rec in enumerate(itertools.islice(records, 3000), start=1):
+        if k == 1:
+            assert len(pulled) <= catalog._BATCH
+        for i in range(len(position), len(pulled)):
+            position[pulled[i]] = i + 1
+        at = position[parse(rec.code).word]
+        assert len(pulled) < at + catalog._BATCH
+    assert k == 3000 and len(pulled) < 5000  # 220,810 words at n = 7
+    records.close()
+
+
+def test_a_budget_error_inside_a_batch_comes_from_the_same_scan():
+    """A scan over budget raises from inside its batch, with the message
+    of the first orbit over budget; a consumer that takes only the first
+    k records gets the oracle's first k."""
+    with pytest.raises(reduce.OrbitBudgetExceeded) as info:
+        list(catalog._records(5, reduce.OrbitLimits(1)))
+    assert str(info.value) == (
+        "FR3 orbit of +1 +2 -1 -2 +3 +4 -3 +5 -4 -5 exceeds the 1-node budget "
+        "(nodes explored: 1, expanded: 1)"
+    )
+    want = classify_oracle(6)
+    for k in (1, 63, 64, 65, 200, 1000):
+        assert list(itertools.islice(catalog._records(6, None), k)) == want[:k]

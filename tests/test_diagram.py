@@ -24,7 +24,7 @@ from flatknots import (
 )
 from flatknots import diagram, moves
 from flatknots.compose import _minimal_verdict
-from flatknots.diagram import _canonical, _first_appearance, _offsets
+from flatknots.diagram import _canonical, _first_appearance, _offsets, _trusted
 from flatknots.moves import _decreasing_sites, _perform
 from conftest import (
     brute_force_splits,
@@ -34,6 +34,7 @@ from conftest import (
     key_oracle,
     random_diagram,
     random_split_prone_diagrams,
+    serialize_oracle,
     word_of_key,
 )
 from test_cli import run_cli
@@ -86,6 +87,28 @@ def test_serialize_empty_is_zero_token():
 
 def test_serialize_single_arrow():
     assert serialize(GaussDiagram((1, -1))) == "+1 -1"
+
+
+def test_serialize_matches_the_oracle_on_both_sides_of_the_table():
+    """`serialize` joins token texts from `diagram._TEXT` for words of up
+    to 256 arrows and formats each token of a longer word; both give the
+    oracle's text.  Every word up to n = 5 in every rotation, and seeded
+    words of 250 to 300 arrows, so both sides of the cutoff are covered."""
+    seen = 0
+    for n in range(6):
+        for d in enumerate_diagrams(n):
+            for r in range(max(d.size, 1)):
+                rotated = GaussDiagram(d.word[r:] + d.word[:r])
+                assert serialize(rotated) == serialize_oracle(rotated)
+                seen += 1
+    assert seen == 1 + 2 * 1 + 4 * 4 + 6 * 22 + 8 * 218 + 10 * 3028
+    rng = random.Random(42)
+    sizes = [250, 255, 256, 257, 260, 300] + [rng.randint(250, 300) for _ in range(10)]
+    for n in sizes:
+        d = random_diagram(rng, n)
+        assert serialize(d) == serialize_oracle(d)
+    assert {n > 256 for n in sizes} == {False, True}
+    assert len(diagram._TEXT) == 512
 
 
 def test_canonical_rotation_invariance():
@@ -327,13 +350,15 @@ def test_canonical_reads_every_head_label_from_the_shared_table():
 
 
 def test_shared_tables_stay_whole_when_threads_grow_them():
-    """Eight threads, switching every microsecond, canonicalize words of
-    up to 204 arrows 30 times over and ask moves._move for the same 420
-    FR2 inserts, none of them shared yet.  Every word canonicalizes as it
-    does on one thread, and all threads get one object per move."""
+    """Eight threads, switching every microsecond, canonicalize and
+    serialize words of up to 204 arrows 30 times over and ask moves._move
+    for the same 420 FR2 inserts, none of them shared yet.  Every word
+    canonicalizes and serializes as it does on one thread, and all
+    threads get one object per move."""
     rng = random.Random(36)
     words = [random_diagram(rng, n).word for n in range(4, 210, 6)]
     want = [_canonical(w)[0] for w in words]
+    texts = [serialize_oracle(_trusted(w)) for w in words]
     fields = [
         (moves.FR2_INSERT, v, (ga, gb))
         for v in moves.FR2_VARIANTS
@@ -352,6 +377,7 @@ def test_shared_tables_stay_whole_when_threads_grow_them():
                 barrier.wait()
                 got = [_canonical(w)[0] for w in words]
                 assert got == want
+                assert [serialize(_trusted(w)) for w in words] == texts
             barrier.wait()
             results[i] = shared
         except Exception as exc:  # reported by the main thread
