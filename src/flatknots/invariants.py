@@ -6,7 +6,9 @@ endpoint on that arc) contributes +1 if its tail lies on the arc and -1
 if its head does; the total is the index n(e).  The u-polynomial collects
 sign(n(e)) * t^|n(e)| over arrows with nonzero index.  It is unchanged by
 every legal move, which makes it the external cross-check for the move
-catalogs.  It is not complete, and equivalence is decided without it.
+catalogs.  `reduce.equivalent` refutes a pair whose u-polynomials
+differ before it reduces either diagram; the polynomial is not complete,
+so a pair with equal polynomials is decided by the orbit search.
 """
 from __future__ import annotations
 

@@ -7,6 +7,14 @@ a diagram is minimal exactly when no member of its FR3 orbit admits a
 decreasing FR1/FR2 site, and two diagrams are equivalent exactly when
 their minimal diagrams share an FR3 orbit.
 
+`equivalent` first compares the inputs' u-polynomials
+(`invariants._u_terms`), which no flat move changes.  A pair whose
+polynomials differ is inequivalent, and it is answered before either
+diagram is canonicalized or reduced: it searches no orbit, so it never
+raises OrbitBudgetExceeded, whatever the budget, and it leaves the memo
+as it found it.  The u-polynomial is not complete, so a pair with equal
+polynomials goes on to the reduction, and every verdict stays exact.
+
 Every recorded move applies to the canonical representative of its
 pre-move diagram; replay re-canonicalizes after each step.  This keeps
 traces byte-reproducible across runs and platforms.
@@ -34,6 +42,7 @@ from .diagram import (
     parse,
     serialize,
 )
+from .invariants import _u_terms
 
 
 class OrbitBudgetExceeded(RuntimeError):
@@ -392,11 +401,19 @@ def equivalent(
 ):
     """Decide flat equivalence.  With with_certificate, returns
     (bool, MoveTrace | None); the certificate runs d1 -> minimal(d1) ->
-    minimal(d2) -> d2."""
+    minimal(d2) -> d2.
+
+    After the argument checks, a pair whose u-polynomials differ is
+    refuted at once (False, or (False, None)): neither diagram is
+    canonicalized or reduced, no orbit is searched, so no budget is
+    exceeded, and no memo entry is written.  Only a pair with equal
+    u-polynomials is reduced and compared by class word."""
     _check_diagram(d1, "d1")
     _check_diagram(d2, "d2")
     _check_flag(with_certificate, "with_certificate")
     max_nodes = _max_nodes(limits)
+    if _u_terms(d1.word) != _u_terms(d2.word):
+        return (False, None) if with_certificate else False
     m1, cls1, links1 = _reduce_word(d1, max_nodes)
     m2, cls2, links2 = _reduce_word(d2, max_nodes)
     verdict = cls1 == cls2

@@ -492,6 +492,35 @@ def test_max_orbit_flag_budget_error():
     assert code == 2
 
 
+# a minimal diagram with a two-node FR3 orbit, u = 0
+_TWO_NODE = "+1 +2 -1 -2 +3 +4 -3 +5 -4 -5"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_equiv_under_a_one_node_budget_is_pinned(fmt, tmp_path, capsys):
+    """A pair whose u-polynomials differ is refuted without an orbit
+    search, so `--max-orbit 1` cannot stop it: exit 1, not-equivalent,
+    and no certificate file.  A pair with equal u-polynomials reduces
+    and hits the budget: exit 2 with one error line."""
+    cert = tmp_path / "cert.json"
+    capsys.readouterr()
+    argv = ["--format", fmt, "--max-orbit", "1", "equiv", "--trace", str(cert)]
+    code, out = run_cli(argv + [_TWO_NODE, "+1 +2 -1 -3 -2 +3"])
+    want = {
+        "text": "not-equivalent\n",
+        "json": '{"equivalent":false,"inputs":["+1 +2 -1 -2 +3 +4 -3 +5 -4 -5","+1 +2 -1 -3 -2 +3"]}\n',
+    }[fmt]
+    assert (code, out, capsys.readouterr().err) == (1, want, "")
+    assert not cert.exists()
+    code, out = run_cli(["--format", fmt, "--max-orbit", "1", "equiv", _TWO_NODE, "0"])
+    err = capsys.readouterr().err
+    _assert_input_error(code, out, err)
+    assert err == (
+        f"error: FR3 orbit of {_TWO_NODE} exceeds the 1-node budget "
+        "(nodes explored: 1, expanded: 1)\n"
+    )
+
+
 def test_tabulate_budget_error_exit_2_with_one_line(capsys):
     # classify scans only the orbits of diagrams with no decreasing site,
     # so the first orbit search over budget starts at such a diagram

@@ -44,6 +44,7 @@ from conftest import (
     random_diagram,
     reduce_oracle,
     scan_every_site_oracle,
+    u_polynomial_oracle,
     word_of_key,
 )
 
@@ -375,6 +376,80 @@ def test_u_fast_path_never_blocks_true():
     d2 = parse("+1 +2 -3 -4 +3 +4 -1 -2")
     assert u_polynomial(d1) == u_polynomial(d2)
     assert not equivalent(d1, d2)
+
+
+def test_equivalent_agrees_with_class_codes_on_scrambled_pairs_of_every_class(
+    classified, monkeypatch
+):
+    """Two scrambles of each of the 429 classes up to n = 5, the one
+    paired with the other, with a scramble of the next class, and with a
+    scramble of the next class of the same u-polynomial: `equivalent`,
+    with and without a certificate, agrees with comparing the pair's
+    `minimal_class_code`s.  The pairs fall into three groups, equivalent,
+    refuted by their u-polynomials (by the oracle's count) and
+    inequivalent with equal u-polynomials, and none is empty, so both
+    paths are checked."""
+    monkeypatch.setattr(reduce, "_memo", {})
+    rng = random.Random(43)
+    records = [r for n in range(6) for r in classified(n)]
+    assert len(records) == 429
+    by_u: dict[str, list] = {}
+    for r in records:
+        by_u.setdefault(r.u_text, []).append(r)
+    assert len(by_u[str(u_polynomial(GaussDiagram(())))]) > 10  # u = 0 is shared
+    groups = {"equivalent": 0, "different u": 0, "equal u": 0}
+    for i, r in enumerate(records):
+        peers = by_u[r.u_text]
+        others = [records[(i + 1) % len(records)], peers[(peers.index(r) + 1) % len(peers)]]
+        d = _scrambled(rng, parse(r.code))
+        for other in [r] + [o for o in others if o is not r]:
+            e = _scrambled(rng, parse(other.code))
+            want = minimal_class_code(d) == minimal_class_code(e)
+            if want:
+                groups["equivalent"] += 1
+            elif u_polynomial_oracle(d) != u_polynomial_oracle(e):
+                groups["different u"] += 1
+            else:
+                groups["equal u"] += 1
+            assert equivalent(d, e) == want, (serialize(d), serialize(e))
+            same, cert = equivalent(d, e, with_certificate=True)
+            assert same == want and (cert is None) == (not want)
+    assert all(groups.values()), groups
+
+
+def test_a_pair_refuted_by_its_u_polynomials_searches_nothing(monkeypatch, canonical_calls):
+    """A pair whose u-polynomials differ is refuted after the argument
+    checks and before either diagram is canonicalized: under a 1-node
+    budget, which the first diagram's two-node minimal FR3 orbit exceeds,
+    it returns False and (False, None), and it leaves the memo as it
+    was.  A pair with equal u-polynomials still reduces, and raises."""
+    monkeypatch.setattr(reduce, "_memo", {})
+    tight = OrbitLimits(max_nodes=1)
+    two_node = "+1 +2 -1 -2 +3 +4 -3 +5 -4 -5"  # u = 0
+    assert equivalent(parse(two_node), parse(two_node))
+    memo = {budget: dict(entries) for budget, entries in reduce._memo.items()}
+    assert memo and canonical_calls
+    canonical_calls.clear()
+    d1, d2 = parse(two_node), parse(WITNESS_3)
+    assert u_polynomial(d1) != u_polynomial(d2)
+    for a, b in ((d1, d2), (d2, d1)):
+        assert equivalent(a, b, tight) is False
+        assert equivalent(a, b, tight, with_certificate=True) == (False, None)
+        assert equivalent(a, b, with_certificate=True) == (False, None)
+    assert reduce._memo == memo
+    assert not canonical_calls and "_canon" not in vars(d1) and "_canon" not in vars(d2)
+    # the argument checks still come first
+    with pytest.raises(ValueError, match="with_certificate"):
+        equivalent(d1, d2, tight, with_certificate=1)
+    with pytest.raises(ValueError, match="limits"):
+        equivalent(d1, d2, 1)
+    # equal u-polynomials: the kinked diagram reduces to the two-node orbit
+    kinked = parse("+6 -6 " + two_node)
+    assert u_polynomial(kinked) == u_polynomial(d1)
+    for a, b in ((d1, kinked), (kinked, d1), (d1, GaussDiagram(()))):
+        for certify in (False, True):
+            with pytest.raises(OrbitBudgetExceeded, match="exceeds the 1-node budget"):
+                equivalent(a, b, tight, with_certificate=certify)
 
 
 def test_orbit_budget_exceeded_signals():
